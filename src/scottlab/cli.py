@@ -94,28 +94,29 @@ def _floats(text: str):
 # ---------------------------------------------------------------------------
 
 
-_TF_MEMO: dict = {}
-
-
 def get_tf_solution(cache_dir: str | None, tolerance: float = 1e-8) -> tf.TFSolution:
-    key = (cache_dir, tolerance)
-    if key in _TF_MEMO:
-        return _TF_MEMO[key]
-    sol = None
-    cache_file = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_file = os.path.join(cache_dir, "tf_profile.npz")
-        if os.path.exists(cache_file):
-            data = np.load(cache_file)
-            sol = tf.rebuild_solution(float(data["slope0"]), data["x"], data["w"],
-                                      data["v"], float(data["xi_tail"]))
-    if sol is None:
-        sol = tf.solve_tf_atom(tolerance=tolerance)
-        if cache_file:
-            np.savez(cache_file, slope0=sol.slope0, x=sol.spline_x,
-                     w=sol.spline_w, v=sol.spline_v, xi_tail=sol.xi_tail)
-    _TF_MEMO[key] = sol
+    """The TF solution, solved or rebuilt from cache_dir/tf_profile.npz.
+
+    The cache holds the spline data of a solve and the package version; a
+    file that cannot be read, lacks a key or carries another version is a
+    miss and is rewritten.  A hit goes through the same constructor as a
+    solve, so the residual is checked against tolerance either way.
+    """
+    if not cache_dir:
+        return tf.solve_tf_atom(tolerance=tolerance)
+    os.makedirs(cache_dir, exist_ok=True)
+    cache_file = os.path.join(cache_dir, "tf_profile.npz")
+    try:
+        with np.load(cache_file) as data:
+            cached = (str(data["version"]), float(data["slope0"]), data["x"],
+                      data["w"], data["v"], float(data["xi_tail"]))
+    except Exception:  # missing, truncated or not an npz archive: a miss
+        cached = None
+    if cached is not None and cached[0] == __version__:
+        return tf._assemble(*cached[1:], tolerance)
+    sol = tf.solve_tf_atom(tolerance=tolerance)
+    np.savez(cache_file, version=__version__, slope0=sol.slope0, x=sol.spline_x,
+             w=sol.spline_w, v=sol.spline_v, xi_tail=sol.xi_tail)
     return sol
 
 
@@ -173,9 +174,14 @@ def _resolve_potential(args):
         if not args.file:
             raise ValidationError("potential=file needs --file")
         try:
-            data = np.loadtxt(args.file, delimiter=",", skiprows=1)
+            data = np.loadtxt(args.file, delimiter=",", skiprows=1, ndmin=2)
         except OSError as exc:
             raise IOError(f"cannot read {args.file}: {exc}") from exc
+        except ValueError as exc:
+            raise ValidationError(f"cannot parse {args.file}: {exc}") from exc
+        if data.shape[0] < 2 or data.shape[1] != 2:
+            raise ValidationError(f"{args.file} needs at least two (r, V) rows "
+                                  f"of two columns, got shape {data.shape}")
         r, v = data[:, 0], data[:, 1]
         return lambda q: np.interp(q, r, v, left=v[0], right=0.0)
     raise ValidationError(f"unknown potential {args.potential!r}")
@@ -396,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-scale", type=float, default=0.6)
     sp.add_argument("--mesh", default="80 160")
     sp.add_argument("--resolution", type=float, default=20.0)
-    sp.add_argument("--refine", action="store_true", default=True)
+    sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     sp.set_defaults(func=cmd_scott)
 
     sp = sub.add_parser("partition-check", help="partition-of-unity identity sweep")
@@ -413,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Z-list", default="8 27 64 125")
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--resolution", type=float, default=20.0)
-    sp.add_argument("--refine", action="store_true", default=True)
+    sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     sp.set_defaults(func=cmd_expansion)
 
     return p

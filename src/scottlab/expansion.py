@@ -40,11 +40,7 @@ def two_term_energy(config: NuclearConfig, s_provider: Callable[[float], float],
     if config.M != 1:
         raise UnsupportedConfigError(
             "molecular TF leading term unavailable; expansion is quantitative for M = 1 only")
-    Z = config.Z
-    leading = tf_solution.E_atom * Z ** (7.0 / 3.0)
-    scott = 2.0 * Z ** 2 * sum(z ** 2 * s_provider(kk)
-                               for z, kk in zip(config.z, config.kappa_k))
-    return leading + scott
+    return tf_solution.E_atom * config.Z ** (7.0 / 3.0) + scott_term(config, s_provider)
 
 
 def scott_term(config: NuclearConfig, s_provider) -> float:

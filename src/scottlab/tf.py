@@ -214,14 +214,14 @@ def _solve_tail(series, s_hi, bvp_tol, max_nodes):
     return sol, xi_hat
 
 
-@dataclass(frozen=True)
-class TFSolution:
-    """Universal TF profile plus the z = 1 energy bookkeeping.
+@dataclass(frozen=True, kw_only=True)
+class TFProfile:
+    """The universal screening profile phi(t) from its three stitched pieces.
 
-    V(z, r) and rho(z, r) evaluate the potential and density of a neutral
-    atom of charge z at radius r; E_atom is the energy coefficient with
-    E(z) = E_atom * z^(7/3); phase_space_coeff is the momentum-reduced
-    integral 2 (2 pi)^-3 iint [p^2 - V]_- (equal to E_atom + D_rho).
+    series covers t < T_SERIES; Hermite interpolants of (w, v) = (log phi,
+    its log-t derivative) on the collocation nodes spline_x = log t cover
+    the grid; the Sommerfeld tail with relative amplitude xi_tail at the
+    grid end covers t beyond it.
     """
 
     slope0: float
@@ -230,21 +230,9 @@ class TFSolution:
     spline_w: np.ndarray
     spline_v: np.ndarray
     xi_tail: float
-    residual_sup: float
-    E_atom: float
-    D_rho: float
-    kinetic: float
-    attraction: float
-    mass: float
-    t_grid: np.ndarray = field(repr=False, default=None)
-    _w_interp: CubicHermiteSpline = field(repr=False, compare=False, default=None)
-    _v_interp: CubicHermiteSpline = field(repr=False, compare=False, default=None)
-
-    @property
-    def phase_space_coeff(self) -> float:
-        return self.E_atom + self.D_rho
-
-    # -- profile ------------------------------------------------------------
+    t_grid: np.ndarray = field(repr=False)
+    _w_interp: CubicHermiteSpline = field(repr=False, compare=False)
+    _v_interp: CubicHermiteSpline = field(repr=False, compare=False)
 
     def phi(self, t):
         t = np.asarray(t, dtype=float)
@@ -292,7 +280,34 @@ class TFSolution:
         xi = self.xi_tail * (t / t_hi) ** (-SOMMERFELD_LAMBDA)
         return 144.0 / t ** 4 * (-3.0 * (1.0 + xi) - SOMMERFELD_LAMBDA * xi)
 
-    # -- physical accessors ---------------------------------------------------
+    def profile_table(self) -> np.ndarray:
+        """Columns (t, phi, phi') on the export grid."""
+        t = self.t_grid
+        return np.column_stack([t, self.phi(t), self.dphi(t)])
+
+
+@dataclass(frozen=True, kw_only=True)
+class TFSolution(TFProfile):
+    """Universal TF profile plus the z = 1 energy bookkeeping.
+
+    V(z, r) and rho(z, r) evaluate the potential and density of a neutral
+    atom of charge z at radius r; E_atom is the energy coefficient with
+    E(z) = E_atom * z^(7/3).  phase_space is the quadrature of the
+    momentum-reduced integral 2 (2 pi)^-3 iint [p^2 - V]_-, and
+    phase_space_coeff the same quantity from the functional, E_atom + D_rho.
+    """
+
+    residual_sup: float
+    E_atom: float
+    D_rho: float
+    kinetic: float
+    attraction: float
+    mass: float
+    phase_space: float
+
+    @property
+    def phase_space_coeff(self) -> float:
+        return self.E_atom + self.D_rho
 
     def V(self, r, z: float = 1.0):
         """Thomas-Fermi potential of a neutral atom of charge z at radius r."""
@@ -317,15 +332,6 @@ class TFSolution:
         """D(rho_z) = z^(7/3) D(rho_1)."""
         return self.D_rho * z ** (7.0 / 3.0)
 
-    def profile_table(self) -> np.ndarray:
-        """Columns (t, phi, phi') on the export grid."""
-        t = self.t_grid
-        return np.column_stack([t, self.phi(t), self.dphi(t)])
-
-
-def _make_interp(x, w, v):
-    return CubicHermiteSpline(x, w, v)
-
 
 def solve_tf_atom(tolerance: float = 1e-8, n_grid: int = N_GRID,
                   bvp_tol: float = 1e-10, max_nodes: int = 200000,
@@ -338,61 +344,38 @@ def solve_tf_atom(tolerance: float = 1e-8, n_grid: int = N_GRID,
     up above tolerance.
     """
     slope0 = shoot_slope(iterations=slope_iterations)
-    series = baker_coefficients(slope0)
-    s_hi = math.log(T_GRID_MAX)
-    sol, xi_tail = _solve_tail(series, s_hi, bvp_tol, max_nodes)
-    spline_x, spline_w, spline_v = sol.x.copy(), sol.y[0].copy(), sol.y[1].copy()
-    w_i = _make_interp(spline_x, spline_w, spline_v)
-    v_i = _make_interp(spline_x, sol.y[1], sol.yp[1])
+    sol, xi_tail = _solve_tail(baker_coefficients(slope0), math.log(T_GRID_MAX),
+                               bvp_tol, max_nodes)
+    return _assemble(slope0, sol.x, sol.y[0], sol.y[1], xi_tail, tolerance, n_grid)
 
-    partial = TFSolution(
-        slope0=slope0, series=series, spline_x=spline_x, spline_w=spline_w,
-        spline_v=spline_v, xi_tail=xi_tail, residual_sup=np.nan,
-        E_atom=np.nan, D_rho=np.nan, kinetic=np.nan, attraction=np.nan,
-        mass=np.nan,
+
+def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail, tolerance: float,
+              n_grid: int = N_GRID) -> TFSolution:
+    """The one constructor of TFSolution, for a fresh solve and a cached one alike.
+
+    Builds the profile from the shooting slope, the collocation data
+    (log t, w, w') and the tail amplitude, raises TFConvergenceError when
+    the equation residual exceeds tolerance, then computes the energies.
+    The Hermite slopes of w' come from the ODE right side, which is what
+    solve_bvp reports as yp, so cached data rebuild the solve exactly.
+    """
+    vp = _bvp_rhs(spline_x, np.vstack([spline_w, spline_v]))[1]
+    profile = TFProfile(
+        slope0=slope0, series=baker_coefficients(slope0), spline_x=spline_x,
+        spline_w=spline_w, spline_v=spline_v, xi_tail=xi_tail,
         t_grid=np.geomspace(T_GRID_MIN, T_GRID_MAX, n_grid),
-        _w_interp=w_i, _v_interp=v_i,
+        _w_interp=CubicHermiteSpline(spline_x, spline_w, spline_v),
+        _v_interp=CubicHermiteSpline(spline_x, spline_v, vp),
     )
-    residual = equation_residual(partial)
+    residual = equation_residual(profile)
     if residual > tolerance:
         raise TFConvergenceError(
             f"TF residual {residual:.3e} above tolerance {tolerance:.1e}")
-
-    mass, attraction, kinetic, d_rho, ps = _energy_integrals(partial)
-    e_atom = kinetic - attraction + d_rho
+    mass, attraction, kinetic, d_rho, ps = _energy_integrals(profile.phi)
     return TFSolution(
-        slope0=slope0, series=series, spline_x=spline_x, spline_w=spline_w,
-        spline_v=spline_v, xi_tail=xi_tail, residual_sup=residual,
-        E_atom=e_atom, D_rho=d_rho, kinetic=kinetic, attraction=attraction,
-        mass=mass, t_grid=partial.t_grid, _w_interp=w_i, _v_interp=v_i,
-    )
-
-
-def rebuild_solution(slope0, spline_x, spline_w, spline_v, xi_tail,
-                     n_grid: int = N_GRID) -> TFSolution:
-    """Reconstruct a TFSolution from cached spline data (see cli caching)."""
-    series = baker_coefficients(slope0)
-    # Hermite data for v is not cached; rebuild v' from the ODE right side
-    vp = spline_v - spline_v ** 2 + np.exp(0.5 * spline_w + 1.5 * spline_x)
-    w_i = _make_interp(spline_x, spline_w, spline_v)
-    v_i = _make_interp(spline_x, spline_v, vp)
-    partial = TFSolution(
-        slope0=slope0, series=series, spline_x=np.asarray(spline_x),
-        spline_w=np.asarray(spline_w), spline_v=np.asarray(spline_v),
-        xi_tail=xi_tail, residual_sup=np.nan, E_atom=np.nan, D_rho=np.nan,
-        kinetic=np.nan, attraction=np.nan, mass=np.nan,
-        t_grid=np.geomspace(T_GRID_MIN, T_GRID_MAX, n_grid),
-        _w_interp=w_i, _v_interp=v_i,
-    )
-    residual = equation_residual(partial)
-    mass, attraction, kinetic, d_rho, ps = _energy_integrals(partial)
-    return TFSolution(
-        slope0=slope0, series=series, spline_x=partial.spline_x,
-        spline_w=partial.spline_w, spline_v=partial.spline_v,
-        xi_tail=xi_tail, residual_sup=residual,
-        E_atom=kinetic - attraction + d_rho, D_rho=d_rho, kinetic=kinetic,
-        attraction=attraction, mass=mass, t_grid=partial.t_grid,
-        _w_interp=w_i, _v_interp=v_i,
+        **vars(profile), residual_sup=residual, E_atom=kinetic - attraction + d_rho,
+        D_rho=d_rho, kinetic=kinetic, attraction=attraction, mass=mass,
+        phase_space=ps,
     )
 
 
@@ -404,7 +387,14 @@ _GL12 = leggauss(12)
 _GL16 = leggauss(16)
 
 
-def equation_residual(sol: TFSolution, n_cells: int = 200) -> float:
+def _gauss(a, b, rule):
+    """Nodes and weights of a Gauss rule on every interval [a, b], nodes on a new last axis."""
+    xg, wg = rule
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
+
+
+def equation_residual(profile: TFProfile, n_cells: int = 200) -> float:
     """Sup over cells of the relative TF-equation residual.
 
     Per cell [t1, t2]: |phi'(t2) - phi'(t1) - int phi^(3/2) t^(-1/2) dt|
@@ -413,48 +403,39 @@ def equation_residual(sol: TFSolution, n_cells: int = 200) -> float:
     the integrated first-order form (robust against the 1/t amplification
     a pointwise second-derivative reconstruction would suffer near t = 0).
     """
-    worst = 0.0
     # series region: direct pointwise check
     ts = np.geomspace(1e-6, T_SERIES, 40)
-    rhs = _series_eval(sol.series, ts) ** 1.5 / np.sqrt(ts)
-    lhs = _series_eval(sol.series, ts, 2)
-    worst = float(np.max(np.abs(lhs - rhs) / rhs))
-    # collocation region: cell-integrated check
-    xg, wg = _GL12
-    s_edges = np.linspace(math.log(T_SERIES), sol.spline_x[-1], n_cells + 1)
-    w_all = sol._w_interp(s_edges)
-    v_all = sol._v_interp(s_edges)
-    dphip_edges = v_all * np.exp(w_all - s_edges)
-    for a, b, pa, pb in zip(s_edges[:-1], s_edges[1:], dphip_edges[:-1], dphip_edges[1:]):
-        sm = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        ww = 0.5 * (b - a) * wg
-        integral = float(np.sum(ww * np.exp(1.5 * sol._w_interp(sm) + 0.5 * sm)))
-        worst = max(worst, abs((pb - pa) - integral) / integral)
-    return worst
+    rhs = _series_eval(profile.series, ts) ** 1.5 / np.sqrt(ts)
+    lhs = _series_eval(profile.series, ts, 2)
+    series_worst = np.max(np.abs(lhs - rhs) / rhs)
+    # collocation region: cell-integrated check, all cells at once
+    s_edges = np.linspace(math.log(T_SERIES), profile.spline_x[-1], n_cells + 1)
+    dphi_edges = profile._v_interp(s_edges) * np.exp(profile._w_interp(s_edges) - s_edges)
+    s, ws = _gauss(s_edges[:-1], s_edges[1:], _GL12)
+    integral = np.sum(ws * np.exp(1.5 * profile._w_interp(s) + 0.5 * s), axis=-1)
+    cell_worst = np.max(np.abs(np.diff(dphi_edges) - integral) / integral)
+    return float(max(series_worst, cell_worst))
 
 
-def _x_panels(x_max: float, n_panels: int) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(x_max * 1e-6, x_max, n_panels)])
+def _x_rule():
+    """Edges of 700 geometric panels in x = sqrt(t) on [0, 100], Gauss-16 nodes and weights."""
+    x_max = 100.0
+    edges = np.concatenate([[0.0], np.geomspace(x_max * 1e-6, x_max, 700)])
+    return (edges, *_gauss(edges[:-1], edges[1:], _GL16))
 
 
-def _integrate_x(f_of_t, x_max: float = 100.0, n_panels: int = 700) -> float:
-    """integral f(t) dt from 0 to x_max^2 via Gauss panels in x = sqrt(t)."""
-    xg, wg = _GL16
-    edges = _x_panels(x_max, n_panels)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xm = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        ww = 0.5 * (b - a) * wg
-        total += float(np.sum(ww * 2.0 * xm * f_of_t(xm ** 2)))
-    return total
+def _integrate_x(f_of_t) -> float:
+    """integral f(t) dt from 0 to 1e4 on the panels of _x_rule, summed left to right."""
+    _, x, wx = _x_rule()
+    return float(np.cumsum(np.sum(wx * 2.0 * x * f_of_t(x ** 2), axis=1))[-1])
 
 
-def _energy_integrals(sol: TFSolution):
-    """(mass, attraction, kinetic, D, phase-space) for z = 1."""
+def _energy_integrals(phi):
+    """(mass, attraction, kinetic, D, phase-space) for z = 1 from the profile phi."""
 
     def rho_t(t):
         r = B_LENGTH * t
-        return _RHO_COEFF * (sol.phi(t) / r) ** 1.5
+        return _RHO_COEFF * (phi(t) / r) ** 1.5
 
     def vol(t):
         return 4.0 * np.pi * (B_LENGTH * t) ** 2 * B_LENGTH
@@ -462,13 +443,12 @@ def _energy_integrals(sol: TFSolution):
     mass = _integrate_x(lambda t: vol(t) * rho_t(t))
     attraction = _integrate_x(lambda t: vol(t) * rho_t(t) / (B_LENGTH * t))
     kinetic = _KIN_COEFF * _integrate_x(lambda t: vol(t) * rho_t(t) ** (5.0 / 3.0))
-    ps = -_PS_COEFF * _integrate_x(lambda t: vol(t) * (sol.phi(t) / (B_LENGTH * t)) ** 2.5)
+    ps = -_PS_COEFF * _integrate_x(lambda t: vol(t) * (phi(t) / (B_LENGTH * t)) ** 2.5)
 
-    # Coulomb self-energy by Newton's theorem with nested cumulative panels
-    xg, wg = _GL16
-    xg12, wg12 = _GL12
-    edges = _x_panels(100.0, 700)
-
+    # Coulomb self-energy by Newton's theorem, D = 1/2 int dm (m / r + w) with
+    # m the enclosed mass and w = int_r^inf dm / r'.  At each Gauss-16 node the
+    # panels to its left enter through cumulative sums, its own panel through
+    # a Gauss-12 rule from the panel's left edge to the node.
     def dm(x):
         t = x ** 2
         return 2.0 * x * vol(t) * rho_t(t)
@@ -477,35 +457,22 @@ def _energy_integrals(sol: TFSolution):
         t = x ** 2
         return 2.0 * x * 4.0 * np.pi * B_LENGTH * t * rho_t(t) * B_LENGTH
 
-    def panel_cum(f, a, nodes):
-        out = np.empty(nodes.size)
-        for i, xm in enumerate(nodes):
-            g = 0.5 * (a + xm) + 0.5 * (xm - a) * xg12
-            out[i] = 0.5 * (xm - a) * float(np.sum(wg12 * f(g)))
-        return out
+    def before(panels):
+        return np.concatenate([[0.0], np.cumsum(panels)[:-1]])[:, None]
 
-    vals_m = []
-    vals_w = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xm = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        ww = 0.5 * (b - a) * wg
-        vals_m.append(float(np.sum(ww * dm(xm))))
-        vals_w.append(float(np.sum(ww * dw(xm))))
-    m_edges = np.concatenate([[0.0], np.cumsum(vals_m)])
-    w_total = float(np.sum(vals_w))
-    w_edges = w_total - np.concatenate([[0.0], np.cumsum(vals_w)])
-
-    d_val = 0.0
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        xm = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        ww = 0.5 * (b - a) * wg
-        t = xm ** 2
-        r = B_LENGTH * t
-        m_loc = m_edges[i] + panel_cum(dm, a, xm)
-        w_loc = w_edges[i] - panel_cum(dw, a, xm)
-        d_val += 0.5 * float(np.sum(ww * 2.0 * xm * vol(t) * rho_t(t) * (m_loc / r + w_loc)))
-
-    return mass, attraction, kinetic, d_val, ps
+    edges, x, wx = _x_rule()
+    left = edges[:-1, None]
+    g = _gauss(left, x, _GL12)[0]
+    wg = _GL12[1]
+    panel_m = np.sum(wx * dm(x), axis=1)
+    panel_w = np.sum(wx * dw(x), axis=1)
+    m_loc = before(panel_m) + 0.5 * (x - left) * np.sum(wg * dm(g), axis=-1)
+    w_loc = (float(np.sum(panel_w)) - before(panel_w)
+             - 0.5 * (x - left) * np.sum(wg * dw(g), axis=-1))
+    t = x ** 2
+    r = B_LENGTH * t
+    d_panels = np.sum(wx * 2.0 * x * vol(t) * rho_t(t) * (m_loc / r + w_loc), axis=1)
+    return mass, attraction, kinetic, 0.5 * float(np.cumsum(d_panels)[-1]), ps
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +542,11 @@ def tf_energy_consistency(sol: TFSolution) -> TFConsistencyReport:
 
     (a) functional: (3/5)(3 pi^2)^(2/3) int rho^(5/3) - int V_nuc rho + D(rho);
     (b) phase space: 2 (2 pi)^-3 iint [p^2 - V]_- - D(rho).
-    The virial ratio is |2K + U| / |E| with U = -attraction + D.
+    The virial ratio is |2K + U| / |E| with U = -attraction + D.  Both
+    energies are the ones stored on sol; only the HLS norm is new work.
     """
-    mass, attraction, kinetic, d_rho, ps = _energy_integrals(sol)
-    e_func = kinetic - attraction + d_rho
-    e_ps = ps - d_rho
+    e_func = sol.E_atom
+    e_ps = sol.phase_space - sol.D_rho
     # HLS diagnostic: D(rho) <= C ||rho||_{6/5}^2; report the fitted C
     norm65 = _integrate_x(lambda t: 4.0 * np.pi * (B_LENGTH * t) ** 2 * B_LENGTH
                           * (_RHO_COEFF * (sol.phi(t) / (B_LENGTH * t)) ** 1.5) ** 1.2) ** (5.0 / 3.0)
@@ -587,12 +554,12 @@ def tf_energy_consistency(sol: TFSolution) -> TFConsistencyReport:
         E_functional=e_func,
         E_phase_space=e_ps,
         rel_gap=abs(e_func - e_ps) / abs(e_func),
-        virial_ratio=abs(2.0 * kinetic - attraction + d_rho) / abs(e_func),
-        mass_error=mass - 1.0,
-        kinetic=kinetic,
-        attraction=attraction,
-        coulomb=d_rho,
-        hls_ratio=d_rho / norm65,
+        virial_ratio=abs(2.0 * sol.kinetic - sol.attraction + sol.D_rho) / abs(e_func),
+        mass_error=sol.mass - 1.0,
+        kinetic=sol.kinetic,
+        attraction=sol.attraction,
+        coulomb=sol.D_rho,
+        hls_ratio=sol.D_rho / norm65,
     )
 
 

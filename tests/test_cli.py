@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from scottlab import __version__
 from scottlab.cli import main
 
 
@@ -75,6 +78,15 @@ def test_trace_from_potential_file(tmp_path):
                  "--out", str(out)]) == 3  # missing --file
 
 
+@pytest.mark.parametrize("text", ["r,V\n", "r,V\n1.0,1.0\n", "r,V\n1,2,3\n2,3,4\n"],
+                         ids=["header-only", "one-row", "three-columns"])
+def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
+    src = tmp_path / "pot.csv"
+    src.write_text(text)
+    assert main(["trace", "--potential", "file", "--file", str(src),
+                 "--out", str(tmp_path / "tr.csv")]) == 3
+
+
 def test_io_failure_exit(tmp_path):
     missing = tmp_path / "nope" / "x.csv"
     assert main(["weyl", "--mu", "0.01", "--out", str(missing)]) == 4
@@ -110,6 +122,22 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert float(row.split(",")[1]) == pytest.approx(0.01)
 
 
+def test_refine_flag_can_be_turned_off(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("refine = false\n")
+    out = tmp_path / "mu.csv"
+
+    def refine(*argv):
+        assert main([*argv, "--route", "mu-limit", "--out", str(out)]) == 0
+        meta = (tmp_path / "mu.csv.meta.txt").read_text().splitlines()
+        return next(line for line in meta if line.startswith("param refine: "))[14:]
+
+    assert refine("scott") == "True"
+    assert refine("scott", "--no-refine") == "False"
+    assert refine("--config", str(cfg), "scott") == "False"
+    assert refine("--config", str(cfg), "scott", "--refine") == "True"
+
+
 def test_config_file_validation(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value pair\n")
@@ -118,23 +146,55 @@ def test_config_file_validation(tmp_path):
 
 
 def test_tf_cache_roundtrip(tmp_path):
-    import scottlab.cli as cli
-
     cache = tmp_path / "cache"
     out1 = tmp_path / "p1.csv"
     out2 = tmp_path / "p2.csv"
     assert main(["tf", "--out", str(out1), "--cache-dir", str(cache)]) == 0
-    cli._TF_MEMO.clear()  # force the reload-from-disk path
     assert main(["tf", "--out", str(out2), "--cache-dir", str(cache)]) == 0
-    t1 = np.loadtxt(out1, delimiter=",", skiprows=1)
-    t2 = np.loadtxt(out2, delimiter=",", skiprows=1)
-    assert np.max(np.abs(t1 - t2)) < 1e-12
+    assert out1.read_bytes() == out2.read_bytes()
     m1 = dict(line.split(": ", 1) for line in
               (tmp_path / "p1.csv.meta.txt").read_text().splitlines())
     m2 = dict(line.split(": ", 1) for line in
               (tmp_path / "p2.csv.meta.txt").read_text().splitlines())
     for key in ("E_atom", "D_rho", "phase_space_coeff"):
         assert abs(float(m1[key]) - float(m2[key])) < 1e-12
+
+
+def test_tf_cache_hit_rechecks_tolerance(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    out = str(tmp_path / "p.csv")
+    assert main(["tf", "--out", out, "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    assert main(["tf", "--out", out, "--cache-dir", cache, "--tolerance", "1e-14"]) == 5
+    cached_err = capsys.readouterr().err
+    assert "above tolerance" in cached_err
+    assert main(["tf", "--out", out, "--tolerance", "1e-14"]) == 5
+    assert capsys.readouterr().err == cached_err
+
+
+def _npz_bytes(**arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+# spline data that would fail the residual check if they were used
+_BAD_SPLINE = dict(slope0=-1.5, x=[0.0, 1.0], w=[0.0, 0.0], v=[0.0, 0.0], xi_tail=0.0)
+
+
+@pytest.mark.parametrize("content", [
+    b"", b"not an npz archive", _npz_bytes(**_BAD_SPLINE)[:200],
+    _npz_bytes(**_BAD_SPLINE),                         # no version key
+    _npz_bytes(version="0.0.0", **_BAD_SPLINE),        # another version
+], ids=["empty", "garbage", "truncated", "unversioned", "other-version"])
+def test_tf_cache_unreadable_file_is_a_miss(tmp_path, content):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "tf_profile.npz").write_bytes(content)
+    assert main(["tf", "--out", str(tmp_path / "p.csv"), "--cache-dir", str(cache)]) == 0
+    with np.load(cache / "tf_profile.npz") as data:
+        assert {"version", "slope0", "x", "w", "v", "xi_tail"} <= set(data.files)
+        assert str(data["version"]) == __version__
 
 
 def test_scott_spectral_fit_fast_config(tmp_path, capsys):
