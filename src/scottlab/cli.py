@@ -86,7 +86,17 @@ def load_config(path: str) -> dict:
 
 
 def _floats(text: str):
-    return [float(v) for v in str(text).replace(",", " ").split()]
+    try:
+        return [float(v) for v in str(text).replace(",", " ").split()]
+    except ValueError:
+        raise ValidationError(f"expected a list of numbers, got {text!r}") from None
+
+
+def _positive(values, name: str):
+    """Return values after checking that each is finite and positive."""
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValidationError(f"{name} values must be positive and finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +193,17 @@ def _resolve_potential(args):
             raise ValidationError(f"{args.file} needs at least two (r, V) rows "
                                   f"of two columns, got shape {data.shape}")
         r, v = data[:, 0], data[:, 1]
+        if not np.all(np.diff(r) > 0):
+            raise ValidationError(f"{args.file}: the r column must be strictly increasing")
         return lambda q: np.interp(q, r, v, left=v[0], right=0.0)
     raise ValidationError(f"unknown potential {args.potential!r}")
 
 
 def cmd_trace(args) -> int:
     V = _resolve_potential(args)
-    if args.h <= 0:
-        raise ValidationError("h must be positive")
-    if args.mu < 0:
-        raise ValidationError("mu must be nonnegative")
+    _positive([args.h, args.resolution], "h and resolution")
+    if not (math.isfinite(args.mu) and args.mu >= 0):
+        raise ValidationError("mu must be nonnegative and finite")
     if args.potential == "coulomb" and args.mu == 0.0:
         raise ValidationError("the mu = 0 Coulomb trace has infinitely many channels")
     grid = None
@@ -221,10 +232,10 @@ def cmd_trace(args) -> int:
 
 def cmd_scott(args) -> int:
     if args.route == "mu-limit":
-        Ns = [int(v) for v in _floats(args.N_list)]
-        if any(n <= 0 for n in Ns):
-            raise ValidationError("N values must be positive")
-        mus = [1.0 / (4.0 * n * n) for n in sorted(Ns)]
+        Ns = sorted({int(v) for v in _positive(_floats(args.N_list), "N")})
+        if len(Ns) < 3 or Ns[0] < 1:
+            raise ValidationError("mu-limit needs at least three distinct N values >= 1")
+        mus = [1.0 / (4.0 * n * n) for n in Ns]
         est = hydrogen.scott_mu_limit(mus)
         rows = []
         for mu in mus:
@@ -238,9 +249,7 @@ def cmd_scott(args) -> int:
         return EXIT_OK
 
     if args.route == "cutoff-R":
-        Rs = _floats(args.R_list) if args.R_list else [args.R]
-        if any(r <= 0 for r in Rs):
-            raise ValidationError("R values must be positive")
+        Rs = _positive(_floats(args.R_list) if args.R_list else [args.R], "R")
         est = radial_eig.scott_cutoff_schedule(Rs, refine=args.refine)
         rows = []
         for R, d in zip(est.meta["R_values"], est.meta["d_values"]):
@@ -256,10 +265,11 @@ def cmd_scott(args) -> int:
         return EXIT_OK
 
     if args.route == "spectral-fit":
+        hs = _positive(_floats(args.h_list), "h")
+        if len(set(hs)) < 3:
+            raise ValidationError("spectral-fit needs at least three distinct h values")
+        _positive([args.resolution], "resolution")
         sol = get_tf_solution(args.cache_dir)
-        hs = _floats(args.h_list)
-        if any(h <= 0 for h in hs):
-            raise ValidationError("h values must be positive")
         est = radial_eig.scott_spectral_fit(sol, h_list=hs, refine=args.refine,
                                             resolution=args.resolution,
                                             max_workers=args.threads)
@@ -276,12 +286,18 @@ def cmd_scott(args) -> int:
     if args.route == "ansatz-min":
         if args.kappa <= 0:
             raise ValidationError("ansatz-min needs kappa > 0")
+        mesh = _floats(args.mesh)
+        # the z mesh is split into two halves, so n_z = 1 would leave no cells
+        if not (len(mesh) == 2 and all(v.is_integer() for v in mesh)
+                and mesh[0] >= 1 and mesh[1] >= 2):
+            raise ValidationError(f"--mesh needs two integers n_rho >= 1 and n_z >= 2, "
+                                  f"got {args.mesh!r}")
         beta = args.beta if args.beta is not None else 0.5 / args.kappa
         res = pauli.minimize_scott(args.kappa, beta, args.R,
                                    n_modes=args.modes, budget=args.budget,
                                    seed=args.seed, restarts=args.restarts,
                                    theta_scale=args.theta_scale,
-                                   mesh=tuple(int(v) for v in _floats(args.mesh)))
+                                   mesh=tuple(int(v) for v in mesh))
         write_csv(args.out, ["iteration", "theta_norm", "functional"],
                   [[i, n, v] for i, n, v in res.history])
         write_sidecar(args.out + ".meta.txt", vars_of(args), {
@@ -299,6 +315,11 @@ def cmd_scott(args) -> int:
 
 
 def cmd_partition_check(args) -> int:
+    if args.n_points < 1:
+        raise ValidationError("n-points must be at least 1")
+    _positive([args.r0, args.d_min, args.d_max], "r0, d-min and d-max")
+    if args.d_min > args.d_max:
+        raise ValidationError("d-min must not exceed d-max")
     sf = multiscale.ScaleFunctions(r0=args.r0)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -319,13 +340,12 @@ def cmd_partition_check(args) -> int:
 
 
 def cmd_expansion(args) -> int:
-    sol = get_tf_solution(args.cache_dir)
-    Zs = _floats(args.Z_list)
-    if any(z <= 0 for z in Zs):
-        raise ValidationError("Z values must be positive")
+    Zs = _positive(_floats(args.Z_list), "Z")
+    _positive([args.resolution], "resolution")
     if args.alpha != 0.0:
         raise ValidationError("CLI expansion sweep supports alpha = 0 "
                               "(magnetic S has no closed value; use the API)")
+    sol = get_tf_solution(args.cache_dir)
     reports = expansion.expansion_sweep(Zs, args.alpha, sol, refine=args.refine,
                                         resolution=args.resolution,
                                         max_workers=args.threads)

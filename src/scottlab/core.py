@@ -32,13 +32,22 @@ S0 = 0.125
 
 
 def neg_part_sum(eigenvalues) -> float:
-    """Sum of the negative entries, i.e. sum_i min(e_i, 0)."""
+    """Sum of the negative entries, i.e. sum_i min(e_i, 0).
+
+    Only the negative entries enter the sum, so appending nonnegative
+    entries leaves numpy's pairwise summation order, and the result, alone.
+    """
     e = np.asarray(eigenvalues, dtype=float)
-    if e.size == 0:
-        return 0.0
     if not np.all(np.isfinite(e)):
         raise ValueError("eigenvalue list must be finite")
-    return float(np.sum(np.minimum(e, 0.0)))
+    return float(np.sum(e[e < 0.0]))
+
+
+def gauss(a, b, rule):
+    """Nodes and weights of a Gauss rule on every interval [a, b], nodes on a new last axis."""
+    xg, wg = rule
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
 
 
 def f_scale(d):
@@ -106,13 +115,6 @@ class NuclearConfig:
             for j in range(i + 1, self.M):
                 d = min(d, math.dist(self.r[i], self.r[j]))
         return d
-
-    def distance(self, x):
-        """d(x): distance from x to the nearest nucleus (vectorized over rows)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        pos = np.asarray(self.r)
-        d = np.min(np.linalg.norm(x[:, None, :] - pos[None, :, :], axis=2), axis=1)
-        return d if d.size > 1 else float(d[0])
 
 
 ROUTES = ("mu-limit", "cutoff-R", "spectral-fit", "ansatz-min")

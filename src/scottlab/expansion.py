@@ -2,7 +2,7 @@
 
 The headline object is E(Z) ~ Z^(7/3) E_TF + 2 Z^2 sum_k z_k^2 S(kappa_k)
 with kappa_k = 8 pi Z_k alpha^2.  The mean-field side evaluates
-Z^(7/3) [h^3 (trace + field terms) - D(rho_TF)] at h = Z^(-1/3), which is
+Z^(7/3) [h^3 trace - D(rho_TF)] at h = Z^(-1/3), which is
 the scaling-reduced one-body energy the expansion approximates; the sweep
 records how fast their difference dies relative to Z^2.
 """
@@ -50,30 +50,20 @@ def scott_term(config: NuclearConfig, s_provider) -> float:
 
 
 def mean_field_energy(config: NuclearConfig, tf_solution: TFSolution,
-                      route: str = "schrodinger", refine: bool = True,
-                      resolution: float = 20.0, max_workers: int = 1,
-                      field_terms: float = 0.0) -> float:
-    """Z^(7/3) [h^3 (trace + field terms) - D(rho_TF)] at h = Z^(-1/3).
+                      refine: bool = True, resolution: float = 20.0,
+                      max_workers: int = 1) -> float:
+    """Z^(7/3) [h^3 trace - D(rho_TF)] at h = Z^(-1/3).
 
-    route "schrodinger" evaluates the A = 0 spectral trace of
-    -h^2 Delta - V_TF; route "ansatz-min" accepts the caller's
-    (trace + kappa^-1 h^-2 field energy) combination through field_terms
-    added to the zero-field trace replacement.
+    The trace is the A = 0 spectral trace of -h^2 Delta - V_TF.
     """
     if config.M != 1:
         raise UnsupportedConfigError("mean-field energy implemented for atoms only")
-    if route not in ("schrodinger", "ansatz-min"):
-        raise ValueError(f"unsupported route {route!r}")
     Z = config.Z
     h = Z ** (-1.0 / 3.0)
-    if route == "schrodinger":
-        s = radial_eig.trace_neg(tf_solution.potential(), h, mu=0.0,
-                                 refine=refine, resolution=resolution,
-                                 max_workers=max_workers)
-        one_body = s.trace
-    else:
-        one_body = field_terms
-    return Z ** (7.0 / 3.0) * (h ** 3 * one_body - tf_solution.D_rho)
+    s = radial_eig.trace_neg(tf_solution.potential(), h, mu=0.0,
+                             refine=refine, resolution=resolution,
+                             max_workers=max_workers)
+    return Z ** (7.0 / 3.0) * (h ** 3 * s.trace - tf_solution.D_rho)
 
 
 @dataclass(frozen=True)

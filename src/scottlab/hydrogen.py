@@ -89,10 +89,3 @@ def scott_mu_limit(mu_schedule) -> ScottEstimate:
                          meta={"slope_sqrt_mu": float(coef[1]),
                                "mu_schedule": [float(m) for m in mus],
                                "d_values": [float(v) for v in d]})
-
-
-def scott_z_scaling(z: float, kappa: float, s_provider) -> float:
-    """Per-nucleus Scott contribution z^2 S(z kappa) given a provider for S."""
-    if z <= 0:
-        raise ValueError("z must be positive")
-    return z ** 2 * s_provider(z * kappa)

@@ -7,7 +7,7 @@ Jacobian J of u -> (x - u)/l(u) is exactly what turns the u-integral
 into the normalization integral of psi^2.  This module realizes the
 default scale family l(u) = (1/100) sqrt(r0^2 + d(u)^2) (d = distance
 to the nearest nucleus), the closed-form Jacobian, and numerical checks
-of the partition identity and the derivative bounds.
+of the partition identity.
 """
 
 from __future__ import annotations
@@ -103,18 +103,6 @@ class LocalizedBump:
         return float(self.profile(np.array([s]))[0]
                      * math.sqrt(jacobian(x, u, self.sf)) * ell ** 1.5)
 
-    def grad_sq(self, x, u, step_frac: float = 1e-4):
-        """|grad_x psi_u|^2 by central differences (for IMS correction terms)."""
-        ell = self.sf.ell(u)
-        hh = step_frac * ell
-        g = np.zeros(3)
-        x = np.asarray(x, dtype=float)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = hh
-            g[i] = (self(x + e, u) - self(x - e, u)) / (2.0 * hh)
-        return float(np.dot(g, g))
-
 
 def partition_check(x, sf: ScaleFunctions, bump: LocalizedBump = None,
                     n_radial: int = 48, n_theta: int = 24, n_phi: int = 48) -> float:
@@ -154,64 +142,3 @@ def partition_check(x, sf: ScaleFunctions, bump: LocalizedBump = None,
     vals = (bump.profile(snorm) ** 2 * jac).reshape(S.shape)
     integral = np.einsum("i,j,ijk->", ws * s ** 2, wc, vals) * wphi
     return float(integral)
-
-
-_MULTI = [
-    (0, 0, 0),
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
-    (3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (1, 2, 0), (2, 0, 1),
-    (1, 0, 2), (0, 2, 1), (0, 1, 2), (1, 1, 1),
-]
-
-
-def _fd_multi(fn, x, alpha, step):
-    """Nested central differences for the multi-index alpha (order <= 3)."""
-    axis = next((i for i, a in enumerate(alpha) if a > 0), None)
-    if axis is None:
-        return fn(x)
-    rest = list(alpha)
-    rest[axis] -= 1
-    e = np.zeros(3)
-    e[axis] = step
-    return (_fd_multi(fn, x + e, tuple(rest), step)
-            - _fd_multi(fn, x - e, tuple(rest), step)) / (2.0 * step)
-
-
-def derivative_bound_check(u, sf: ScaleFunctions, order: int = 3,
-                           n_sample: int = 40, step_frac: float = 2e-3,
-                           seed: int = 3) -> dict:
-    """max over sample points of |d^alpha psi_u| l(u)^|alpha| per multi-index.
-
-    Uniform boundedness of these numbers across u is the derivative bound
-    of the partition family; callers sweep u and compare.
-    """
-    bump = LocalizedBump(sf)
-    u = np.asarray(u, dtype=float)
-    ell = sf.ell(u)
-    rng = np.random.default_rng(seed)
-    pts = u + (rng.uniform(-1, 1, size=(n_sample, 3)) * 0.9) * ell
-    out = {}
-    for alpha in _MULTI:
-        if sum(alpha) > order:
-            continue
-        best = 0.0
-        for x in pts:
-            val = abs(_fd_multi(lambda q: bump(q, u), x, alpha, step_frac * ell))
-            best = max(best, val * ell ** sum(alpha))
-        out[alpha] = best
-    return out
-
-
-def ims_corrected_potential(V, u, sf: ScaleFunctions, C: float, h: float):
-    """Accessor for V_u^+ = V + C h^2 |grad psi_u|^2 (IMS correction).
-
-    The constant C is a caller-supplied parameter; the partition machinery
-    only exposes the correction, it never drives a trace computation.
-    """
-    bump = LocalizedBump(sf)
-
-    def v_plus(x):
-        return V(x) + C * h * h * bump.grad_sq(np.asarray(x, dtype=float), u)
-
-    return v_plus

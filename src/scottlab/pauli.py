@@ -28,8 +28,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .core import ScottEstimate
-from .cutoffs import SmoothCutoff
+from .core import ScottEstimate, gauss
+from .cutoffs import SmoothCutoff, bump_profile
 from .radial_eig import cutoff_weyl_coulomb
 
 
@@ -42,28 +42,14 @@ class BlockCascadeError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _bump(q):
-    out = np.zeros_like(q)
-    inside = q < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - q[inside] ** 2))
-    return out
-
-
-def _dbump(q):
-    out = np.zeros_like(q)
-    inside = q < 1.0
-    qi = q[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - qi ** 2)) * (-2.0 * qi / (1.0 - qi ** 2) ** 2)
-    return out
-
-
 @dataclass(frozen=True)
 class FieldAnsatz:
     """Sum of azimuthal bump modes, automatically divergence free.
 
-    Mode k is a_k = (rho / s_k) bump(|x| / s_k) with s_k = support_radius
-    * scale_k; the coefficient vector theta mixes them linearly.  B = curl A
-    has components B_rho = -da/dz and B_z = da/drho + a/rho.
+    Mode k is a_k = (rho / s_k) e bump(|x| / s_k) with s_k = support_radius
+    * scale_k, where bump = cutoffs.bump_profile (so e bump peaks at 1); the
+    coefficient vector theta mixes them linearly.  B = curl A has components
+    B_rho = -da/dz and B_z = da/drho + a/rho.
     """
 
     theta: tuple
@@ -94,8 +80,10 @@ class FieldAnsatz:
                 continue
             s = self.support_radius * frac
             q = s_all / s
-            b = _bump(q)
-            db = _dbump(q)
+            b = math.e * bump_profile(q)
+            db = np.zeros_like(q)
+            inside = q < 1.0
+            db[inside] = b[inside] * (-2.0 * q[inside] / (1.0 - q[inside] ** 2) ** 2)
             qsafe = np.maximum(q, 1e-300)
             a += th * (rho / s) * b
             da_drho += th * (b / s + (rho ** 2 / (s ** 3 * qsafe)) * db)
@@ -111,17 +99,6 @@ class FieldAnsatz:
         rho = np.asarray(rho, dtype=float)
         return -dz, dr + a / np.maximum(rho, 1e-300)
 
-    def A_vec(self, points):
-        """Cartesian samples of A at (n, 3) points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        a = self.a(rho, pts[:, 2])
-        out = np.zeros_like(pts)
-        safe = rho > 0
-        out[safe, 0] = -a[safe] * pts[safe, 1] / rho[safe]
-        out[safe, 1] = a[safe] * pts[safe, 0] / rho[safe]
-        return out
-
 
 _GL32 = leggauss(32)
 
@@ -134,16 +111,12 @@ def _polar_panels(f, r_lo, r_hi, n_r=40):
     th = 0.5 * math.pi * (xg + 1.0)
     wth = 0.5 * math.pi * wg
     edges = np.linspace(r_lo, r_hi, n_r + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        sm = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        ws = 0.5 * (b - a) * wg
-        S, T = np.meshgrid(sm, th, indexing="ij")
-        rho = S * np.sin(T)
-        z = S * np.cos(T)
-        vals = f(rho, z) * rho * S
-        total += float(np.einsum("i,j,ij->", ws, wth, vals))
-    return 2.0 * math.pi * total
+    s, ws = gauss(edges[:-1], edges[1:], _GL32)
+    S = s[:, :, None]  # (panel, radial node, polar node)
+    rho = S * np.sin(th)
+    vals = f(rho, S * np.cos(th)) * rho * S
+    # cumsum, not sum: panel totals are added strictly left to right
+    return 2.0 * math.pi * float(np.cumsum(np.einsum("pi,j,pij->p", ws, wth, vals))[-1])
 
 
 def field_energy(A: FieldAnsatz, r_lo: float = 0.0,
@@ -164,35 +137,6 @@ def field_energy(A: FieldAnsatz, r_lo: float = 0.0,
         return dr ** 2 + dz ** 2 + (a / np.maximum(rho, 1e-300)) ** 2
 
     return _polar_panels(dens, r_lo, min(r_hi, A.support_radius * 1.0000001))
-
-
-def curl_energy(A: FieldAnsatz) -> float:
-    """int |curl A|^2, for cross-checking field_energy."""
-    if A.is_zero:
-        return 0.0
-
-    def dens(rho, z):
-        br, bz = A.B_cyl(rho, z)
-        return br ** 2 + bz ** 2
-
-    return _polar_panels(dens, 0.0, A.support_radius)
-
-
-def gauge_center(values, weights=None):
-    """Subtract the (weighted) average of sampled field values.
-
-    values is (n, 3); the output has zero mean by construction, which is
-    the constant shift minimizing the L^2 norm on the sample.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ValueError("expected (n, 3) samples")
-    if weights is None:
-        mean = v.mean(axis=0)
-    else:
-        w = np.asarray(weights, dtype=float)
-        mean = (v * w[:, None]).sum(axis=0) / w.sum()
-    return v - mean
 
 
 # ---------------------------------------------------------------------------
@@ -434,39 +378,26 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
                          const_Az=const_Az)
         return eigs_below(H, -1e-12, sigma_use)
 
-    if zero_field:
-        # blocks j and -j are degenerate at A = 0: compute m >= 0, weight 2
+    # at A = 0 blocks j and -j are degenerate: walk m >= 0 only, store each
+    # block twice and stop at the first empty one past m = 0; otherwise walk
+    # both signs and stop after two consecutive empty blocks per side
+    for side in (1,) if zero_field else (1, -1):
+        m = 0 if side > 0 else -1
         empties = 0
-        for m in range(jmax):
+        for _ in range(jmax):
             vals = solve_block(m)
-            if vals.size == 0:
+            if vals.size:
+                empties = 0
+                blocks[m + 0.5] = vals
+                if zero_field:
+                    blocks[-(m + 0.5)] = vals.copy()
+            else:
                 empties += 1
-                if empties >= 2 or m > 0:
+                if empties >= 2 or (zero_field and m > 0):
                     break
-                continue
-            empties = 0
-            blocks[m + 0.5] = vals
-            blocks[-(m + 0.5)] = vals.copy()
+            m += side
         else:
             raise BlockCascadeError(f"blocks still nonempty at the j cap {jmax}")
-    else:
-        for side, start in ((1, 0), (-1, -1)):
-            m = start
-            empties = 0
-            steps = 0
-            while steps < jmax:
-                vals = solve_block(m)
-                if vals.size == 0:
-                    empties += 1
-                    if empties >= 2:
-                        break
-                else:
-                    empties = 0
-                    blocks[m + 0.5] = vals
-                m += side
-                steps += 1
-            if steps >= jmax:
-                raise BlockCascadeError(f"blocks still nonempty at the j cap {jmax}")
 
     trace = float(sum(np.sum(v) for v in blocks.values()))
     return PauliTraceResult(trace=trace, blocks=blocks, mesh_shape=grid.shape, mu=mu)
@@ -612,37 +543,3 @@ def minimize_scott(kappa: float, beta: float, R: float, n_modes: int = 2,
                               "zero_field_value": f0})
     return MinimizeScottResult(estimate=est, theta=best_theta, history=history,
                                budget_exhausted=exhausted, zero_field_value=f0)
-
-
-# ---------------------------------------------------------------------------
-# magnetic Lieb-Thirring diagnostic
-# ---------------------------------------------------------------------------
-
-
-def magnetic_lt_rhs(V, h: float, C: float, A: Optional[FieldAnsatz] = None,
-                    b_squared_integral: Optional[float] = None,
-                    r_max: float = 1e4) -> float:
-    """C h^-3 int [V]_+^(5/2) + C (h^-2 int B^2)^(3/4) (int [V]_+^4)^(1/4).
-
-    The envelope -rhs <= Tr[T_h(A) - V]_- is a diagnostic; C is whatever
-    the caller fits, the universal constant being unspecified.  V is a
-    radial accessor; the field term takes either an ansatz (using its
-    exact curl energy) or a precomputed integral of B^2.
-    """
-    from .weyl import _radial_profile_integral  # local import to avoid cycle
-
-    def pos(r):
-        return np.maximum(np.asarray(V(r), dtype=float), 0.0)
-
-    tail = pos(np.array([r_max])) * r_max ** 2
-    if tail[0] ** 2.5 * r_max > 1e-8:
-        raise ValueError("V does not look integrable to the configured r_max")
-    i52 = 4.0 * math.pi * _radial_profile_integral(lambda r: pos(r) ** 2.5 * r ** 2, 0.0, r_max)
-    i4 = 4.0 * math.pi * _radial_profile_integral(lambda r: pos(r) ** 4 * r ** 2, 0.0, r_max)
-    if A is not None:
-        b2 = curl_energy(A)
-    elif b_squared_integral is not None:
-        b2 = float(b_squared_integral)
-    else:
-        b2 = 0.0
-    return C * h ** -3 * i52 + C * (h ** -2 * b2) ** 0.75 * i4 ** 0.25

@@ -153,19 +153,6 @@ class ChannelOperator:
     V: Callable = field(compare=False, repr=False, default=None)
     cutoff: Optional[Callable] = field(compare=False, repr=False, default=None)
 
-    def kinetic_floor(self) -> float:
-        """Smallest eigenvalue of the kinetic stencil alone.
-
-        The continuum kinetic operator is nonnegative; the mapped
-        discretizations reproduce that up to O(step^2), so this floor is the
-        meaningful form of the diagonal-dominance property (strict dominance
-        holds only for the uniform map).
-        """
-        h2 = self.h ** 2
-        w = eigvalsh_tridiagonal(h2 * self.grid.kin_diag, h2 * self.grid.kin_off,
-                                 select="i", select_range=(0, 0))
-        return float(w[0])
-
 
 def build_channel(V, h: float, ell: int, grid: RadialGrid,
                   cutoff: Optional[Callable] = None) -> ChannelOperator:
@@ -178,22 +165,6 @@ def build_channel(V, h: float, ell: int, grid: RadialGrid,
         d = d * f * f
         e = e * f[:-1] * f[1:]
     return ChannelOperator(ell=ell, h=h, grid=grid, diag=d, off=e, V=V, cutoff=cutoff)
-
-
-def sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x."""
-    count = 0
-    q = diag[0] - x
-    if q < 0:
-        count += 1
-    tiny = 1e-300
-    for i in range(1, diag.size):
-        if q == 0.0:
-            q = tiny
-        q = diag[i] - x - off[i - 1] ** 2 / q
-        if q < 0:
-            count += 1
-    return count
 
 
 def negative_eigenvalues(op: ChannelOperator, mu: float = 0.0,
@@ -282,6 +253,19 @@ def _assemble(V, h, mu, grid, cutoff, lmax_cap, max_workers):
     raise ChannelCascadeError(f"channels still nonempty at the l cap {lmax_cap}")
 
 
+def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine, max_workers) -> SpectralSum:
+    """The channel sum on grid, or with refine its two-grid Richardson value."""
+    found, ell_max = _assemble(V, h, mu, grid, cutoff, lmax_cap, max_workers)
+    coarse = SpectralSum(found, mu, h, ell_max, grid.n, grid.mapping)
+    if not refine:
+        return coarse
+    fine_grid = grid.refined()
+    found, ell_max = _assemble(V, h, mu, fine_grid, cutoff, lmax_cap, max_workers)
+    fine = SpectralSum(found, mu, h, ell_max, fine_grid.n, grid.mapping)
+    # store the fine eigenvalues; the extrapolated trace is exposed by RichardsonSum
+    return RichardsonSum(**vars(fine), coarse_trace=coarse.trace, fine_trace=fine.trace)
+
+
 def trace_neg(V, h: float, mu: float = 0.0, grid: Optional[RadialGrid] = None,
               lmax_cap: int = 200, refine: bool = False,
               resolution: float = 20.0, max_workers: int = 1) -> SpectralSum:
@@ -293,16 +277,7 @@ def trace_neg(V, h: float, mu: float = 0.0, grid: Optional[RadialGrid] = None,
     """
     if grid is None:
         grid = auto_grid(V, h, mu, resolution=resolution)
-    found, ell_max = _assemble(V, h, mu, grid, None, lmax_cap, max_workers)
-    if refine:
-        fine_grid = grid.refined()
-        fine, fine_ell = _assemble(V, h, mu, fine_grid, None, lmax_cap, max_workers)
-        coarse_sum = SpectralSum(found, mu, h, ell_max, grid.n, grid.mapping)
-        fine_sum = SpectralSum(fine, mu, h, fine_ell, fine_grid.n, grid.mapping)
-        # store the fine eigenvalues; the extrapolated trace is exposed below
-        return RichardsonSum(fine, mu, h, fine_ell, fine_grid.n, grid.mapping,
-                             coarse_trace=coarse_sum.trace, fine_trace=fine_sum.trace)
-    return SpectralSum(found, mu, h, ell_max, grid.n, grid.mapping)
+    return _spectral_sum(V, h, mu, grid, None, lmax_cap, refine, max_workers)
 
 
 @dataclass(frozen=True)
@@ -334,15 +309,7 @@ def localized_trace_neg(V, phi, h: float, grid: Optional[RadialGrid] = None,
         r_core = min(0.3, max(5e-4, 0.5 * h * h))
         n = _resolution_nodes(V, h, 0.0, r_core, R, resolution, 60000)
         grid = make_grid("sinh", r_core, R, n)
-    found, ell_max = _assemble(V, h, 0.0, grid, phi, lmax_cap, max_workers)
-    if refine:
-        fine_grid = grid.refined()
-        fine, fine_ell = _assemble(V, h, 0.0, fine_grid, phi, lmax_cap, max_workers)
-        coarse = SpectralSum(found, 0.0, h, ell_max, grid.n, grid.mapping)
-        fine_sum = SpectralSum(fine, 0.0, h, fine_ell, fine_grid.n, grid.mapping)
-        return RichardsonSum(fine, 0.0, h, fine_ell, fine_grid.n, grid.mapping,
-                             coarse_trace=coarse.trace, fine_trace=fine_sum.trace)
-    return SpectralSum(found, 0.0, h, ell_max, grid.n, grid.mapping)
+    return _spectral_sum(V, h, 0.0, grid, phi, lmax_cap, refine, max_workers)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy.integrate import solve_bvp, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from .core import NuclearConfig, f_scale
+from .core import gauss
 
 # decay exponent of perturbations around the 144/t^3 branch
 SOMMERFELD_LAMBDA = (math.sqrt(73.0) - 7.0) / 2.0
@@ -49,27 +49,9 @@ _RHO_COEFF = 1.0 / (3.0 * math.pi ** 2)          # rho = coeff * V^(3/2), spin 2
 _KIN_COEFF = 0.6 * (3.0 * math.pi ** 2) ** (2.0 / 3.0)
 _PS_COEFF = 2.0 / (15.0 * math.pi ** 2)          # phase-space prefactor of int V^(5/2)
 
-_SCALE_EXPONENT = {"V": 4, "rho": 6, "E": 7}
-
 
 class TFConvergenceError(RuntimeError):
     """Raised when the shooting bracket or the collocation pass fails."""
-
-
-def tf_scale(quantity: str, h: float, value):
-    """Scaling law for TF quantities: value at (h^3 z, r/h, x/h) times h^-k.
-
-    k = 4 for the potential, 6 for the density, 7 for the energy.  Arguments
-    of V and rho are understood to be rescaled by the caller; this helper
-    only applies the exact prefactor.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    try:
-        k = _SCALE_EXPONENT[quantity]
-    except KeyError:
-        raise ValueError(f"quantity must be one of {sorted(_SCALE_EXPONENT)}") from None
-    return value * h ** (-k)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +369,6 @@ _GL12 = leggauss(12)
 _GL16 = leggauss(16)
 
 
-def _gauss(a, b, rule):
-    """Nodes and weights of a Gauss rule on every interval [a, b], nodes on a new last axis."""
-    xg, wg = rule
-    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
-    return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
-
-
 def equation_residual(profile: TFProfile, n_cells: int = 200) -> float:
     """Sup over cells of the relative TF-equation residual.
 
@@ -411,7 +386,7 @@ def equation_residual(profile: TFProfile, n_cells: int = 200) -> float:
     # collocation region: cell-integrated check, all cells at once
     s_edges = np.linspace(math.log(T_SERIES), profile.spline_x[-1], n_cells + 1)
     dphi_edges = profile._v_interp(s_edges) * np.exp(profile._w_interp(s_edges) - s_edges)
-    s, ws = _gauss(s_edges[:-1], s_edges[1:], _GL12)
+    s, ws = gauss(s_edges[:-1], s_edges[1:], _GL12)
     integral = np.sum(ws * np.exp(1.5 * profile._w_interp(s) + 0.5 * s), axis=-1)
     cell_worst = np.max(np.abs(np.diff(dphi_edges) - integral) / integral)
     return float(max(series_worst, cell_worst))
@@ -421,7 +396,7 @@ def _x_rule():
     """Edges of 700 geometric panels in x = sqrt(t) on [0, 100], Gauss-16 nodes and weights."""
     x_max = 100.0
     edges = np.concatenate([[0.0], np.geomspace(x_max * 1e-6, x_max, 700)])
-    return (edges, *_gauss(edges[:-1], edges[1:], _GL16))
+    return (edges, *gauss(edges[:-1], edges[1:], _GL16))
 
 
 def _integrate_x(f_of_t) -> float:
@@ -462,7 +437,7 @@ def _energy_integrals(phi):
 
     edges, x, wx = _x_rule()
     left = edges[:-1, None]
-    g = _gauss(left, x, _GL12)[0]
+    g = gauss(left, x, _GL12)[0]
     wg = _GL12[1]
     panel_m = np.sum(wx * dm(x), axis=1)
     panel_w = np.sum(wx * dw(x), axis=1)
@@ -473,50 +448,6 @@ def _energy_integrals(phi):
     r = B_LENGTH * t
     d_panels = np.sum(wx * 2.0 * x * vol(t) * rho_t(t) * (m_loc / r + w_loc), axis=1)
     return mass, attraction, kinetic, 0.5 * float(np.cumsum(d_panels)[-1]), ps
-
-
-# ---------------------------------------------------------------------------
-# radial densities and D(rho)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadialDensity:
-    """A sampled radial density; grid must be increasing, values >= 0."""
-
-    r: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "values", v)
-        if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if v.shape != r.shape:
-            raise ValueError("values must match the grid")
-        if np.any(v < 0):
-            raise ValueError("density must be nonnegative")
-
-    @property
-    def mass(self) -> float:
-        return float(np.trapezoid(4.0 * np.pi * self.r ** 2 * self.values, self.r))
-
-
-def coulomb_self_energy(rho: RadialDensity) -> float:
-    """D(rho) = 1/2 iint rho(x) rho(y) / |x - y| via Newton's theorem.
-
-    Cumulative trapezoid on the sample grid: D = int m(r) m'(r) / r dr with
-    m the enclosed mass; accuracy is tied to the supplied grid.
-    """
-    r = rho.r
-    dm = 4.0 * np.pi * r ** 2 * rho.values
-    # enclosed mass at nodes (trapezoid, assuming negligible mass below r[0])
-    m = np.concatenate([[0.0], np.cumsum(0.5 * (dm[1:] + dm[:-1]) * np.diff(r))])
-    m += dm[0] * r[0] / 2.0  # linear head below the first node
-    integrand = m * dm / r
-    return float(np.trapezoid(integrand, r))
 
 
 # ---------------------------------------------------------------------------
@@ -561,110 +492,3 @@ def tf_energy_consistency(sol: TFSolution) -> TFConsistencyReport:
         coulomb=sol.D_rho,
         hls_ratio=sol.D_rho / norm65,
     )
-
-
-# ---------------------------------------------------------------------------
-# TF-type potential check
-# ---------------------------------------------------------------------------
-
-_MULTI_INDICES = [
-    (0, 0, 0),
-    (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
-]
-
-
-def _fd_partial(V, x, alpha, step):
-    """Central finite difference of V at x for multi-index alpha (|alpha| <= 2)."""
-    order = sum(alpha)
-    if order == 0:
-        return V(x)
-    axes = [i for i, a in enumerate(alpha) for _ in range(a)]
-    if order == 1:
-        i = axes[0]
-        e = np.zeros(3)
-        e[i] = step
-        return (V(x + e) - V(x - e)) / (2 * step)
-    i, j = axes
-    if i == j:
-        e = np.zeros(3)
-        e[i] = step
-        return (V(x + e) - 2 * V(x) + V(x - e)) / step ** 2
-    ei = np.zeros(3)
-    ej = np.zeros(3)
-    ei[i] = step
-    ej[j] = step
-    return (V(x + ei + ej) - V(x + ei - ej) - V(x - ei + ej) + V(x - ei - ej)) / (4 * step ** 2)
-
-
-@dataclass(frozen=True)
-class TFTypeReport:
-    c_alpha: dict
-    c_alpha_refined: dict
-    growth: float
-    flagged: bool
-    west_low: float
-    west_high: float
-
-
-def check_tf_type(V, config: NuclearConfig, mu: float = 0.0,
-                  n_samples: int = 60, d_range=(5e-2, 300.0),
-                  fd_step: float = 1e-3, grow_tol: float = 2.0,
-                  seed: int = 7, west_window: float = 10.0) -> TFTypeReport:
-    """Empirical constants of the Coulomb-envelope derivative bounds.
-
-    For each multi-index |alpha| <= 2 this samples
-    |d^alpha (V + mu)| d^|alpha| / f(d)^2 over a cloud of points and repeats
-    on a refined cloud (range widened threefold, more points, smaller step).
-    flagged is True when any constant grows by more than grow_tol under
-    refinement, the signature of a potential violating the decay bounds;
-    the default range is wide enough that the Thomas-Fermi tail constant
-    (approached only for d well past 100) has saturated on the first pass.
-    Also reports the near-nucleus window constants of V - z_k/|x - r_k|.
-    """
-    rng = np.random.default_rng(seed)
-
-    def cloud(n, lo, hi):
-        d = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
-        dirs = rng.normal(size=(n, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        k = rng.integers(0, config.M, n)
-        centers = np.asarray(config.r)[k]
-        return centers + d[:, None] * dirs
-
-    def constants(pts, step_scale):
-        out = {a: 0.0 for a in _MULTI_INDICES}
-        for x in pts:
-            d = float(config.distance(x))
-            f2 = float(f_scale(d)) ** 2
-            h_loc = step_scale * d
-            for a in _MULTI_INDICES:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    val = abs(_fd_partial(lambda q: V(q) + mu, x, a, h_loc))
-                if not math.isfinite(val):
-                    val = math.inf
-                out[a] = max(out[a], val * d ** sum(a) / f2)
-        return out
-
-    pts1 = cloud(n_samples, *d_range)
-    c1 = constants(pts1, fd_step)
-    pts2 = cloud(2 * n_samples, d_range[0] / 3.0, d_range[1] * 3.0)
-    c2 = constants(pts2, fd_step / 2.0)
-    growth = max((c2[a] / c1[a] if c1[a] > 0 else 1.0) for a in _MULTI_INDICES)
-    flagged = (not math.isfinite(growth)) or growth > grow_tol
-
-    # window constants near each nucleus
-    window = config.r_min / 2.0 if math.isfinite(config.r_min) else west_window
-    lows, highs = [], []
-    for k in range(config.M):
-        center = np.asarray(config.r[k])
-        zk = config.z[k]
-        d = np.exp(rng.uniform(np.log(1e-4), np.log(window), 200))
-        dirs = rng.normal(size=(200, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pts = center + d[:, None] * dirs
-        g = np.array([V(x) - zk / np.linalg.norm(x - center) for x in pts])
-        lows.append(float(np.min(g)))
-        highs.append(float(np.max(g)))
-    return TFTypeReport(c_alpha=c1, c_alpha_refined=c2, growth=growth,
-                        flagged=flagged, west_low=min(lows), west_high=max(highs))

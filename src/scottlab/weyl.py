@@ -18,6 +18,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
+from .core import gauss
+
 MOMENTUM_COEFF = 8.0 * math.pi / 15.0
 
 
@@ -37,19 +39,16 @@ def momentum_reduce(v: float) -> float:
 class WeylIntegrand:
     """Data of a Weyl integral 2 (2 pi h)^-3 iint w(q) [p^2 - V(q) + mu]_-.
 
-    V and weight must accept numpy arrays (radius for radial=True, (n,3)
-    points otherwise).  weight defaults to 1; support optionally bounds the
-    weight's support radius; box gives the integration box for non-radial
-    inputs as (lo, hi) per axis.
+    V and weight are radial: they must accept numpy arrays of radii.
+    weight defaults to 1; support optionally bounds the weight's support
+    radius.
     """
 
     V: Callable
     weight: Optional[Callable] = None
     mu: float = 0.0
     h: float = 1.0
-    radial: bool = True
     support: Optional[float] = None
-    box: Optional[tuple] = None
 
     def __post_init__(self):
         if self.h <= 0:
@@ -83,33 +82,25 @@ def _turning_points(V, mu, r_hi):
 
 def _radial_profile_integral(f, r_lo, r_hi, breaks=(), n_panels=120):
     """integral f(r) dr over [r_lo, r_hi] in x = sqrt(r) panels with breaks."""
-    xg, wg = _GL24
     if r_lo == 0.0:
         edges = np.concatenate([[0.0], np.geomspace(math.sqrt(r_hi) * 1e-6, math.sqrt(r_hi), n_panels)])
     else:
         edges = np.sqrt(np.geomspace(r_lo, r_hi, n_panels + 1))
     edges = np.unique(np.concatenate([edges, np.sqrt([b for b in breaks if r_lo < b < r_hi])]))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xm = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        ww = 0.5 * (b - a) * wg
-        total += float(np.sum(ww * 2.0 * xm * f(xm ** 2)))
-    return total
+    x, w = gauss(edges[:-1], edges[1:], _GL24)
+    # cumsum, not sum: panel totals are added strictly left to right
+    return float(np.cumsum(np.sum(w * 2.0 * x * f(x ** 2), axis=-1))[-1])
 
 
 def weyl_integral(wi: WeylIntegrand, n_panels: int = 160,
                   tail_tol: float = 1e-12, max_octaves: int = 60) -> float:
     """2 (2 pi h)^-3 iint w(q) [p^2 - V(q) + mu]_- dp dq.
 
-    Radial inputs use the sqrt(r) panel quadrature split at the turning
-    radii; non-radial inputs use tensor Gauss quadrature over wi.box.
-    Raises WeylDivergenceError when the dyadic tail test finds
+    The configuration integral uses sqrt(r) panels split at the turning
+    radii.  Raises WeylDivergenceError when the dyadic tail test finds
     non-decaying shell contributions (for example the bare Coulomb
     potential at mu = 0 with no cutoff).
     """
-    if not wi.radial:
-        return _weyl_integral_box(wi)
-
     def profile(r):
         return wi.w(r) * np.maximum(wi.V(r) - wi.mu, 0.0) ** 2.5 * r ** 2
 
@@ -150,31 +141,6 @@ def weyl_integral(wi: WeylIntegrand, n_panels: int = 160,
             return coeff * total
         prev = shell
     raise WeylDivergenceError("tail did not converge within the octave budget")
-
-
-def _weyl_integral_box(wi: WeylIntegrand, n: int = 48) -> float:
-    if wi.box is None:
-        raise ValueError("non-radial integrand needs an integration box")
-    (x0, x1), (y0, y1), (z0, z1) = wi.box
-    xg, wg = leggauss(n)
-
-    def axis(a, b):
-        return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
-
-    xs, wx = axis(x0, x1)
-    ys, wy = axis(y0, y1)
-    zs, wz = axis(z0, z1)
-    total = 0.0
-    for x, wwx in zip(xs, wx):
-        X = np.full((n * n, 3), x)
-        Y, Z = np.meshgrid(ys, zs, indexing="ij")
-        X[:, 1] = Y.ravel()
-        X[:, 2] = Z.ravel()
-        f = np.maximum(wi.V(X) - wi.mu, 0.0) ** 2.5
-        if wi.weight is not None:
-            f = f * wi.weight(X)
-        total += wwx * float(np.sum(f * np.outer(wy, wz).ravel()))
-    return -(MOMENTUM_COEFF) * 2.0 * (2.0 * math.pi * wi.h) ** -3 * total
 
 
 def weyl_coulomb_mu(mu: float, z: float = 1.0) -> float:

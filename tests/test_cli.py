@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scottlab import __version__
 from scottlab.cli import main
@@ -78,13 +80,29 @@ def test_trace_from_potential_file(tmp_path):
                  "--out", str(out)]) == 3  # missing --file
 
 
-@pytest.mark.parametrize("text", ["r,V\n", "r,V\n1.0,1.0\n", "r,V\n1,2,3\n2,3,4\n"],
-                         ids=["header-only", "one-row", "three-columns"])
+@pytest.mark.parametrize("text", ["r,V\n", "r,V\n1.0,1.0\n", "r,V\n1,2,3\n2,3,4\n",
+                                  "r,V\n2.0,0.5\n1.0,1.0\n"],
+                         ids=["header-only", "one-row", "three-columns", "reversed"])
 def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     src = tmp_path / "pot.csv"
     src.write_text(text)
     assert main(["trace", "--potential", "file", "--file", str(src),
                  "--out", str(tmp_path / "tr.csv")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["scott", "--route", "ansatz-min", "--mesh", "80"],
+    ["scott", "--route", "ansatz-min", "--mesh", "0 32"],
+    ["scott", "--route", "mu-limit", "--N-list", ""],
+    ["scott", "--route", "mu-limit", "--N-list", "50 100"],
+    ["partition-check", "--d-min", "0"],
+    ["partition-check", "--d-min", "1", "--d-max", "0.5"],
+    ["partition-check", "--n-points", "-3"],
+], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
+        "d-min-above-d-max", "n-points-negative"])
+def test_bad_input_is_a_validation_error(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_io_failure_exit(tmp_path):
@@ -250,3 +268,108 @@ def test_expansion_command_small(tmp_path):
     # magnetic sweep is an API feature, not a CLI one
     assert main(["expansion", "--Z-list", "8", "--alpha", "0.01",
                  "--out", str(tmp_path / "m.csv")]) == 3
+
+
+# ---------------------------------------------------------------------------
+# exit codes for any input
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A warm TF cache and three potential tables (valid, reversed, one row)."""
+    d = tmp_path_factory.mktemp("fuzz")
+    assert main(["tf", "--cache-dir", str(d / "cache"), "--out", str(d / "tf.csv")]) == 0
+    r = np.geomspace(1e-3, 40.0, 300)
+    table = "r,V\n" + "\n".join(f"{a!r},{1.0 / a!r}" for a in r)
+    (d / "good.csv").write_text(table)
+    (d / "reversed.csv").write_text("r,V\n" + "\n".join(table.splitlines()[:0:-1]))
+    (d / "short.csv").write_text("r,V\n1.0,1.0\n")
+    return d
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@st.composite
+def _cli_argv(draw, d):
+    """Random argv over every subcommand, with the costly sizes capped.
+
+    Mesh, budget, grid size, point count, radius, h and Z are drawn from
+    small values, so every run stays cheap; other values range over valid,
+    out-of-range, non-finite and unparsable text.
+    """
+    def opt(flag, *values):
+        return [flag, draw(st.sampled_from(values))] if draw(st.booleans()) else []
+
+    def req(flag, *values):
+        return [flag, draw(st.sampled_from(values))]
+
+    bad = ("0", "-1", "nan", "inf", "x")
+    refine = st.sampled_from([[], ["--refine"], ["--no-refine"]])
+    command = draw(st.sampled_from(["tf", "weyl", "trace", "scott", "partition-check",
+                                    "expansion", "frobnicate", None]))
+    argv = []
+    if draw(st.integers(0, 3)) == 0:
+        lines = draw(st.lists(st.sampled_from([
+            "mu = 0.05", "mu = abc", "refine = false", "threads = 2", "z = 2",
+            "seed = 3", "no equals sign", "# comment", "unknown = 1"]), max_size=4))
+        cfg = d / f"run{len(lines)}.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        argv += ["--config", str(draw(st.sampled_from([cfg, d / "missing.cfg"])))]
+    if command is None:
+        return argv
+    argv += [command, *req("--out", *[str(d / "out.csv")] * 3, str(d / "missing" / "out.csv")),
+             *req("--cache-dir", *[str(d / "cache")] * 3, str(d / "tf.csv")),
+             *opt("--threads", "1", "2", "0", "-1")]
+    if command == "tf":
+        argv += opt("--tolerance", "1e-8", "1e-14", *bad)
+    elif command == "weyl":
+        argv += opt("--potential", "coulomb", "tf", "other")
+        argv += opt("--mu", "0.01", "0.1", *bad) + opt("--h", "1", "0.5", *bad)
+        argv += opt("--z", "1", "2", *bad)
+    elif command == "trace":
+        argv += opt("--potential", "coulomb", "tf", "file")
+        argv += opt("--file", *(str(d / f) for f in ("good.csv", "reversed.csv",
+                                                      "short.csv", "missing.csv")))
+        argv += req("--h", "1", "0.5", "2", *bad) + opt("--mu", "0.05", "0.1", "1", *bad)
+        argv += opt("--resolution", "8", *bad) + opt("--r-max", "20", *bad)
+        argv += opt("--n", "60", "8", "7", *bad) + draw(st.sampled_from([[], ["--refine"]]))
+    elif command == "scott":
+        route = draw(st.sampled_from(["mu-limit", "cutoff-R", "spectral-fit", "ansatz-min",
+                                      "other"]))
+        argv += ["--route", route]
+        if route == "mu-limit":
+            argv += opt("--N-list", "50 100 200", "", "50 100", "0 1 2", "1e300 1 2", "x")
+        elif route == "cutoff-R":
+            argv += req("--R", "6", *bad) + opt("--R-list", "6 8", "", "0 6", "x")
+            argv += draw(refine)
+        elif route == "spectral-fit":
+            argv += opt("--h-list", "0.5 0.4 0.35", "0.5 0.5", "", "0 1 2", "x")
+            argv += req("--resolution", "8", *bad) + draw(refine)
+        elif route == "ansatz-min":
+            argv += req("--R", "6", *bad) + opt("--kappa", "0.05", "1", *bad)
+            argv += opt("--beta", "1", "100", *bad) + req("--budget", "2", "0", "-1")
+            argv += opt("--seed", "0", "1") + opt("--restarts", "1", "2", "0")
+            argv += opt("--modes", "1", "2", "0", "-1") + opt("--theta-scale", "0.6", "0", "nan")
+            argv += req("--mesh", "8 16", "80", "0 32", "1 1", "4 2", "a b")
+    elif command == "partition-check":
+        argv += req("--n-points", "1", "3", "0", "-3", "x")
+        argv += opt("--r0", "1", *bad) + opt("--d-min", "1e-3", "10", *bad)
+        argv += opt("--d-max", "1e3", "1e-3", *bad) + opt("--seed", "0", "5")
+    elif command == "expansion":
+        argv += req("--Z-list", "1", "1 2", "", "0", "x", "nan")
+        argv += opt("--alpha", "0", "0.01", "nan") + req("--resolution", "8", *bad)
+        argv += draw(refine)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exit_code_is_documented_for_any_input(fuzz_dir, data):
+    argv = data.draw(_cli_argv(fuzz_dir))
+    assert _exit_code(argv) in (0, 2, 3, 4, 5), argv

@@ -77,14 +77,3 @@ def test_expansion_sweep_reports(tf_solution):
 def test_expansion_sweep_needs_provider_for_magnetic(tf_solution):
     with pytest.raises(ValueError):
         expansion_sweep([8.0], 0.05, tf_solution)
-
-
-def test_mean_field_route_validation(tf_solution):
-    cfg = NuclearConfig(Z=8.0)
-    with pytest.raises(ValueError):
-        mean_field_energy(cfg, tf_solution, route="bogus")
-    # ansatz-min route passes the caller's combined one-body value through
-    val = mean_field_energy(cfg, tf_solution, route="ansatz-min",
-                            field_terms=-100.0)
-    h = 8.0 ** (-1.0 / 3.0)
-    assert val == pytest.approx(8.0 ** (7.0 / 3.0) * (h ** 3 * -100.0 - tf_solution.D_rho))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from scottlab.hydrogen import (CoulombSpectrum, scott_mu_limit, scott_z_scaling,
-                               trace_neg_coulomb)
+from scottlab.hydrogen import CoulombSpectrum, scott_mu_limit, trace_neg_coulomb
 from scottlab.weyl import weyl_coulomb_mu
 
 
@@ -83,21 +82,3 @@ def test_scott_mu_limit_validation():
         scott_mu_limit([1e-4, 1e-3, 1e-2])
     with pytest.raises(ValueError):
         scott_mu_limit([1e-3, -1e-4, 1e-5])
-
-
-def test_scott_z_scaling():
-    s_flat = lambda kappa: 0.125
-    assert scott_z_scaling(1.0, 0.0, s_flat) == pytest.approx(0.125)
-    assert scott_z_scaling(0.5, 0.0, s_flat) == pytest.approx(0.03125)
-    assert scott_z_scaling(2.0, 0.0, s_flat) == pytest.approx(0.5)
-    # the provider is called at z * kappa
-    seen = {}
-
-    def probe(k):
-        seen["k"] = k
-        return 0.1
-
-    scott_z_scaling(0.5, 0.08, probe)
-    assert seen["k"] == pytest.approx(0.04)
-    with pytest.raises(ValueError):
-        scott_z_scaling(-1.0, 0.0, s_flat)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from scottlab.multiscale import (LocalizedBump, ScaleFunctions,
-                                 derivative_bound_check, ims_corrected_potential,
-                                 jacobian, partition_check)
+from scottlab.multiscale import (LocalizedBump, ScaleFunctions, jacobian,
+                                 partition_check)
 
 
 @pytest.fixture(scope="module")
@@ -78,33 +77,6 @@ def test_partition_identity_off_center_points(sf):
     for _ in range(5):
         x = rng.normal(scale=5.0, size=3)
         assert partition_check(x, sf) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_derivative_bounds_uniform_over_scales(sf):
-    # ratios max |d^n psi_u| ell^|n| should be comparable between a deep-core
-    # point and a far-field point (u-uniformity of the constants)
-    near = derivative_bound_check(np.array([1e-3, 0, 0]), sf, order=3, n_sample=25)
-    far = derivative_bound_check(np.array([1e3, 0, 0]), sf, order=3, n_sample=25)
-    for alpha, v_near in near.items():
-        v_far = far[alpha]
-        assert v_far < 2.0 * v_near + 1e-9
-        assert v_near < 2.0 * v_far + 1e-9
-
-
-def test_derivative_bounds_constant_ell_match_base_profile():
-    sf_flat = ScaleFunctions(r0=1e8)
-    res0 = derivative_bound_check(np.zeros(3), sf_flat, order=0, n_sample=60)
-    # order zero: max psi_u * 1 = max of the scaled profile = psi_max * ell^(3/2)
-    # divided out by the jacobian weight; just check finiteness and positivity
-    assert res0[(0, 0, 0)] > 0
-
-
-def test_ims_corrected_potential_accessor(sf):
-    V = lambda x: -1.0 / np.linalg.norm(x)
-    u = np.array([0.5, 0.0, 0.0])
-    v_plus = ims_corrected_potential(V, u, sf, C=2.0, h=0.3)
-    x = u + 0.3 * sf.ell(u) * np.array([1.0, 0, 0])
-    assert v_plus(x) >= V(x)
 
 
 def test_scale_functions_validation():

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from scottlab import pauli, radial_eig
-from scottlab.pauli import (FieldAnsatz, PauliGrid, curl_energy, field_energy,
-                            gauge_center, magnetic_lt_rhs, minimize_scott,
+from scottlab.pauli import (FieldAnsatz, PauliGrid, field_energy, minimize_scott,
                             pauli_trace_neg, scott_functional,
                             scott_functional_parts)
 
 VC = lambda r: 1.0 / r
 SMALL_MESH = (48, 96)
+
+
+def curl_energy(A):
+    """int |curl A|^2 over the ball of support: the reference form of field_energy."""
+
+    def dens(rho, z):
+        br, bz = A.B_cyl(rho, z)
+        return br ** 2 + bz ** 2
+
+    return pauli._polar_panels(dens, 0.0, A.support_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -60,18 +69,6 @@ def test_ansatz_field_components_match_finite_differences():
         a = A.a(np.array([rho]), np.array([z]))
         assert br[0] == pytest.approx(-da_dz[0], abs=1e-7)
         assert bz[0] == pytest.approx(da_drho[0] + a[0] / rho, abs=1e-6)
-
-
-def test_gauge_center_properties():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(500, 3))
-    const = np.array([0.3, -1.2, 0.7])
-    centered = gauge_center(pts)
-    assert np.max(np.abs(centered.mean(axis=0))) < 1e-12
-    # shifting by a constant changes nothing after centering
-    np.testing.assert_allclose(gauge_center(pts + const), centered, atol=1e-12)
-    # a constant field centers to zero
-    np.testing.assert_allclose(gauge_center(np.tile(const, (40, 1))), 0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -226,46 +223,3 @@ def test_minimize_scott_validation():
         minimize_scott(0.0, 1.0, 8.0)
     with pytest.raises(ValueError):
         minimize_scott(0.1, 6.0, 8.0)
-
-
-# ---------------------------------------------------------------------------
-# magnetic Lieb-Thirring diagnostic
-# ---------------------------------------------------------------------------
-
-
-def test_lt_rhs_zero_cases():
-    assert magnetic_lt_rhs(lambda r: -1.0 / (1 + r ** 4), h=1.0, C=1.0) == 0.0
-
-
-def test_lt_rhs_field_homogeneity():
-    V = lambda r: 1.0 / (1.0 + r ** 2) ** 3
-    r1 = magnetic_lt_rhs(V, h=1.0, C=1.0, b_squared_integral=1.0)
-    r4 = magnetic_lt_rhs(V, h=1.0, C=1.0, b_squared_integral=16.0)
-    base = magnetic_lt_rhs(V, h=1.0, C=1.0, b_squared_integral=0.0)
-    assert (r4 - base) == pytest.approx(8.0 * (r1 - base), rel=1e-12)
-
-
-def test_lt_rhs_envelopes_pauli_traces():
-    # fit the smallest admissible constant over a small family and check the
-    # bound holds across it (diagnostic only; C is not universal here)
-    mu = 0.1
-    V = lambda r: 1.0 / r - mu
-    Vp = lambda r: np.maximum(1.0 / r - mu, 0.0)
-    cases = []
-    for theta in (0.0, 0.3):
-        A = None if theta == 0.0 else FieldAnsatz(theta=(theta,), support_radius=2.0,
-                                                  scales=(1.0,))
-        tr = pauli_trace_neg(A, VC, h=1.0, mu=mu, domain_radius=12.0,
-                             mesh=(32, 64)).trace
-        rhs_unit = magnetic_lt_rhs(Vp, h=1.0, C=1.0,
-                                   A=A, r_max=1.0 / mu)
-        cases.append((tr, rhs_unit))
-    c_fit = max(-tr / rhs for tr, rhs in cases)
-    assert c_fit > 0
-    for tr, rhs in cases:
-        assert -c_fit * rhs <= tr + 1e-12
-
-
-def test_lt_rhs_rejects_non_integrable():
-    with pytest.raises(ValueError):
-        magnetic_lt_rhs(lambda r: 1.0 / np.asarray(r), h=1.0, C=1.0)

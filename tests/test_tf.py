@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from scottlab import tf
-from scottlab.core import NuclearConfig
-from scottlab.tf import (RadialDensity, TFConvergenceError, check_tf_type,
-                         coulomb_self_energy, tf_energy_consistency, tf_scale)
+from scottlab.tf import TFConvergenceError, tf_energy_consistency
 
 # frozen oracle outputs (recomputed below where cheap)
 SLOPE0 = -1.588071  # initial slope of the decaying branch
@@ -88,27 +86,11 @@ def test_shooting_bracket_failure_is_diagnosed():
         tf.shoot_slope(bracket=(-3.0, -2.5))
 
 
-def test_tf_scale_identities():
-    assert tf_scale("E", 1.0, -0.38) == -0.38
-    assert tf_scale("V", 2.0, 1.0) == 2.0 ** -4
-    # round trip h then 1/h is exact
-    val = 0.7234519
-    for q in ("V", "rho", "E"):
-        assert tf_scale(q, 0.5, tf_scale(q, 2.0, val)) == pytest.approx(val, rel=1e-15)
-    with pytest.raises(ValueError):
-        tf_scale("Q", 1.0, 0.0)
-    with pytest.raises(ValueError):
-        tf_scale("E", -1.0, 0.0)
-
-
 def test_energy_scaling_law(tf_solution):
     # E(Z) / E(1) = Z^(7/3) by the scaling reduction, exactly
     Z = 10.0
     ratio = tf_solution.energy(Z) / tf_solution.energy(1.0)
     assert ratio == pytest.approx(Z ** (7.0 / 3.0), rel=1e-12)
-    # and tf_scale reproduces it: E(Z) = h^-7 E(1) with h = Z^(-1/3)
-    assert tf_scale("E", Z ** (-1.0 / 3.0), tf_solution.E_atom) == pytest.approx(
-        tf_solution.energy(Z), rel=1e-12)
 
 
 def test_density_accessor_consistency(tf_solution):
@@ -122,45 +104,6 @@ def test_density_accessor_consistency(tf_solution):
     np.testing.assert_allclose(tf_solution.V(r, z=z),
                                z ** (4 / 3) * tf_solution.V(z ** (1 / 3) * r),
                                rtol=1e-12)
-
-
-def test_coulomb_self_energy_uniform_ball():
-    r = np.linspace(1e-6, 1.0, 60000)
-    rho = np.full_like(r, 3.0 / (4.0 * np.pi))
-    d = coulomb_self_energy(RadialDensity(r, rho))
-    assert d == pytest.approx(0.6, abs=3e-6)
-
-
-def test_coulomb_self_energy_zero_density():
-    r = np.linspace(0.1, 1.0, 50)
-    assert coulomb_self_energy(RadialDensity(r, np.zeros_like(r))) == 0.0
-
-
-def test_coulomb_self_energy_disjoint_shells():
-    # two separated shells: D = D1 + D2 + m1 * integral rho2 / r (Newton)
-    r = np.linspace(1e-6, 6.0, 120000)
-    rho1 = np.where((r > 1.0) & (r < 1.2), 1.0, 0.0)
-    rho2 = np.where((r > 4.0) & (r < 4.4), 0.5, 0.0)
-    d_both = coulomb_self_energy(RadialDensity(r, rho1 + rho2))
-    d1 = coulomb_self_energy(RadialDensity(r, rho1))
-    d2 = coulomb_self_energy(RadialDensity(r, rho2))
-    m1 = RadialDensity(r, rho1).mass
-    cross = m1 * np.trapezoid(4.0 * np.pi * r * rho2, r)
-    assert d_both == pytest.approx(d1 + d2 + cross, rel=2e-4)
-
-
-def test_coulomb_self_energy_direct_quadrature_oracle():
-    # angular-averaged kernel: iint = (4 pi)^2 sum r^2 s^2 rho rho / max(r, s)
-    r = np.linspace(1e-3, 3.0, 400)
-    rho = np.exp(-r ** 2)
-    direct = 0.0
-    w = np.gradient(r)
-    for i, ri in enumerate(r):
-        direct += np.sum((4 * np.pi) ** 2 * ri ** 2 * r ** 2 * rho[i] * rho
-                         / np.maximum(ri, r) * w[i] * w)
-    direct *= 0.5
-    newton = coulomb_self_energy(RadialDensity(r, rho))
-    assert newton == pytest.approx(direct, rel=2e-3)
 
 
 def test_energy_consistency_report(tf_solution):
@@ -185,33 +128,3 @@ def test_frozen_energy_constants(tf_solution):
     assert tf_solution.D_rho == pytest.approx(a_closed / 7.0, rel=1e-7)
     assert tf_solution.E_atom == pytest.approx(-0.3843726, abs=2e-6)
     assert tf_solution.phase_space_coeff == pytest.approx(-0.2562484, abs=2e-6)
-
-
-def _as_point_potential(radial):
-    def V(x):
-        return float(radial(np.linalg.norm(np.asarray(x, dtype=float))))
-
-    return V
-
-
-def test_check_tf_type_on_tf_potential(tf_solution):
-    cfg = NuclearConfig()
-    rep = check_tf_type(_as_point_potential(tf_solution.V), cfg, mu=0.0)
-    assert not rep.flagged
-    assert all(np.isfinite(v) for v in rep.c_alpha.values())
-    # the near-nucleus window: V - 1/r is bounded (it tends to slope0/b)
-    assert -1.0 < rep.west_low <= rep.west_high <= 0.1
-
-
-def test_check_tf_type_bare_coulomb_window_is_zero():
-    cfg = NuclearConfig()
-    rep = check_tf_type(_as_point_potential(lambda r: 1.0 / r), cfg, mu=0.0)
-    # exact cancellation in the near-nucleus window; the far-field envelope
-    # is genuinely violated by the 1/d tail, which is not under test here
-    assert abs(rep.west_low) < 1e-10 and abs(rep.west_high) < 1e-10
-
-
-def test_check_tf_type_flags_growing_potential():
-    cfg = NuclearConfig()
-    rep = check_tf_type(_as_point_potential(lambda r: np.exp(r)), cfg, mu=0.0)
-    assert rep.flagged
