@@ -136,6 +136,7 @@ def get_tf_solution(cache_dir: str | None, tolerance: float = 1e-8) -> tf.TFSolu
 
 
 def cmd_tf(args) -> int:
+    _positive([args.tolerance], "tolerance")
     sol = get_tf_solution(args.cache_dir, tolerance=args.tolerance)
     table = sol.profile_table()
     write_csv(args.out, ["t", "phi", "dphi"], table.tolist())
@@ -156,6 +157,9 @@ def cmd_tf(args) -> int:
 
 
 def cmd_weyl(args) -> int:
+    _positive([args.h, args.z], "h and z")
+    if not (math.isfinite(args.mu) and args.mu >= 0):
+        raise ValidationError("mu must be nonnegative and finite")
     if args.potential == "coulomb":
         if args.mu <= 0:
             raise ValidationError("coulomb Weyl integral needs mu > 0")
@@ -200,20 +204,23 @@ def _resolve_potential(args):
 
 
 def cmd_trace(args) -> int:
-    V = _resolve_potential(args)
     _positive([args.h, args.resolution], "h and resolution")
     if not (math.isfinite(args.mu) and args.mu >= 0):
         raise ValidationError("mu must be nonnegative and finite")
+    if args.r_max is not None:
+        _positive([args.r_max], "r-max")
+    if args.n is not None and args.n < 8:
+        raise ValidationError("n must be at least 8")
     if args.potential == "coulomb" and args.mu == 0.0:
         raise ValidationError("the mu = 0 Coulomb trace has infinitely many channels")
-    grid = None
-    if args.n:
-        r_max = args.r_max or 4.0 / max(args.mu, 1e-2)
-        grid = radial_eig.make_grid("sinh", min(0.3, max(5e-4, 0.5 * args.h ** 2)),
-                                    r_max, args.n)
-    s = radial_eig.trace_neg(V, args.h, mu=args.mu, grid=grid,
-                             refine=args.refine, resolution=args.resolution,
-                             max_workers=args.threads)
+    V = _resolve_potential(args)
+    if args.n is None:
+        grid = radial_eig.auto_grid(V, args.h, args.mu, r_max=args.r_max,
+                                    resolution=args.resolution)
+    else:
+        r_max = 4.0 / max(args.mu, 1e-2) if args.r_max is None else args.r_max
+        grid = radial_eig.make_grid(min(0.3, max(5e-4, 0.5 * args.h ** 2)), r_max, args.n)
+    s = radial_eig.trace_neg(V, args.h, mu=args.mu, grid=grid, refine=args.refine)
     rows = []
     for ell in sorted(s.eigenvalues):
         for k, e in enumerate(s.eigenvalues[ell]):
@@ -271,8 +278,7 @@ def cmd_scott(args) -> int:
         _positive([args.resolution], "resolution")
         sol = get_tf_solution(args.cache_dir)
         est = radial_eig.scott_spectral_fit(sol, h_list=hs, refine=args.refine,
-                                            resolution=args.resolution,
-                                            max_workers=args.threads)
+                                            resolution=args.resolution)
         write_csv(args.out, ["h", "trace"],
                   [[h, t] for h, t in est.meta["samples"]])
         write_sidecar(args.out + ".meta.txt", vars_of(args), {
@@ -284,15 +290,16 @@ def cmd_scott(args) -> int:
         return EXIT_OK
 
     if args.route == "ansatz-min":
-        if args.kappa <= 0:
-            raise ValidationError("ansatz-min needs kappa > 0")
+        _positive([args.kappa, args.R], "kappa and R")
+        beta = args.beta if args.beta is not None else 0.5 / args.kappa
+        if not 0 < beta <= 0.5 / args.kappa:
+            raise ValidationError("beta must lie in (0, 1/(2 kappa)]")
         mesh = _floats(args.mesh)
         # the z mesh is split into two halves, so n_z = 1 would leave no cells
         if not (len(mesh) == 2 and all(v.is_integer() for v in mesh)
                 and mesh[0] >= 1 and mesh[1] >= 2):
             raise ValidationError(f"--mesh needs two integers n_rho >= 1 and n_z >= 2, "
                                   f"got {args.mesh!r}")
-        beta = args.beta if args.beta is not None else 0.5 / args.kappa
         res = pauli.minimize_scott(args.kappa, beta, args.R,
                                    n_modes=args.modes, budget=args.budget,
                                    seed=args.seed, restarts=args.restarts,
@@ -347,8 +354,7 @@ def cmd_expansion(args) -> int:
                               "(magnetic S has no closed value; use the API)")
     sol = get_tf_solution(args.cache_dir)
     reports = expansion.expansion_sweep(Zs, args.alpha, sol, refine=args.refine,
-                                        resolution=args.resolution,
-                                        max_workers=args.threads)
+                                        resolution=args.resolution)
     rows = [[r.Z, r.leading, r.scott, r.mean_field, r.residual, r.residual_over_Z2]
             for r in reports]
     write_csv(args.out, ["Z", "leading", "scott", "mean_field", "residual",
@@ -377,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default="scottlab_out.csv", help="output CSV path")
         sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("tf", help="solve the universal TF atom, export the profile")
     common(sp)

@@ -20,12 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# spin degeneracy of all scalar (Schroedinger) traces
-SPIN_FACTOR = 2
-
-# hydrogen ground state of -Delta - 1/|x| in these units
-HYDROGEN_GROUND_STATE = -0.25
-
 # non-magnetic Scott coefficient S(0); the limiting difference objects
 # computed in this package approach 2*S0
 S0 = 0.125
@@ -48,12 +42,6 @@ def gauss(a, b, rule):
     xg, wg = rule
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
     return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
-
-
-def f_scale(d):
-    """Envelope f(d) = min(d^-1/2, d^-2) controlling Coulomb-type potentials."""
-    d = np.asarray(d, dtype=float)
-    return np.minimum(d ** -0.5, d ** -2.0)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,7 @@ def scott_term(config: NuclearConfig, s_provider) -> float:
 
 
 def mean_field_energy(config: NuclearConfig, tf_solution: TFSolution,
-                      refine: bool = True, resolution: float = 20.0,
-                      max_workers: int = 1) -> float:
+                      refine: bool = True, resolution: float = 20.0) -> float:
     """Z^(7/3) [h^3 trace - D(rho_TF)] at h = Z^(-1/3).
 
     The trace is the A = 0 spectral trace of -h^2 Delta - V_TF.
@@ -61,8 +60,7 @@ def mean_field_energy(config: NuclearConfig, tf_solution: TFSolution,
     Z = config.Z
     h = Z ** (-1.0 / 3.0)
     s = radial_eig.trace_neg(tf_solution.potential(), h, mu=0.0,
-                             refine=refine, resolution=resolution,
-                             max_workers=max_workers)
+                             refine=refine, resolution=resolution)
     return Z ** (7.0 / 3.0) * (h ** 3 * s.trace - tf_solution.D_rho)
 
 
@@ -90,8 +88,7 @@ class ExpansionReport:
 
 def expansion_sweep(Z_list, alpha: float, tf_solution: TFSolution,
                     s_provider=None, refine: bool = True,
-                    resolution: float = 20.0,
-                    max_workers: int = 1) -> list:
+                    resolution: float = 20.0) -> list:
     """ExpansionReport per Z; with alpha = 0 the provider defaults to S(0)."""
     if s_provider is None:
         if alpha != 0.0:
@@ -102,8 +99,7 @@ def expansion_sweep(Z_list, alpha: float, tf_solution: TFSolution,
         cfg = NuclearConfig(z=(1.0,), r=((0.0, 0.0, 0.0),), Z=float(Z), alpha=alpha)
         leading = tf_solution.E_atom * cfg.Z ** (7.0 / 3.0)
         scott = scott_term(cfg, s_provider)
-        mf = mean_field_energy(cfg, tf_solution, refine=refine,
-                               resolution=resolution, max_workers=max_workers)
+        mf = mean_field_energy(cfg, tf_solution, refine=refine, resolution=resolution)
         out.append(ExpansionReport(Z=cfg.Z, alpha=alpha, kappa=cfg.kappa,
                                    leading=leading, scott=scott, mean_field=mf))
     return out

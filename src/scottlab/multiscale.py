@@ -14,18 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import f_scale
 from .cutoffs import unit_bump
+
+# Gauss nodes in radius and polar angle, midpoint nodes in azimuth, of the
+# partition-identity quadrature
+N_RADIAL, N_THETA, N_PHI = 48, 24, 48
 
 
 @dataclass(frozen=True)
 class ScaleFunctions:
-    """Scale field l, its gradient, and the Coulomb envelope f.
+    """Scale field l and its gradient.
 
     l(u) = slope * sqrt(r0^2 + d(u)^2) with slope = 1/100, so
     |grad l| <= 1/100 < 1 everywhere.  For a single nucleus l is smooth
@@ -69,9 +71,6 @@ class ScaleFunctions:
         g = self.slope * diff / denom[:, None]
         return g if g.shape[0] > 1 else g[0]
 
-    def f(self, u):
-        return f_scale(self.d(u))
-
 
 def jacobian(x, u, sf: ScaleFunctions) -> float:
     """|det D_u (x - u)/l(u)| = l^-3 |1 + (x - u) . grad l / l|.
@@ -91,7 +90,6 @@ class LocalizedBump:
     """psi_u(x) with the Jacobian weight; supp psi_u inside B_u(l(u)) exactly."""
 
     sf: ScaleFunctions
-    profile: Callable = unit_bump
 
     def __call__(self, x, u):
         x = np.asarray(x, dtype=float)
@@ -100,30 +98,27 @@ class LocalizedBump:
         s = np.linalg.norm(x - u) / ell
         if s >= 1.0:
             return 0.0
-        return float(self.profile(np.array([s]))[0]
+        return float(unit_bump(np.array([s]))[0]
                      * math.sqrt(jacobian(x, u, self.sf)) * ell ** 1.5)
 
 
-def partition_check(x, sf: ScaleFunctions, bump: LocalizedBump = None,
-                    n_radial: int = 48, n_theta: int = 24, n_phi: int = 48) -> float:
+def partition_check(x, sf: ScaleFunctions) -> float:
     """Numerical value of int psi_u(x)^2 l(u)^-3 du (should be 1).
 
     The domain {u : |x - u| <= l(u)} is contained in the ball around x of
     radius l(x)/(1 - slope); the integral is done in spherical coordinates
     around x with Gauss nodes in radius and polar angle.
     """
-    if bump is None:
-        bump = LocalizedBump(sf)
     x = np.asarray(x, dtype=float)
     ell_x = sf.ell(x)
     radius = ell_x / (1.0 - sf.slope) * 1.02
 
-    xg, wg = leggauss(n_radial)
+    xg, wg = leggauss(N_RADIAL)
     s = 0.5 * radius * (xg + 1.0)
     ws = 0.5 * radius * wg
-    cg, wc = leggauss(n_theta)
-    phis = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = 2.0 * math.pi / n_phi
+    cg, wc = leggauss(N_THETA)
+    phis = 2.0 * math.pi * (np.arange(N_PHI) + 0.5) / N_PHI
+    wphi = 2.0 * math.pi / N_PHI
 
     S, CT, PH = np.meshgrid(s, cg, phis, indexing="ij")
     ST = np.sqrt(1.0 - CT ** 2)
@@ -139,6 +134,6 @@ def partition_check(x, sf: ScaleFunctions, bump: LocalizedBump = None,
     rel = (x[None, :] - pts)
     jac = ell_u ** -3 * np.abs(1.0 + np.einsum("ij,ij->i", rel, grad) / ell_u)
     snorm = np.linalg.norm(rel, axis=1) / ell_u
-    vals = (bump.profile(snorm) ** 2 * jac).reshape(S.shape)
+    vals = (unit_bump(snorm) ** 2 * jac).reshape(S.shape)
     integral = np.einsum("i,j,ijk->", ws * s ** 2, wc, vals) * wphi
     return float(integral)

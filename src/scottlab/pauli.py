@@ -37,6 +37,11 @@ class BlockCascadeError(RuntimeError):
     """More angular blocks carry negative eigenvalues than the configured cap."""
 
 
+# shift-invert shift below the zero-field block spectra, and the cap on
+# blocks visited per side
+SIGMA, JMAX = -0.75, 30
+
+
 # ---------------------------------------------------------------------------
 # field ansatz
 # ---------------------------------------------------------------------------
@@ -222,29 +227,12 @@ class PauliGrid:
         self._kin_cache[h] = K
         return K
 
-    def z_derivative(self) -> sp.csr_matrix:
-        """Skew-symmetric FV first derivative in z (symmetrized basis)."""
-        nr, nz = self.nr, self.nz
-        g = 0.5 / np.sqrt(self.dz[:-1] * self.dz[1:])
-        ii, jj = np.meshgrid(np.arange(nr), np.arange(nz - 1), indexing="ij")
-        a = (ii * nz + jj).ravel()
-        b = (ii * nz + jj + 1).ravel()
-        v = np.tile(g, nr)
-        n = nr * nz
-        return sp.csr_matrix((np.concatenate([v, -v]),
-                              (np.concatenate([a, b]), np.concatenate([b, a]))),
-                             shape=(n, n))
-
 
 def block_matrix(grid: PauliGrid, h: float, m: int, V2d: np.ndarray,
                  a2d: np.ndarray, Bz2d: np.ndarray, Brho2d: np.ndarray,
-                 mu: float = 0.0, phi2d: Optional[np.ndarray] = None,
-                 const_Az: float = 0.0):
+                 mu: float = 0.0, phi2d: Optional[np.ndarray] = None):
     """Assemble the j = m + 1/2 block (up component m, down m + 1)."""
     K = grid.kinetic(h)
-    if const_Az != 0.0:
-        Dz = grid.z_derivative()
-        K = K + (-2.0j * h * const_Az) * Dz + sp.identity(K.shape[0]) * const_Az ** 2
     R = grid.R
     blocks = []
     for mm, sgn in ((m, +1), (m + 1, -1)):
@@ -260,7 +248,7 @@ def block_matrix(grid: PauliGrid, h: float, m: int, V2d: np.ndarray,
 
 
 def inertia_below(H, tau: float) -> int:
-    """Number of eigenvalues of the sparse Hermitian H strictly below tau.
+    """Number of eigenvalues of the sparse symmetric H strictly below tau.
 
     Sylvester's law applied to an unpivoted (diagonal-threshold) LU of
     H - tau I in SuperLU symmetric mode: when the row and column
@@ -268,12 +256,12 @@ def inertia_below(H, tau: float) -> int:
     signs of diag(U) carry the inertia.
     """
     n = H.shape[0]
-    A = (H - tau * sp.identity(n, dtype=H.dtype, format="csc")).tocsc()
+    A = (H - tau * sp.identity(n, format="csc")).tocsc()
     lu = splu(A, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
               options=dict(SymmetricMode=True))
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("row pivoting occurred; inertia count unavailable")
-    return int(np.sum(lu.U.diagonal().real < 0.0))
+    return int(np.sum(lu.U.diagonal() < 0.0))
 
 
 def _bisect_eigenvalues(H, lo, hi, count, tol=1e-8, _n_lo=None):
@@ -308,7 +296,7 @@ def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
         return np.array([])
     n = H.shape[0]
     k = min(count, n - 2)
-    lu = splu((H - sigma * sp.identity(n, dtype=H.dtype, format="csc")).tocsc())
+    lu = splu((H - sigma * sp.identity(n, format="csc")).tocsc())
     op = LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
     # fixed start vector keeps repeated runs byte-identical
     v0 = np.full(n, 1.0 / math.sqrt(n), dtype=float)
@@ -318,7 +306,7 @@ def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
                      return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         vals = np.asarray(exc.eigenvalues)
-    vals = np.sort(np.real(vals))
+    vals = np.sort(vals)
     vals = vals[vals < threshold]
     if vals.size < count:
         lo = float(vals[-1]) if vals.size else float(sigma)
@@ -337,45 +325,42 @@ class PauliTraceResult:
 
 def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
                     phi: Optional[SmoothCutoff] = None, mu: float = 0.0,
-                    grid: Optional[PauliGrid] = None, sigma: float = -0.75,
-                    const_Az: float = 0.0, jmax: int = 30,
+                    grid: Optional[PauliGrid] = None,
                     domain_radius: Optional[float] = None,
                     mesh=(96, 192)) -> PauliTraceResult:
     """Trace of [phi (T_h(A) - V) phi + mu]_- summed over signed j_z blocks.
 
     V is a radial accessor V(|x|); phi an optional radial cutoff (the
     negative spectrum then lives inside supp phi and the mesh stops
-    there).  Blocks stop after two consecutive empty ones per side.  No
+    there).  The mesh is grid, or a ball of radius domain_radius, or
+    supp phi.  Blocks stop after two consecutive empty ones per side.  No
     extra spin factor: the spinor components are explicit.
     """
     if grid is None:
         if domain_radius is None:
-            if phi is not None:
-                domain_radius = phi.R
-            else:
-                domain_radius = 1.2 * _outer_radius_estimate(V, mu, h)
+            if phi is None:
+                raise ValueError("pauli_trace_neg needs phi, grid or domain_radius")
+            domain_radius = phi.R
         grid = PauliGrid.for_ball(domain_radius, n_rho=mesh[0], n_z=mesh[1])
     S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
     V2d = np.asarray(V(S), dtype=float)
     phi2d = None if phi is None else np.asarray(phi(S), dtype=float)
-    if A is None or A.is_zero:
+    zero_field = A is None or A.is_zero
+    if zero_field:
         a2d = np.zeros_like(V2d)
         Bz = np.zeros_like(V2d)
         Br = np.zeros_like(V2d)
-        zero_field = const_Az == 0.0
     else:
         a2d = A.a(grid.R, grid.Z)
         Br, Bz = A.B_cyl(grid.R, grid.Z)
-        zero_field = False
 
     blocks = {}
     # keep sigma under the spectrum bottom even when the Zeeman term deepens it
     zeeman = float(np.max(np.abs(Bz)) + np.max(np.abs(Br)))
-    sigma_use = min(sigma, -0.3 - 1.2 * h * zeeman)
+    sigma_use = min(SIGMA, -0.3 - 1.2 * h * zeeman)
 
     def solve_block(m):
-        H = block_matrix(grid, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d,
-                         const_Az=const_Az)
+        H = block_matrix(grid, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
         return eigs_below(H, -1e-12, sigma_use)
 
     # at A = 0 blocks j and -j are degenerate: walk m >= 0 only, store each
@@ -384,7 +369,7 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     for side in (1,) if zero_field else (1, -1):
         m = 0 if side > 0 else -1
         empties = 0
-        for _ in range(jmax):
+        for _ in range(JMAX):
             vals = solve_block(m)
             if vals.size:
                 empties = 0
@@ -397,20 +382,10 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
                     break
             m += side
         else:
-            raise BlockCascadeError(f"blocks still nonempty at the j cap {jmax}")
+            raise BlockCascadeError(f"blocks still nonempty at the j cap {JMAX}")
 
     trace = float(sum(np.sum(v) for v in blocks.values()))
     return PauliTraceResult(trace=trace, blocks=blocks, mesh_shape=grid.shape, mu=mu)
-
-
-def _outer_radius_estimate(V, mu, h):
-    probe = np.geomspace(1e-3, 1e6, 80)
-    vals = np.asarray(V(probe), dtype=float)
-    thresh = mu if mu > 0 else 0.25 * h * h / np.maximum(probe, 1e-300) ** 2
-    above = vals > thresh
-    if not above.any():
-        return 10.0 * h
-    return float(min(1e4, 4.0 * probe[np.nonzero(above)[0].max()]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +412,15 @@ class ScottFunctionalParts:
 
 def scott_functional_parts(A: Optional[FieldAnsatz], R: float,
                            grid: Optional[PauliGrid] = None,
-                           mesh=(96, 192), inner: float = 0.5,
-                           sigma: float = -0.75) -> ScottFunctionalParts:
+                           mesh=(96, 192)) -> ScottFunctionalParts:
     """kappa- and beta-independent pieces of the localized Scott functional.
 
     The trace is Tr[phi_R (T_1(A) - 1/|x|) phi_R]_-; the field zones are
     B(R/4) and B(2R) minus B(R/4); the Weyl term is the phi_R^2-weighted
     Coulomb phase-space integral.
     """
-    phi = SmoothCutoff(R, inner=inner)
-    tr = pauli_trace_neg(A, lambda r: 1.0 / r, h=1.0, phi=phi, grid=grid,
-                         mesh=mesh, sigma=sigma)
+    phi = SmoothCutoff(R)
+    tr = pauli_trace_neg(A, lambda r: 1.0 / r, h=1.0, phi=phi, grid=grid, mesh=mesh)
     if A is None or A.is_zero:
         f_in = f_out = 0.0
     else:
@@ -462,15 +435,6 @@ def scott_functional_parts(A: Optional[FieldAnsatz], R: float,
                                 weyl=cutoff_weyl_coulomb(phi))
 
 
-def scott_functional(A: Optional[FieldAnsatz], R: float, kappa: float,
-                     beta: float, grid: Optional[PauliGrid] = None,
-                     mesh=(96, 192), inner: float = 0.5,
-                     sigma: float = -0.75) -> float:
-    """E_{R,kappa,beta}(A), an upper-bound probe for 2 S(R, kappa, beta)."""
-    return scott_functional_parts(A, R, grid=grid, mesh=mesh, inner=inner,
-                                  sigma=sigma).value(kappa, beta)
-
-
 @dataclass(frozen=True)
 class MinimizeScottResult:
     estimate: ScottEstimate
@@ -483,8 +447,7 @@ class MinimizeScottResult:
 def minimize_scott(kappa: float, beta: float, R: float, n_modes: int = 2,
                    budget: int = 60, seed: int = 0, restarts: int = 1,
                    theta_scale: float = 0.6, mesh=(80, 160),
-                   grid: Optional[PauliGrid] = None,
-                   inner: float = 0.5) -> MinimizeScottResult:
+                   grid: Optional[PauliGrid] = None) -> MinimizeScottResult:
     """Derivative-free (Nelder-Mead, seeded restarts) upper bound on 2 S(R, kappa, beta).
 
     theta = 0 is always evaluated first, so the result never exceeds the
@@ -508,7 +471,7 @@ def minimize_scott(kappa: float, beta: float, R: float, n_modes: int = 2,
             A = None if all(v == 0.0 for v in key) else FieldAnsatz(
                 theta=key, support_radius=R / 4.0,
                 scales=tuple(0.5 ** i for i in range(n_modes)))
-            cache[key] = scott_functional_parts(A, R, grid=grid, inner=inner)
+            cache[key] = scott_functional_parts(A, R, grid=grid)
         return cache[key]
 
     def objective(theta):

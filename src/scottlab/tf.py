@@ -42,6 +42,12 @@ T_SERIES = 0.05
 # default exported grid (TF variable), log spaced
 T_GRID_MIN, T_GRID_MAX, N_GRID = 1e-6, 1e4, 4000
 
+# shooting: bisection steps, integration end (TF variable) and ODE tolerance
+SLOPE_ITERATIONS, SHOOT_T_END, SHOOT_RTOL = 60, 60.0, 1e-12
+
+# collocation node cap, and the cells of the collocation-region residual check
+MAX_NODES, RESIDUAL_CELLS = 200000, 200
+
 # b with V(r) = phi(r/b)/r for z = 1 (fixes the universal ODE normalization)
 B_LENGTH = (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
 
@@ -108,7 +114,7 @@ def _tf_rhs(t, y):
     return [y[1], phi * math.sqrt(phi) / math.sqrt(t)]
 
 
-def _classify_slope(slope: float, t_end: float, rtol: float):
+def _classify_slope(slope: float):
     """-1 if phi crosses zero (slope too low), +1 if phi' turns up."""
     t0 = 1e-8
     c = baker_coefficients(slope, order=8)
@@ -117,8 +123,8 @@ def _classify_slope(slope: float, t_end: float, rtol: float):
     hit.terminal, hit.direction = True, -1
     turn = lambda t, y: y[1]
     turn.terminal, turn.direction = True, 1
-    sol = solve_ivp(_tf_rhs, (t0, t_end), y0, method="DOP853",
-                    rtol=rtol, atol=1e-14, events=[hit, turn])
+    sol = solve_ivp(_tf_rhs, (t0, SHOOT_T_END), y0, method="DOP853",
+                    rtol=SHOOT_RTOL, atol=1e-14, events=[hit, turn])
     if sol.t_events[0].size:
         return -1
     if sol.t_events[1].size:
@@ -126,20 +132,19 @@ def _classify_slope(slope: float, t_end: float, rtol: float):
     return 0
 
 
-def shoot_slope(bracket=(-1.65, -1.5), iterations: int = 60,
-                t_end: float = 60.0, rtol: float = 1e-12) -> float:
+def shoot_slope(bracket=(-1.65, -1.5)) -> float:
     """Initial slope phi'(0) of the decaying branch by bisection."""
     lo, hi = bracket
-    if _classify_slope(lo, t_end, rtol) != -1 or _classify_slope(hi, t_end, rtol) != +1:
+    if _classify_slope(lo) != -1 or _classify_slope(hi) != +1:
         raise TFConvergenceError(f"shooting bracket {bracket} does not straddle the decaying branch")
-    for _ in range(iterations):
+    for _ in range(SLOPE_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        side = _classify_slope(mid, t_end, rtol)
+        side = _classify_slope(mid)
         if side == -1:
             lo = mid
         elif side == +1:
             hi = mid
-        else:  # survived to t_end without deciding: treat as converged
+        else:  # survived to SHOOT_T_END without deciding: treat as converged
             return mid
     return 0.5 * (lo + hi)
 
@@ -149,7 +154,7 @@ def _bvp_rhs(s, y):
     return np.vstack([v, v - v * v + np.exp(0.5 * w + 1.5 * s)])
 
 
-def _solve_tail(series, s_hi, bvp_tol, max_nodes):
+def _solve_tail(series, s_hi, bvp_tol):
     """Collocation for (w = log phi, w') on [log T_SERIES, s_hi], two Robin passes."""
     s_lo = math.log(T_SERIES)
     w_left = float(np.log(_series_eval(series, T_SERIES)))
@@ -183,13 +188,13 @@ def _solve_tail(series, s_hi, bvp_tol, max_nodes):
 
     mesh = np.linspace(s_lo, s_hi, 2001)
     sol = solve_bvp(_bvp_rhs, make_bc(0.0), mesh, guess(mesh),
-                    tol=bvp_tol, max_nodes=max_nodes)
+                    tol=bvp_tol, max_nodes=MAX_NODES)
     if sol.status != 0:
         raise TFConvergenceError(f"collocation pass 1 failed: {sol.message}")
     t_hi = math.exp(s_hi)
     xi_hat = float(np.exp(sol.sol(s_hi)[0]) * t_hi ** 3 / 144.0 - 1.0)
     sol = solve_bvp(_bvp_rhs, make_bc(xi_hat), sol.x, sol.y,
-                    tol=bvp_tol, max_nodes=max_nodes)
+                    tol=bvp_tol, max_nodes=MAX_NODES)
     if sol.status != 0:
         raise TFConvergenceError(f"collocation pass 2 failed: {sol.message}")
     xi_hat = float(np.exp(sol.sol(s_hi)[0]) * t_hi ** 3 / 144.0 - 1.0)
@@ -304,20 +309,11 @@ class TFSolution(TFProfile):
     def potential(self, z: float = 1.0):
         return lambda r: self.V(r, z=z)
 
-    def density(self, z: float = 1.0):
-        return lambda r: self.rho(r, z=z)
-
     def energy(self, z: float = 1.0) -> float:
         return self.E_atom * z ** (7.0 / 3.0)
 
-    def coulomb_energy(self, z: float = 1.0) -> float:
-        """D(rho_z) = z^(7/3) D(rho_1)."""
-        return self.D_rho * z ** (7.0 / 3.0)
 
-
-def solve_tf_atom(tolerance: float = 1e-8, n_grid: int = N_GRID,
-                  bvp_tol: float = 1e-10, max_nodes: int = 200000,
-                  slope_iterations: int = 60) -> TFSolution:
+def solve_tf_atom(tolerance: float = 1e-8, bvp_tol: float = 1e-10) -> TFSolution:
     """Solve the universal atomic TF problem.
 
     tolerance bounds the reported TF-equation residual (relative,
@@ -325,14 +321,12 @@ def solve_tf_atom(tolerance: float = 1e-8, n_grid: int = N_GRID,
     the bracket state if the shooting stage fails, or if the residual ends
     up above tolerance.
     """
-    slope0 = shoot_slope(iterations=slope_iterations)
-    sol, xi_tail = _solve_tail(baker_coefficients(slope0), math.log(T_GRID_MAX),
-                               bvp_tol, max_nodes)
-    return _assemble(slope0, sol.x, sol.y[0], sol.y[1], xi_tail, tolerance, n_grid)
+    slope0 = shoot_slope()
+    sol, xi_tail = _solve_tail(baker_coefficients(slope0), math.log(T_GRID_MAX), bvp_tol)
+    return _assemble(slope0, sol.x, sol.y[0], sol.y[1], xi_tail, tolerance)
 
 
-def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail, tolerance: float,
-              n_grid: int = N_GRID) -> TFSolution:
+def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail, tolerance: float) -> TFSolution:
     """The one constructor of TFSolution, for a fresh solve and a cached one alike.
 
     Builds the profile from the shooting slope, the collocation data
@@ -345,7 +339,7 @@ def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail, tolerance: float,
     profile = TFProfile(
         slope0=slope0, series=baker_coefficients(slope0), spline_x=spline_x,
         spline_w=spline_w, spline_v=spline_v, xi_tail=xi_tail,
-        t_grid=np.geomspace(T_GRID_MIN, T_GRID_MAX, n_grid),
+        t_grid=np.geomspace(T_GRID_MIN, T_GRID_MAX, N_GRID),
         _w_interp=CubicHermiteSpline(spline_x, spline_w, spline_v),
         _v_interp=CubicHermiteSpline(spline_x, spline_v, vp),
     )
@@ -369,7 +363,7 @@ _GL12 = leggauss(12)
 _GL16 = leggauss(16)
 
 
-def equation_residual(profile: TFProfile, n_cells: int = 200) -> float:
+def equation_residual(profile: TFProfile) -> float:
     """Sup over cells of the relative TF-equation residual.
 
     Per cell [t1, t2]: |phi'(t2) - phi'(t1) - int phi^(3/2) t^(-1/2) dt|
@@ -384,7 +378,7 @@ def equation_residual(profile: TFProfile, n_cells: int = 200) -> float:
     lhs = _series_eval(profile.series, ts, 2)
     series_worst = np.max(np.abs(lhs - rhs) / rhs)
     # collocation region: cell-integrated check, all cells at once
-    s_edges = np.linspace(math.log(T_SERIES), profile.spline_x[-1], n_cells + 1)
+    s_edges = np.linspace(math.log(T_SERIES), profile.spline_x[-1], RESIDUAL_CELLS + 1)
     dphi_edges = profile._v_interp(s_edges) * np.exp(profile._w_interp(s_edges) - s_edges)
     s, ws = gauss(s_edges[:-1], s_edges[1:], _GL12)
     integral = np.sum(ws * np.exp(1.5 * profile._w_interp(s) + 0.5 * s), axis=-1)

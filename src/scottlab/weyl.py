@@ -22,6 +22,10 @@ from .core import gauss
 
 MOMENTUM_COEFF = 8.0 * math.pi / 15.0
 
+# sqrt(r) panels of the main quadrature; relative size at which a dyadic
+# tail shell ends the mu = 0 integral, and the cap on such shells
+N_PANELS, TAIL_TOL, MAX_OCTAVES = 160, 1e-12, 60
+
 
 class WeylDivergenceError(ValueError):
     """The configuration integral fails the integrability tail test."""
@@ -80,7 +84,7 @@ def _turning_points(V, mu, r_hi):
     return out
 
 
-def _radial_profile_integral(f, r_lo, r_hi, breaks=(), n_panels=120):
+def _radial_profile_integral(f, r_lo, r_hi, breaks, n_panels):
     """integral f(r) dr over [r_lo, r_hi] in x = sqrt(r) panels with breaks."""
     if r_lo == 0.0:
         edges = np.concatenate([[0.0], np.geomspace(math.sqrt(r_hi) * 1e-6, math.sqrt(r_hi), n_panels)])
@@ -92,8 +96,7 @@ def _radial_profile_integral(f, r_lo, r_hi, breaks=(), n_panels=120):
     return float(np.cumsum(np.sum(w * 2.0 * x * f(x ** 2), axis=-1))[-1])
 
 
-def weyl_integral(wi: WeylIntegrand, n_panels: int = 160,
-                  tail_tol: float = 1e-12, max_octaves: int = 60) -> float:
+def weyl_integral(wi: WeylIntegrand) -> float:
     """2 (2 pi h)^-3 iint w(q) [p^2 - V(q) + mu]_- dp dq.
 
     The configuration integral uses sqrt(r) panels split at the turning
@@ -120,24 +123,24 @@ def weyl_integral(wi: WeylIntegrand, n_panels: int = 160,
     if r_up is not None:
         # panel edges at the 5/2-power kinks of [V - mu]_+
         breaks = _turning_points(wi.V, wi.mu, r_up) if wi.mu > 0.0 else ()
-        return coeff * _radial_profile_integral(profile, 0.0, r_up, breaks, n_panels)
+        return coeff * _radial_profile_integral(profile, 0.0, r_up, breaks, N_PANELS)
 
     # mu = 0, unbounded support: integrate [0, 1], then dyadic shells with a
     # growth flag; shells must decay geometrically for convergence
-    total = _radial_profile_integral(profile, 0.0, 1.0, (), n_panels)
+    total = _radial_profile_integral(profile, 0.0, 1.0, (), N_PANELS)
     prev = math.inf
     grow_count = 0
-    for k in range(max_octaves):
+    for k in range(MAX_OCTAVES):
         shell = _radial_profile_integral(profile, 2.0 ** k, 2.0 ** (k + 1), (), 12)
         total += shell
-        if shell >= prev * 0.95 and shell > tail_tol * max(abs(total), 1.0):
+        if shell >= prev * 0.95 and shell > TAIL_TOL * max(abs(total), 1.0):
             grow_count += 1
             if grow_count >= 3:
                 raise WeylDivergenceError(
                     f"dyadic shells near r ~ 2^{k} do not decay; integral diverges")
         else:
             grow_count = 0
-        if shell < tail_tol * max(abs(total), 1.0):
+        if shell < TAIL_TOL * max(abs(total), 1.0):
             return coeff * total
         prev = shell
     raise WeylDivergenceError("tail did not converge within the octave budget")

@@ -1,3 +1,4 @@
+import argparse
 import io
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottlab import __version__
-from scottlab.cli import main
+from scottlab.cli import build_parser, main
 
 
 def run(tmp_path, *args):
@@ -98,11 +99,32 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["partition-check", "--d-min", "0"],
     ["partition-check", "--d-min", "1", "--d-max", "0.5"],
     ["partition-check", "--n-points", "-3"],
+    ["scott", "--route", "ansatz-min", "--beta", "100"],
+    ["scott", "--route", "ansatz-min", "--R", "0"],
+    ["weyl", "--h", "0"],
+    ["weyl", "--potential", "tf", "--z", "-1"],
+    ["weyl", "--z", "-1"],
+    ["trace", "--n", "7"],
+    ["trace", "--r-max", "-5", "--n", "100"],
+    ["trace", "--r-max", "0"],
+    ["tf", "--tolerance", "-1"],
 ], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
-        "d-min-above-d-max", "n-points-negative"])
+        "d-min-above-d-max", "n-points-negative", "beta-above-bound", "R-zero", "h-zero",
+        "tf-z-negative", "z-negative", "n-below-8", "r-max-negative", "r-max-zero",
+        "tolerance-negative"])
 def test_bad_input_is_a_validation_error(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_trace_r_max_without_n_bounds_the_grid(tmp_path):
+    # a radius-20 box cuts the n >= 4 shells that lie below -mu = -0.01
+    def trace(*argv):
+        out = tmp_path / "tr.csv"
+        assert main(["trace", "--mu", "0.01", *argv, "--out", str(out)]) == 0
+        return float(out.read_text().splitlines()[-1].split(",")[2])
+
+    assert trace("--r-max", "20") > trace() + 0.01
 
 
 def test_io_failure_exit(tmp_path):
@@ -281,7 +303,7 @@ def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     assert main(["tf", "--cache-dir", str(d / "cache"), "--out", str(d / "tf.csv")]) == 0
     r = np.geomspace(1e-3, 40.0, 300)
-    table = "r,V\n" + "\n".join(f"{a!r},{1.0 / a!r}" for a in r)
+    table = "r,V\n" + "\n".join(f"{a},{1.0 / a}" for a in r.tolist())
     (d / "good.csv").write_text(table)
     (d / "reversed.csv").write_text("r,V\n" + "\n".join(table.splitlines()[:0:-1]))
     (d / "short.csv").write_text("r,V\n1.0,1.0\n")
@@ -324,8 +346,7 @@ def _cli_argv(draw, d):
     if command is None:
         return argv
     argv += [command, *req("--out", *[str(d / "out.csv")] * 3, str(d / "missing" / "out.csv")),
-             *req("--cache-dir", *[str(d / "cache")] * 3, str(d / "tf.csv")),
-             *opt("--threads", "1", "2", "0", "-1")]
+             *req("--cache-dir", *[str(d / "cache")] * 3, str(d / "tf.csv"))]
     if command == "tf":
         argv += opt("--tolerance", "1e-8", "1e-14", *bad)
     elif command == "weyl":
@@ -373,3 +394,48 @@ def _cli_argv(draw, d):
 def test_exit_code_is_documented_for_any_input(fuzz_dir, data):
     argv = data.draw(_cli_argv(fuzz_dir))
     assert _exit_code(argv) in (0, 2, 3, 4, 5), argv
+
+
+# ---------------------------------------------------------------------------
+# every flag is read
+# ---------------------------------------------------------------------------
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that records the attribute names read from it."""
+
+    reads: set = set()
+
+    def __getattribute__(self, name):
+        type(self).reads.add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_flag_is_read_by_some_route(fuzz_dir, tmp_path):
+    # one cheap run per subcommand and scott route; a flag that no run reads
+    # is a knob that changes nothing
+    cache = str(tmp_path / "cache")
+    runs = [
+        ["tf"],
+        ["weyl", "--mu", "0.01"],
+        ["trace", "--potential", "file", "--file", str(fuzz_dir / "good.csv"), "--mu", "0.05"],
+        ["scott", "--route", "mu-limit"],
+        ["scott", "--route", "cutoff-R", "--R", "6", "--no-refine"],
+        ["scott", "--route", "spectral-fit", "--h-list", "0.5 0.4 0.35", "--resolution", "8",
+         "--no-refine"],
+        ["scott", "--route", "ansatz-min", "--R", "6", "--budget", "2", "--mesh", "8 16"],
+        ["partition-check", "--n-points", "1"],
+        ["expansion", "--Z-list", "1", "--resolution", "8", "--no-refine"],
+    ]
+    read = {}
+    for argv in runs:
+        args = build_parser().parse_args(
+            [*argv, "--cache-dir", cache, "--out", str(tmp_path / "x.csv")],
+            namespace=_ReadRecorder())
+        _ReadRecorder.reads = set()
+        assert args.func(args) == 0, argv
+        read.setdefault(argv[0], set()).update(_ReadRecorder.reads)
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    for command, names in read.items():
+        flags = {a.dest for a in subparsers[command]._actions} - {"help", "out", "cache_dir"}
+        assert flags <= names, f"{command}: {sorted(flags - names)} never read"

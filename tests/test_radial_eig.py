@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
@@ -7,7 +5,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scottlab import radial_eig
 from scottlab.cutoffs import SmoothCutoff
 from scottlab.hydrogen import trace_neg_coulomb
-from scottlab.radial_eig import (ChannelCascadeError, build_channel,
+from scottlab.radial_eig import (ChannelCascadeError, RadialGrid, build_channel,
                                  cutoff_weyl_coulomb, fit_expansion,
                                  localized_trace_neg, make_grid,
                                  negative_eigenvalues, trace_neg)
@@ -30,6 +28,13 @@ def sturm_count(diag, off, x):
     return count
 
 
+def uniform_grid(r_max, n):
+    """Uniform mesh on (0, r_max) with the 3-point unit stencil: the reference for the sinh map."""
+    dr = r_max / (n + 1)
+    return RadialGrid(r=np.linspace(0.0, r_max, n + 2)[1:-1], kin_diag=np.full(n, 2.0 / dr ** 2),
+                      kin_off=np.full(n - 1, -1.0 / dr ** 2), r_core=dr, r_max=r_max, n=n)
+
+
 def test_coulomb_levels_across_channels():
     grid = radial_eig.auto_grid(VC, 1.0, 1.0 / 150.0)
     for ell in range(5):
@@ -47,7 +52,7 @@ def test_lowest_channel_eigenvalues():
     assert e0 == pytest.approx(-0.25, abs=1e-5)
     assert e1 == pytest.approx(-1.0 / 16.0, abs=1e-5)
     # mu = 0 on a fixed grid: the per-channel lowest values are unaffected
-    fixed = make_grid("sinh", 0.3, 400.0, 4000)
+    fixed = make_grid(0.3, 400.0, 4000)
     assert negative_eigenvalues(build_channel(VC, 1.0, 0, fixed))[0] == \
         pytest.approx(-0.25, abs=1e-5)
     assert negative_eigenvalues(build_channel(VC, 1.0, 1, fixed))[0] == \
@@ -55,7 +60,7 @@ def test_lowest_channel_eigenvalues():
 
 
 def test_nonpositive_potential_has_no_bound_states():
-    grid = make_grid("sinh", 0.1, 30.0, 1500)
+    grid = make_grid(0.1, 30.0, 1500)
     op = build_channel(lambda r: -np.ones_like(r), 1.0, 0, grid)
     assert negative_eigenvalues(op, mu=0.0).size == 0
 
@@ -63,7 +68,7 @@ def test_nonpositive_potential_has_no_bound_states():
 def test_sturm_count_consistency():
     # mu between hydrogen levels, away from any threshold
     mu = 1.0 / 90.0
-    grid = make_grid("sinh", 0.3, 300.0, 2500)
+    grid = make_grid(0.3, 300.0, 2500)
     for ell in (0, 1, 3):
         op = build_channel(VC, 1.0, ell, grid)
         vals = negative_eigenvalues(op, mu=mu)
@@ -73,8 +78,7 @@ def test_sturm_count_consistency():
 def test_kinetic_stencil_nonnegative():
     # the continuum kinetic term is >= 0; the stencils reproduce that up to
     # discretization (exactly for the uniform map)
-    for mapping, core in (("sinh", 0.2), ("log", 0.01), ("uniform", 0.1)):
-        grid = make_grid(mapping, core, 50.0, 1200)
+    for grid in (make_grid(0.2, 50.0, 1200), uniform_grid(50.0, 1200)):
         floor = eigvalsh_tridiagonal(grid.kin_diag, grid.kin_off,
                                      select="i", select_range=(0, 0))[0]
         assert floor > -1e-6
@@ -89,14 +93,14 @@ def test_trace_matches_exact_coulomb_sum():
 
 def test_trace_zero_when_supremum_below_mu():
     s = trace_neg(lambda r: 0.05 / (1 + r ** 4), 1.0, mu=0.1,
-                  grid=make_grid("sinh", 0.1, 30.0, 1200))
+                  grid=make_grid(0.1, 30.0, 1200))
     assert s.trace == 0.0
     assert s.n_states == 0
 
 
 def test_trace_h_monotone():
     # fewer bound states and shallower sums as h grows
-    grid = make_grid("sinh", 0.05, 60.0, 3000)
+    grid = make_grid(0.05, 60.0, 3000)
     V = lambda r: 2.0 / (1.0 + r ** 2) ** 2
     traces = [trace_neg(V, h, mu=0.0, grid=grid).trace for h in (0.2, 0.35, 0.5, 1.0)]
     assert all(a <= b + 1e-12 for a, b in zip(traces, traces[1:]))
@@ -116,7 +120,7 @@ def test_trace_grid_refinement_stability():
 
 
 def test_channel_emptiness_is_monotone():
-    grid = make_grid("sinh", 0.3, 200.0, 2500)
+    grid = make_grid(0.3, 200.0, 2500)
     sizes = []
     for ell in range(12):
         sizes.append(negative_eigenvalues(
@@ -128,40 +132,17 @@ def test_channel_emptiness_is_monotone():
         assert not (empty_seen and s > 0)
 
 
-def test_grid_too_coarse_warning():
-    # a mesh far too coarse for the shallow shells changes its eigenvalue
-    # count on refinement and must say so
-    coarse = make_grid("sinh", 2.0, 900.0, 40)
-    op = build_channel(VC, 1.0, 0, coarse)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        negative_eigenvalues(op, mu=1.0 / 900.0, verify_count=True)
-    assert any("refinement" in str(w.message) for w in caught)
-
-
 def test_channel_cascade_cap():
     with pytest.raises(ChannelCascadeError):
         trace_neg(VC, 1.0, mu=1.0 / 400.0, lmax_cap=3)
 
 
 def test_mapping_variants_agree():
-    # same physics on sinh, log and uniform meshes; the log map pays its
-    # documented wall-plus-conditioning penalty O(r_min), so its tolerance
-    # is the loosest
-    sinh_grid = make_grid("sinh", 0.2, 80.0, 3000)
-    log_grid = make_grid("log", 3e-3, 80.0, 6000)
-    uni_grid = make_grid("uniform", 0.2, 80.0, 16000)
+    # same physics on the sinh mesh and the uniform reference mesh
+    sinh_grid = make_grid(0.2, 80.0, 3000)
     e_sinh = negative_eigenvalues(build_channel(VC, 1.0, 0, sinh_grid), mu=0.02)
-    e_log = negative_eigenvalues(build_channel(VC, 1.0, 0, log_grid), mu=0.02)
-    e_uni = negative_eigenvalues(build_channel(VC, 1.0, 0, uni_grid), mu=0.02)
-    np.testing.assert_allclose(e_log[:3], e_sinh[:3], atol=2e-3)
+    e_uni = negative_eigenvalues(build_channel(VC, 1.0, 0, uniform_grid(80.0, 16000)), mu=0.02)
     np.testing.assert_allclose(e_uni[:3], e_sinh[:3], atol=5e-3)
-
-
-def test_parallel_map_matches_sequential():
-    s1 = trace_neg(VC, 1.0, mu=1.0 / 64.0, max_workers=1)
-    s4 = trace_neg(VC, 1.0, mu=1.0 / 64.0, max_workers=4)
-    assert s4.trace == pytest.approx(s1.trace, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +156,8 @@ def test_localized_trace_inactive_cutoff_reduces_to_trace_neg():
     mu = 1.0 / 16.0
     shifted = lambda r: 1.0 / r - mu
     loc = localized_trace_neg(shifted, phi, 1.0,
-                              grid=make_grid("sinh", 0.2, 600.0, 6000))
-    ref = trace_neg(VC, 1.0, mu=mu, grid=make_grid("sinh", 0.2, 600.0, 6000))
+                              grid=make_grid(0.2, 600.0, 6000))
+    ref = trace_neg(VC, 1.0, mu=mu, grid=make_grid(0.2, 600.0, 6000))
     assert loc.trace == pytest.approx(ref.trace, abs=1e-6)
 
 
@@ -188,7 +169,7 @@ def test_localized_trace_zero_cutoff():
             return np.zeros_like(np.asarray(r, dtype=float))
 
     z = Zero()
-    s = localized_trace_neg(VC, z, 1.0, grid=make_grid("sinh", 0.2, 20.0, 800))
+    s = localized_trace_neg(VC, z, 1.0, grid=make_grid(0.2, 20.0, 800))
     assert s.trace == 0.0
 
 
@@ -228,13 +209,9 @@ def test_fit_expansion_recovers_exact_model():
     c3, c2 = -0.2562, 0.25
     hs = [0.125, 0.1, 1 / 12, 1 / 16, 0.05]
     samples = [(h, c3 * h ** -3 + c2 * h ** -2) for h in hs]
-    fit = fit_expansion(samples)
-    assert fit.c3 == pytest.approx(c3, rel=1e-12)
+    fit = fit_expansion(samples, weyl_coeff=c3)
     assert fit.c2 == pytest.approx(c2, rel=1e-12)
     assert fit.max_rel_residual < 1e-12
-    pinned = fit_expansion(samples, weyl_coeff=c3)
-    assert pinned.c2 == pytest.approx(c2, rel=1e-12)
-    assert pinned.pinned
 
 
 def test_fit_expansion_zero_c2():
@@ -246,9 +223,9 @@ def test_fit_expansion_zero_c2():
 
 def test_fit_expansion_validation():
     with pytest.raises(ValueError):
-        fit_expansion([(0.1, -1.0), (0.1, -1.0), (0.1, -1.0)])
+        fit_expansion([(0.1, -1.0), (0.1, -1.0), (0.1, -1.0)], weyl_coeff=-1.0)
     with pytest.raises(ValueError):
-        fit_expansion([(0.1, -1.0), (0.05, -2.0)])
+        fit_expansion([(0.1, -1.0), (0.05, -2.0)], weyl_coeff=-1.0)
 
 
 def test_cutoff_weyl_value():
