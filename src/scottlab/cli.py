@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, expansion, hydrogen, multiscale, pauli, radial_eig, tf
+from .core import check_coupling
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_coulomb_mu, weyl_integral
 
@@ -219,7 +220,7 @@ def cmd_trace(args) -> int:
                                     resolution=args.resolution)
     else:
         r_max = 4.0 / max(args.mu, 1e-2) if args.r_max is None else args.r_max
-        grid = radial_eig.make_grid(min(0.3, max(5e-4, 0.5 * args.h ** 2)), r_max, args.n)
+        grid = radial_eig.make_grid(radial_eig.core_radius(args.h), r_max, args.n)
     s = radial_eig.trace_neg(V, args.h, mu=args.mu, grid=grid, refine=args.refine)
     rows = []
     for ell in sorted(s.eigenvalues):
@@ -292,8 +293,10 @@ def cmd_scott(args) -> int:
     if args.route == "ansatz-min":
         _positive([args.kappa, args.R], "kappa and R")
         beta = args.beta if args.beta is not None else 0.5 / args.kappa
-        if not 0 < beta <= 0.5 / args.kappa:
-            raise ValidationError("beta must lie in (0, 1/(2 kappa)]")
+        try:
+            check_coupling(args.kappa, beta)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
         mesh = _floats(args.mesh)
         # the z mesh is split into two halves, so n_z = 1 would leave no cells
         if not (len(mesh) == 2 and all(v.is_integer() for v in mesh)
@@ -403,10 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--file", default=None, help="CSV (r, V) when potential=file")
     sp.add_argument("--h", type=float, default=1.0)
     sp.add_argument("--mu", type=float, default=2.5e-3)
-    sp.add_argument("--resolution", type=float, default=20.0)
+    sp.add_argument("--resolution", type=float, default=20.0,
+                    help="nodes per local de Broglie length of the automatic grid; "
+                         "an explicit --n fixes the node count, so it does not apply")
     sp.add_argument("--refine", action="store_true")
     sp.add_argument("--r-max", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=int, default=None,
+                    help="node count of the radial grid; an explicit --n fixes the node "
+                         "count, so --resolution does not apply")
     sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("scott", help="Scott-function estimates by route")
@@ -459,20 +466,15 @@ def main(argv=None) -> int:
     if probe.config:
         try:
             cfg = load_config(probe.config)
+            for sub_parser in parser._subparsers._group_actions[0].choices.values():
+                sub_parser.set_defaults(**{a.dest: _coerce(a, cfg[a.dest])
+                                           for a in sub_parser._actions if a.dest in cfg})
         except ValidationError as exc:
             print(f"error:validation: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         except IOError as exc:
             print(f"error:io: {exc}", file=sys.stderr)
             return EXIT_IO
-        for sp_action in parser._subparsers._group_actions:
-            for sub_parser in sp_action.choices.values():
-                overrides = {}
-                for action in sub_parser._actions:
-                    if action.dest in cfg:
-                        overrides[action.dest] = _coerce(action, cfg[action.dest])
-                if overrides:
-                    sub_parser.set_defaults(**overrides)
 
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
@@ -492,13 +494,15 @@ def main(argv=None) -> int:
 
 
 def _coerce(action, value):
+    """Config value as the default of action: a boolean word for a switch, else the raw
+    string, which argparse converts through the action's type."""
     if isinstance(action.default, bool) or isinstance(getattr(action, "const", None), bool):
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
-    if action.type is not None:
-        try:
-            return action.type(value)
-        except (TypeError, ValueError):
-            return value
+        word = str(value).strip().lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ValidationError(f"{action.dest} must be a boolean word, got {value!r}")
     return value
 
 

@@ -105,6 +105,14 @@ class NuclearConfig:
         return d
 
 
+def check_coupling(kappa: float, beta: float) -> None:
+    """Raise ValueError unless the couplings are admissible: kappa > 0, 0 < beta <= 1/(2 kappa)."""
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    if not 0 < beta <= 0.5 / kappa:
+        raise ValueError("beta must lie in (0, 1/(2 kappa)]")
+
+
 ROUTES = ("mu-limit", "cutoff-R", "spectral-fit", "ansatz-min")
 
 
@@ -125,9 +133,7 @@ class ScottEstimate:
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
         if self.beta is not None and self.kappa > 0:
-            # admissible outer coefficient: 0 < beta <= 1/(2 kappa)
-            if not 0 < self.beta <= 0.5 / self.kappa:
-                raise ValueError("beta must lie in (0, 1/(2 kappa)]")
+            check_coupling(self.kappa, self.beta)
 
     @property
     def S(self) -> float:

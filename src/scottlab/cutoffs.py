@@ -1,10 +1,9 @@
 """Smooth compactly supported profiles shared by the localization machinery.
 
-Both the spatial cutoff phi_R (equal to 1 inside R/2, vanishing beyond R,
-with sqrt(1 - phi^2) smooth as well) and the unit bump psi with
-integral psi^2 = 1 are built from the flat exponential step, so every
-profile here is C-infinity with all derivatives vanishing at the support
-boundary.
+Both the spatial cutoff phi_R (equal to 1 inside R/2, vanishing beyond R)
+and the unit bump psi with integral psi^2 = 1 are built from the flat
+exponential step, so every profile here is C-infinity with all
+derivatives vanishing at the support boundary.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ def smooth_step(t):
 class SmoothCutoff:
     """Radial cutoff phi_R: phi = 1 on [0, inner*R], 0 beyond R.
 
-    phi^2 = 1 - smooth_step, so both phi and the complementary profile
-    sqrt(1 - phi^2) are C-infinity.
+    phi^2 = 1 - smooth_step, so phi is C-infinity.
     """
 
     R: float
@@ -58,10 +56,6 @@ class SmoothCutoff:
 
     def __call__(self, r):
         return np.sqrt(self.sq(r))
-
-    def complement(self, r):
-        """sqrt(1 - phi^2), the matching outer profile."""
-        return np.sqrt(smooth_step(self._t(r)))
 
 
 def bump_profile(s):

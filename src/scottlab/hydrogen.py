@@ -11,39 +11,11 @@ Scott constant 2 S(0) = 1/4 without any discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ScottEstimate
 from .weyl import weyl_coulomb_mu
-
-
-@dataclass(frozen=True)
-class CoulombSpectrum:
-    """Levels e_n = -1/(4 n^2) with spin-included degeneracy 2 n^2, n <= n_max."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-
-    @property
-    def n(self) -> np.ndarray:
-        return np.arange(1, self.n_max + 1)
-
-    @property
-    def levels(self) -> np.ndarray:
-        return -0.25 / self.n.astype(float) ** 2
-
-    @property
-    def degeneracies(self) -> np.ndarray:
-        return 2 * self.n ** 2
-
-    def expand(self) -> np.ndarray:
-        """All levels repeated by degeneracy."""
-        return np.repeat(self.levels, self.degeneracies)
 
 
 def _threshold_n(mu: float) -> int:

@@ -60,46 +60,29 @@ class ScaleFunctions:
         dist, _ = self._nearest(u)
         return dist if dist.size > 1 else float(dist[0])
 
+    def _ell_grad(self, u):
+        """l and grad l at each row of u, from one nearest-nucleus search."""
+        dist, diff = self._nearest(u)
+        root = np.sqrt(self.r0 ** 2 + dist ** 2)
+        return self.slope * root, self.slope * diff / root[:, None]
+
     def ell(self, u):
-        dist, _ = self._nearest(u)
-        out = self.slope * np.sqrt(self.r0 ** 2 + dist ** 2)
+        out = self._ell_grad(u)[0]
         return out if out.size > 1 else float(out[0])
 
     def grad_ell(self, u):
-        dist, diff = self._nearest(u)
-        denom = np.sqrt(self.r0 ** 2 + dist ** 2)
-        g = self.slope * diff / denom[:, None]
+        g = self._ell_grad(u)[1]
         return g if g.shape[0] > 1 else g[0]
 
 
-def jacobian(x, u, sf: ScaleFunctions) -> float:
+def jacobian(rel, ell, grad):
     """|det D_u (x - u)/l(u)| = l^-3 |1 + (x - u) . grad l / l|.
 
-    The map's derivative is -I/l - (x - u) (x) grad l / l^2, a rank-one
-    update of a multiple of the identity, whence the closed form.
+    rel = x - u, ell = l(u) and grad = grad l(u), for one point u or one
+    per row.  The map's derivative is -I/l - (x - u) (x) grad l / l^2, a
+    rank-one update of a multiple of the identity, whence the closed form.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    ell = sf.ell(u)
-    g = np.asarray(sf.grad_ell(u), dtype=float)
-    return float(ell ** -3 * abs(1.0 + np.dot(x - u, g) / ell))
-
-
-@dataclass(frozen=True)
-class LocalizedBump:
-    """psi_u(x) with the Jacobian weight; supp psi_u inside B_u(l(u)) exactly."""
-
-    sf: ScaleFunctions
-
-    def __call__(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        ell = self.sf.ell(u)
-        s = np.linalg.norm(x - u) / ell
-        if s >= 1.0:
-            return 0.0
-        return float(unit_bump(np.array([s]))[0]
-                     * math.sqrt(jacobian(x, u, self.sf)) * ell ** 1.5)
+    return ell ** -3 * np.abs(1.0 + np.einsum("...j,...j->...", rel, grad) / ell)
 
 
 def partition_check(x, sf: ScaleFunctions) -> float:
@@ -128,12 +111,10 @@ def partition_check(x, sf: ScaleFunctions) -> float:
         x[2] + S * CT,
     ], axis=-1).reshape(-1, 3)
 
-    dist, diff = sf._nearest(pts)
-    ell_u = sf.slope * np.sqrt(sf.r0 ** 2 + dist ** 2)
-    grad = sf.slope * diff / np.sqrt(sf.r0 ** 2 + dist ** 2)[:, None]
-    rel = (x[None, :] - pts)
-    jac = ell_u ** -3 * np.abs(1.0 + np.einsum("ij,ij->i", rel, grad) / ell_u)
+    # one nearest-nucleus search serves l(u) and the Jacobian
+    ell_u, grad = sf._ell_grad(pts)
+    rel = x[None, :] - pts
     snorm = np.linalg.norm(rel, axis=1) / ell_u
-    vals = (unit_bump(snorm) ** 2 * jac).reshape(S.shape)
+    vals = (unit_bump(snorm) ** 2 * jacobian(rel, ell_u, grad)).reshape(S.shape)
     integral = np.einsum("i,j,ijk->", ws * s ** 2, wc, vals) * wphi
     return float(integral)

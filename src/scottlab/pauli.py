@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .core import ScottEstimate, gauss
+from .core import ScottEstimate, check_coupling, gauss
 from .cutoffs import SmoothCutoff, bump_profile
 from .radial_eig import cutoff_weyl_coulomb
 
@@ -183,47 +183,24 @@ class PauliGrid:
         return (self.nr, self.nz)
 
     def kinetic(self, h: float) -> sp.csr_matrix:
-        """Symmetrized FV of -h^2 (rho^-1 d_rho rho d_rho + d_zz), Dirichlet outer."""
+        """Symmetrized FV of -h^2 (rho^-1 d_rho rho d_rho + d_zz) as K_rho (x) I + I (x) K_z."""
         if h in self._kin_cache:
             return self._kin_cache[h]
-        nr, nz = self.nr, self.nz
+        h2 = h * h
         rho, drho, rf = self.rho, self.drho, self.rho_faces
         z, dz, zf = self.z, self.dz, self.z_faces
-        h2 = h * h
-        delr = rho[1:] - rho[:-1]
-        cr = -h2 * rf[1:-1] / (delr * np.sqrt(rho[:-1] * drho[:-1] * rho[1:] * drho[1:]))
-        delz = z[1:] - z[:-1]
-        cz = -h2 / (delz * np.sqrt(dz[:-1] * dz[1:]))
-        diag = np.zeros((nr, nz))
-        for i in range(nr):
-            g_in = 0.0 if i == 0 else h2 * rf[i] / (rho[i] - rho[i - 1])
-            g_out = h2 * rf[i + 1] / ((rho[i + 1] - rho[i]) if i + 1 < nr else (rf[i + 1] - rho[i]))
-            diag[i, :] += (g_in + g_out) / (rho[i] * drho[i])
-        for j in range(nz):
-            g_dn = h2 / ((z[j] - z[j - 1]) if j > 0 else (z[j] - zf[0]))
-            g_up = h2 / ((z[j + 1] - z[j]) if j + 1 < nz else (zf[-1] - z[j]))
-            diag[:, j] += (g_dn + g_up) / dz[j]
-        n = nr * nz
-        I = np.arange(n)
-        rows = [I]
-        cols = [I]
-        vals = [diag.ravel()]
-        ii, jj = np.meshgrid(np.arange(nr - 1), np.arange(nz), indexing="ij")
-        a = (ii * nz + jj).ravel()
-        b = ((ii + 1) * nz + jj).ravel()
-        v = np.repeat(cr, nz)
-        rows += [a, b]
-        cols += [b, a]
-        vals += [v, v]
-        ii, jj = np.meshgrid(np.arange(nr), np.arange(nz - 1), indexing="ij")
-        a = (ii * nz + jj).ravel()
-        b = (ii * nz + jj + 1).ravel()
-        v = np.tile(cz, nr)
-        rows += [a, b]
-        cols += [b, a]
-        vals += [v, v]
-        K = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
+        # conductances of rho faces 1..nr (the axis face conducts nothing) and
+        # of z faces 0..nz; the outermost faces close against the Dirichlet wall
+        g_rho = h2 * rf[1:] / np.diff(np.append(rho, rf[-1]))
+        g_z = h2 / np.diff(np.concatenate([[zf[0]], z, [zf[-1]]]))
+        d_rho = (np.append(0.0, g_rho[:-1]) + g_rho) / (rho * drho)
+        d_z = (g_z[:-1] + g_z[1:]) / dz
+        c_rho = -h2 * rf[1:-1] / (np.diff(rho) * np.sqrt(rho[:-1] * drho[:-1] * rho[1:] * drho[1:]))
+        c_z = -h2 / (np.diff(z) * np.sqrt(dz[:-1] * dz[1:]))
+        k_rho = sp.diags([c_rho, d_rho, c_rho], [-1, 0, 1])
+        k_z = sp.diags([c_z, d_z, c_z], [-1, 0, 1])
+        K = (sp.kron(k_rho, sp.identity(self.nz), format="csr")
+             + sp.kron(sp.identity(self.nr), k_z, format="csr"))
         self._kin_cache[h] = K
         return K
 
@@ -403,10 +380,7 @@ class ScottFunctionalParts:
     weyl: float
 
     def value(self, kappa: float, beta: float) -> float:
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if not 0 < beta <= 0.5 / kappa:
-            raise ValueError("beta must lie in (0, 1/(2 kappa)]")
+        check_coupling(kappa, beta)
         return self.trace + self.field_inner / kappa + beta * self.field_outer - self.weyl
 
 
@@ -454,10 +428,7 @@ def minimize_scott(kappa: float, beta: float, R: float, n_modes: int = 2,
     zero-field functional value.  Exhausting the evaluation budget returns
     the best value found with budget_exhausted set.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if not 0 < beta <= 0.5 / kappa:
-        raise ValueError("beta must lie in (0, 1/(2 kappa)]")
+    check_coupling(kappa, beta)
     if grid is None:
         grid = PauliGrid.for_ball(R, n_rho=mesh[0], n_z=mesh[1])
     rng = np.random.default_rng(seed)

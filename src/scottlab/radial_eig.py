@@ -75,6 +75,11 @@ def make_grid(r_core: float, r_max: float, n: int) -> RadialGrid:
                       r_core=r_core, r_max=r_max, n=n)
 
 
+def core_radius(h: float) -> float:
+    """r_core of the sinh mesh: ~h^2 (the Coulomb core scale), kept in [5e-4, 0.3]."""
+    return min(0.3, max(5e-4, 0.5 * h * h))
+
+
 def _outermost_radius(V, threshold: float, r_probe_max: float = 1e12):
     probe = np.geomspace(1e-6, r_probe_max, 121)
     above = np.asarray(V(probe)) > threshold
@@ -100,7 +105,7 @@ def auto_grid(V, h: float, mu: float, r_max: Optional[float] = None,
               resolution: float = 20.0) -> RadialGrid:
     """Heuristic sinh grid: r_max from the outermost classical turning radius
     (times 4), core scale ~ h^2, spacing ~ local de Broglie length / resolution."""
-    r_core = min(0.3, max(5e-4, 0.5 * h * h))
+    r_core = core_radius(h)
     if r_max is None:
         if mu > 0.0:
             r_t = _outermost_radius(V, mu)
@@ -257,7 +262,7 @@ def localized_trace_neg(V, phi, h: float, grid: Optional[RadialGrid] = None,
     if R is None:
         raise ValueError("cutoff must carry its support radius as attribute R")
     if grid is None:
-        r_core = min(0.3, max(5e-4, 0.5 * h * h))
+        r_core = core_radius(h)
         n = _resolution_nodes(V, h, 0.0, r_core, R, LOCALIZED_RESOLUTION)
         grid = make_grid(r_core, R, n)
     return _spectral_sum(V, h, 0.0, grid, phi, lmax_cap, refine)

@@ -222,23 +222,13 @@ class TFProfile:
     _v_interp: CubicHermiteSpline = field(repr=False, compare=False)
 
     def phi(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty_like(t)
-        t_hi = float(np.exp(self.spline_x[-1]))
-        lo = t < T_SERIES
-        hi = t > t_hi
-        mid = ~(lo | hi)
-        if lo.any():
-            out[lo] = _series_eval(self.series, t[lo])
-        if mid.any():
-            out[mid] = np.exp(self._w_interp(np.log(t[mid])))
-        if hi.any():
-            out[hi] = self._tail_phi(t[hi])
-        return float(out[0]) if scalar else out
+        return self._evaluate(t, 0)
 
     def dphi(self, t):
+        return self._evaluate(t, 1)
+
+    def _evaluate(self, t, deriv: int):
+        """phi (deriv 0) or phi' (deriv 1): series, Hermite interpolant or tail by region."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
@@ -248,24 +238,17 @@ class TFProfile:
         hi = t > t_hi
         mid = ~(lo | hi)
         if lo.any():
-            out[lo] = _series_eval(self.series, t[lo], 1)
+            out[lo] = _series_eval(self.series, t[lo], deriv)
         if mid.any():
-            w = self._w_interp(np.log(t[mid]))
-            v = self._v_interp(np.log(t[mid]))
-            out[mid] = v * np.exp(w) / t[mid]
+            s = np.log(t[mid])
+            w = self._w_interp(s)
+            out[mid] = np.exp(w) if deriv == 0 else self._v_interp(s) * np.exp(w) / t[mid]
         if hi.any():
-            out[hi] = self._tail_dphi(t[hi])
+            th = t[hi]
+            xi = self.xi_tail * (th / t_hi) ** (-SOMMERFELD_LAMBDA)
+            out[hi] = (144.0 / th ** 3 * (1.0 + xi) if deriv == 0 else
+                       144.0 / th ** 4 * (-3.0 * (1.0 + xi) - SOMMERFELD_LAMBDA * xi))
         return float(out[0]) if scalar else out
-
-    def _tail_phi(self, t):
-        t_hi = float(np.exp(self.spline_x[-1]))
-        xi = self.xi_tail * (t / t_hi) ** (-SOMMERFELD_LAMBDA)
-        return 144.0 / t ** 3 * (1.0 + xi)
-
-    def _tail_dphi(self, t):
-        t_hi = float(np.exp(self.spline_x[-1]))
-        xi = self.xi_tail * (t / t_hi) ** (-SOMMERFELD_LAMBDA)
-        return 144.0 / t ** 4 * (-3.0 * (1.0 + xi) - SOMMERFELD_LAMBDA * xi)
 
     def profile_table(self) -> np.ndarray:
         """Columns (t, phi, phi') on the export grid."""
@@ -399,20 +382,22 @@ def _integrate_x(f_of_t) -> float:
     return float(np.cumsum(np.sum(wx * 2.0 * x * f_of_t(x ** 2), axis=1))[-1])
 
 
+def _density(phi, t):
+    """TF density at r = B t for z = 1 from the profile phi."""
+    return _RHO_COEFF * (phi(t) / (B_LENGTH * t)) ** 1.5
+
+
+def _volume(t):
+    """Volume element 4 pi r^2 dr/dt at r = B t."""
+    return 4.0 * np.pi * (B_LENGTH * t) ** 2 * B_LENGTH
+
+
 def _energy_integrals(phi):
     """(mass, attraction, kinetic, D, phase-space) for z = 1 from the profile phi."""
-
-    def rho_t(t):
-        r = B_LENGTH * t
-        return _RHO_COEFF * (phi(t) / r) ** 1.5
-
-    def vol(t):
-        return 4.0 * np.pi * (B_LENGTH * t) ** 2 * B_LENGTH
-
-    mass = _integrate_x(lambda t: vol(t) * rho_t(t))
-    attraction = _integrate_x(lambda t: vol(t) * rho_t(t) / (B_LENGTH * t))
-    kinetic = _KIN_COEFF * _integrate_x(lambda t: vol(t) * rho_t(t) ** (5.0 / 3.0))
-    ps = -_PS_COEFF * _integrate_x(lambda t: vol(t) * (phi(t) / (B_LENGTH * t)) ** 2.5)
+    mass = _integrate_x(lambda t: _volume(t) * _density(phi, t))
+    attraction = _integrate_x(lambda t: _volume(t) * _density(phi, t) / (B_LENGTH * t))
+    kinetic = _KIN_COEFF * _integrate_x(lambda t: _volume(t) * _density(phi, t) ** (5.0 / 3.0))
+    ps = -_PS_COEFF * _integrate_x(lambda t: _volume(t) * (phi(t) / (B_LENGTH * t)) ** 2.5)
 
     # Coulomb self-energy by Newton's theorem, D = 1/2 int dm (m / r + w) with
     # m the enclosed mass and w = int_r^inf dm / r'.  At each Gauss-16 node the
@@ -420,11 +405,11 @@ def _energy_integrals(phi):
     # a Gauss-12 rule from the panel's left edge to the node.
     def dm(x):
         t = x ** 2
-        return 2.0 * x * vol(t) * rho_t(t)
+        return 2.0 * x * _volume(t) * _density(phi, t)
 
     def dw(x):
         t = x ** 2
-        return 2.0 * x * 4.0 * np.pi * B_LENGTH * t * rho_t(t) * B_LENGTH
+        return 2.0 * x * 4.0 * np.pi * B_LENGTH * t * _density(phi, t) * B_LENGTH
 
     def before(panels):
         return np.concatenate([[0.0], np.cumsum(panels)[:-1]])[:, None]
@@ -440,7 +425,7 @@ def _energy_integrals(phi):
              - 0.5 * (x - left) * np.sum(wg * dw(g), axis=-1))
     t = x ** 2
     r = B_LENGTH * t
-    d_panels = np.sum(wx * 2.0 * x * vol(t) * rho_t(t) * (m_loc / r + w_loc), axis=1)
+    d_panels = np.sum(wx * 2.0 * x * _volume(t) * _density(phi, t) * (m_loc / r + w_loc), axis=1)
     return mass, attraction, kinetic, 0.5 * float(np.cumsum(d_panels)[-1]), ps
 
 
@@ -473,8 +458,7 @@ def tf_energy_consistency(sol: TFSolution) -> TFConsistencyReport:
     e_func = sol.E_atom
     e_ps = sol.phase_space - sol.D_rho
     # HLS diagnostic: D(rho) <= C ||rho||_{6/5}^2; report the fitted C
-    norm65 = _integrate_x(lambda t: 4.0 * np.pi * (B_LENGTH * t) ** 2 * B_LENGTH
-                          * (_RHO_COEFF * (sol.phi(t) / (B_LENGTH * t)) ** 1.5) ** 1.2) ** (5.0 / 3.0)
+    norm65 = _integrate_x(lambda t: _volume(t) * _density(sol.phi, t) ** 1.2) ** (5.0 / 3.0)
     return TFConsistencyReport(
         E_functional=e_func,
         E_phase_space=e_ps,

@@ -108,12 +108,14 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["trace", "--r-max", "-5", "--n", "100"],
     ["trace", "--r-max", "0"],
     ["tf", "--tolerance", "-1"],
+    ["--config", "{d}/maybe.cfg", "trace"],
 ], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
         "d-min-above-d-max", "n-points-negative", "beta-above-bound", "R-zero", "h-zero",
         "tf-z-negative", "z-negative", "n-below-8", "r-max-negative", "r-max-zero",
-        "tolerance-negative"])
+        "tolerance-negative", "refine-maybe"])
 def test_bad_input_is_a_validation_error(tmp_path, argv):
-    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+    (tmp_path / "maybe.cfg").write_text("refine = maybe\n")
+    assert run(tmp_path, *argv, "--out", str(tmp_path / "x.csv")) == 3
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -18,9 +18,6 @@ def test_cutoff_profile_shape():
     r = np.linspace(0, 12, 500)
     assert np.all(phi(r[r <= 5.0]) == 1.0)
     assert np.all(phi(r[r >= 10.0]) == 0.0)
-    # phi^2 + complement^2 = 1 everywhere
-    np.testing.assert_allclose(phi(r) ** 2 + phi.complement(r) ** 2, 1.0,
-                               rtol=0, atol=1e-14)
 
 
 def test_unit_bump_normalization():

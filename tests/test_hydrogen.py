@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from scottlab.hydrogen import CoulombSpectrum, scott_mu_limit, trace_neg_coulomb
+from scottlab.hydrogen import scott_mu_limit, trace_neg_coulomb
 from scottlab.weyl import weyl_coulomb_mu
-
-
-def test_spectrum_structure():
-    spec = CoulombSpectrum(4)
-    np.testing.assert_allclose(spec.levels, [-0.25, -1 / 16, -1 / 36, -1 / 64])
-    assert list(spec.degeneracies) == [2, 8, 18, 32]
-    assert np.all(np.diff(spec.levels) > 0)
-    assert spec.expand().size == 2 + 8 + 18 + 32
-    with pytest.raises(ValueError):
-        CoulombSpectrum(0)
 
 
 def test_trace_examples():

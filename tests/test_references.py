@@ -1,0 +1,53 @@
+"""Guard against library code that no route uses.
+
+Every top-level function and class of the package must be referenced from
+somewhere other than its own definition: another place in src/, or the
+benchmark harness in perfbench/.  References are ast names and attribute
+names, matched by name, plus perfbench's string constants, which hold the
+names its patch table traces.  Names that scottlab/__init__.py re-exports
+are public API and exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _uses(tree):
+    """(name, top-level definition it appears in, or None) for every name and attribute."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_top_level_definition_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "scottlab").glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uses = [(module, owner, name) for module, tree in trees.items()
+            for name, owner in _uses(tree)]
+    outside = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside |= {name for name, _ in _uses(tree)}
+        outside |= {node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS) or node.name in exported:
+                continue
+            name = node.name
+            if name in outside or any(n == name and (m, o) != (module, name)
+                                      for m, o, n in uses):
+                continue
+            unused.append(f"{module}.{name}")
+    assert not unused, f"no caller outside their own definition: {unused}"
