@@ -83,6 +83,8 @@ def load_config(path: str) -> dict:
                 out[key.strip().replace("-", "_")] = val.strip()
     except OSError as exc:
         raise IOError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not valid UTF-8: {exc}") from None
     return out
 
 
@@ -291,7 +293,10 @@ def cmd_scott(args) -> int:
         return EXIT_OK
 
     if args.route == "ansatz-min":
-        _positive([args.kappa, args.R], "kappa and R")
+        _positive([args.kappa, args.R, args.theta_scale], "kappa, R and theta-scale")
+        if min(args.modes, args.budget, args.restarts) < 1 or args.seed < 0:
+            raise ValidationError("modes, budget and restarts must be at least 1 "
+                                  "and seed nonnegative")
         beta = args.beta if args.beta is not None else 0.5 / args.kappa
         try:
             check_coupling(args.kappa, beta)
@@ -327,6 +332,8 @@ def cmd_scott(args) -> int:
 def cmd_partition_check(args) -> int:
     if args.n_points < 1:
         raise ValidationError("n-points must be at least 1")
+    if args.seed < 0:
+        raise ValidationError("seed must be nonnegative")
     _positive([args.r0, args.d_min, args.d_max], "r0, d-min and d-max")
     if args.d_min > args.d_max:
         raise ValidationError("d-min must not exceed d-max")
@@ -461,26 +468,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
 
-    # first pass just to find --config; then reparse with file values as defaults
-    probe, _ = parser.parse_known_args(argv)
-    if probe.config:
-        try:
+    try:
+        # first pass just to find --config; then reparse with file values as defaults
+        probe, _ = parser.parse_known_args(argv)
+        if probe.config:
             cfg = load_config(probe.config)
             for sub_parser in parser._subparsers._group_actions[0].choices.values():
                 sub_parser.set_defaults(**{a.dest: _coerce(a, cfg[a.dest])
                                            for a in sub_parser._actions if a.dest in cfg})
-        except ValidationError as exc:
-            print(f"error:validation: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        except IOError as exc:
-            print(f"error:io: {exc}", file=sys.stderr)
-            return EXIT_IO
-
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
+        args = parser.parse_args(argv)
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return 2
         return args.func(args)
     except ValidationError as exc:
         print(f"error:validation: {exc}", file=sys.stderr)

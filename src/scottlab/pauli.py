@@ -19,14 +19,14 @@ each other under a field flip), so traces loop over signed blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .core import ScottEstimate, check_coupling, gauss
 from .cutoffs import SmoothCutoff, bump_profile
@@ -40,6 +40,9 @@ class BlockCascadeError(RuntimeError):
 # shift-invert shift below the zero-field block spectra, and the cap on
 # blocks visited per side
 SIGMA, JMAX = -0.75, 30
+
+# interval width at which inertia bisection stops
+BISECT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -95,27 +98,22 @@ class FieldAnsatz:
             da_dz += th * (rho * z / (s ** 3 * qsafe)) * db
         return a, da_drho, da_dz
 
-    def a(self, rho, z):
-        return self._mode_fields(rho, z)[0]
-
-    def B_cyl(self, rho, z):
-        """(B_rho, B_z) of the curl."""
+    def fields(self, rho, z):
+        """(a, B_rho, B_z): the potential and the two components of its curl."""
         a, dr, dz = self._mode_fields(rho, z)
         rho = np.asarray(rho, dtype=float)
-        return -dz, dr + a / np.maximum(rho, 1e-300)
+        return a, -dz, dr + a / np.maximum(rho, 1e-300)
 
 
 _GL32 = leggauss(32)
 
 
-def _polar_panels(f, r_lo, r_hi, n_r=40):
-    """2 pi int f(rho, z) rho ds dtheta over the shell r_lo < |x| < r_hi."""
-    if r_hi <= r_lo:
-        return 0.0
+def _polar_panels(f, radius):
+    """2 pi int f(rho, z) rho ds dtheta over the ball |x| < radius (40 radial panels)."""
     xg, wg = _GL32
     th = 0.5 * math.pi * (xg + 1.0)
     wth = 0.5 * math.pi * wg
-    edges = np.linspace(r_lo, r_hi, n_r + 1)
+    edges = np.linspace(0.0, radius, 41)
     s, ws = gauss(edges[:-1], edges[1:], _GL32)
     S = s[:, :, None]  # (panel, radial node, polar node)
     rho = S * np.sin(th)
@@ -124,9 +122,8 @@ def _polar_panels(f, r_lo, r_hi, n_r=40):
     return 2.0 * math.pi * float(np.cumsum(np.einsum("pi,j,pij->p", ws, wth, vals))[-1])
 
 
-def field_energy(A: FieldAnsatz, r_lo: float = 0.0,
-                 r_hi: Optional[float] = None) -> float:
-    """int |grad A|^2 over the shell r_lo < |x| < r_hi (default: full space).
+def field_energy(A: FieldAnsatz) -> float:
+    """int |grad A|^2 over the ball of support, which holds all of it.
 
     For the divergence-free azimuthal family the Frobenius density is
     (da/drho)^2 + (da/dz)^2 + (a/rho)^2, and the integral equals
@@ -134,14 +131,12 @@ def field_energy(A: FieldAnsatz, r_lo: float = 0.0,
     """
     if A.is_zero:
         return 0.0
-    if r_hi is None:
-        r_hi = A.support_radius
 
     def dens(rho, z):
         a, dr, dz = A._mode_fields(rho, z)
         return dr ** 2 + dz ** 2 + (a / np.maximum(rho, 1e-300)) ** 2
 
-    return _polar_panels(dens, r_lo, min(r_hi, A.support_radius * 1.0000001))
+    return _polar_panels(dens, A.support_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +151,10 @@ def _graded_faces(scale, span, n):
 
 @dataclass
 class PauliGrid:
-    """Tensor (rho, z) finite-volume mesh; kinetic stencils cached per h."""
+    """Tensor (rho, z) finite-volume mesh."""
 
     rho_faces: np.ndarray
     z_faces: np.ndarray
-    _kin_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_ball(cls, radius: float, n_rho: int = 96, n_z: int = 192,
@@ -184,8 +178,6 @@ class PauliGrid:
 
     def kinetic(self, h: float) -> sp.csr_matrix:
         """Symmetrized FV of -h^2 (rho^-1 d_rho rho d_rho + d_zz) as K_rho (x) I + I (x) K_z."""
-        if h in self._kin_cache:
-            return self._kin_cache[h]
         h2 = h * h
         rho, drho, rf = self.rho, self.drho, self.rho_faces
         z, dz, zf = self.z, self.dz, self.z_faces
@@ -199,17 +191,14 @@ class PauliGrid:
         c_z = -h2 / (np.diff(z) * np.sqrt(dz[:-1] * dz[1:]))
         k_rho = sp.diags([c_rho, d_rho, c_rho], [-1, 0, 1])
         k_z = sp.diags([c_z, d_z, c_z], [-1, 0, 1])
-        K = (sp.kron(k_rho, sp.identity(self.nz), format="csr")
-             + sp.kron(sp.identity(self.nr), k_z, format="csr"))
-        self._kin_cache[h] = K
-        return K
+        return (sp.kron(k_rho, sp.identity(self.nz), format="csr")
+                + sp.kron(sp.identity(self.nr), k_z, format="csr"))
 
 
-def block_matrix(grid: PauliGrid, h: float, m: int, V2d: np.ndarray,
+def block_matrix(grid: PauliGrid, K: sp.csr_matrix, h: float, m: int, V2d: np.ndarray,
                  a2d: np.ndarray, Bz2d: np.ndarray, Brho2d: np.ndarray,
                  mu: float = 0.0, phi2d: Optional[np.ndarray] = None):
-    """Assemble the j = m + 1/2 block (up component m, down m + 1)."""
-    K = grid.kinetic(h)
+    """Assemble the j = m + 1/2 block (up component m, down m + 1); K = grid.kinetic(h)."""
     R = grid.R
     blocks = []
     for mm, sgn in ((m, +1), (m + 1, -1)):
@@ -241,18 +230,18 @@ def inertia_below(H, tau: float) -> int:
     return int(np.sum(lu.U.diagonal() < 0.0))
 
 
-def _bisect_eigenvalues(H, lo, hi, count, tol=1e-8, _n_lo=None):
+def _bisect_eigenvalues(H, lo, hi, count, _n_lo=None):
     """Approximate the count eigenvalues in (lo, hi) by inertia bisection."""
     if count == 0:
         return []
-    if hi - lo < tol:
+    if hi - lo < BISECT_TOL:
         return [0.5 * (lo + hi)] * count
     mid = 0.5 * (lo + hi)
     n_mid = inertia_below(H, mid)
     n_lo = inertia_below(H, lo) if _n_lo is None else _n_lo
     left = n_mid - n_lo
-    return (_bisect_eigenvalues(H, lo, mid, left, tol, _n_lo=n_lo)
-            + _bisect_eigenvalues(H, mid, hi, count - left, tol, _n_lo=n_mid))
+    return (_bisect_eigenvalues(H, lo, mid, left, _n_lo=n_lo)
+            + _bisect_eigenvalues(H, mid, hi, count - left, _n_lo=n_mid))
 
 
 def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
@@ -266,8 +255,6 @@ def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
     the negative part.  Unconverged stragglers (shallow states hugging the
     threshold) are refined by inertia bisection instead.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence
-
     count = inertia_below(H, threshold)
     if count == 0:
         return np.array([])
@@ -308,16 +295,14 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     """Trace of [phi (T_h(A) - V) phi + mu]_- summed over signed j_z blocks.
 
     V is a radial accessor V(|x|); phi an optional radial cutoff (the
-    negative spectrum then lives inside supp phi and the mesh stops
-    there).  The mesh is grid, or a ball of radius domain_radius, or
-    supp phi.  Blocks stop after two consecutive empty ones per side.  No
-    extra spin factor: the spinor components are explicit.
+    negative spectrum then lives inside supp phi, so a mesh over that ball
+    suffices).  The mesh is grid, or else the (n_rho, n_z) = mesh ball of
+    radius domain_radius.  Blocks stop after two consecutive empty ones per
+    side.  No extra spin factor: the spinor components are explicit.
     """
     if grid is None:
         if domain_radius is None:
-            if phi is None:
-                raise ValueError("pauli_trace_neg needs phi, grid or domain_radius")
-            domain_radius = phi.R
+            raise ValueError("pauli_trace_neg needs grid or domain_radius")
         grid = PauliGrid.for_ball(domain_radius, n_rho=mesh[0], n_z=mesh[1])
     S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
     V2d = np.asarray(V(S), dtype=float)
@@ -328,16 +313,17 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
         Bz = np.zeros_like(V2d)
         Br = np.zeros_like(V2d)
     else:
-        a2d = A.a(grid.R, grid.Z)
-        Br, Bz = A.B_cyl(grid.R, grid.Z)
+        a2d, Br, Bz = A.fields(grid.R, grid.Z)
 
     blocks = {}
     # keep sigma under the spectrum bottom even when the Zeeman term deepens it
     zeeman = float(np.max(np.abs(Bz)) + np.max(np.abs(Br)))
     sigma_use = min(SIGMA, -0.3 - 1.2 * h * zeeman)
 
+    K = grid.kinetic(h)
+
     def solve_block(m):
-        H = block_matrix(grid, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
+        H = block_matrix(grid, K, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
         return eigs_below(H, -1e-12, sigma_use)
 
     # at A = 0 blocks j and -j are degenerate: walk m >= 0 only, store each
@@ -372,40 +358,38 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
 
 @dataclass(frozen=True)
 class ScottFunctionalParts:
-    """trace + field_inner / kappa + beta * field_outer - weyl."""
+    """trace + field_inner / kappa - weyl."""
 
     trace: float
     field_inner: float
-    field_outer: float
     weyl: float
 
     def value(self, kappa: float, beta: float) -> float:
+        """The functional at coupling kappa.
+
+        beta weighs only field energy outside B(R/4), which no ansatz here
+        has, so it enters only through the admissibility rule check_coupling.
+        """
         check_coupling(kappa, beta)
-        return self.trace + self.field_inner / kappa + beta * self.field_outer - self.weyl
+        return self.trace + self.field_inner / kappa - self.weyl
 
 
 def scott_functional_parts(A: Optional[FieldAnsatz], R: float,
-                           grid: Optional[PauliGrid] = None,
-                           mesh=(96, 192)) -> ScottFunctionalParts:
-    """kappa- and beta-independent pieces of the localized Scott functional.
+                           grid: PauliGrid) -> ScottFunctionalParts:
+    """kappa- and beta-independent pieces of the localized Scott functional on grid.
 
-    The trace is Tr[phi_R (T_1(A) - 1/|x|) phi_R]_-; the field zones are
-    B(R/4) and B(2R) minus B(R/4); the Weyl term is the phi_R^2-weighted
-    Coulomb phase-space integral.
+    The trace is Tr[phi_R (T_1(A) - 1/|x|) phi_R]_-; field_inner is the
+    field energy inside B(R/4), weighted 1/kappa; the Weyl term is the
+    phi_R^2-weighted Coulomb phase-space integral.  The paper weighs field
+    energy outside B(R/4) by beta; every ansatz here lives inside B(R/4),
+    so that zone is empty, and an ansatz with larger support is rejected.
     """
+    if A is not None and A.support_radius > R / 4.0 + 1e-12:
+        raise ValueError(f"ansatz support {A.support_radius:g} exceeds R/4 = {R / 4.0:g}")
     phi = SmoothCutoff(R)
-    tr = pauli_trace_neg(A, lambda r: 1.0 / r, h=1.0, phi=phi, grid=grid, mesh=mesh)
-    if A is None or A.is_zero:
-        f_in = f_out = 0.0
-    else:
-        if A.support_radius > R / 4.0 + 1e-12:
-            f_in = field_energy(A, 0.0, R / 4.0)
-            f_out = field_energy(A, R / 4.0, 2.0 * R)
-        else:
-            f_in = field_energy(A)
-            f_out = 0.0
-    return ScottFunctionalParts(trace=tr.trace, field_inner=f_in,
-                                field_outer=f_out,
+    tr = pauli_trace_neg(A, lambda r: 1.0 / r, h=1.0, phi=phi, grid=grid)
+    return ScottFunctionalParts(trace=tr.trace,
+                                field_inner=0.0 if A is None else field_energy(A),
                                 weyl=cutoff_weyl_coulomb(phi))
 
 

@@ -136,9 +136,6 @@ def auto_grid(V, h: float, mu: float, r_max: Optional[float] = None,
 class ChannelOperator:
     """Symmetric tridiagonal representation of one angular momentum channel."""
 
-    ell: int
-    h: float
-    grid: RadialGrid
     diag: np.ndarray
     off: np.ndarray
 
@@ -153,7 +150,7 @@ def build_channel(V, h: float, ell: int, grid: RadialGrid,
         f = np.asarray(cutoff(r), dtype=float)
         d = d * f * f
         e = e * f[:-1] * f[1:]
-    return ChannelOperator(ell=ell, h=h, grid=grid, diag=d, off=e)
+    return ChannelOperator(diag=d, off=e)
 
 
 def negative_eigenvalues(op: ChannelOperator, mu: float = 0.0) -> np.ndarray:
@@ -181,20 +178,28 @@ def negative_eigenvalues(op: ChannelOperator, mu: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSum:
-    """Per-channel negative eigenvalues and the spin-weighted shifted trace."""
+    """Per-channel negative eigenvalues and the spin-weighted shifted trace.
+
+    With coarse_trace set (a refined sum) the eigenvalues are those of the
+    fine grid and the trace is the two-grid Richardson value
+    (4 T_fine - T_coarse) / 3.
+    """
 
     eigenvalues: dict
     mu: float
     h: float
     ell_max: int
     grid_n: int
+    coarse_trace: Optional[float] = None
 
     @property
     def trace(self) -> float:
         total = 0.0
         for ell, vals in self.eigenvalues.items():
             total += 2.0 * (2 * ell + 1) * float(np.sum(vals + self.mu))
-        return total
+        if self.coarse_trace is None:
+            return total
+        return (4.0 * total - self.coarse_trace) / 3.0
 
     @property
     def n_states(self) -> int:
@@ -219,9 +224,7 @@ def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
         return coarse
     fine_grid = grid.refined()
     found, ell_max = _assemble(V, h, mu, fine_grid, cutoff, lmax_cap)
-    fine = SpectralSum(found, mu, h, ell_max, fine_grid.n)
-    # store the fine eigenvalues; the extrapolated trace is exposed by RichardsonSum
-    return RichardsonSum(**vars(fine), coarse_trace=coarse.trace, fine_trace=fine.trace)
+    return SpectralSum(found, mu, h, ell_max, fine_grid.n, coarse_trace=coarse.trace)
 
 
 def trace_neg(V, h: float, mu: float = 0.0, grid: Optional[RadialGrid] = None,
@@ -236,18 +239,6 @@ def trace_neg(V, h: float, mu: float = 0.0, grid: Optional[RadialGrid] = None,
     if grid is None:
         grid = auto_grid(V, h, mu, resolution=resolution)
     return _spectral_sum(V, h, mu, grid, None, lmax_cap, refine)
-
-
-@dataclass(frozen=True)
-class RichardsonSum(SpectralSum):
-    """SpectralSum whose trace is the two-grid Richardson extrapolation."""
-
-    coarse_trace: float = 0.0
-    fine_trace: float = 0.0
-
-    @property
-    def trace(self) -> float:
-        return (4.0 * self.fine_trace - self.coarse_trace) / 3.0
 
 
 def localized_trace_neg(V, phi, h: float, grid: Optional[RadialGrid] = None,

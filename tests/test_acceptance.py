@@ -126,14 +126,14 @@ def test_criterion_7_magnetic_sector():
     rel_a = abs(p.trace - scalar) / abs(scalar)
 
     # (b) exact kappa-monotonicity of the functional at fixed theta
+    grid = pauli.PauliGrid.for_ball(8.0, n_rho=64, n_z=128)
     A = pauli.FieldAnsatz(theta=(0.4, 0.2), support_radius=2.0)
-    parts = pauli.scott_functional_parts(A, 8.0, mesh=(64, 128))
+    parts = pauli.scott_functional_parts(A, 8.0, grid=grid)
     kappas = np.linspace(0.01, 0.1, 10)
     vals = [parts.value(k, 5.0) for k in kappas]
     mono_b = all(a >= b for a, b in zip(vals, vals[1:]))
 
     # (c) minimization bounded by the zero-field value, nonincreasing in kappa
-    grid = pauli.PauliGrid.for_ball(8.0, n_rho=64, n_z=128)
     results = {}
     for kappa in (0.02, 0.05, 0.1):
         res = pauli.minimize_scott(kappa, beta=0.5 / kappa, R=8.0, n_modes=2,

@@ -109,12 +109,24 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["trace", "--r-max", "0"],
     ["tf", "--tolerance", "-1"],
     ["--config", "{d}/maybe.cfg", "trace"],
+    ["--config", "{d}/latin1.cfg", "weyl"],
+    ["scott", "--route", "ansatz-min", "--modes", "0"],
+    ["scott", "--route", "ansatz-min", "--modes", "-1"],
+    ["scott", "--route", "ansatz-min", "--theta-scale", "nan"],
+    ["scott", "--route", "ansatz-min", "--theta-scale", "0"],
+    ["scott", "--route", "ansatz-min", "--seed", "-1"],
+    ["partition-check", "--seed", "-1"],
+    ["scott", "--route", "ansatz-min", "--budget", "0"],
+    ["scott", "--route", "ansatz-min", "--restarts", "0"],
 ], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
         "d-min-above-d-max", "n-points-negative", "beta-above-bound", "R-zero", "h-zero",
         "tf-z-negative", "z-negative", "n-below-8", "r-max-negative", "r-max-zero",
-        "tolerance-negative", "refine-maybe"])
+        "tolerance-negative", "refine-maybe", "config-not-utf8", "modes-zero",
+        "modes-negative", "theta-scale-nan", "theta-scale-zero", "seed-negative",
+        "partition-seed-negative", "budget-zero", "restarts-zero"])
 def test_bad_input_is_a_validation_error(tmp_path, argv):
     (tmp_path / "maybe.cfg").write_text("refine = maybe\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"mu = \xff\n")
     assert run(tmp_path, *argv, "--out", str(tmp_path / "x.csv")) == 3
     assert not (tmp_path / "x.csv").exists()
 
@@ -301,7 +313,8 @@ def test_expansion_command_small(tmp_path):
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    """A warm TF cache and three potential tables (valid, reversed, one row)."""
+    """A warm TF cache, three potential tables (valid, reversed, one row) and a
+    config file that is not UTF-8."""
     d = tmp_path_factory.mktemp("fuzz")
     assert main(["tf", "--cache-dir", str(d / "cache"), "--out", str(d / "tf.csv")]) == 0
     r = np.geomspace(1e-3, 40.0, 300)
@@ -309,6 +322,7 @@ def fuzz_dir(tmp_path_factory):
     (d / "good.csv").write_text(table)
     (d / "reversed.csv").write_text("r,V\n" + "\n".join(table.splitlines()[:0:-1]))
     (d / "short.csv").write_text("r,V\n1.0,1.0\n")
+    (d / "latin1.cfg").write_bytes(b"mu = \xff\n")
     return d
 
 
@@ -344,7 +358,8 @@ def _cli_argv(draw, d):
             "seed = 3", "no equals sign", "# comment", "unknown = 1"]), max_size=4))
         cfg = d / f"run{len(lines)}.cfg"
         cfg.write_text("\n".join(lines) + "\n")
-        argv += ["--config", str(draw(st.sampled_from([cfg, d / "missing.cfg"])))]
+        argv += ["--config", str(draw(st.sampled_from([cfg, d / "missing.cfg",
+                                                        d / "latin1.cfg"])))]
     if command is None:
         return argv
     argv += [command, *req("--out", *[str(d / "out.csv")] * 3, str(d / "missing" / "out.csv")),
@@ -377,13 +392,13 @@ def _cli_argv(draw, d):
         elif route == "ansatz-min":
             argv += req("--R", "6", *bad) + opt("--kappa", "0.05", "1", *bad)
             argv += opt("--beta", "1", "100", *bad) + req("--budget", "2", "0", "-1")
-            argv += opt("--seed", "0", "1") + opt("--restarts", "1", "2", "0")
+            argv += opt("--seed", "0", "1", "-1") + opt("--restarts", "1", "2", "0")
             argv += opt("--modes", "1", "2", "0", "-1") + opt("--theta-scale", "0.6", "0", "nan")
             argv += req("--mesh", "8 16", "80", "0 32", "1 1", "4 2", "a b")
     elif command == "partition-check":
         argv += req("--n-points", "1", "3", "0", "-3", "x")
         argv += opt("--r0", "1", *bad) + opt("--d-min", "1e-3", "10", *bad)
-        argv += opt("--d-max", "1e3", "1e-3", *bad) + opt("--seed", "0", "5")
+        argv += opt("--d-max", "1e3", "1e-3", *bad) + opt("--seed", "0", "5", "-1")
     elif command == "expansion":
         argv += req("--Z-list", "1", "1 2", "", "0", "x", "nan")
         argv += opt("--alpha", "0", "0.01", "nan") + req("--resolution", "8", *bad)

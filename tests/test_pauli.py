@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scottlab import pauli, radial_eig
+from scottlab.cutoffs import SmoothCutoff
 from scottlab.pauli import (FieldAnsatz, PauliGrid, field_energy, minimize_scott,
                             pauli_trace_neg, scott_functional_parts)
 
@@ -11,14 +12,19 @@ VC = lambda r: 1.0 / r
 SMALL_MESH = (48, 96)
 
 
+def ball8(mesh):
+    """The (n_rho, n_z) = mesh grid over the R = 8 ball of the functional tests."""
+    return PauliGrid.for_ball(8.0, n_rho=mesh[0], n_z=mesh[1])
+
+
 def curl_energy(A):
     """int |curl A|^2 over the ball of support: the reference form of field_energy."""
 
     def dens(rho, z):
-        br, bz = A.B_cyl(rho, z)
+        _, br, bz = A.fields(rho, z)
         return br ** 2 + bz ** 2
 
-    return pauli._polar_panels(dens, 0.0, A.support_radius)
+    return pauli._polar_panels(dens, A.support_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -52,20 +58,21 @@ def test_uniform_field_energy_closed_form():
     def dens(rho, z):
         return np.full_like(rho, B0 ** 2 / 2.0)
 
-    val = pauli._polar_panels(dens, 0.0, 1.0)
+    val = pauli._polar_panels(dens, 1.0)
     assert val == pytest.approx(2.0 * math.pi * B0 ** 2 / 3.0, rel=1e-10)
 
 
 def test_ansatz_field_components_match_finite_differences():
     A = FieldAnsatz(theta=(0.8,), support_radius=2.0, scales=(1.0,))
     eps = 1e-6
+
+    def a_at(rho, z):
+        return A.fields(np.array([rho]), np.array([z]))[0]
+
     for rho, z in ((0.3, 0.4), (1.0, -0.7), (0.05, 0.0)):
-        br, bz = A.B_cyl(np.array([rho]), np.array([z]))
-        da_dz = (A.a(np.array([rho]), np.array([z + eps]))
-                 - A.a(np.array([rho]), np.array([z - eps]))) / (2 * eps)
-        da_drho = (A.a(np.array([rho + eps]), np.array([z]))
-                   - A.a(np.array([rho - eps]), np.array([z]))) / (2 * eps)
-        a = A.a(np.array([rho]), np.array([z]))
+        a, br, bz = A.fields(np.array([rho]), np.array([z]))
+        da_dz = (a_at(rho, z + eps) - a_at(rho, z - eps)) / (2 * eps)
+        da_drho = (a_at(rho + eps, z) - a_at(rho - eps, z)) / (2 * eps)
         assert br[0] == pytest.approx(-da_dz[0], abs=1e-7)
         assert bz[0] == pytest.approx(da_drho[0] + a[0] / rho, abs=1e-6)
 
@@ -116,8 +123,11 @@ def test_zeeman_splitting_signs():
 
 
 def test_pauli_trace_needs_a_domain():
-    with pytest.raises(ValueError, match="phi, grid or domain_radius"):
+    with pytest.raises(ValueError, match="needs grid or domain_radius"):
         pauli_trace_neg(None, VC, h=1.0, mu=0.1)
+    # a cutoff alone does not set the mesh
+    with pytest.raises(ValueError, match="needs grid or domain_radius"):
+        pauli_trace_neg(None, VC, h=1.0, phi=SmoothCutoff(8.0))
 
 
 def kinetic_by_cells(grid, h):
@@ -157,7 +167,7 @@ def test_inertia_count_matches_dense():
     grid = PauliGrid.for_ball(8.0, n_rho=24, n_z=48)
     S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
     z = np.zeros_like(S)
-    H = pauli.block_matrix(grid, 1.0, 0, 1.0 / S, z, z, z, mu=0.05)
+    H = pauli.block_matrix(grid, grid.kinetic(1.0), 1.0, 0, 1.0 / S, z, z, z, mu=0.05)
     dense = np.linalg.eigvalsh(H.toarray())
     want = int(np.sum(dense < -1e-9))
     assert pauli.inertia_below(H, -1e-9) == want
@@ -173,18 +183,17 @@ def test_inertia_count_matches_dense():
 
 @pytest.fixture(scope="module")
 def parts_zero():
-    return scott_functional_parts(None, 8.0, mesh=SMALL_MESH)
+    return scott_functional_parts(None, 8.0, grid=ball8(SMALL_MESH))
 
 
 @pytest.fixture(scope="module")
 def parts_field():
     A = FieldAnsatz(theta=(0.4, 0.2), support_radius=2.0)
-    return scott_functional_parts(A, 8.0, mesh=SMALL_MESH)
+    return scott_functional_parts(A, 8.0, grid=ball8(SMALL_MESH))
 
 
 def test_functional_zero_field_is_trace_minus_weyl(parts_zero):
     assert parts_zero.field_inner == 0.0
-    assert parts_zero.field_outer == 0.0
     v = parts_zero.value(0.05, 10.0)
     assert v == pytest.approx(parts_zero.trace - parts_zero.weyl, rel=1e-12)
     # the beta knob is inert at A = 0
@@ -213,6 +222,13 @@ def test_functional_precondition_checks(parts_field):
         parts_field.value(-0.1, 1.0)
 
 
+def test_functional_rejects_support_beyond_quarter_radius():
+    # field outside B(R/4) would carry the beta weight, which no route computes
+    A = FieldAnsatz(theta=(0.4,), support_radius=2.5, scales=(1.0,))
+    with pytest.raises(ValueError, match="exceeds R/4"):
+        scott_functional_parts(A, 8.0, grid=ball8((8, 16)))
+
+
 def test_functional_coercive_in_theta(parts_zero):
     # the kappa^-1 field term grows quadratically, so scaling theta up must
     # eventually dominate whatever the trace gains
@@ -220,7 +236,7 @@ def test_functional_coercive_in_theta(parts_zero):
     vals = []
     for scale in (1.0, 2.0, 4.0):
         A = FieldAnsatz(theta=(0.5 * scale, 0.25 * scale), support_radius=2.0)
-        p = scott_functional_parts(A, 8.0, mesh=(32, 64))
+        p = scott_functional_parts(A, 8.0, grid=ball8((32, 64)))
         vals.append(p.value(kappa, beta))
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] > parts_zero.value(kappa, beta)
