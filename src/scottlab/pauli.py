@@ -13,11 +13,19 @@ shift-invert Lanczos.  Spinors are explicit, so no extra spin factor is
 applied anywhere in this module.
 
 Blocks j and -j are degenerate only at A = 0 (for A != 0 they map into
-each other under a field flip), so traces loop over signed blocks.
+each other under a field flip), so traces loop over signed blocks.  The
+blocks differ only in the diagonal terms (h k / rho + a)^2 with k = m, m + 1:
+the kinetic stencil, V, mu, the Zeeman term and the B_rho coupling are the
+same for every m, and the phi sandwich is a congruence.  Where
+h |j| >= max(-side a rho) over the mesh, one step outward on that side
+raises every diagonal term, so each later block dominates block j in the
+Loewner order; once such a block is empty, so is every later one on its
+side, and the walk stops there.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,13 +40,15 @@ from .core import ScottEstimate, check_coupling, gauss
 from .cutoffs import SmoothCutoff, bump_profile
 from .radial_eig import cutoff_weyl_coulomb
 
+log = logging.getLogger(__name__)
+
 
 class BlockCascadeError(RuntimeError):
-    """More angular blocks carry negative eigenvalues than the configured cap."""
+    """A side's block walk reached the cap JMAX without a certified stop."""
 
 
-# shift-invert shift below the zero-field block spectra, and the cap on
-# blocks visited per side
+# shift-invert shift, below the zero-field block spectra (eigs_below moves
+# it when a field pulls states under it), and the cap on blocks per side
 SIGMA, JMAX = -0.75, 30
 
 # interval width at which inertia bisection stops
@@ -213,21 +223,28 @@ def block_matrix(grid: PauliGrid, K: sp.csr_matrix, h: float, m: int, V2d: np.nd
     return H
 
 
-def inertia_below(H, tau: float) -> int:
-    """Number of eigenvalues of the sparse symmetric H strictly below tau.
+def _symmetric_lu(H, tau: float):
+    """Unpivoted SuperLU factor of H - tau I in symmetric mode (MMD on A^T + A).
 
-    Sylvester's law applied to an unpivoted (diagonal-threshold) LU of
-    H - tau I in SuperLU symmetric mode: when the row and column
-    permutations agree the factorization is a symmetric congruence and the
-    signs of diag(U) carry the inertia.
+    Diagonal pivots only: when the row and column permutations agree the
+    factorization is a symmetric congruence, which the inertia count needs;
+    the shift-invert solves share the mode for its lower fill.
     """
-    n = H.shape[0]
-    A = (H - tau * sp.identity(n, format="csc")).tocsc()
+    A = (H - tau * sp.identity(H.shape[0], format="csc")).tocsc()
     lu = splu(A, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
               options=dict(SymmetricMode=True))
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError("row pivoting occurred; inertia count unavailable")
-    return int(np.sum(lu.U.diagonal() < 0.0))
+        raise RuntimeError("row pivoting occurred; the factor is not a congruence")
+    return lu
+
+
+def inertia_below(H, tau: float) -> int:
+    """Number of eigenvalues of the sparse symmetric H strictly below tau.
+
+    Sylvester's law: the signs of diag(U) of the congruence H - tau I = L U
+    carry the inertia.
+    """
+    return int(np.sum(_symmetric_lu(H, tau).U.diagonal() < 0.0))
 
 
 def _bisect_eigenvalues(H, lo, hi, count, _n_lo=None):
@@ -244,35 +261,55 @@ def _bisect_eigenvalues(H, lo, hi, count, _n_lo=None):
             + _bisect_eigenvalues(H, mid, hi, count - left, _n_lo=n_mid))
 
 
+def _ritz_below(H, k: int, threshold: float, sigma: float) -> np.ndarray:
+    """Sorted shift-invert Ritz values below threshold of the k eigenvalues nearest sigma."""
+    n = H.shape[0]
+    lu = _symmetric_lu(H, sigma)
+    op = LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+    # fixed start vector keeps repeated runs byte-identical
+    v0 = np.full(n, 1.0 / math.sqrt(n), dtype=float)
+    try:
+        vals = eigsh(H, k=k, sigma=sigma, which="LM", OPinv=op, v0=v0,
+                     maxiter=1000, ncv=min(n - 1, max(2 * k + 1, 20)),
+                     return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        log.warning("ARPACK did not converge: %d of %d Ritz values (n = %d, sigma = %g)",
+                    len(exc.eigenvalues), k, n, sigma)
+        vals = np.asarray(exc.eigenvalues)
+    vals = np.sort(vals)
+    return vals[vals < threshold]
+
+
 def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
     """All eigenvalues below threshold, certified by an inertia count.
 
     Cutoff-sandwiched operators carry a dense near-zero cluster (the
     exterior region), which stalls any Lanczos window whose boundary lands
     inside it; counting first and requesting exactly that many shift-invert
-    eigenpairs keeps the window boundary out of the cluster.  sigma must
-    lie below the spectrum bottom so the closest-to-sigma set is exactly
-    the negative part.  Unconverged stragglers (shallow states hugging the
-    threshold) are refined by inertia bisection instead.
+    eigenpairs keeps the window boundary out of the cluster.  The negative
+    sigma need not lie below the spectrum: count Ritz values below the
+    threshold are exactly the count eigenvalues there, wherever sigma lies.
+    With fewer, sigma is doubled until no state lies under it and the solve
+    repeated; shallow stragglers still missing are refined by inertia
+    bisection.
     """
+    if not sigma < 0.0:
+        raise ValueError(f"sigma must be negative, got {sigma:g}")
     count = inertia_below(H, threshold)
     if count == 0:
         return np.array([])
-    n = H.shape[0]
-    k = min(count, n - 2)
-    lu = splu((H - sigma * sp.identity(n, format="csc")).tocsc())
-    op = LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
-    # fixed start vector keeps repeated runs byte-identical
-    v0 = np.full(n, 1.0 / math.sqrt(n), dtype=float)
-    try:
-        vals = eigsh(H, k=k, sigma=sigma, which="LM", OPinv=op, v0=v0,
-                     maxiter=1000, ncv=min(n - 1, max(3 * k + 20, 40)),
-                     return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        vals = np.asarray(exc.eigenvalues)
-    vals = np.sort(vals)
-    vals = vals[vals < threshold]
+    k = min(count, H.shape[0] - 2)
+    vals = _ritz_below(H, k, threshold, sigma)
     if vals.size < count:
+        moved = sigma
+        while inertia_below(H, moved) > 0:
+            moved *= 2.0
+        if moved != sigma:
+            log.warning("shift %g lies above part of the spectrum; moved to %g", sigma, moved)
+            sigma = moved
+            vals = _ritz_below(H, k, threshold, sigma)
+    if vals.size < count:
+        log.warning("bisecting %d of %d eigenvalues below %g", count - vals.size, count, threshold)
         lo = float(vals[-1]) if vals.size else float(sigma)
         extra = _bisect_eigenvalues(H, lo + 1e-12, threshold, count - vals.size)
         vals = np.sort(np.concatenate([vals, extra]))
@@ -297,8 +334,10 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     V is a radial accessor V(|x|); phi an optional radial cutoff (the
     negative spectrum then lives inside supp phi, so a mesh over that ball
     suffices).  The mesh is grid, or else the (n_rho, n_z) = mesh ball of
-    radius domain_radius.  Blocks stop after two consecutive empty ones per
-    side.  No extra spin factor: the spinor components are explicit.
+    radius domain_radius.  Each side's walk stops at the first empty block
+    with h |j| >= max(-side a rho): every later block on that side dominates
+    it (module docstring).  No extra spin factor: the spinor components are
+    explicit.
     """
     if grid is None:
         if domain_radius is None:
@@ -315,37 +354,29 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     else:
         a2d, Br, Bz = A.fields(grid.R, grid.Z)
 
-    blocks = {}
-    # keep sigma under the spectrum bottom even when the Zeeman term deepens it
-    zeeman = float(np.max(np.abs(Bz)) + np.max(np.abs(Br)))
-    sigma_use = min(SIGMA, -0.3 - 1.2 * h * zeeman)
-
     K = grid.kinetic(h)
-
-    def solve_block(m):
-        H = block_matrix(grid, K, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
-        return eigs_below(H, -1e-12, sigma_use)
-
-    # at A = 0 blocks j and -j are degenerate: walk m >= 0 only, store each
-    # block twice and stop at the first empty one past m = 0; otherwise walk
-    # both signs and stop after two consecutive empty blocks per side
+    # -a rho on the +j side, a rho on the -j side: once h |j| reaches its
+    # largest value the walk is monotone (module docstring)
+    a_rho = a2d * grid.R
+    blocks = {}
+    # at A = 0 blocks j and -j are degenerate: walk m >= 0 only and store
+    # each block twice
     for side in (1,) if zero_field else (1, -1):
+        reach = float(np.max(-side * a_rho))
         m = 0 if side > 0 else -1
-        empties = 0
         for _ in range(JMAX):
-            vals = solve_block(m)
+            j = m + 0.5
+            H = block_matrix(grid, K, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
+            vals = eigs_below(H, -1e-12, SIGMA)
             if vals.size:
-                empties = 0
-                blocks[m + 0.5] = vals
+                blocks[j] = vals
                 if zero_field:
-                    blocks[-(m + 0.5)] = vals.copy()
-            else:
-                empties += 1
-                if empties >= 2 or (zero_field and m > 0):
-                    break
+                    blocks[-j] = vals.copy()
+            elif h * abs(j) >= reach:
+                break
             m += side
         else:
-            raise BlockCascadeError(f"blocks still nonempty at the j cap {JMAX}")
+            raise BlockCascadeError(f"no certified stop within {JMAX} blocks")
 
     trace = float(sum(np.sum(v) for v in blocks.values()))
     return PauliTraceResult(trace=trace, blocks=blocks, mesh_shape=grid.shape, mu=mu)
@@ -413,6 +444,8 @@ def minimize_scott(kappa: float, beta: float, R: float, n_modes: int = 2,
     the best value found with budget_exhausted set.
     """
     check_coupling(kappa, beta)
+    if budget < 1 or restarts < 1:
+        raise ValueError(f"budget ({budget}) and restarts ({restarts}) must be at least 1")
     if grid is None:
         grid = PauliGrid.for_ball(R, n_rho=mesh[0], n_z=mesh[1])
     rng = np.random.default_rng(seed)

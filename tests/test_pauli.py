@@ -176,6 +176,64 @@ def test_inertia_count_matches_dense():
     np.testing.assert_allclose(vals, dense[dense < -1e-9], atol=1e-7)
 
 
+def cutoff_block(grid, m, A=None):
+    """The j = m + 1/2 block of phi_8 (T_1(A) - 1/|x|) phi_8 on grid."""
+    S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
+    if A is None:
+        a = br = bz = np.zeros_like(S)
+    else:
+        a, br, bz = A.fields(grid.R, grid.Z)
+    return pauli.block_matrix(grid, grid.kinetic(1.0), 1.0, m, VC(S), a, bz, br,
+                              phi2d=SmoothCutoff(8.0)(S))
+
+
+def test_eigs_below_shift_inside_the_spectrum(caplog):
+    # sigma = -0.1 lies above the lowest eigenvalue (-0.23694), and the
+    # near-zero cluster of the cutoff exterior lies closer to it
+    H = cutoff_block(ball8((12, 24)), 0)
+    dense = np.linalg.eigvalsh(H.toarray())
+    want = dense[dense < -1e-12]
+    assert want.size == 1 and want[0] == pytest.approx(-0.23694, abs=1e-5)
+    with caplog.at_level("WARNING", logger="scottlab.pauli"):
+        vals = pauli.eigs_below(H, -1e-12, sigma=-0.1)
+    np.testing.assert_allclose(vals, want, rtol=1e-9)
+    assert "moved to" in caplog.text
+    with pytest.raises(ValueError, match="sigma must be negative"):
+        pauli.eigs_below(H, -1e-12, sigma=0.0)
+
+
+def test_block_walk_stop_is_certified():
+    # theta = (8, 0) gives max(a rho) = 3.26 on the -j side, so that walk
+    # passes the empty j = -2.5 block and stops at j = -3.5
+    grid = ball8((32, 64))
+    A = FieldAnsatz(theta=(8.0, 0.0), support_radius=2.0)
+    res = pauli_trace_neg(A, VC, h=1.0, phi=SmoothCutoff(8.0), grid=grid)
+    a_rho = A.fields(grid.R, grid.Z)[0] * grid.R
+
+    def count(j):
+        return pauli.inertia_below(cutoff_block(grid, int(j - 0.5), A), -1e-12)
+
+    stops = {}
+    for side in (1, -1):
+        reach = np.max(-side * a_rho)
+        j = 0.5 * side
+        while count(j) or abs(j) < reach:
+            j += side
+        stops[side] = j
+        for _ in range(3):
+            j += side
+            assert count(j) == 0
+    assert stops == {1: 1.5, -1: -3.5}
+    assert count(-2.5) == 0
+    walk = {}
+    for m in range(-7, 7):
+        vals = pauli.eigs_below(cutoff_block(grid, m, A), -1e-12, pauli.SIGMA)
+        if vals.size:
+            walk[m + 0.5] = vals
+    assert set(res.blocks) == set(walk)
+    assert res.trace == pytest.approx(sum(np.sum(v) for v in walk.values()), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the localized Scott functional
 # ---------------------------------------------------------------------------
@@ -263,3 +321,15 @@ def test_minimize_scott_validation():
         minimize_scott(0.0, 1.0, 8.0)
     with pytest.raises(ValueError):
         minimize_scott(0.1, 6.0, 8.0)
+
+
+def test_minimize_scott_rejects_empty_budget():
+    # budget = 0 used to report one evaluation
+    with pytest.raises(ValueError, match="budget"):
+        minimize_scott(0.05, 10.0, 8.0, budget=0, mesh=(8, 16))
+
+
+def test_minimize_scott_rejects_no_restarts():
+    # restarts = 0 used to run no search at all
+    with pytest.raises(ValueError, match="restarts"):
+        minimize_scott(0.05, 10.0, 8.0, restarts=0, mesh=(8, 16))
