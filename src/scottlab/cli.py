@@ -293,10 +293,9 @@ def cmd_scott(args) -> int:
         return EXIT_OK
 
     if args.route == "ansatz-min":
-        _positive([args.kappa, args.R, args.theta_scale], "kappa, R and theta-scale")
-        if min(args.modes, args.budget, args.restarts) < 1 or args.seed < 0:
-            raise ValidationError("modes, budget and restarts must be at least 1 "
-                                  "and seed nonnegative")
+        _positive([args.kappa, args.R], "kappa and R")
+        if min(args.modes, args.budget) < 1:
+            raise ValidationError("modes and budget must be at least 1")
         beta = args.beta if args.beta is not None else 0.5 / args.kappa
         try:
             check_coupling(args.kappa, beta)
@@ -308,11 +307,9 @@ def cmd_scott(args) -> int:
                 and mesh[0] >= 1 and mesh[1] >= 2):
             raise ValidationError(f"--mesh needs two integers n_rho >= 1 and n_z >= 2, "
                                   f"got {args.mesh!r}")
-        res = pauli.minimize_scott(args.kappa, beta, args.R,
-                                   n_modes=args.modes, budget=args.budget,
-                                   seed=args.seed, restarts=args.restarts,
-                                   theta_scale=args.theta_scale,
-                                   mesh=tuple(int(v) for v in mesh))
+        grid = pauli.PauliGrid.for_ball(args.R, n_rho=int(mesh[0]), n_z=int(mesh[1]))
+        res = pauli.minimize_scott(args.kappa, beta, args.R, grid,
+                                   n_modes=args.modes, budget=args.budget)
         write_csv(args.out, ["iteration", "theta_norm", "functional"],
                   [[i, n, v] for i, n, v in res.history])
         write_sidecar(args.out + ".meta.txt", vars_of(args), {
@@ -321,6 +318,8 @@ def cmd_scott(args) -> int:
             "theta_best": " ".join(_fmt(t) for t in res.theta),
             "budget_exhausted": str(res.budget_exhausted),
             "beats_zero_field": str(res.estimate.value < res.zero_field_value - 1e-6),
+            "kappa_c": _fmt(res.estimate.meta["kappa_c"]),
+            "certified": str(res.estimate.meta["certified"]),
         })
         print(f"ansatz-min upper bound on 2S({args.kappa:g}) at R={args.R:g}: "
               f"{res.estimate.value:.4f} (A=0 value {res.zero_field_value:.4f})")
@@ -359,11 +358,9 @@ def cmd_partition_check(args) -> int:
 def cmd_expansion(args) -> int:
     Zs = _positive(_floats(args.Z_list), "Z")
     _positive([args.resolution], "resolution")
-    if args.alpha != 0.0:
-        raise ValidationError("CLI expansion sweep supports alpha = 0 "
-                              "(magnetic S has no closed value; use the API)")
     sol = get_tf_solution(args.cache_dir)
-    reports = expansion.expansion_sweep(Zs, args.alpha, sol, refine=args.refine,
+    # alpha = 0: magnetic S has no closed value (the API takes a provider)
+    reports = expansion.expansion_sweep(Zs, 0.0, sol, refine=args.refine,
                                         resolution=args.resolution)
     rows = [[r.Z, r.leading, r.scott, r.mean_field, r.residual, r.residual_over_Z2]
             for r in reports]
@@ -435,10 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa", type=float, default=0.05)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--budget", type=int, default=60)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--restarts", type=int, default=1)
     sp.add_argument("--modes", type=int, default=2)
-    sp.add_argument("--theta-scale", type=float, default=0.6)
     sp.add_argument("--mesh", default="80 160")
     sp.add_argument("--resolution", type=float, default=20.0)
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
@@ -456,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("expansion", help="two-term vs mean-field energy sweep")
     common(sp)
     sp.add_argument("--Z-list", default="8 27 64 125")
-    sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--resolution", type=float, default=20.0)
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     sp.set_defaults(func=cmd_expansion)

@@ -141,11 +141,7 @@ def test_criterion_7_magnetic_sector():
         results[kappa] = res
     bounded = all(r.estimate.value <= r.zero_field_value + 1e-12
                   for r in results.values())
-    # seed-to-seed noise band at the middle kappa
-    res_alt = pauli.minimize_scott(0.05, beta=10.0, R=8.0, n_modes=2,
-                                   budget=36, seed=7, grid=grid)
-    noise = abs(res_alt.estimate.value - results[0.05].estimate.value)
-    band = max(2.0 * noise, 1e-3)
+    band = 1e-3  # tolerance of the kappa-monotone check; every estimate is deterministic
     ests = [results[k].estimate.value for k in (0.02, 0.05, 0.1)]
     mono_c = all(a >= b - band for a, b in zip(ests, ests[1:]))
 

@@ -112,18 +112,13 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["--config", "{d}/latin1.cfg", "weyl"],
     ["scott", "--route", "ansatz-min", "--modes", "0"],
     ["scott", "--route", "ansatz-min", "--modes", "-1"],
-    ["scott", "--route", "ansatz-min", "--theta-scale", "nan"],
-    ["scott", "--route", "ansatz-min", "--theta-scale", "0"],
-    ["scott", "--route", "ansatz-min", "--seed", "-1"],
     ["partition-check", "--seed", "-1"],
     ["scott", "--route", "ansatz-min", "--budget", "0"],
-    ["scott", "--route", "ansatz-min", "--restarts", "0"],
 ], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
         "d-min-above-d-max", "n-points-negative", "beta-above-bound", "R-zero", "h-zero",
         "tf-z-negative", "z-negative", "n-below-8", "r-max-negative", "r-max-zero",
         "tolerance-negative", "refine-maybe", "config-not-utf8", "modes-zero",
-        "modes-negative", "theta-scale-nan", "theta-scale-zero", "seed-negative",
-        "partition-seed-negative", "budget-zero", "restarts-zero"])
+        "modes-negative", "partition-seed-negative", "budget-zero"])
 def test_bad_input_is_a_validation_error(tmp_path, argv):
     (tmp_path / "maybe.cfg").write_text("refine = maybe\n")
     (tmp_path / "latin1.cfg").write_bytes(b"mu = \xff\n")
@@ -286,7 +281,7 @@ def test_scott_ansatz_min_route(tmp_path, capsys):
     meta = (tmp_path / "am.csv.meta.txt").read_text()
     assert "estimate_2S_upper_bound" in meta
     assert "beats_zero_field" in meta
-    # seeded: a rerun is byte-identical
+    # deterministic: a rerun is byte-identical
     out2 = tmp_path / "am2.csv"
     assert main(args[:-1] + [str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
@@ -301,9 +296,9 @@ def test_expansion_command_small(tmp_path):
     assert rows[0].startswith("Z,leading,scott,mean_field")
     r8 = rows[1].split(",")
     assert float(r8[2]) == pytest.approx(2 * 64 * 0.125)
-    # magnetic sweep is an API feature, not a CLI one
-    assert main(["expansion", "--Z-list", "8", "--alpha", "0.01",
-                 "--out", str(tmp_path / "m.csv")]) == 3
+    # magnetic sweep is an API feature, not a CLI one: --alpha is a usage error
+    assert _exit_code(["expansion", "--Z-list", "8", "--alpha", "0.01",
+                       "--out", str(tmp_path / "m.csv")]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +387,7 @@ def _cli_argv(draw, d):
         elif route == "ansatz-min":
             argv += req("--R", "6", *bad) + opt("--kappa", "0.05", "1", *bad)
             argv += opt("--beta", "1", "100", *bad) + req("--budget", "2", "0", "-1")
-            argv += opt("--seed", "0", "1", "-1") + opt("--restarts", "1", "2", "0")
-            argv += opt("--modes", "1", "2", "0", "-1") + opt("--theta-scale", "0.6", "0", "nan")
+            argv += opt("--modes", "1", "2", "0", "-1")
             argv += req("--mesh", "8 16", "80", "0 32", "1 1", "4 2", "a b")
     elif command == "partition-check":
         argv += req("--n-points", "1", "3", "0", "-3", "x")
@@ -401,7 +395,7 @@ def _cli_argv(draw, d):
         argv += opt("--d-max", "1e3", "1e-3", *bad) + opt("--seed", "0", "5", "-1")
     elif command == "expansion":
         argv += req("--Z-list", "1", "1 2", "", "0", "x", "nan")
-        argv += opt("--alpha", "0", "0.01", "nan") + req("--resolution", "8", *bad)
+        argv += req("--resolution", "8", *bad)
         argv += draw(refine)
     return argv
 

@@ -301,8 +301,7 @@ def test_functional_coercive_in_theta(parts_zero):
 
 
 def test_minimize_scott_bounded_by_zero_field():
-    res = minimize_scott(0.05, 10.0, 8.0, n_modes=2, budget=18, seed=3,
-                         mesh=(32, 64))
+    res = minimize_scott(0.05, 10.0, 8.0, ball8((32, 64)), n_modes=2, budget=18, seed=3)
     assert res.estimate.route == "ansatz-min"
     assert res.estimate.value <= res.zero_field_value + 1e-12
     assert res.estimate.meta["evaluations"] <= 18
@@ -310,26 +309,65 @@ def test_minimize_scott_bounded_by_zero_field():
 
 
 def test_minimize_scott_budget_flag():
-    res = minimize_scott(0.05, 10.0, 8.0, n_modes=2, budget=5, seed=0,
-                         mesh=(32, 64))
+    # three evaluations do not complete the four-point certificate
+    res = minimize_scott(0.05, 10.0, 8.0, ball8((32, 64)), n_modes=2, budget=3, seed=0)
     assert res.budget_exhausted
     assert res.estimate.value <= res.zero_field_value + 1e-12
+    assert not res.estimate.meta["certified"]
 
 
 def test_minimize_scott_validation():
+    grid = ball8((8, 16))
     with pytest.raises(ValueError):
-        minimize_scott(0.0, 1.0, 8.0)
+        minimize_scott(0.0, 1.0, 8.0, grid)
     with pytest.raises(ValueError):
-        minimize_scott(0.1, 6.0, 8.0)
+        minimize_scott(0.1, 6.0, 8.0, grid)
 
 
 def test_minimize_scott_rejects_empty_budget():
     # budget = 0 used to report one evaluation
     with pytest.raises(ValueError, match="budget"):
-        minimize_scott(0.05, 10.0, 8.0, budget=0, mesh=(8, 16))
+        minimize_scott(0.05, 10.0, 8.0, ball8((8, 16)), budget=0)
 
 
-def test_minimize_scott_rejects_no_restarts():
-    # restarts = 0 used to run no search at all
-    with pytest.raises(ValueError, match="restarts"):
-        minimize_scott(0.05, 10.0, 8.0, restarts=0, mesh=(8, 16))
+@pytest.fixture(scope="module")
+def certified():
+    return minimize_scott(0.05, 10.0, 8.0, ball8((32, 64)), n_modes=2)
+
+
+def test_minimize_scott_certifies_zero_field(certified):
+    assert certified.theta == (0.0, 0.0)
+    assert certified.estimate.meta["evaluations"] == 1 + 2 * 3 // 2
+    assert certified.estimate.meta["certified"]
+    assert not certified.budget_exhausted
+    kappa_c = certified.estimate.meta["kappa_c"]
+    assert math.isfinite(kappa_c) and kappa_c > 0.05
+    assert certified.estimate.value == certified.zero_field_value
+
+
+def test_critical_coupling_is_step_independent(certified, monkeypatch):
+    monkeypatch.setattr(pauli, "PROBE_STEP", pauli.PROBE_STEP / 2.0)
+    half = minimize_scott(0.05, 10.0, 8.0, ball8((32, 64)), n_modes=2)
+    assert half.estimate.meta["kappa_c"] == pytest.approx(
+        certified.estimate.meta["kappa_c"], rel=1e-2)
+
+
+def test_minimize_scott_walks_the_ray_above_critical_coupling(certified):
+    kappa = 4.0 * certified.estimate.meta["kappa_c"]
+    # two ray steps past the four probes; the functional still falls at both
+    res = minimize_scott(kappa, 0.5 / kappa, 8.0, ball8((32, 64)), n_modes=2, budget=6)
+    assert not res.estimate.meta["certified"]
+    assert res.budget_exhausted
+    assert res.estimate.value < min(v for _, _, v in res.history[:4])
+    assert res.estimate.value < res.zero_field_value
+
+
+def test_critical_coupling_separates_the_branches(certified):
+    # below kappa_c no probe beats A = 0; above it the first ray step does
+    low, high = (f * certified.estimate.meta["kappa_c"] for f in (0.8, 1.25))
+    below = minimize_scott(low, 0.5 / low, 8.0, ball8((32, 64)), n_modes=2)
+    assert below.estimate.meta["certified"]
+    assert all(v > below.zero_field_value for _, _, v in below.history[1:])
+    above = minimize_scott(high, 0.5 / high, 8.0, ball8((32, 64)), n_modes=2, budget=5)
+    assert not above.estimate.meta["certified"]
+    assert above.history[4][2] < above.zero_field_value
