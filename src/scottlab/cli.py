@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, expansion, hydrogen, multiscale, pauli, radial_eig, tf
+from . import __version__, expansion, hydrogen, multiscale, radial_eig, tf
 from .core import check_coupling
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_coulomb_mu, weyl_integral
@@ -111,9 +111,10 @@ def get_tf_solution(cache_dir: str | None, tolerance: float = 1e-8) -> tf.TFSolu
     """The TF solution, solved or rebuilt from cache_dir/tf_profile.npz.
 
     The cache holds the spline data of a solve and the package version; a
-    file that cannot be read, lacks a key or carries another version is a
-    miss and is rewritten.  A hit goes through the same constructor as a
-    solve, so the residual is checked against tolerance either way.
+    file that cannot be read, lacks a key, carries another version or holds
+    data no spline can be built from is a miss and is rewritten.  A hit goes
+    through the same constructor as a solve, so the residual is checked
+    against tolerance either way.
     """
     if not cache_dir:
         return tf.solve_tf_atom(tolerance=tolerance)
@@ -125,8 +126,12 @@ def get_tf_solution(cache_dir: str | None, tolerance: float = 1e-8) -> tf.TFSolu
                       data["w"], data["v"], float(data["xi_tail"]))
     except Exception:  # missing, truncated or not an npz archive: a miss
         cached = None
-    if cached is not None and cached[0] == __version__:
-        return tf._assemble(*cached[1:], tolerance)
+    if (cached is not None and cached[0] == __version__
+            and math.isfinite(cached[1]) and math.isfinite(cached[5])):
+        try:
+            return tf._assemble(*cached[1:], tolerance)
+        except ValueError:  # arrays no spline can be built from: a miss
+            pass
     sol = tf.solve_tf_atom(tolerance=tolerance)
     np.savez(cache_file, version=__version__, slope0=sol.slope0, x=sol.spline_x,
              w=sol.spline_w, v=sol.spline_v, xi_tail=sol.xi_tail)
@@ -293,6 +298,8 @@ def cmd_scott(args) -> int:
         return EXIT_OK
 
     if args.route == "ansatz-min":
+        from . import pauli  # scipy.sparse throughout: loaded only by this route
+
         _positive([args.kappa, args.R], "kappa and R")
         if min(args.modes, args.budget) < 1:
             raise ValidationError("modes and budget must be at least 1")

@@ -24,6 +24,16 @@ from .cutoffs import unit_bump
 # partition-identity quadrature
 N_RADIAL, N_THETA, N_PHI = 48, 24, 48
 
+# the rule itself, shaped to broadcast over (radius, polar angle, azimuth);
+# only the radial scale changes from point to point
+_XG, _WG = leggauss(N_RADIAL)
+_CG, _WC = leggauss(N_THETA)
+_CT, _ST = _CG[None, :, None], np.sqrt(1.0 - _CG ** 2)[None, :, None]
+_PHIS = 2.0 * math.pi * (np.arange(N_PHI) + 0.5) / N_PHI
+_WPHI = 2.0 * math.pi / N_PHI
+_COS_PH, _SIN_PH = np.cos(_PHIS)[None, None, :], np.sin(_PHIS)[None, None, :]
+_SHAPE = (N_RADIAL, N_THETA, N_PHI)
+
 
 @dataclass(frozen=True)
 class ScaleFunctions:
@@ -96,25 +106,19 @@ def partition_check(x, sf: ScaleFunctions) -> float:
     ell_x = sf.ell(x)
     radius = ell_x / (1.0 - sf.slope) * 1.02
 
-    xg, wg = leggauss(N_RADIAL)
-    s = 0.5 * radius * (xg + 1.0)
-    ws = 0.5 * radius * wg
-    cg, wc = leggauss(N_THETA)
-    phis = 2.0 * math.pi * (np.arange(N_PHI) + 0.5) / N_PHI
-    wphi = 2.0 * math.pi / N_PHI
-
-    S, CT, PH = np.meshgrid(s, cg, phis, indexing="ij")
-    ST = np.sqrt(1.0 - CT ** 2)
-    pts = np.stack([
-        x[0] + S * ST * np.cos(PH),
-        x[1] + S * ST * np.sin(PH),
-        x[2] + S * CT,
-    ], axis=-1).reshape(-1, 3)
+    s = 0.5 * radius * (_XG + 1.0)
+    ws = 0.5 * radius * _WG
+    S = s[:, None, None]
+    pts = np.empty(_SHAPE + (3,))
+    pts[..., 0] = x[0] + S * _ST * _COS_PH
+    pts[..., 1] = x[1] + S * _ST * _SIN_PH
+    pts[..., 2] = x[2] + S * _CT
+    pts = pts.reshape(-1, 3)
 
     # one nearest-nucleus search serves l(u) and the Jacobian
     ell_u, grad = sf._ell_grad(pts)
     rel = x[None, :] - pts
     snorm = np.linalg.norm(rel, axis=1) / ell_u
-    vals = (unit_bump(snorm) ** 2 * jacobian(rel, ell_u, grad)).reshape(S.shape)
-    integral = np.einsum("i,j,ijk->", ws * s ** 2, wc, vals) * wphi
+    vals = (unit_bump(snorm) ** 2 * jacobian(rel, ell_u, grad)).reshape(_SHAPE)
+    integral = np.einsum("i,j,ijk->", ws * s ** 2, _WC, vals) * _WPHI
     return float(integral)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .core import ScottEstimate
 from .cutoffs import SmoothCutoff
@@ -155,6 +154,8 @@ def build_channel(V, h: float, ell: int, grid: RadialGrid,
 
 def negative_eigenvalues(op: ChannelOperator, mu: float = 0.0) -> np.ndarray:
     """All eigenvalues below -mu, ascending, via LAPACK bisection (Sturm counts)."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     d, e = op.diag, op.off

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import solve_bvp, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .core import gauss
 
@@ -116,6 +114,8 @@ def _tf_rhs(t, y):
 
 def _classify_slope(slope: float):
     """-1 if phi crosses zero (slope too low), +1 if phi' turns up."""
+    from scipy.integrate import solve_ivp
+
     t0 = 1e-8
     c = baker_coefficients(slope, order=8)
     y0 = [float(_series_eval(c, t0)), float(_series_eval(c, t0, 1))]
@@ -156,6 +156,8 @@ def _bvp_rhs(s, y):
 
 def _solve_tail(series, s_hi, bvp_tol):
     """Collocation for (w = log phi, w') on [log T_SERIES, s_hi], two Robin passes."""
+    from scipy.integrate import solve_bvp, solve_ivp
+
     s_lo = math.log(T_SERIES)
     w_left = float(np.log(_series_eval(series, T_SERIES)))
 
@@ -201,6 +203,46 @@ def _solve_tail(series, s_hi, bvp_tol):
     return sol, xi_hat
 
 
+class _CubicHermite:
+    """Piecewise cubic Hermite interpolant of values y and slopes dydx on nodes x.
+
+    Coefficients and evaluation are those of scipy's CubicHermiteSpline
+    (a PPoly), operation for operation, so the values agree bit for bit:
+    the interval is i with x[i] <= s < x[i+1], clipped to the end
+    intervals, and the cubic in u = s - x[i] is summed in ascending powers.
+    """
+
+    def __init__(self, x, y, dydx):
+        x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
+        if x.ndim != 1 or x.size < 2 or y.shape != x.shape or dydx.shape != x.shape:
+            raise ValueError("x, y and dydx must be 1-D arrays of one length >= 2")
+        if not all(np.all(np.isfinite(a)) for a in (x, y, dydx)):
+            raise ValueError("x, y and dydx must contain only finite values")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("x must be strictly increasing")
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        # the count of interior nodes <= s is the interval, already clipped
+        i = np.searchsorted(self.x[1:-1], s, side="right")
+        u = s - self.x[i]
+        # PPoly's sum c3 + c2 u + c1 u^2 + c0 u^3 with a running power; one
+        # coefficient row gathered at a time keeps the peak memory low
+        c0, c1, c2, c3 = self.c
+        out = c3[i]
+        out += c2[i] * u
+        z = u * u
+        out += c1[i] * z
+        z *= u
+        out += c0[i] * z
+        return out
+
+
 @dataclass(frozen=True, kw_only=True)
 class TFProfile:
     """The universal screening profile phi(t) from its three stitched pieces.
@@ -218,8 +260,8 @@ class TFProfile:
     spline_v: np.ndarray
     xi_tail: float
     t_grid: np.ndarray = field(repr=False)
-    _w_interp: CubicHermiteSpline = field(repr=False, compare=False)
-    _v_interp: CubicHermiteSpline = field(repr=False, compare=False)
+    _w_interp: _CubicHermite = field(repr=False, compare=False)
+    _v_interp: _CubicHermite = field(repr=False, compare=False)
 
     def phi(self, t):
         return self._evaluate(t, 0)
@@ -323,8 +365,8 @@ def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail, tolerance: float) -
         slope0=slope0, series=baker_coefficients(slope0), spline_x=spline_x,
         spline_w=spline_w, spline_v=spline_v, xi_tail=xi_tail,
         t_grid=np.geomspace(T_GRID_MIN, T_GRID_MAX, N_GRID),
-        _w_interp=CubicHermiteSpline(spline_x, spline_w, spline_v),
-        _v_interp=CubicHermiteSpline(spline_x, spline_v, vp),
+        _w_interp=_CubicHermite(spline_x, spline_w, spline_v),
+        _v_interp=_CubicHermite(spline_x, spline_v, vp),
     )
     residual = equation_residual(profile)
     if residual > tolerance:

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from .core import gauss
 
@@ -71,6 +70,8 @@ _GL24 = leggauss(24)
 
 def _turning_points(V, mu, r_hi):
     """Radii where V - mu changes sign, on (0, r_hi]."""
+    from scipy.optimize import brentq
+
     if mu <= 0:
         return []
     grid = np.geomspace(1e-8 * r_hi, r_hi, 600)

@@ -246,6 +246,39 @@ def test_tf_cache_unreadable_file_is_a_miss(tmp_path, content):
         assert str(data["version"]) == __version__
 
 
+def _damage(kind, data):
+    """Copy of the cached arrays with one defect that no spline can be built from."""
+    data = dict(data)
+    if kind == "nan-in-w":
+        data["w"] = data["w"].copy()
+        data["w"][len(data["w"]) // 2] = np.nan
+    elif kind == "reversed-x":
+        data["x"] = data["x"][::-1]
+    elif kind == "two-dim-v":
+        data["v"] = data["v"][None, :]
+    elif kind == "short-w":
+        data["w"] = data["w"][:-1]
+    elif kind == "inf-slope0":
+        data["slope0"] = np.inf
+    return data
+
+
+@pytest.mark.parametrize("kind", ["nan-in-w", "reversed-x", "two-dim-v", "short-w",
+                                  "inf-slope0"])
+def test_tf_cache_damaged_data_is_a_miss(tmp_path, kind):
+    clean = tmp_path / "clean"
+    assert main(["tf", "--out", str(tmp_path / "clean.csv"), "--cache-dir", str(clean)]) == 0
+    with np.load(clean / "tf_profile.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "tf_profile.npz").write_bytes(_npz_bytes(**_damage(kind, arrays)))
+    assert main(["tf", "--out", str(tmp_path / "p.csv"), "--cache-dir", str(cache)]) == 0
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+    # the miss rewrote the file, so the next run is a hit on clean data
+    assert (cache / "tf_profile.npz").read_bytes() == (clean / "tf_profile.npz").read_bytes()
+
+
 def test_scott_spectral_fit_fast_config(tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = main(["scott", "--route", "spectral-fit",

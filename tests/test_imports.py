@@ -1,0 +1,70 @@
+"""Each CLI process loads only the scipy parts its command runs.
+
+Every check starts a fresh interpreter, so the scipy modules this test
+process has already loaded do not count, and reads its sys.modules.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from scottlab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+_RUN_CLI = """
+from scottlab.cli import main
+if main(sys.argv[1:]) != 0:
+    sys.exit("the command failed")
+"""
+
+
+def _scipy_modules(body, *argv, cwd=None):
+    """The scipy modules loaded by running body (with argv) in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _PROBE.format(body=body), *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A directory whose cache/ holds the TF profile, so tf-based runs are hits."""
+    d = tmp_path_factory.mktemp("imports")
+    assert main(["tf", "--cache-dir", str(d / "cache"), "--out", str(d / "tf.csv")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("module", ["scottlab.cli", "scottlab.hydrogen"])
+def test_import_loads_no_scipy(module):
+    assert _scipy_modules(f"import {module}") == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scott", "--route", "mu-limit"],
+    ["partition-check", "--n-points", "3"],
+    ["tf", "--cache-dir", "cache"],
+    ["weyl", "--potential", "tf", "--mu", "0", "--cache-dir", "cache"],
+], ids=["mu-limit", "partition-check", "tf-hit", "weyl-tf-hit"])
+def test_command_runs_without_scipy(warm_cache, argv):
+    assert _scipy_modules(_RUN_CLI, *argv, "--out", "run.csv", cwd=warm_cache) == set()
+
+
+def test_coulomb_trace_loads_only_scipy_linalg(tmp_path):
+    loaded = _scipy_modules(_RUN_CLI, "trace", "--potential", "coulomb", "--mu", "0.05",
+                            "--out", "run.csv", cwd=tmp_path)
+    assert "scipy.linalg" in loaded
+    parts = {m.split(".")[1] for m in loaded if "." in m}
+    assert not parts & {"interpolate", "integrate", "optimize", "sparse"}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from scottlab import tf
 from scottlab.tf import TFConvergenceError, tf_energy_consistency
@@ -128,3 +129,43 @@ def test_frozen_energy_constants(tf_solution):
     assert tf_solution.D_rho == pytest.approx(a_closed / 7.0, rel=1e-7)
     assert tf_solution.E_atom == pytest.approx(-0.3843726, abs=2e-6)
     assert tf_solution.phase_space_coeff == pytest.approx(-0.2562484, abs=2e-6)
+
+
+# ---------------------------------------------------------------------------
+# Hermite evaluator against scipy's CubicHermiteSpline (oracle)
+# ---------------------------------------------------------------------------
+
+
+def _hermite_points(x):
+    """Random points past both ends, every knot and both ends, and the 2-D
+    (cells, nodes) shape equation_residual evaluates."""
+    rng = np.random.default_rng(12)
+    edges = np.linspace(x[0], x[-1], tf.RESIDUAL_CELLS + 1)
+    return [rng.uniform(x[0] - 1.0, x[-1] + 1.0, 100_000), x, np.array([x[0], x[-1]]),
+            tf.gauss(edges[:-1], edges[1:], tf._GL12)[0]]
+
+
+def test_profile_interpolants_match_scipy_bit_for_bit(tf_solution):
+    x, w, v = tf_solution.spline_x, tf_solution.spline_w, tf_solution.spline_v
+    vp = tf._bvp_rhs(x, np.vstack([w, v]))[1]
+    for ours, oracle in [(tf_solution._w_interp, CubicHermiteSpline(x, w, v)),
+                         (tf_solution._v_interp, CubicHermiteSpline(x, v, vp))]:
+        for s in _hermite_points(x):
+            got = ours(s)
+            assert got.shape == s.shape
+            assert np.array_equal(got, oracle(s))
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.zeros((2, 2)), np.zeros((2, 2))),               # not 1-D
+    (np.array([0.0]), np.array([1.0])),                  # one node
+    (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0])),   # lengths differ
+    (np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),
+    (np.array([0.0, np.inf, 2.0]), np.zeros(3)),
+    (np.array([0.0, 2.0, 1.0]), np.zeros(3)),            # not increasing
+    (np.array([0.0, 1.0, 1.0]), np.zeros(3)),            # repeated node
+], ids=["2-d", "one-node", "lengths", "nan-y", "inf-x", "decreasing", "repeated"])
+def test_hermite_rejects_what_scipy_rejects(x, y):
+    for build in (tf._CubicHermite, CubicHermiteSpline):
+        with pytest.raises(ValueError):
+            build(x, y, y)

@@ -1,0 +1,101 @@
+"""Alternated before/after runs of the benchmark, written to a BENCH_*.json file.
+
+    python3 tools/bench_pairs.py --before DIR --after DIR --out BENCH_12.json
+
+DIR is a checkout root (holding src/ and perfbench/).  The workloads and the
+run length are those BENCHMARK.json (in this repo) declares.  Pair i of PAIRS
+runs every workload with seed SEED + i in both trees, back to back, the before tree
+first in even pairs and the after tree first in odd ones, so slow drift of
+the machine and any order effect fall on both sides alike.
+The file records every run, each side's median and quartiles per metric,
+how many pairs the after tree won, the core count and the Python, numpy
+and scipy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+PAIRS = 10
+SEED = 1
+METRICS = ("pass_s", "setup_s", "peak_rss_mb")  # all lower is better
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run: its result line plus the pass and set-up samples."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            **{m: result["metrics"][m]["value"] for m in METRICS},
+            "samples": lines[-3:-1]}
+
+
+def quartiles(values) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def summary(pairs) -> dict:
+    out = {}
+    for m in METRICS:
+        before = [p["before"][m] for p in pairs]
+        after = [p["after"][m] for p in pairs]
+        out[m] = {"before": quartiles(before), "after": quartiles(after),
+                  "after_wins": sum(a < b for a, b in zip(after, before)),
+                  "pairs": len(pairs)}
+    return out
+
+
+def versions() -> dict:
+    import numpy
+    import scipy
+
+    return {"cores": len(os.sched_getaffinity(0)), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--before", type=Path, required=True)
+    p.add_argument("--after", type=Path, required=True)
+    p.add_argument("--note", default="", help="what the two trees are")
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+
+    names = [w["name"] for w in BENCHMARK["workloads"]]
+    seconds = float(BENCHMARK["run_seconds"])
+    report = {"note": args.note, "seconds": seconds, "environment": versions(),
+              "workloads": {w: {"pairs": []} for w in names}}
+    for i in range(PAIRS):
+        for w in names:
+            seed = SEED + i
+            order = ("before", "after") if i % 2 == 0 else ("after", "before")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(getattr(args, side), w, seed, seconds)
+            entry = report["workloads"][w]
+            entry["pairs"].append(pair)
+            entry["summary"] = summary(entry["pairs"])
+            print(f"{w} seed {seed}: pass_s {pair['before']['pass_s']:.3f} -> "
+                  f"{pair['after']['pass_s']:.3f}", flush=True)
+            # rewritten after every pair, so an interrupted run keeps what it measured
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
