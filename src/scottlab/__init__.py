@@ -5,4 +5,5 @@ __version__ = "0.1.0"
 
 from .core import NuclearConfig, ScottEstimate, neg_part_sum  # noqa: F401
 from .expansion import two_term_energy  # noqa: F401
+from .multiscale import jacobian  # noqa: F401
 from .weyl import momentum_reduce  # noqa: F401

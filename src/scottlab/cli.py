@@ -240,6 +240,7 @@ def cmd_trace(args) -> int:
         "n_states": str(s.n_states),
         "ell_max": str(s.ell_max),
         "summary_row": "final row l=-1,k=-1 holds the spin-weighted shifted trace",
+        "workers": str(s.workers),
     })
     print(f"trace = {s.trace:.9e} over {s.n_states} states, l <= {s.ell_max}")
     return EXIT_OK

@@ -28,11 +28,12 @@ N_RADIAL, N_THETA, N_PHI = 48, 24, 48
 # only the radial scale changes from point to point
 _XG, _WG = leggauss(N_RADIAL)
 _CG, _WC = leggauss(N_THETA)
-_CT, _ST = _CG[None, :, None], np.sqrt(1.0 - _CG ** 2)[None, :, None]
 _PHIS = 2.0 * math.pi * (np.arange(N_PHI) + 0.5) / N_PHI
 _WPHI = 2.0 * math.pi / N_PHI
-_COS_PH, _SIN_PH = np.cos(_PHIS)[None, None, :], np.sin(_PHIS)[None, None, :]
-_SHAPE = (N_RADIAL, N_THETA, N_PHI)
+# unit direction of each (polar angle, azimuth) ray
+_ST = np.sqrt(1.0 - _CG ** 2)[:, None]
+_DIRS = np.stack(np.broadcast_arrays(_ST * np.cos(_PHIS), _ST * np.sin(_PHIS), _CG[:, None]),
+                 axis=-1)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,25 @@ class ScaleFunctions:
         root = np.sqrt(self.r0 ** 2 + dist ** 2)
         return self.slope * root, self.slope * diff / root[:, None]
 
+    def _ell_dot_on_rays(self, x, s, dirs):
+        """l(u) and (x - u) . grad l(u) at u = x + s n, for each radius s and unit direction n.
+
+        No point u is formed: with p the nearest nucleus,
+        |u - p|^2 = |x - p|^2 + 2 s (x - p) . n + s^2 and
+        (x - u) . (u - p) = -s ((x - p) . n + s).  Both results have the
+        shape s.shape + dirs.shape[:-1].
+        """
+        xp = x - np.asarray(self.nuclei)
+        S = s.reshape((1, -1) + (1,) * (dirs.ndim - 1))
+        proj = np.einsum("kj,...j->k...", xp, dirs)[:, None]
+        d2 = np.einsum("kj,kj->k", xp, xp).reshape((-1,) + (1,) * dirs.ndim) + S * (2.0 * proj + S)
+        if len(xp) > 1:
+            k = np.argmin(d2, axis=0)[None]
+            d2 = np.take_along_axis(d2, k, axis=0)
+            proj = np.take_along_axis(np.broadcast_to(proj, (len(xp),) + d2.shape[1:]), k, axis=0)
+        root = np.sqrt(self.r0 ** 2 + d2[0])
+        return self.slope * root, -self.slope * S[0] * (proj[0] + S[0]) / root
+
     def ell(self, u):
         out = self._ell_grad(u)[0]
         return out if out.size > 1 else float(out[0])
@@ -92,7 +112,12 @@ def jacobian(rel, ell, grad):
     per row.  The map's derivative is -I/l - (x - u) (x) grad l / l^2, a
     rank-one update of a multiple of the identity, whence the closed form.
     """
-    return ell ** -3 * np.abs(1.0 + np.einsum("...j,...j->...", rel, grad) / ell)
+    return _jacobian(np.einsum("...j,...j->...", rel, grad), ell)
+
+
+def _jacobian(rel_dot_grad, ell):
+    """The Jacobian from (x - u) . grad l(u) and l(u)."""
+    return ell ** -3 * np.abs(1.0 + rel_dot_grad / ell)
 
 
 def partition_check(x, sf: ScaleFunctions) -> float:
@@ -108,17 +133,8 @@ def partition_check(x, sf: ScaleFunctions) -> float:
 
     s = 0.5 * radius * (_XG + 1.0)
     ws = 0.5 * radius * _WG
-    S = s[:, None, None]
-    pts = np.empty(_SHAPE + (3,))
-    pts[..., 0] = x[0] + S * _ST * _COS_PH
-    pts[..., 1] = x[1] + S * _ST * _SIN_PH
-    pts[..., 2] = x[2] + S * _CT
-    pts = pts.reshape(-1, 3)
-
-    # one nearest-nucleus search serves l(u) and the Jacobian
-    ell_u, grad = sf._ell_grad(pts)
-    rel = x[None, :] - pts
-    snorm = np.linalg.norm(rel, axis=1) / ell_u
-    vals = (unit_bump(snorm) ** 2 * jacobian(rel, ell_u, grad)).reshape(_SHAPE)
+    # one nearest-nucleus search along the rays serves l(u) and the Jacobian
+    ell_u, rel_dot_grad = sf._ell_dot_on_rays(x, s, _DIRS)
+    vals = unit_bump(s[:, None, None] / ell_u) ** 2 * _jacobian(rel_dot_grad, ell_u)
     integral = np.einsum("i,j,ijk->", ws * s ** 2, _WC, vals) * _WPHI
     return float(integral)

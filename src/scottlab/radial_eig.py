@@ -13,11 +13,29 @@ while the sinh mesh keeps ||T|| ~ (h / (r_core dxi))^2 bounded.
 Cutoff sandwiches phi (H phi .) phi stay tridiagonal (diagonal
 congruence), and their negative spectrum is exactly supported inside
 supp phi, so the mesh can stop at the cutoff radius.
+
+On a machine with two or more usable cores, a sum whose grid has at
+least POOL_MIN_NODES nodes solves its channels on a pool of forked
+worker processes, one per usable core, started at the first such sum and
+stopped at interpreter exit.  The parent builds each channel operator,
+hands it to the next idle worker and takes the eigenvalues back in l
+order, stopping at the first empty channel as the in-process loop does;
+what was solved past it is dropped.  Each worker runs the same
+negative_eigenvalues on the same arrays, so a sum is bit for bit the same
+either way.  Processes, not threads: LAPACK bisection (stebz) holds the
+interpreter lock.  Smaller grids stay in-process, where the pool's
+start-up and transfers would cost more than they save (the README gives
+the measured table).
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +55,10 @@ R_CAP, N_CAP = 1e4, 60000
 
 # nodes per local de Broglie length of the cutoff-localized meshes
 LOCALIZED_RESOLUTION = 24.0
+
+# nodes of a sum's grid from which its channels go to the worker pool: the
+# smallest grids on which one sum saves more than starting the pool costs
+POOL_MIN_NODES = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +205,8 @@ class SpectralSum:
 
     With coarse_trace set (a refined sum) the eigenvalues are those of the
     fine grid and the trace is the two-grid Richardson value
-    (4 T_fine - T_coarse) / 3.
+    (4 T_fine - T_coarse) / 3.  workers counts the processes that solved
+    the channels, 0 when they were solved in-process.
     """
 
     eigenvalues: dict
@@ -192,6 +215,7 @@ class SpectralSum:
     ell_max: int
     grid_n: int
     coarse_trace: Optional[float] = None
+    workers: int = 0
 
     @property
     def trace(self) -> float:
@@ -207,25 +231,162 @@ class SpectralSum:
         return int(sum((2 * ell + 1) * vals.size for ell, vals in self.eigenvalues.items()))
 
 
-def _assemble(V, h, mu, grid, cutoff, lmax_cap):
+def _serve(conn, cpu: int, parent_ends) -> None:
+    """Worker loop: solve each (diag, off, mu) received until None arrives.
+
+    An exception is sent back in place of the eigenvalues, for the parent
+    to raise.  Ctrl-C goes to the parent alone, which stops the workers; a
+    parent that dies without stopping them closes the pipe, which ends the
+    loop quietly as well.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.sched_setaffinity(0, {cpu})
+    for end in parent_ends:  # copies forked along; the pipe closes with the parent
+        end.close()
+    try:
+        while (task := conn.recv()) is not None:
+            diag, off, mu = task
+            try:
+                reply = negative_eigenvalues(ChannelOperator(diag=diag, off=off), mu=mu)
+            except Exception as exc:
+                reply = exc
+            conn.send(reply)
+    except (EOFError, BrokenPipeError):
+        pass
+
+
+class _Workers:
+    """Forked processes that each solve one channel at a time.
+
+    Forked, not spawned, so that each inherits the imported scipy.linalg.
+    Each worker is pinned to its own core: left free, the scheduler was
+    seen to stack both workers of a 2-core machine on one core.  The parent
+    talks to each over its own pipe and starts no thread.
+    """
+
+    def __init__(self, cpus):
+        import multiprocessing
+
+        import scipy.linalg  # noqa: F401  (inherited by the workers)
+
+        ctx = multiprocessing.get_context("fork")
+        self.pid = os.getpid()
+        self.conns, self.procs = [], []
+        for cpu in cpus:
+            here, there = ctx.Pipe()
+            proc = ctx.Process(target=_serve, args=(there, cpu, self.conns + [here]),
+                               daemon=True)
+            proc.start()
+            there.close()
+            self.conns.append(here)
+            self.procs.append(proc)
+
+    def close(self) -> None:
+        for conn in self.conns:
+            conn.send(None)
+        for proc in self.procs:
+            proc.join()
+
+    def solve_in_order(self, ops, mu):
+        """Each operator's eigenvalues below -mu, in order.
+
+        A worker that falls idle gets the next channel at once, so channels
+        past the one awaited are solved ahead; when the caller closes the
+        generator, the replies still due are read and dropped.
+        """
+        from multiprocessing.connection import wait
+
+        todo = enumerate(ops)
+        idle = list(self.conns)
+        busy = {}  # conn -> index of the channel it solves
+        done = {}  # index -> eigenvalues, or the exception the worker raised
+
+        def feed():
+            for i, op in itertools.islice(todo, len(idle)):
+                conn = idle.pop()
+                conn.send((op.diag, op.off, mu))
+                busy[conn] = i
+
+        try:
+            for want in itertools.count():
+                feed()
+                while want not in done:
+                    if not busy:
+                        return
+                    for conn in wait(list(busy)):
+                        done[busy.pop(conn)] = conn.recv()
+                        idle.append(conn)
+                    feed()
+                reply = done.pop(want)
+                if isinstance(reply, Exception):
+                    raise reply
+                yield reply
+        finally:
+            for conn in busy:
+                conn.recv()
+
+
+# the workers, started by the first sum that uses them
+_pool: Optional[_Workers] = None
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None and _pool.pid == os.getpid():
+        _pool.close()
+    _pool = None
+
+
+def _channel_pool(n: int) -> Optional[_Workers]:
+    """The workers for a sum on an n-node grid, or None to solve in-process.
+
+    One worker per usable core, from two cores and POOL_MIN_NODES nodes on.
+    fork is safe only from a single-threaded process, so the pool starts
+    only in one, and the main thread alone uses it.
+    """
+    global _pool
+    cpus = sorted(os.sched_getaffinity(0))
+    if (len(cpus) < 2 or n < POOL_MIN_NODES
+            or threading.current_thread() is not threading.main_thread()):
+        return None
+    if _pool is None or _pool.pid != os.getpid():
+        if threading.active_count() > 1:
+            return None
+        _pool = _Workers(cpus)
+        atexit.register(_close_pool)
+    return _pool
+
+
+def _assemble(V, h, mu, grid, cutoff, lmax_cap, pool):
+    """Channels 0, 1, ... up to the first empty one, on the pool if given."""
+    ops = (build_channel(V, h, ell, grid, cutoff) for ell in range(lmax_cap + 1))
+    if pool is None:
+        solved = (negative_eigenvalues(op, mu=mu) for op in ops)
+    else:
+        solved = pool.solve_in_order(ops, mu)
     found = {}
-    for ell in range(lmax_cap + 1):
-        vals = negative_eigenvalues(build_channel(V, h, ell, grid, cutoff), mu=mu)
-        if vals.size == 0:
-            return found, ell - 1
-        found[ell] = vals
+    try:
+        for ell, vals in enumerate(solved):
+            if vals.size == 0:
+                return found, ell - 1
+            found[ell] = vals
+    finally:
+        solved.close()
     raise ChannelCascadeError(f"channels still nonempty at the l cap {lmax_cap}")
 
 
 def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
     """The channel sum on grid, or with refine its two-grid Richardson value."""
-    found, ell_max = _assemble(V, h, mu, grid, cutoff, lmax_cap)
-    coarse = SpectralSum(found, mu, h, ell_max, grid.n)
+    pool = _channel_pool(grid.n)
+    workers = 0 if pool is None else len(pool.procs)
+    found, ell_max = _assemble(V, h, mu, grid, cutoff, lmax_cap, pool)
+    coarse = SpectralSum(found, mu, h, ell_max, grid.n, workers=workers)
     if not refine:
         return coarse
     fine_grid = grid.refined()
-    found, ell_max = _assemble(V, h, mu, fine_grid, cutoff, lmax_cap)
-    return SpectralSum(found, mu, h, ell_max, fine_grid.n, coarse_trace=coarse.trace)
+    found, ell_max = _assemble(V, h, mu, fine_grid, cutoff, lmax_cap, pool)
+    return SpectralSum(found, mu, h, ell_max, fine_grid.n, coarse_trace=coarse.trace,
+                       workers=workers)
 
 
 def trace_neg(V, h: float, mu: float = 0.0, grid: Optional[RadialGrid] = None,

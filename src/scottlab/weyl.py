@@ -68,10 +68,22 @@ class WeylIntegrand:
 _GL24 = leggauss(24)
 
 
+def _bisect(f, a, b, fa, xtol):
+    """The sign change of f in [a, b], with f(a) = fa and f(b) of the other sign, to xtol."""
+    while b - a > xtol:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def _turning_points(V, mu, r_hi):
     """Radii where V - mu changes sign, on (0, r_hi]."""
-    from scipy.optimize import brentq
-
     if mu <= 0:
         return []
     grid = np.geomspace(1e-8 * r_hi, r_hi, 600)
@@ -81,7 +93,8 @@ def _turning_points(V, mu, r_hi):
         if fa == 0.0:
             out.append(float(a))
         elif fa * fb < 0:
-            out.append(float(brentq(lambda r: float(V(np.array([r]))[0]) - mu, a, b, xtol=1e-14 * b)))
+            out.append(_bisect(lambda r: float(V(np.array([r]))[0]) - mu,
+                               float(a), float(b), float(fa), 1e-14 * b))
     return out
 
 

@@ -1,5 +1,9 @@
 import argparse
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,22 @@ def test_trace_csv_summary_row(tmp_path):
     table = [r.split(",") for r in rows[1:-1]]
     total = sum(2 * (2 * int(l) + 1) * (float(v) + 0.01) for l, _, v in table)
     assert float(last[2]) == pytest.approx(total, rel=1e-12)
+
+
+def test_pooled_trace_exits_cleanly(tmp_path):
+    # a grid large enough for the worker pool; the pool is shut down at exit
+    # without a word on stderr, and the sidecar says how many workers ran
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "scottlab.cli", "trace", "--potential",
+                           "coulomb", "--mu", "0.0025", "--refine", "--out", "t.csv"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    cores = len(os.sched_getaffinity(0))
+    sidecar = (tmp_path / "t.csv.meta.txt").read_text().splitlines()
+    assert sidecar[-1] == f"workers: {cores if cores > 1 else 0}"
 
 
 def test_trace_validation_exit(tmp_path):

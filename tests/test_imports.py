@@ -1,7 +1,7 @@
 """Each CLI process loads only the scipy parts its command runs.
 
-Every check starts a fresh interpreter, so the scipy modules this test
-process has already loaded do not count, and reads its sys.modules.
+Every check starts a fresh interpreter, so the modules this test process
+has already loaded do not count, and reads its sys.modules.
 """
 
 import json
@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 _RUN_CLI = """
@@ -29,14 +29,18 @@ if main(sys.argv[1:]) != 0:
 """
 
 
-def _scipy_modules(body, *argv, cwd=None):
-    """The scipy modules loaded by running body (with argv) in a fresh interpreter."""
+def _modules(body, *argv, cwd=None):
+    """The modules loaded by running body (with argv) in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", _PROBE.format(body=body), *argv],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _scipy_modules(body, *argv, cwd=None):
+    return {m for m in _modules(body, *argv, cwd=cwd) if m == "scipy" or m.startswith("scipy.")}
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +56,19 @@ def test_import_loads_no_scipy(module):
     assert _scipy_modules(f"import {module}") == set()
 
 
+def test_cli_import_loads_no_process_pool():
+    # the radial worker pool is imported only when a sum starts it
+    loaded = {m.split(".")[0] for m in _modules("import scottlab.cli")}
+    assert not loaded & {"multiprocessing", "concurrent"}
+
+
 @pytest.mark.parametrize("argv", [
     ["scott", "--route", "mu-limit"],
     ["partition-check", "--n-points", "3"],
     ["tf", "--cache-dir", "cache"],
     ["weyl", "--potential", "tf", "--mu", "0", "--cache-dir", "cache"],
-], ids=["mu-limit", "partition-check", "tf-hit", "weyl-tf-hit"])
+    ["weyl", "--potential", "tf", "--mu", "0.01", "--cache-dir", "cache"],
+], ids=["mu-limit", "partition-check", "tf-hit", "weyl-tf-hit", "weyl-tf-mu"])
 def test_command_runs_without_scipy(warm_cache, argv):
     assert _scipy_modules(_RUN_CLI, *argv, "--out", "run.csv", cwd=warm_cache) == set()
 

@@ -55,6 +55,24 @@ def test_jacobian_matches_finite_differences(sf):
         assert abs(J[k] - _fd_jacobian(x[k], u[k], sf)) / J[k] < 1e-6
 
 
+@pytest.mark.parametrize("nuclei", [((0, 0, 0),), ((0, 0, 0), (4, 0, 0), (1, 3, -2))],
+                         ids=["atom", "three-nuclei"])
+def test_scale_field_on_rays_matches_points(nuclei):
+    # the ray form against l and grad l at the points u = x + s n themselves
+    sf = ScaleFunctions(r0=1.0, nuclei=nuclei)
+    rng = np.random.default_rng(6)
+    x = np.array([1.5, 1.0, -0.5])
+    s = np.array([0.0, 0.3, 1.7, 2.6])
+    dirs = rng.normal(size=(5, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    ell, dot = sf._ell_dot_on_rays(x, s, dirs)
+    u = x + s[:, None, None] * dirs[None]
+    ell_ref, grad_ref = sf._ell_grad(u.reshape(-1, 3))
+    dot_ref = np.einsum("ij,ij->i", (x - u).reshape(-1, 3), grad_ref)
+    np.testing.assert_allclose(ell.ravel(), ell_ref, rtol=1e-13)
+    np.testing.assert_allclose(dot.ravel(), dot_ref, rtol=1e-11, atol=1e-15)
+
+
 def test_partition_identity_constant_ell():
     sf_flat = ScaleFunctions(r0=1e7)
     val = partition_check(np.array([3.0, -1.0, 2.0]), sf_flat)

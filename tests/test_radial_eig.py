@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
@@ -143,6 +145,90 @@ def test_mapping_variants_agree():
     e_sinh = negative_eigenvalues(build_channel(VC, 1.0, 0, sinh_grid), mu=0.02)
     e_uni = negative_eigenvalues(build_channel(VC, 1.0, 0, uniform_grid(80.0, 16000)), mu=0.02)
     np.testing.assert_allclose(e_uni[:3], e_sinh[:3], atol=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# channels solved on the worker pool
+# ---------------------------------------------------------------------------
+
+multicore = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                               reason="the worker pool needs two usable cores")
+
+
+def serial_channels(V, h, mu, grid, cutoff=None):
+    """Channels 0, 1, ... up to the first empty one, one in-process solve at a time."""
+    found = {}
+    for ell in range(200):
+        vals = negative_eigenvalues(build_channel(V, h, ell, grid, cutoff), mu=mu)
+        if vals.size == 0:
+            return found
+        found[ell] = vals
+
+
+def serial_sum(V, h, mu, grid, cutoff=None, refine=False):
+    """The oracle of a pooled sum: the same channels from the serial loop."""
+    coarse = radial_eig.SpectralSum(serial_channels(V, h, mu, grid, cutoff), mu, h, 0, grid.n)
+    if not refine:
+        return coarse
+    fine = grid.refined()
+    return radial_eig.SpectralSum(serial_channels(V, h, mu, fine, cutoff), mu, h, 0, fine.n,
+                                  coarse_trace=coarse.trace)
+
+
+def assert_same_sum(got, want):
+    assert got.eigenvalues.keys() == want.eigenvalues.keys()
+    for ell, vals in want.eigenvalues.items():
+        assert np.array_equal(got.eigenvalues[ell], vals)
+    assert got.trace == want.trace
+
+
+def pool_grid(r_max):
+    """A grid just large enough for its sums to go to the pool."""
+    return make_grid(radial_eig.core_radius(1.0), r_max, radial_eig.POOL_MIN_NODES)
+
+
+@multicore
+@pytest.mark.parametrize("refine", [False, True], ids=["plain", "refined"])
+def test_pooled_trace_equals_serial_loop(refine):
+    grid = pool_grid(400.0)
+    got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid, refine=refine)
+    assert got.workers == len(os.sched_getaffinity(0))
+    assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=refine))
+
+
+@multicore
+def test_pooled_localized_trace_equals_serial_loop():
+    phi = SmoothCutoff(80.0)
+    grid = pool_grid(80.0)
+    got = localized_trace_neg(VC, phi, 1.0, grid=grid, refine=True)
+    assert got.workers == len(os.sched_getaffinity(0))
+    assert_same_sum(got, serial_sum(VC, 1.0, 0.0, grid, cutoff=phi, refine=True))
+
+
+@multicore
+def test_pooled_cascade_cap_and_worker_errors_reach_the_caller():
+    grid = pool_grid(400.0)
+    with pytest.raises(ChannelCascadeError):
+        trace_neg(VC, 1.0, mu=1.0 / 400.0, grid=grid, lmax_cap=2)
+    # build_channel ignores mu, so the workers are the first to reject it
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        trace_neg(VC, 1.0, mu=-1.0, grid=grid)
+    # the replies dropped after each error do not leak into the next sum
+    got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid)
+    assert got.workers > 0
+    assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid))
+
+
+def test_one_usable_core_starts_no_pool(monkeypatch):
+    def no_pool(cpus):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(radial_eig, "_pool", None)
+    monkeypatch.setattr(radial_eig, "_Workers", no_pool)
+    got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0))
+    assert got.workers == 0
+    assert radial_eig._pool is None
 
 
 # ---------------------------------------------------------------------------
