@@ -217,8 +217,8 @@ def cmd_trace(args) -> int:
         raise ValidationError("mu must be nonnegative and finite")
     if args.r_max is not None:
         _positive([args.r_max], "r-max")
-    if args.n is not None and args.n < 8:
-        raise ValidationError("n must be at least 8")
+    if args.n is not None and not 8 <= args.n <= radial_eig.N_CAP:
+        raise ValidationError(f"n must lie in [8, {radial_eig.N_CAP}]")
     if args.potential == "coulomb" and args.mu == 0.0:
         raise ValidationError("the mu = 0 Coulomb trace has infinitely many channels")
     V = _resolve_potential(args)
@@ -424,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--refine", action="store_true")
     sp.add_argument("--r-max", type=float, default=None)
     sp.add_argument("--n", type=int, default=None,
-                    help="node count of the radial grid; an explicit --n fixes the node "
-                         "count, so --resolution does not apply")
+                    help=f"node count of the radial grid (8 to {radial_eig.N_CAP}); an "
+                         "explicit --n fixes the node count, so --resolution does not apply")
     sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("scott", help="Scott-function estimates by route")

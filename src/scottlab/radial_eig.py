@@ -15,29 +15,26 @@ congruence), and their negative spectrum is exactly supported inside
 supp phi, so the mesh can stop at the cutoff radius.
 
 On a machine with two or more usable cores, a sum whose grid has at
-least POOL_MIN_NODES nodes solves its channels on a pool of forked
-worker processes, one per usable core, started at the first such sum and
-stopped at interpreter exit.  The parent builds each channel operator,
-hands it to the next idle worker and takes the eigenvalues back in l
-order, stopping at the first empty channel as the in-process loop does;
-what was solved past it is dropped.  Each worker runs the same
-negative_eigenvalues on the same arrays, so a sum is bit for bit the same
-either way.  Processes, not threads: LAPACK bisection (stebz) holds the
-interpreter lock.  Smaller grids stay in-process, where the pool's
-start-up and transfers would cost more than they save (the README gives
-the measured table).
+least POOL_MIN_NODES nodes forks one child per usable core, pinned to it,
+for that sum alone.  Child i solves the channels l = i (mod k) of each
+grid up to its own first empty one and sends their eigenvalues back; the
+parent merges them in l order and stops at the first empty channel, as
+the in-process loop does, and reaps every child before it returns.  Both
+paths run the same code on the same arrays, so a sum is bit for bit the
+same either way.  Processes, not threads: LAPACK bisection (stebz) holds
+the interpreter lock.  Smaller grids stay in-process, where forking would
+cost more than it saves (the README gives the measured table).
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
 import math
 import os
+import pickle
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,8 +53,8 @@ R_CAP, N_CAP = 1e4, 60000
 # nodes per local de Broglie length of the cutoff-localized meshes
 LOCALIZED_RESOLUTION = 24.0
 
-# nodes of a sum's grid from which its channels go to the worker pool: the
-# smallest grids on which one sum saves more than starting the pool costs
+# nodes of a sum's grid from which its channels go to forked children: the
+# smallest grids on which one sum saves more than forking costs
 POOL_MIN_NODES = 3000
 
 
@@ -161,14 +158,14 @@ class ChannelOperator:
     off: np.ndarray
 
 
-def build_channel(V, h: float, ell: int, grid: RadialGrid,
-                  cutoff: Optional[Callable] = None) -> ChannelOperator:
+def build_channel(v: np.ndarray, h: float, ell: int, grid: RadialGrid,
+                  f: Optional[np.ndarray] = None) -> ChannelOperator:
+    """Channel ell of -h^2 Delta - V from v = V(grid.r), sandwiched by f = phi(grid.r) if given."""
     r = grid.r
     h2 = h * h
-    d = h2 * grid.kin_diag + h2 * ell * (ell + 1) / r ** 2 - np.asarray(V(r), dtype=float)
-    e = h2 * grid.kin_off.copy()
-    if cutoff is not None:
-        f = np.asarray(cutoff(r), dtype=float)
+    d = h2 * grid.kin_diag + h2 * ell * (ell + 1) / r ** 2 - v
+    e = h2 * grid.kin_off
+    if f is not None:
         d = d * f * f
         e = e * f[:-1] * f[1:]
     return ChannelOperator(diag=d, off=e)
@@ -231,162 +228,118 @@ class SpectralSum:
         return int(sum((2 * ell + 1) * vals.size for ell, vals in self.eigenvalues.items()))
 
 
-def _serve(conn, cpu: int, parent_ends) -> None:
-    """Worker loop: solve each (diag, off, mu) received until None arrives.
+def _merge(parts, lmax_cap):
+    """Channels 0, 1, ... up to the first empty one, parts[i] holding l = i (mod k).
 
-    An exception is sent back in place of the eigenvalues, for the parent
-    to raise.  Ctrl-C goes to the parent alone, which stops the workers; a
-    parent that dies without stopping them closes the pipe, which ends the
-    loop quietly as well.
+    Each part runs up to and including its own first empty channel, so
+    every channel up to the first empty one overall is there.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    os.sched_setaffinity(0, {cpu})
-    for end in parent_ends:  # copies forked along; the pipe closes with the parent
-        end.close()
-    try:
-        while (task := conn.recv()) is not None:
-            diag, off, mu = task
-            try:
-                reply = negative_eigenvalues(ChannelOperator(diag=diag, off=off), mu=mu)
-            except Exception as exc:
-                reply = exc
-            conn.send(reply)
-    except (EOFError, BrokenPipeError):
-        pass
-
-
-class _Workers:
-    """Forked processes that each solve one channel at a time.
-
-    Forked, not spawned, so that each inherits the imported scipy.linalg.
-    Each worker is pinned to its own core: left free, the scheduler was
-    seen to stack both workers of a 2-core machine on one core.  The parent
-    talks to each over its own pipe and starts no thread.
-    """
-
-    def __init__(self, cpus):
-        import multiprocessing
-
-        import scipy.linalg  # noqa: F401  (inherited by the workers)
-
-        ctx = multiprocessing.get_context("fork")
-        self.pid = os.getpid()
-        self.conns, self.procs = [], []
-        for cpu in cpus:
-            here, there = ctx.Pipe()
-            proc = ctx.Process(target=_serve, args=(there, cpu, self.conns + [here]),
-                               daemon=True)
-            proc.start()
-            there.close()
-            self.conns.append(here)
-            self.procs.append(proc)
-
-    def close(self) -> None:
-        for conn in self.conns:
-            conn.send(None)
-        for proc in self.procs:
-            proc.join()
-
-    def solve_in_order(self, ops, mu):
-        """Each operator's eigenvalues below -mu, in order.
-
-        A worker that falls idle gets the next channel at once, so channels
-        past the one awaited are solved ahead; when the caller closes the
-        generator, the replies still due are read and dropped.
-        """
-        from multiprocessing.connection import wait
-
-        todo = enumerate(ops)
-        idle = list(self.conns)
-        busy = {}  # conn -> index of the channel it solves
-        done = {}  # index -> eigenvalues, or the exception the worker raised
-
-        def feed():
-            for i, op in itertools.islice(todo, len(idle)):
-                conn = idle.pop()
-                conn.send((op.diag, op.off, mu))
-                busy[conn] = i
-
-        try:
-            for want in itertools.count():
-                feed()
-                while want not in done:
-                    if not busy:
-                        return
-                    for conn in wait(list(busy)):
-                        done[busy.pop(conn)] = conn.recv()
-                        idle.append(conn)
-                    feed()
-                reply = done.pop(want)
-                if isinstance(reply, Exception):
-                    raise reply
-                yield reply
-        finally:
-            for conn in busy:
-                conn.recv()
-
-
-# the workers, started by the first sum that uses them
-_pool: Optional[_Workers] = None
-
-
-def _close_pool() -> None:
-    global _pool
-    if _pool is not None and _pool.pid == os.getpid():
-        _pool.close()
-    _pool = None
-
-
-def _channel_pool(n: int) -> Optional[_Workers]:
-    """The workers for a sum on an n-node grid, or None to solve in-process.
-
-    One worker per usable core, from two cores and POOL_MIN_NODES nodes on.
-    fork is safe only from a single-threaded process, so the pool starts
-    only in one, and the main thread alone uses it.
-    """
-    global _pool
-    cpus = sorted(os.sched_getaffinity(0))
-    if (len(cpus) < 2 or n < POOL_MIN_NODES
-            or threading.current_thread() is not threading.main_thread()):
-        return None
-    if _pool is None or _pool.pid != os.getpid():
-        if threading.active_count() > 1:
-            return None
-        _pool = _Workers(cpus)
-        atexit.register(_close_pool)
-    return _pool
-
-
-def _assemble(V, h, mu, grid, cutoff, lmax_cap, pool):
-    """Channels 0, 1, ... up to the first empty one, on the pool if given."""
-    ops = (build_channel(V, h, ell, grid, cutoff) for ell in range(lmax_cap + 1))
-    if pool is None:
-        solved = (negative_eigenvalues(op, mu=mu) for op in ops)
-    else:
-        solved = pool.solve_in_order(ops, mu)
     found = {}
-    try:
-        for ell, vals in enumerate(solved):
-            if vals.size == 0:
-                return found, ell - 1
-            found[ell] = vals
-    finally:
-        solved.close()
+    for ell in range(lmax_cap + 1):
+        vals = parts[ell % len(parts)][ell]
+        if vals.size == 0:
+            return found, ell - 1
+        found[ell] = vals
     raise ChannelCascadeError(f"channels still nonempty at the l cap {lmax_cap}")
 
 
+def _child(work, i: int, cpu: int, w: int) -> None:
+    """In a forked child: pinned to cpu, send work(i) or its exception over w and exit."""
+    code = 1
+    try:
+        os.sched_setaffinity(0, {cpu})
+        try:
+            reply = work(i)
+        except Exception as exc:
+            reply = exc
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(pickle.dumps(reply))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_join(work, cpus):
+    """[work(0), ..., work(k - 1)], work(i) run in a child forked and pinned to cpus[i].
+
+    Forked, so each child inherits the imported scipy.linalg and the
+    evaluated fields; pinned, because the scheduler was seen to stack both
+    children of a 2-core machine on one core.  A child's exception is raised here; a child that
+    ends without a reply raises RuntimeError.  Every child is reaped before
+    this returns or raises, and is killed first if the parent raises while
+    it waits.
+    """
+    import scipy.linalg  # noqa: F401  (inherited by the children)
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for i, cpu in enumerate(cpus):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(work, i, cpu, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        replies = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for _, pipe in children:
+            pipe.close()
+    parts = []
+    for (pid, _), code, data in zip(children, status, replies):
+        if not data:
+            raise RuntimeError(f"radial worker {pid} ended without a reply (exit status {code})")
+        reply = pickle.loads(data)
+        if isinstance(reply, Exception):
+            raise reply
+        parts.append(reply)
+    return parts
+
+
 def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
-    """The channel sum on grid, or with refine its two-grid Richardson value."""
-    pool = _channel_pool(grid.n)
-    workers = 0 if pool is None else len(pool.procs)
-    found, ell_max = _assemble(V, h, mu, grid, cutoff, lmax_cap, pool)
-    coarse = SpectralSum(found, mu, h, ell_max, grid.n, workers=workers)
-    if not refine:
-        return coarse
-    fine_grid = grid.refined()
-    found, ell_max = _assemble(V, h, mu, fine_grid, cutoff, lmax_cap, pool)
-    return SpectralSum(found, mu, h, ell_max, fine_grid.n, coarse_trace=coarse.trace,
-                       workers=workers)
+    """The channel sum on grid, or with refine its two-grid Richardson value.
+
+    V and the cutoff are evaluated once on each grid.  With two or more
+    usable cores, a grid of at least POOL_MIN_NODES nodes and a process
+    that runs one thread (fork is safe only from one), child i of k forked
+    ones solves the channels l = i (mod k) of every grid; otherwise
+    work(0) runs here with k = 1.
+    """
+    grids = [grid, grid.refined()] if refine else [grid]
+    fields = [(np.asarray(V(g.r), dtype=float),
+               None if cutoff is None else np.asarray(cutoff(g.r), dtype=float))
+              for g in grids]
+    cpus = sorted(os.sched_getaffinity(0))
+    pooled = len(cpus) > 1 and grid.n >= POOL_MIN_NODES and threading.active_count() == 1
+    k = len(cpus) if pooled else 1
+    parent = os.getpid()
+
+    def work(i):
+        """Channels i, i + k, ... of each grid, up to and including its first empty one."""
+        out = []
+        for g, (v, f) in zip(grids, fields):
+            found = {}
+            for ell in range(i, lmax_cap + 1, k):
+                found[ell] = negative_eigenvalues(build_channel(v, h, ell, g, f), mu=mu)
+                if pooled and os.getppid() != parent:
+                    os._exit(1)  # the parent is gone: nobody waits for the rest
+                if found[ell].size == 0:
+                    break
+            out.append(found)
+        return out
+
+    parts = _fork_join(work, cpus) if pooled else [work(0)]
+    total = None
+    for g, *found in zip(grids, *parts):
+        channels, ell_max = _merge(found, lmax_cap)
+        total = SpectralSum(channels, mu, h, ell_max, g.n,
+                            coarse_trace=None if total is None else total.trace,
+                            workers=k if pooled else 0)
+    return total
 
 
 def trace_neg(V, h: float, mu: float = 0.0, grid: Optional[RadialGrid] = None,

@@ -65,12 +65,13 @@ def test_criterion_3_tf_self_consistency():
 def test_criterion_4_radial_oracle():
     t0 = time.time()
     grid = radial_eig.auto_grid(VC, 1.0, 1.0 / 150.0)
+    fine_grid = grid.refined()
     worst = 0.0
     for ell in range(5):
         coarse = radial_eig.negative_eigenvalues(
-            radial_eig.build_channel(VC, 1.0, ell, grid), mu=1.0 / 150.0)
+            radial_eig.build_channel(VC(grid.r), 1.0, ell, grid), mu=1.0 / 150.0)
         fine = radial_eig.negative_eigenvalues(
-            radial_eig.build_channel(VC, 1.0, ell, grid.refined()), mu=1.0 / 150.0)
+            radial_eig.build_channel(VC(fine_grid.r), 1.0, ell, fine_grid), mu=1.0 / 150.0)
         for k in range(min(coarse.size, fine.size, 5 - ell)):
             n = ell + 1 + k
             rich = (4.0 * fine[k] - coarse[k]) / 3.0

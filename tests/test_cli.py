@@ -64,8 +64,8 @@ def test_trace_csv_summary_row(tmp_path):
 
 
 def test_pooled_trace_exits_cleanly(tmp_path):
-    # a grid large enough for the worker pool; the pool is shut down at exit
-    # without a word on stderr, and the sidecar says how many workers ran
+    # a grid large enough for forked children; the run ends without a word
+    # on stderr, and the sidecar says how many children solved the channels
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -125,6 +125,7 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["weyl", "--potential", "tf", "--z", "-1"],
     ["weyl", "--z", "-1"],
     ["trace", "--n", "7"],
+    ["trace", "--potential", "coulomb", "--n", "1000000000000"],
     ["trace", "--r-max", "-5", "--n", "100"],
     ["trace", "--r-max", "0"],
     ["tf", "--tolerance", "-1"],
@@ -136,8 +137,8 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["scott", "--route", "ansatz-min", "--budget", "0"],
 ], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
         "d-min-above-d-max", "n-points-negative", "beta-above-bound", "R-zero", "h-zero",
-        "tf-z-negative", "z-negative", "n-below-8", "r-max-negative", "r-max-zero",
-        "tolerance-negative", "refine-maybe", "config-not-utf8", "modes-zero",
+        "tf-z-negative", "z-negative", "n-below-8", "n-above-cap", "r-max-negative",
+        "r-max-zero", "tolerance-negative", "refine-maybe", "config-not-utf8", "modes-zero",
         "modes-negative", "partition-seed-negative", "budget-zero"])
 def test_bad_input_is_a_validation_error(tmp_path, argv):
     (tmp_path / "maybe.cfg").write_text("refine = maybe\n")
@@ -424,7 +425,8 @@ def _cli_argv(draw, d):
                                                       "short.csv", "missing.csv")))
         argv += req("--h", "1", "0.5", "2", *bad) + opt("--mu", "0.05", "0.1", "1", *bad)
         argv += opt("--resolution", "8", *bad) + opt("--r-max", "20", *bad)
-        argv += opt("--n", "60", "8", "7", *bad) + draw(st.sampled_from([[], ["--refine"]]))
+        argv += opt("--n", "60", "8", "7", "1000000000000", *bad)
+        argv += draw(st.sampled_from([[], ["--refine"]]))
     elif command == "scott":
         route = draw(st.sampled_from(["mu-limit", "cutoff-R", "spectral-fit", "ansatz-min",
                                       "other"]))

@@ -57,9 +57,17 @@ def test_import_loads_no_scipy(module):
 
 
 def test_cli_import_loads_no_process_pool():
-    # the radial worker pool is imported only when a sum starts it
     loaded = {m.split(".")[0] for m in _modules("import scottlab.cli")}
     assert not loaded & {"multiprocessing", "concurrent"}
+
+
+def test_pooled_trace_loads_no_process_pool(tmp_path):
+    # the channels go to children forked with os.fork; scipy.linalg itself
+    # loads concurrent.futures (through numpy.testing), so that is discounted
+    loaded = _modules(_RUN_CLI, "trace", "--potential", "coulomb", "--mu", "0.0025",
+                      "--refine", "--out", "run.csv", cwd=tmp_path)
+    added = {m.split(".")[0] for m in loaded - _modules("import scipy.linalg")}
+    assert not added & {"multiprocessing", "concurrent"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,7 @@
 import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ def uniform_grid(r_max, n):
 def test_coulomb_levels_across_channels():
     grid = radial_eig.auto_grid(VC, 1.0, 1.0 / 150.0)
     for ell in range(5):
-        op = build_channel(VC, 1.0, ell, grid)
+        op = build_channel(VC(grid.r), 1.0, ell, grid)
         vals = negative_eigenvalues(op, mu=1.0 / 150.0)
         for k, e in enumerate(vals):
             n = ell + 1 + k
@@ -49,21 +52,21 @@ def test_coulomb_levels_across_channels():
 
 def test_lowest_channel_eigenvalues():
     grid = radial_eig.auto_grid(VC, 1.0, 1.0 / 20.0)
-    e0 = negative_eigenvalues(build_channel(VC, 1.0, 0, grid), mu=1 / 20.0)[0]
-    e1 = negative_eigenvalues(build_channel(VC, 1.0, 1, grid), mu=1 / 20.0)[0]
+    e0 = negative_eigenvalues(build_channel(VC(grid.r), 1.0, 0, grid), mu=1 / 20.0)[0]
+    e1 = negative_eigenvalues(build_channel(VC(grid.r), 1.0, 1, grid), mu=1 / 20.0)[0]
     assert e0 == pytest.approx(-0.25, abs=1e-5)
     assert e1 == pytest.approx(-1.0 / 16.0, abs=1e-5)
     # mu = 0 on a fixed grid: the per-channel lowest values are unaffected
     fixed = make_grid(0.3, 400.0, 4000)
-    assert negative_eigenvalues(build_channel(VC, 1.0, 0, fixed))[0] == \
+    assert negative_eigenvalues(build_channel(VC(fixed.r), 1.0, 0, fixed))[0] == \
         pytest.approx(-0.25, abs=1e-5)
-    assert negative_eigenvalues(build_channel(VC, 1.0, 1, fixed))[0] == \
+    assert negative_eigenvalues(build_channel(VC(fixed.r), 1.0, 1, fixed))[0] == \
         pytest.approx(-1.0 / 16.0, abs=1e-5)
 
 
 def test_nonpositive_potential_has_no_bound_states():
     grid = make_grid(0.1, 30.0, 1500)
-    op = build_channel(lambda r: -np.ones_like(r), 1.0, 0, grid)
+    op = build_channel(-np.ones_like(grid.r), 1.0, 0, grid)
     assert negative_eigenvalues(op, mu=0.0).size == 0
 
 
@@ -72,7 +75,7 @@ def test_sturm_count_consistency():
     mu = 1.0 / 90.0
     grid = make_grid(0.3, 300.0, 2500)
     for ell in (0, 1, 3):
-        op = build_channel(VC, 1.0, ell, grid)
+        op = build_channel(VC(grid.r), 1.0, ell, grid)
         vals = negative_eigenvalues(op, mu=mu)
         assert sturm_count(op.diag, op.off, -mu) == vals.size
 
@@ -126,7 +129,7 @@ def test_channel_emptiness_is_monotone():
     sizes = []
     for ell in range(12):
         sizes.append(negative_eigenvalues(
-            build_channel(VC, 1.0, ell, grid), mu=1.0 / 50.0).size)
+            build_channel(VC(grid.r), 1.0, ell, grid), mu=1.0 / 50.0).size)
     empty_seen = False
     for s in sizes:
         if s == 0:
@@ -142,24 +145,26 @@ def test_channel_cascade_cap():
 def test_mapping_variants_agree():
     # same physics on the sinh mesh and the uniform reference mesh
     sinh_grid = make_grid(0.2, 80.0, 3000)
-    e_sinh = negative_eigenvalues(build_channel(VC, 1.0, 0, sinh_grid), mu=0.02)
-    e_uni = negative_eigenvalues(build_channel(VC, 1.0, 0, uniform_grid(80.0, 16000)), mu=0.02)
+    e_sinh = negative_eigenvalues(build_channel(VC(sinh_grid.r), 1.0, 0, sinh_grid), mu=0.02)
+    uni_grid = uniform_grid(80.0, 16000)
+    e_uni = negative_eigenvalues(build_channel(VC(uni_grid.r), 1.0, 0, uni_grid), mu=0.02)
     np.testing.assert_allclose(e_uni[:3], e_sinh[:3], atol=5e-3)
 
 
 # ---------------------------------------------------------------------------
-# channels solved on the worker pool
+# channels solved in forked children
 # ---------------------------------------------------------------------------
 
 multicore = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                               reason="the worker pool needs two usable cores")
+                               reason="forked children need two usable cores")
 
 
 def serial_channels(V, h, mu, grid, cutoff=None):
     """Channels 0, 1, ... up to the first empty one, one in-process solve at a time."""
+    v, f = V(grid.r), None if cutoff is None else cutoff(grid.r)
     found = {}
     for ell in range(200):
-        vals = negative_eigenvalues(build_channel(V, h, ell, grid, cutoff), mu=mu)
+        vals = negative_eigenvalues(build_channel(v, h, ell, grid, f), mu=mu)
         if vals.size == 0:
             return found
         found[ell] = vals
@@ -183,8 +188,25 @@ def assert_same_sum(got, want):
 
 
 def pool_grid(r_max):
-    """A grid just large enough for its sums to go to the pool."""
+    """A grid just large enough for its sums to go to forked children."""
     return make_grid(radial_eig.core_radius(1.0), r_max, radial_eig.POOL_MIN_NODES)
+
+
+def assert_no_children():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_children(action):
+    """negative_eigenvalues, but running action first when called in a forked child."""
+    here = os.getpid()
+
+    def solve(op, mu=0.0):
+        if os.getpid() != here:
+            action()
+        return negative_eigenvalues(op, mu=mu)
+    return solve
 
 
 @multicore
@@ -193,6 +215,7 @@ def test_pooled_trace_equals_serial_loop(refine):
     grid = pool_grid(400.0)
     got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid, refine=refine)
     assert got.workers == len(os.sched_getaffinity(0))
+    assert_no_children()
     assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=refine))
 
 
@@ -210,25 +233,109 @@ def test_pooled_cascade_cap_and_worker_errors_reach_the_caller():
     grid = pool_grid(400.0)
     with pytest.raises(ChannelCascadeError):
         trace_neg(VC, 1.0, mu=1.0 / 400.0, grid=grid, lmax_cap=2)
-    # build_channel ignores mu, so the workers are the first to reject it
+    assert_no_children()
+    # build_channel ignores mu, so the children are the first to reject it
     with pytest.raises(ValueError, match="mu must be nonnegative"):
         trace_neg(VC, 1.0, mu=-1.0, grid=grid)
-    # the replies dropped after each error do not leak into the next sum
+    assert_no_children()
     got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid)
     assert got.workers > 0
     assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid))
 
 
+def _unpicklable():
+    raise ValueError(lambda: None)
+
+
+@multicore
+@pytest.mark.parametrize("action, status", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    (_unpicklable, 1),
+], ids=["killed", "unpicklable-reply"])
+def test_child_without_a_reply_is_a_runtime_error(monkeypatch, action, status):
+    monkeypatch.setattr(radial_eig, "negative_eigenvalues", in_children(action))
+    with pytest.raises(RuntimeError, match=rf"ended without a reply \(exit status {status}\)"):
+        trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0))
+    assert_no_children()
+
+
+@multicore
+def test_child_without_a_reply_is_a_compute_error_in_the_cli(monkeypatch, tmp_path):
+    from scottlab.cli import EXIT_COMPUTE, main
+
+    monkeypatch.setattr(radial_eig, "negative_eigenvalues",
+                        in_children(lambda: os.kill(os.getpid(), signal.SIGKILL)))
+    assert main(["trace", "--potential", "coulomb", "--mu", "0.0025",
+                 "--out", str(tmp_path / "t.csv")]) == EXIT_COMPUTE
+    assert_no_children()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@multicore
+def test_parent_interrupted_while_waiting_reaps_its_children(monkeypatch):
+    def interrupt(signum, frame):
+        raise _Interrupted
+
+    monkeypatch.setattr(radial_eig, "negative_eigenvalues", in_children(lambda: time.sleep(60)))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(_Interrupted):
+            trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 30.0  # killed, not waited for
+    assert_no_children()
+
+
 def test_one_usable_core_starts_no_pool(monkeypatch):
-    def no_pool(cpus):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a child was forked")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(radial_eig, "_pool", None)
-    monkeypatch.setattr(radial_eig, "_Workers", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0))
     assert got.workers == 0
-    assert radial_eig._pool is None
+
+
+@multicore
+def test_second_thread_sums_in_process():
+    # fork is safe only from a process that runs one thread
+    grid = pool_grid(400.0)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(
+        trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid, refine=True)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert got[0].workers == 0
+    assert_same_sum(got[0], serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=True))
+
+
+class _Counted:
+    """A radial function that counts the times it is evaluated."""
+
+    def __init__(self, fn, R=None):
+        self.fn, self.R, self.calls = fn, R, 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return self.fn(r)
+
+
+def test_fields_are_evaluated_once_per_grid():
+    V = _Counted(VC)
+    trace_neg(V, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0), refine=True)
+    assert V.calls == 2
+    phi = SmoothCutoff(40.0)
+    V, cut = _Counted(VC), _Counted(phi, R=phi.R)
+    localized_trace_neg(V, cut, 1.0, grid=pool_grid(40.0), refine=True)
+    assert (V.calls, cut.calls) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
