@@ -11,11 +11,19 @@ self-adjoint operator is the sum of its negative eigenvalues, a number
 quantity -min(a,0); phase-space energy identities such as the two-sided
 Thomas-Fermi energy formula only close with the negative-valued choice,
 so that is the one fixed here, once.)
+
+The one fork-join helper of the package lives here too: radial channel
+sums and Pauli side walks hand their independent parts to children forked
+and pinned per call, under one rule for when forking is done.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +50,71 @@ def gauss(a, b, rule):
     xg, wg = rule
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
     return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
+
+
+def fork_cores() -> list:
+    """The usable cores to fork one child per, or [] where forking does not pay or is unsafe.
+
+    Forking pays only on two or more usable cores, and is safe only from a
+    process that runs one thread.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    return cpus if len(cpus) > 1 and threading.active_count() == 1 else []
+
+
+def _child(work, i: int, cpu: int, w: int) -> None:
+    """In a forked child: pinned to cpu, send work(i) or its exception over w and exit."""
+    code = 1
+    try:
+        os.sched_setaffinity(0, {cpu})
+        try:
+            reply = work(i)
+        except Exception as exc:
+            reply = exc
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(pickle.dumps(reply))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def fork_join(work, cpus) -> list:
+    """[work(0), ..., work(k - 1)], work(i) run in a child forked and pinned to cpus[i].
+
+    Forked, so each child inherits the imported modules and the evaluated
+    fields; pinned, because the scheduler was seen to stack both children
+    of a 2-core machine on one core.  A child's exception is raised here; a
+    child that ends without a reply raises RuntimeError.  Every child is
+    reaped before this returns or raises, and is killed first if the parent
+    raises while it waits.
+    """
+    children = []  # (pid, read end of its pipe)
+    try:
+        for i, cpu in enumerate(cpus):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(work, i, cpu, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        replies = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for _, pipe in children:
+            pipe.close()
+    parts = []
+    for (pid, _), code, data in zip(children, status, replies):
+        if not data:
+            raise RuntimeError(f"worker {pid} ended without a reply (exit status {code})")
+        reply = pickle.loads(data)
+        if isinstance(reply, Exception):
+            raise reply
+        parts.append(reply)
+    return parts
 
 
 @dataclass(frozen=True)

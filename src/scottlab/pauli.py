@@ -21,12 +21,23 @@ h |j| >= max(-side a rho) over the mesh, one step outward on that side
 raises every diagonal term, so each later block dominates block j in the
 Loewner order; once such a block is empty, so is every later one on its
 side, and the walk stops there.
+
+The two side walks share nothing but the evaluated fields.  For A != 0,
+on a machine with two or more usable cores and from a process that runs
+one thread (core.fork_cores), each side is walked by a child forked and
+pinned to its own core for that trace alone; the parent inserts the +j
+blocks and then the -j blocks, in the order the in-process walks do, and
+reaps both children before it returns.  Both paths run the same walk on
+the same arrays, so a trace is bit for bit the same either way.
+Processes, not threads: SuperLU's factorization holds the interpreter
+lock.  At A = 0 there is one side, walked in-process.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +47,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .core import ScottEstimate, check_coupling, gauss
+from .core import ScottEstimate, check_coupling, fork_cores, fork_join, gauss
 from .cutoffs import SmoothCutoff, bump_profile
 from .radial_eig import cutoff_weyl_coulomb
 
@@ -322,10 +333,17 @@ def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliTraceResult:
+    """Negative eigenvalues per signed block j and their sum.
+
+    workers counts the processes that walked the two sides, 0 when they
+    were walked in-process.
+    """
+
     trace: float
     blocks: dict
     mesh_shape: tuple
     mu: float
+    workers: int = 0
 
 
 def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
@@ -340,8 +358,9 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     suffices).  The mesh is grid, or else the (n_rho, n_z) = mesh ball of
     radius domain_radius.  Each side's walk stops at the first empty block
     with h |j| >= max(-side a rho): every later block on that side dominates
-    it (module docstring).  No extra spin factor: the spinor components are
-    explicit.
+    it (module docstring).  For A != 0, where core.fork_cores allows it, the
+    two sides are walked by two forked children (module docstring).  No
+    extra spin factor: the spinor components are explicit.
     """
     if grid is None:
         if domain_radius is None:
@@ -362,28 +381,42 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     # -a rho on the +j side, a rho on the -j side: once h |j| reaches its
     # largest value the walk is monotone (module docstring)
     a_rho = a2d * grid.R
-    blocks = {}
     # at A = 0 blocks j and -j are degenerate: walk m >= 0 only and store
     # each block twice
-    for side in (1,) if zero_field else (1, -1):
+    sides = (1,) if zero_field else (1, -1)
+    cpus = fork_cores()[:len(sides)] if len(sides) > 1 else []
+    parent = os.getpid()
+
+    def walk(i):
+        """{j: eigenvalues} of the nonempty blocks of side i, out to its certified stop."""
+        side = sides[i]
         reach = float(np.max(-side * a_rho))
+        found = {}
         m = 0 if side > 0 else -1
         for _ in range(JMAX):
             j = m + 0.5
             H = block_matrix(grid, K, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
             vals = eigs_below(H, -1e-12, SIGMA)
+            if cpus and os.getppid() != parent:
+                os._exit(1)  # the parent is gone: nobody waits for the rest
             if vals.size:
-                blocks[j] = vals
-                if zero_field:
-                    blocks[-j] = vals.copy()
+                found[j] = vals
             elif h * abs(j) >= reach:
-                break
+                return found
             m += side
-        else:
-            raise BlockCascadeError(f"no certified stop within {JMAX} blocks")
+        raise BlockCascadeError(f"no certified stop within {JMAX} blocks")
 
+    parts = fork_join(walk, cpus) if cpus else [walk(i) for i in range(len(sides))]
+    # insertion order is that of one walk after the other, and sum runs in it
+    blocks = {}
+    for found in parts:
+        for j, vals in found.items():
+            blocks[j] = vals
+            if zero_field:
+                blocks[-j] = vals.copy()
     trace = float(sum(np.sum(v) for v in blocks.values()))
-    return PauliTraceResult(trace=trace, blocks=blocks, mesh_shape=grid.shape, mu=mu)
+    return PauliTraceResult(trace=trace, blocks=blocks, mesh_shape=grid.shape, mu=mu,
+                            workers=len(cpus))
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,12 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import ScottEstimate
+from .core import ScottEstimate, fork_cores, fork_join
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_integral
 
@@ -243,78 +240,21 @@ def _merge(parts, lmax_cap):
     raise ChannelCascadeError(f"channels still nonempty at the l cap {lmax_cap}")
 
 
-def _child(work, i: int, cpu: int, w: int) -> None:
-    """In a forked child: pinned to cpu, send work(i) or its exception over w and exit."""
-    code = 1
-    try:
-        os.sched_setaffinity(0, {cpu})
-        try:
-            reply = work(i)
-        except Exception as exc:
-            reply = exc
-        with os.fdopen(w, "wb") as pipe:
-            pipe.write(pickle.dumps(reply))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _fork_join(work, cpus):
-    """[work(0), ..., work(k - 1)], work(i) run in a child forked and pinned to cpus[i].
-
-    Forked, so each child inherits the imported scipy.linalg and the
-    evaluated fields; pinned, because the scheduler was seen to stack both
-    children of a 2-core machine on one core.  A child's exception is raised here; a child that
-    ends without a reply raises RuntimeError.  Every child is reaped before
-    this returns or raises, and is killed first if the parent raises while
-    it waits.
-    """
-    import scipy.linalg  # noqa: F401  (inherited by the children)
-
-    children = []  # (pid, read end of its pipe)
-    try:
-        for i, cpu in enumerate(cpus):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(work, i, cpu, w)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        replies = [pipe.read() for _, pipe in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-        for _, pipe in children:
-            pipe.close()
-    parts = []
-    for (pid, _), code, data in zip(children, status, replies):
-        if not data:
-            raise RuntimeError(f"radial worker {pid} ended without a reply (exit status {code})")
-        reply = pickle.loads(data)
-        if isinstance(reply, Exception):
-            raise reply
-        parts.append(reply)
-    return parts
-
-
 def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
     """The channel sum on grid, or with refine its two-grid Richardson value.
 
-    V and the cutoff are evaluated once on each grid.  With two or more
-    usable cores, a grid of at least POOL_MIN_NODES nodes and a process
-    that runs one thread (fork is safe only from one), child i of k forked
-    ones solves the channels l = i (mod k) of every grid; otherwise
+    V and the cutoff are evaluated once on each grid.  Where core.fork_cores
+    gives k cores (two or more usable ones, and a process that runs one
+    thread) and the grid has at least POOL_MIN_NODES nodes, child i of k
+    forked ones solves the channels l = i (mod k) of every grid; otherwise
     work(0) runs here with k = 1.
     """
     grids = [grid, grid.refined()] if refine else [grid]
     fields = [(np.asarray(V(g.r), dtype=float),
                None if cutoff is None else np.asarray(cutoff(g.r), dtype=float))
               for g in grids]
-    cpus = sorted(os.sched_getaffinity(0))
-    pooled = len(cpus) > 1 and grid.n >= POOL_MIN_NODES and threading.active_count() == 1
+    cpus = fork_cores()
+    pooled = bool(cpus) and grid.n >= POOL_MIN_NODES
     k = len(cpus) if pooled else 1
     parent = os.getpid()
 
@@ -332,7 +272,12 @@ def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
             out.append(found)
         return out
 
-    parts = _fork_join(work, cpus) if pooled else [work(0)]
+    if pooled:
+        import scipy.linalg  # noqa: F401  (imported once here, inherited by the children)
+
+        parts = fork_join(work, cpus)
+    else:
+        parts = [work(0)]
     total = None
     for g, *found in zip(grids, *parts):
         channels, ell_max = _merge(found, lmax_cap)

@@ -341,6 +341,28 @@ def test_scott_ansatz_min_route(tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="forked children need two usable cores")
+def test_killed_side_walk_is_a_compute_error(monkeypatch, tmp_path):
+    import signal
+
+    from scottlab import pauli
+    from scottlab.cli import EXIT_COMPUTE
+
+    here, solve = os.getpid(), pauli.eigs_below
+
+    def eigs(H, threshold, sigma):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return solve(H, threshold, sigma)
+
+    monkeypatch.setattr(pauli, "eigs_below", eigs)
+    assert main(["scott", "--route", "ansatz-min", "--mesh", "16 32",
+                 "--out", str(tmp_path / "am.csv")]) == EXIT_COMPUTE
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_expansion_command_small(tmp_path):
     out = tmp_path / "exp.csv"
     code = main(["expansion", "--Z-list", "8 27", "--out", str(out),

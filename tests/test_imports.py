@@ -70,6 +70,15 @@ def test_pooled_trace_loads_no_process_pool(tmp_path):
     assert not added & {"multiprocessing", "concurrent"}
 
 
+def test_forked_side_walks_load_no_process_pool(tmp_path):
+    # the two sides of a magnetic trace go to children forked with os.fork;
+    # what scipy.sparse.linalg loads itself is discounted
+    loaded = _modules(_RUN_CLI, "scott", "--route", "ansatz-min", "--mesh", "16 32",
+                      "--out", "run.csv", cwd=tmp_path)
+    added = {m.split(".")[0] for m in loaded - _modules("import scipy.sparse.linalg")}
+    assert not added & {"multiprocessing", "concurrent"}
+
+
 @pytest.mark.parametrize("argv", [
     ["scott", "--route", "mu-limit"],
     ["partition-check", "--n-points", "3"],

@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +236,163 @@ def test_block_walk_stop_is_certified():
             walk[m + 0.5] = vals
     assert set(res.blocks) == set(walk)
     assert res.trace == pytest.approx(sum(np.sum(v) for v in walk.values()), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the two sides walked by forked children
+# ---------------------------------------------------------------------------
+
+multicore = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                               reason="forked children need two usable cores")
+
+# max(a rho) = 3.26 on the -j side: that walk visits four blocks, the +j walk two
+STRONG = FieldAnsatz(theta=(8.0, 0.0), support_radius=2.0)
+WEAK = FieldAnsatz(theta=(0.3, 0.2), support_radius=2.0)
+
+
+def cutoff_trace(A, grid):
+    return pauli_trace_neg(A, VC, h=1.0, phi=SmoothCutoff(8.0), grid=grid)
+
+
+def serial_walk(A, grid):
+    """The oracle of a forked trace: the +j walk, then the -j walk, one block at a time."""
+    a_rho = A.fields(grid.R, grid.Z)[0] * grid.R
+    blocks = {}
+    for side in (1, -1):
+        reach, m = np.max(-side * a_rho), 0 if side > 0 else -1
+        while True:
+            vals = pauli.eigs_below(cutoff_block(grid, m, A), -1e-12, pauli.SIGMA)
+            if vals.size:
+                blocks[m + 0.5] = vals
+            elif abs(m + 0.5) >= reach:
+                break
+            m += side
+    return blocks, float(sum(np.sum(v) for v in blocks.values()))
+
+
+def assert_no_children():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_children(action):
+    """eigs_below, but running action first when called in a forked child."""
+    here, solve = os.getpid(), pauli.eigs_below
+
+    def eigs(H, threshold, sigma):
+        if os.getpid() != here:
+            action()
+        return solve(H, threshold, sigma)
+    return eigs
+
+
+def no_fork():
+    raise AssertionError("a child was forked")
+
+
+@multicore
+@pytest.mark.parametrize("mesh", [(16, 32), (32, 64)], ids=["16x32", "32x64"])
+@pytest.mark.parametrize("A", [WEAK, STRONG], ids=["weak", "strong"])
+def test_forked_trace_equals_serial_walk(mesh, A):
+    grid = ball8(mesh)
+    got = cutoff_trace(A, grid)
+    assert got.workers == 2
+    assert_no_children()
+    blocks, trace = serial_walk(A, grid)
+    assert list(got.blocks) == list(blocks)
+    for j, vals in blocks.items():
+        assert np.array_equal(got.blocks[j], vals)
+    assert got.trace == trace
+
+
+@multicore
+def test_child_errors_reach_the_caller(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(pauli, "JMAX", 1)
+        with pytest.raises(pauli.BlockCascadeError):
+            cutoff_trace(WEAK, ball8((16, 32)))
+    assert_no_children()
+
+    def reject():
+        raise ValueError("rejected in a child")
+
+    monkeypatch.setattr(pauli, "eigs_below", in_children(reject))
+    with pytest.raises(ValueError, match="rejected in a child"):
+        cutoff_trace(WEAK, ball8((16, 32)))
+    assert_no_children()
+
+
+def _unpicklable():
+    raise ValueError(lambda: None)
+
+
+@multicore
+@pytest.mark.parametrize("action, status", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    (_unpicklable, 1),
+], ids=["killed", "unpicklable-reply"])
+def test_child_without_a_reply_is_a_runtime_error(monkeypatch, action, status):
+    monkeypatch.setattr(pauli, "eigs_below", in_children(action))
+    with pytest.raises(RuntimeError, match=rf"ended without a reply \(exit status {status}\)"):
+        cutoff_trace(WEAK, ball8((16, 32)))
+    assert_no_children()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@multicore
+def test_parent_interrupted_while_waiting_reaps_its_children(monkeypatch):
+    def interrupt(signum, frame):
+        raise _Interrupted
+
+    monkeypatch.setattr(pauli, "eigs_below", in_children(lambda: time.sleep(60)))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(_Interrupted):
+            cutoff_trace(WEAK, ball8((16, 32)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 30.0  # killed, not waited for
+    assert_no_children()
+
+
+def test_one_usable_core_forks_nothing(monkeypatch):
+    grid = ball8((16, 32))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = cutoff_trace(WEAK, grid)
+    assert got.workers == 0
+    assert got.trace == serial_walk(WEAK, grid)[1]
+
+
+@multicore
+def test_second_thread_traces_in_process():
+    # fork is safe only from a process that runs one thread
+    grid = ball8((16, 32))
+    got = []
+    worker = threading.Thread(target=lambda: got.append(cutoff_trace(STRONG, grid)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert got[0].workers == 0
+    blocks, trace = serial_walk(STRONG, grid)
+    assert list(got[0].blocks) == list(blocks)
+    assert got[0].trace == trace
+
+
+@multicore
+def test_zero_field_trace_never_forks(monkeypatch):
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = cutoff_trace(None, ball8((16, 32)))
+    assert got.workers == 0
+    # blocks -j follow blocks j, as the in-process walk inserts them
+    assert list(got.blocks) == [0.5, -0.5]
 
 
 # ---------------------------------------------------------------------------
