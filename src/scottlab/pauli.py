@@ -22,15 +22,16 @@ raises every diagonal term, so each later block dominates block j in the
 Loewner order; once such a block is empty, so is every later one on its
 side, and the walk stops there.
 
-The two side walks share nothing but the evaluated fields.  For A != 0,
-on a machine with two or more usable cores and from a process that runs
-one thread (core.fork_cores), each side is walked by a child forked and
-pinned to its own core for that trace alone; the parent inserts the +j
-blocks and then the -j blocks, in the order the in-process walks do, and
-reaps both children before it returns.  Both paths run the same walk on
-the same arrays, so a trace is bit for bit the same either way.
-Processes, not threads: SuperLU's factorization holds the interpreter
-lock.  At A = 0 there is one side, walked in-process.
+The two side walks share nothing but the evaluated fields.  For A != 0
+on a mesh of at most FORK_MAX_NODES cells, on a machine with two or more
+usable cores and from a process that runs one thread (core.fork_cores),
+each side is walked by a child forked and pinned to its own core for that
+trace alone; the parent inserts the +j blocks and then the -j blocks, in
+the order the in-process walks do, and reaps both children before it
+returns.  Both paths run the same walk on the same arrays, so a trace is
+bit for bit the same either way.  Processes, not threads: SuperLU's
+factorization holds the interpreter lock.  Larger meshes and A = 0 (one
+side) are walked in-process.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ SIGMA, JMAX = -0.75, 30
 
 # interval width at which inertia bisection stops
 BISECT_TOL = 1e-8
+
+# largest mesh (rho cells x z cells) whose A != 0 side walks are forked.
+# A pinned child keeps the process's BLAS threads on its one core, which
+# costs little up to here and dominates above: one R = 20 trace took 29.7 s
+# in-process and 18.2 s forked on 72x144, 32.9 s and 114.2 s on 80x160
+# (README, "Performance")
+FORK_MAX_NODES = 72 * 144
 
 # second-difference step of minimize_scott's zero-field response; the
 # critical coupling it gives moves by < 1e-3 relative over t = 0.1 ... 0.4
@@ -358,8 +366,9 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     suffices).  The mesh is grid, or else the (n_rho, n_z) = mesh ball of
     radius domain_radius.  Each side's walk stops at the first empty block
     with h |j| >= max(-side a rho): every later block on that side dominates
-    it (module docstring).  For A != 0, where core.fork_cores allows it, the
-    two sides are walked by two forked children (module docstring).  No
+    it (module docstring).  For A != 0 on a mesh of at most FORK_MAX_NODES
+    cells, where core.fork_cores allows it, the two sides are walked by two
+    forked children (module docstring).  No
     extra spin factor: the spinor components are explicit.
     """
     if grid is None:
@@ -384,7 +393,8 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     # at A = 0 blocks j and -j are degenerate: walk m >= 0 only and store
     # each block twice
     sides = (1,) if zero_field else (1, -1)
-    cpus = fork_cores()[:len(sides)] if len(sides) > 1 else []
+    forked = len(sides) > 1 and grid.nr * grid.nz <= FORK_MAX_NODES
+    cpus = fork_cores()[:len(sides)] if forked else []
     parent = os.getpid()
 
     def walk(i):

@@ -372,6 +372,19 @@ def test_one_usable_core_forks_nothing(monkeypatch):
 
 
 @multicore
+def test_meshes_above_the_fork_limit_trace_in_process(monkeypatch):
+    grid = ball8((16, 32))
+    monkeypatch.setattr(pauli, "FORK_MAX_NODES", 16 * 32)
+    assert cutoff_trace(WEAK, grid).workers == 2
+    assert_no_children()
+    monkeypatch.setattr(pauli, "FORK_MAX_NODES", 16 * 32 - 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = cutoff_trace(WEAK, grid)
+    assert got.workers == 0
+    assert got.trace == serial_walk(WEAK, grid)[1]
+
+
+@multicore
 def test_second_thread_traces_in_process():
     # fork is safe only from a process that runs one thread
     grid = ball8((16, 32))
