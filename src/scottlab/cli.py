@@ -266,6 +266,8 @@ def cmd_scott(args) -> int:
 
     if args.route == "cutoff-R":
         Rs = _positive(_floats(args.R_list) if args.R_list else [args.R], "R")
+        if len(set(Rs)) < len(Rs):
+            raise ValidationError("cutoff-R needs distinct R values")
         est = radial_eig.scott_cutoff_schedule(Rs, refine=args.refine)
         rows = []
         for R, d in zip(est.meta["R_values"], est.meta["d_values"]):
@@ -367,7 +369,6 @@ def cmd_expansion(args) -> int:
     Zs = _positive(_floats(args.Z_list), "Z")
     _positive([args.resolution], "resolution")
     sol = get_tf_solution(args.cache_dir)
-    # alpha = 0: magnetic S has no closed value (the API takes a provider)
     reports = expansion.expansion_sweep(Zs, 0.0, sol, refine=args.refine,
                                         resolution=args.resolution)
     rows = [[r.Z, r.leading, r.scott, r.mean_field, r.residual, r.residual_over_Z2]
@@ -485,7 +486,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error:validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error:compute: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except IOError as exc:

@@ -19,6 +19,7 @@ and pinned per call, under one rule for when forking is done.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
@@ -62,10 +63,17 @@ def fork_cores() -> list:
     return cpus if len(cpus) > 1 and threading.active_count() == 1 else []
 
 
-def _child(work, i: int, cpu: int, w: int) -> None:
-    """In a forked child: pinned to cpu, send work(i) or its exception over w and exit."""
+def _child(work, i: int, cpu: int, w: int, parent: int) -> None:
+    """In a forked child: pinned to cpu, send work(i) or its exception over w and exit.
+
+    The kernel SIGKILLs the child when its parent dies; the pid check covers
+    a parent that died before that request.
+    """
     code = 1
     try:
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            return
         os.sched_setaffinity(0, {cpu})
         try:
             reply = work(i)
@@ -89,12 +97,13 @@ def fork_join(work, cpus) -> list:
     raises while it waits.
     """
     children = []  # (pid, read end of its pipe)
+    parent = os.getpid()
     try:
         for i, cpu in enumerate(cpus):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(work, i, cpu, w)
+                _child(work, i, cpu, w, parent)
             os.close(w)
             children.append((pid, os.fdopen(r, "rb")))
         replies = [pipe.read() for _, pipe in children]

@@ -87,18 +87,13 @@ class ExpansionReport:
 
 
 def expansion_sweep(Z_list, alpha: float, tf_solution: TFSolution,
-                    s_provider=None, refine: bool = True,
-                    resolution: float = 20.0) -> list:
-    """ExpansionReport per Z; with alpha = 0 the provider defaults to S(0)."""
-    if s_provider is None:
-        if alpha != 0.0:
-            raise ValueError("a Scott provider is required when alpha > 0")
-        s_provider = s_provider_nonmagnetic
+                    refine: bool = True, resolution: float = 20.0) -> list:
+    """ExpansionReport per Z with the exact S(0) as Scott term; alpha > 0 raises ValueError."""
     out = []
     for Z in Z_list:
         cfg = NuclearConfig(z=(1.0,), r=((0.0, 0.0, 0.0),), Z=float(Z), alpha=alpha)
         leading = tf_solution.E_atom * cfg.Z ** (7.0 / 3.0)
-        scott = scott_term(cfg, s_provider)
+        scott = scott_term(cfg, s_provider_nonmagnetic)
         mf = mean_field_energy(cfg, tf_solution, refine=refine, resolution=resolution)
         out.append(ExpansionReport(Z=cfg.Z, alpha=alpha, kappa=cfg.kappa,
                                    leading=leading, scott=scott, mean_field=mf))

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,6 +71,9 @@ BISECT_TOL = 1e-8
 # in-process and 18.2 s forked on 72x144, 32.9 s and 114.2 s on 80x160
 # (README, "Performance")
 FORK_MAX_NODES = 72 * 144
+
+# core scale of the sinh-graded faces of PauliGrid.for_ball
+R_CORE = 0.15
 
 # second-difference step of minimize_scott's zero-field response; the
 # critical coupling it gives moves by < 1e-3 relative over t = 0.1 ... 0.4
@@ -190,11 +192,10 @@ class PauliGrid:
     z_faces: np.ndarray
 
     @classmethod
-    def for_ball(cls, radius: float, n_rho: int = 96, n_z: int = 192,
-                 r_core: float = 0.15) -> "PauliGrid":
-        half = _graded_faces(r_core, radius, n_z // 2)
+    def for_ball(cls, radius: float, n_rho: int = 96, n_z: int = 192) -> "PauliGrid":
+        half = _graded_faces(R_CORE, radius, n_z // 2)
         zf = np.concatenate([-half[::-1], half[1:]])
-        return cls(rho_faces=_graded_faces(r_core, radius, n_rho), z_faces=zf)
+        return cls(rho_faces=_graded_faces(R_CORE, radius, n_rho), z_faces=zf)
 
     def __post_init__(self):
         self.rho = 0.5 * (self.rho_faces[1:] + self.rho_faces[:-1])
@@ -395,7 +396,6 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     sides = (1,) if zero_field else (1, -1)
     forked = len(sides) > 1 and grid.nr * grid.nz <= FORK_MAX_NODES
     cpus = fork_cores()[:len(sides)] if forked else []
-    parent = os.getpid()
 
     def walk(i):
         """{j: eigenvalues} of the nonempty blocks of side i, out to its certified stop."""
@@ -407,8 +407,6 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
             j = m + 0.5
             H = block_matrix(grid, K, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
             vals = eigs_below(H, -1e-12, SIGMA)
-            if cpus and os.getppid() != parent:
-                os._exit(1)  # the parent is gone: nobody waits for the rest
             if vals.size:
                 found[j] = vals
             elif h * abs(j) >= reach:

@@ -29,7 +29,6 @@ cost more than it saves (the README gives the measured table).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,8 +43,9 @@ class ChannelCascadeError(RuntimeError):
     """More channels carry negative eigenvalues than the configured cap."""
 
 
-# outer radius cap and node cap of the automatic grids
-R_CAP, N_CAP = 1e4, 60000
+# outer radius cap, node cap and largest probed radius of the automatic grids,
+# and the highest angular momentum channel a sum may reach
+R_CAP, N_CAP, R_PROBE_MAX, LMAX_CAP = 1e4, 60000, 1e12, 200
 
 # nodes per local de Broglie length of the cutoff-localized meshes
 LOCALIZED_RESOLUTION = 24.0
@@ -95,8 +95,8 @@ def core_radius(h: float) -> float:
     return min(0.3, max(5e-4, 0.5 * h * h))
 
 
-def _outermost_radius(V, threshold: float, r_probe_max: float = 1e12):
-    probe = np.geomspace(1e-6, r_probe_max, 121)
+def _outermost_radius(V, threshold: float):
+    probe = np.geomspace(1e-6, R_PROBE_MAX, 121)
     above = np.asarray(V(probe)) > threshold
     if not above.any():
         return None
@@ -133,7 +133,7 @@ def auto_grid(V, h: float, mu: float, r_max: Optional[float] = None,
             r_t = _outermost_radius(lambda r: r * r * np.asarray(V(r)), 0.25 * h * h)
             if r_t is None:
                 r_max = 50.0 * h
-            elif r_t > 0.5e12:
+            elif r_t > 0.5 * R_PROBE_MAX:
                 raise ValueError(
                     "V does not decay fast enough for a finite mu = 0 trace")
             else:
@@ -225,22 +225,22 @@ class SpectralSum:
         return int(sum((2 * ell + 1) * vals.size for ell, vals in self.eigenvalues.items()))
 
 
-def _merge(parts, lmax_cap):
+def _merge(parts):
     """Channels 0, 1, ... up to the first empty one, parts[i] holding l = i (mod k).
 
     Each part runs up to and including its own first empty channel, so
     every channel up to the first empty one overall is there.
     """
     found = {}
-    for ell in range(lmax_cap + 1):
+    for ell in range(LMAX_CAP + 1):
         vals = parts[ell % len(parts)][ell]
         if vals.size == 0:
             return found, ell - 1
         found[ell] = vals
-    raise ChannelCascadeError(f"channels still nonempty at the l cap {lmax_cap}")
+    raise ChannelCascadeError(f"channels still nonempty at the l cap {LMAX_CAP}")
 
 
-def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
+def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
     """The channel sum on grid, or with refine its two-grid Richardson value.
 
     V and the cutoff are evaluated once on each grid.  Where core.fork_cores
@@ -256,17 +256,14 @@ def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
     cpus = fork_cores()
     pooled = bool(cpus) and grid.n >= POOL_MIN_NODES
     k = len(cpus) if pooled else 1
-    parent = os.getpid()
 
     def work(i):
         """Channels i, i + k, ... of each grid, up to and including its first empty one."""
         out = []
         for g, (v, f) in zip(grids, fields):
             found = {}
-            for ell in range(i, lmax_cap + 1, k):
+            for ell in range(i, LMAX_CAP + 1, k):
                 found[ell] = negative_eigenvalues(build_channel(v, h, ell, g, f), mu=mu)
-                if pooled and os.getppid() != parent:
-                    os._exit(1)  # the parent is gone: nobody waits for the rest
                 if found[ell].size == 0:
                     break
             out.append(found)
@@ -280,7 +277,7 @@ def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
         parts = [work(0)]
     total = None
     for g, *found in zip(grids, *parts):
-        channels, ell_max = _merge(found, lmax_cap)
+        channels, ell_max = _merge(found)
         total = SpectralSum(channels, mu, h, ell_max, g.n,
                             coarse_trace=None if total is None else total.trace,
                             workers=k if pooled else 0)
@@ -288,35 +285,32 @@ def _spectral_sum(V, h, mu, grid, cutoff, lmax_cap, refine) -> SpectralSum:
 
 
 def trace_neg(V, h: float, mu: float = 0.0, grid: Optional[RadialGrid] = None,
-              lmax_cap: int = 200, refine: bool = False,
-              resolution: float = 20.0) -> SpectralSum:
+              refine: bool = False, resolution: float = 20.0) -> SpectralSum:
     """Sum of 2 (2 l + 1) (e + mu) over all channel eigenvalues e < -mu.
 
     Channels are assembled until the first empty one (emptiness is monotone
-    in l since the centrifugal term grows with l).  refine=True replaces
+    in l since the centrifugal term grows with l), at most up to LMAX_CAP.  refine=True replaces
     each channel's contribution by the (4 T_2n - T_n)/3 Richardson value.
     """
     if grid is None:
         grid = auto_grid(V, h, mu, resolution=resolution)
-    return _spectral_sum(V, h, mu, grid, None, lmax_cap, refine)
+    return _spectral_sum(V, h, mu, grid, None, refine)
 
 
-def localized_trace_neg(V, phi, h: float, grid: Optional[RadialGrid] = None,
-                        lmax_cap: int = 200, refine: bool = False) -> SpectralSum:
+def localized_trace_neg(V, phi, h: float, refine: bool = False) -> SpectralSum:
     """Trace of [phi (T_h - V) phi]_- for a radial cutoff phi.
 
     phi must expose its support radius as phi.R (a SmoothCutoff does); the
     negative spectrum is exactly supported inside supp phi, so the mesh
-    stops there.
+    stops there.  Its nodes follow the local de Broglie length at
+    LOCALIZED_RESOLUTION.
     """
     R = getattr(phi, "R", None)
     if R is None:
         raise ValueError("cutoff must carry its support radius as attribute R")
-    if grid is None:
-        r_core = core_radius(h)
-        n = _resolution_nodes(V, h, 0.0, r_core, R, LOCALIZED_RESOLUTION)
-        grid = make_grid(r_core, R, n)
-    return _spectral_sum(V, h, 0.0, grid, phi, lmax_cap, refine)
+    r_core = core_radius(h)
+    n = _resolution_nodes(V, h, 0.0, r_core, R, LOCALIZED_RESOLUTION)
+    return _spectral_sum(V, h, 0.0, make_grid(r_core, R, n), phi, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +318,10 @@ def localized_trace_neg(V, phi, h: float, grid: Optional[RadialGrid] = None,
 # ---------------------------------------------------------------------------
 
 
-def cutoff_weyl_coulomb(phi: SmoothCutoff, h: float = 1.0) -> float:
-    """2 (2 pi h)^-3 iint phi^2(q) [p^2 - 1/|q|]_- dp dq."""
+def cutoff_weyl_coulomb(phi: SmoothCutoff) -> float:
+    """2 (2 pi)^-3 iint phi^2(q) [p^2 - 1/|q|]_- dp dq."""
     return weyl_integral(WeylIntegrand(V=lambda r: 1.0 / r, weight=phi.sq,
-                                       mu=0.0, h=h, support=phi.R))
+                                       mu=0.0, h=1.0, support=phi.R))
 
 
 def scott_cutoff_value(R: float, refine: bool = True) -> float:

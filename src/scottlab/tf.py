@@ -40,11 +40,14 @@ T_SERIES = 0.05
 # default exported grid (TF variable), log spaced
 T_GRID_MIN, T_GRID_MAX, N_GRID = 1e-6, 1e4, 4000
 
-# shooting: bisection steps, integration end (TF variable) and ODE tolerance
+# shooting: slope bracket, bisection steps, integration end (TF variable)
+# and ODE tolerance
+SLOPE_BRACKET = (-1.65, -1.5)
 SLOPE_ITERATIONS, SHOOT_T_END, SHOOT_RTOL = 60, 60.0, 1e-12
 
-# collocation node cap, and the cells of the collocation-region residual check
-MAX_NODES, RESIDUAL_CELLS = 200000, 200
+# collocation tolerance and node cap, and the cells of the collocation-region
+# residual check
+BVP_TOL, MAX_NODES, RESIDUAL_CELLS = 1e-10, 200000, 200
 
 # b with V(r) = phi(r/b)/r for z = 1 (fixes the universal ODE normalization)
 B_LENGTH = (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
@@ -132,11 +135,12 @@ def _classify_slope(slope: float):
     return 0
 
 
-def shoot_slope(bracket=(-1.65, -1.5)) -> float:
-    """Initial slope phi'(0) of the decaying branch by bisection."""
-    lo, hi = bracket
+def shoot_slope() -> float:
+    """Initial slope phi'(0) of the decaying branch by bisection in SLOPE_BRACKET."""
+    lo, hi = SLOPE_BRACKET
     if _classify_slope(lo) != -1 or _classify_slope(hi) != +1:
-        raise TFConvergenceError(f"shooting bracket {bracket} does not straddle the decaying branch")
+        raise TFConvergenceError(
+            f"shooting bracket {SLOPE_BRACKET} does not straddle the decaying branch")
     for _ in range(SLOPE_ITERATIONS):
         mid = 0.5 * (lo + hi)
         side = _classify_slope(mid)
@@ -154,7 +158,7 @@ def _bvp_rhs(s, y):
     return np.vstack([v, v - v * v + np.exp(0.5 * w + 1.5 * s)])
 
 
-def _solve_tail(series, s_hi, bvp_tol):
+def _solve_tail(series, s_hi):
     """Collocation for (w = log phi, w') on [log T_SERIES, s_hi], two Robin passes."""
     from scipy.integrate import solve_bvp, solve_ivp
 
@@ -190,13 +194,13 @@ def _solve_tail(series, s_hi, bvp_tol):
 
     mesh = np.linspace(s_lo, s_hi, 2001)
     sol = solve_bvp(_bvp_rhs, make_bc(0.0), mesh, guess(mesh),
-                    tol=bvp_tol, max_nodes=MAX_NODES)
+                    tol=BVP_TOL, max_nodes=MAX_NODES)
     if sol.status != 0:
         raise TFConvergenceError(f"collocation pass 1 failed: {sol.message}")
     t_hi = math.exp(s_hi)
     xi_hat = float(np.exp(sol.sol(s_hi)[0]) * t_hi ** 3 / 144.0 - 1.0)
     sol = solve_bvp(_bvp_rhs, make_bc(xi_hat), sol.x, sol.y,
-                    tol=bvp_tol, max_nodes=MAX_NODES)
+                    tol=BVP_TOL, max_nodes=MAX_NODES)
     if sol.status != 0:
         raise TFConvergenceError(f"collocation pass 2 failed: {sol.message}")
     xi_hat = float(np.exp(sol.sol(s_hi)[0]) * t_hi ** 3 / 144.0 - 1.0)
@@ -302,11 +306,11 @@ class TFProfile:
 class TFSolution(TFProfile):
     """Universal TF profile plus the z = 1 energy bookkeeping.
 
-    V(z, r) and rho(z, r) evaluate the potential and density of a neutral
-    atom of charge z at radius r; E_atom is the energy coefficient with
-    E(z) = E_atom * z^(7/3).  phase_space is the quadrature of the
-    momentum-reduced integral 2 (2 pi)^-3 iint [p^2 - V]_-, and
-    phase_space_coeff the same quantity from the functional, E_atom + D_rho.
+    V(r, z) evaluates the potential of a neutral atom of charge z at radius
+    r; E_atom is the energy coefficient with E(z) = E_atom * z^(7/3).
+    phase_space is the quadrature of the momentum-reduced integral
+    2 (2 pi)^-3 iint [p^2 - V]_-, and phase_space_coeff the same quantity
+    from the functional, E_atom + D_rho.
     """
 
     residual_sup: float
@@ -327,18 +331,11 @@ class TFSolution(TFProfile):
         rs = z ** (1.0 / 3.0) * r
         return z ** (4.0 / 3.0) * self.phi(rs / B_LENGTH) / np.maximum(rs, 1e-300)
 
-    def rho(self, r, z: float = 1.0):
-        """TF density (particles per volume), integral rho = z."""
-        return _RHO_COEFF * self.V(r, z=z) ** 1.5
-
     def potential(self, z: float = 1.0):
         return lambda r: self.V(r, z=z)
 
-    def energy(self, z: float = 1.0) -> float:
-        return self.E_atom * z ** (7.0 / 3.0)
 
-
-def solve_tf_atom(tolerance: float = 1e-8, bvp_tol: float = 1e-10) -> TFSolution:
+def solve_tf_atom(tolerance: float = 1e-8) -> TFSolution:
     """Solve the universal atomic TF problem.
 
     tolerance bounds the reported TF-equation residual (relative,
@@ -347,7 +344,7 @@ def solve_tf_atom(tolerance: float = 1e-8, bvp_tol: float = 1e-10) -> TFSolution
     up above tolerance.
     """
     slope0 = shoot_slope()
-    sol, xi_tail = _solve_tail(baker_coefficients(slope0), math.log(T_GRID_MAX), bvp_tol)
+    sol, xi_tail = _solve_tail(baker_coefficients(slope0), math.log(T_GRID_MAX))
     return _assemble(slope0, sol.x, sol.y[0], sol.y[1], xi_tail, tolerance)
 
 

@@ -1,9 +1,79 @@
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from scottlab import tf
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the prologue of an orphan script: the solve it names prints the pid of each
+# forked child that calls it, then sleeps there
+_SLEEP_IN_CHILDREN = """
+import os, sys, time
+here = os.getpid()
+
+def sleep_in_children(module, name):
+    solve = getattr(module, name)
+
+    def slow(*args, **kwargs):
+        if os.getpid() != here:
+            print(os.getpid(), flush=True)
+            time.sleep(60)
+        return solve(*args, **kwargs)
+    setattr(module, name, slow)
+"""
 
 
 @pytest.fixture(scope="session")
 def tf_solution():
     """One shared universal-profile solve for the whole suite."""
     return tf.solve_tf_atom()
+
+
+def _alive(pid):
+    """True while pid runs: a process that is gone or a zombie does no more work."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.fixture
+def orphans_after_kill():
+    """orphans_after_kill(script, n): the pids of the n forked children still running
+    5 s after the process running script was SIGKILLed while they slept.
+
+    script calls sleep_in_children(module, name) before its forked solve.
+    Every child still there is killed in teardown.
+    """
+    pids = []
+
+    def run(script, n):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        with subprocess.Popen([sys.executable, "-c", _SLEEP_IN_CHILDREN + script],
+                              env=env, stdout=subprocess.PIPE, text=True) as proc:
+            try:
+                while len(pids) < n:
+                    line = proc.stdout.readline()
+                    assert line, "the script ended before its children slept"
+                    pids.append(int(line))
+            finally:
+                proc.kill()
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        return [pid for pid in pids if _alive(pid)]
+
+    yield run
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

@@ -147,6 +147,17 @@ def test_bad_input_is_a_validation_error(tmp_path, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["weyl", "--h", "1e-300"], 5),
+    (["expansion", "--Z-list", "1e300"], 5),
+    (["trace", "--h", "1e300", "--mu", "0.1"], 5),
+    (["scott", "--route", "cutoff-R", "--R-list", "1e-300,1e-200"], 5),
+    (["scott", "--route", "cutoff-R", "--R-list", "6 6"], 3),
+], ids=["weyl-h-tiny", "expansion-Z-huge", "trace-h-huge", "cutoff-R-tiny", "cutoff-R-repeated"])
+def test_arithmetic_failures_exit_with_a_documented_code(tmp_path, argv, code):
+    assert run(tmp_path, *argv, "--cache-dir", "{d}/cache", "--out", "{d}/x.csv") == code
+
+
 def test_trace_r_max_without_n_bounds_the_grid(tmp_path):
     # a radius-20 box cuts the n >= 4 shells that lie below -mu = -0.01
     def trace(*argv):

@@ -362,6 +362,19 @@ def test_parent_interrupted_while_waiting_reaps_its_children(monkeypatch):
     assert_no_children()
 
 
+@multicore
+def test_children_die_with_their_parent(orphans_after_kill):
+    script = """
+from scottlab import pauli
+from scottlab.cutoffs import SmoothCutoff
+sleep_in_children(pauli, "eigs_below")
+pauli.pauli_trace_neg(pauli.FieldAnsatz(theta=(0.3, 0.2), support_radius=2.0),
+                      lambda r: 1.0 / r, phi=SmoothCutoff(8.0),
+                      grid=pauli.PauliGrid.for_ball(8.0, n_rho=16, n_z=32))
+"""
+    assert orphans_after_kill(script, 2) == []
+
+
 def test_one_usable_core_forks_nothing(monkeypatch):
     grid = ball8((16, 32))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

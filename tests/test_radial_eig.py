@@ -137,9 +137,10 @@ def test_channel_emptiness_is_monotone():
         assert not (empty_seen and s > 0)
 
 
-def test_channel_cascade_cap():
+def test_channel_cascade_cap(monkeypatch):
+    monkeypatch.setattr(radial_eig, "LMAX_CAP", 3)
     with pytest.raises(ChannelCascadeError):
-        trace_neg(VC, 1.0, mu=1.0 / 400.0, lmax_cap=3)
+        trace_neg(VC, 1.0, mu=1.0 / 400.0)
 
 
 def test_mapping_variants_agree():
@@ -223,16 +224,18 @@ def test_pooled_trace_equals_serial_loop(refine):
 def test_pooled_localized_trace_equals_serial_loop():
     phi = SmoothCutoff(80.0)
     grid = pool_grid(80.0)
-    got = localized_trace_neg(VC, phi, 1.0, grid=grid, refine=True)
+    got = radial_eig._spectral_sum(VC, 1.0, 0.0, grid, phi, True)
     assert got.workers == len(os.sched_getaffinity(0))
     assert_same_sum(got, serial_sum(VC, 1.0, 0.0, grid, cutoff=phi, refine=True))
 
 
 @multicore
-def test_pooled_cascade_cap_and_worker_errors_reach_the_caller():
+def test_pooled_cascade_cap_and_worker_errors_reach_the_caller(monkeypatch):
     grid = pool_grid(400.0)
-    with pytest.raises(ChannelCascadeError):
-        trace_neg(VC, 1.0, mu=1.0 / 400.0, grid=grid, lmax_cap=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(radial_eig, "LMAX_CAP", 2)
+        with pytest.raises(ChannelCascadeError):
+            trace_neg(VC, 1.0, mu=1.0 / 400.0, grid=grid)
     assert_no_children()
     # build_channel ignores mu, so the children are the first to reject it
     with pytest.raises(ValueError, match="mu must be nonnegative"):
@@ -293,6 +296,17 @@ def test_parent_interrupted_while_waiting_reaps_its_children(monkeypatch):
     assert_no_children()
 
 
+@multicore
+def test_children_die_with_their_parent(orphans_after_kill):
+    script = """
+from scottlab import radial_eig
+sleep_in_children(radial_eig, "negative_eigenvalues")
+grid = radial_eig.make_grid(radial_eig.core_radius(1.0), 400.0, radial_eig.POOL_MIN_NODES)
+radial_eig.trace_neg(lambda r: 1.0 / r, 1.0, mu=0.01, grid=grid)
+"""
+    assert orphans_after_kill(script, len(os.sched_getaffinity(0))) == []
+
+
 def test_one_usable_core_starts_no_pool(monkeypatch):
     def no_fork():
         raise AssertionError("a child was forked")
@@ -320,8 +334,8 @@ def test_second_thread_sums_in_process():
 class _Counted:
     """A radial function that counts the times it is evaluated."""
 
-    def __init__(self, fn, R=None):
-        self.fn, self.R, self.calls = fn, R, 0
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
 
     def __call__(self, r):
         self.calls += 1
@@ -333,8 +347,8 @@ def test_fields_are_evaluated_once_per_grid():
     trace_neg(V, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0), refine=True)
     assert V.calls == 2
     phi = SmoothCutoff(40.0)
-    V, cut = _Counted(VC), _Counted(phi, R=phi.R)
-    localized_trace_neg(V, cut, 1.0, grid=pool_grid(40.0), refine=True)
+    V, cut = _Counted(VC), _Counted(phi)
+    radial_eig._spectral_sum(V, 1.0, 0.0, pool_grid(40.0), cut, True)
     assert (V.calls, cut.calls) == (2, 2)
 
 
@@ -348,8 +362,7 @@ def test_localized_trace_inactive_cutoff_reduces_to_trace_neg():
     phi = SmoothCutoff(600.0, inner=0.9)
     mu = 1.0 / 16.0
     shifted = lambda r: 1.0 / r - mu
-    loc = localized_trace_neg(shifted, phi, 1.0,
-                              grid=make_grid(0.2, 600.0, 6000))
+    loc = radial_eig._spectral_sum(shifted, 1.0, 0.0, make_grid(0.2, 600.0, 6000), phi, False)
     ref = trace_neg(VC, 1.0, mu=mu, grid=make_grid(0.2, 600.0, 6000))
     assert loc.trace == pytest.approx(ref.trace, abs=1e-6)
 
@@ -362,7 +375,7 @@ def test_localized_trace_zero_cutoff():
             return np.zeros_like(np.asarray(r, dtype=float))
 
     z = Zero()
-    s = localized_trace_neg(VC, z, 1.0, grid=make_grid(0.2, 20.0, 800))
+    s = localized_trace_neg(VC, z, 1.0)
     assert s.trace == 0.0
 
 

@@ -8,8 +8,9 @@ runs every workload with seed SEED + i in both trees, back to back, the before t
 first in even pairs and the after tree first in odd ones, so slow drift of
 the machine and any order effect fall on both sides alike.
 The file records every run, each side's median and quartiles per metric,
-how many pairs the after tree won, the core count and the Python, numpy
-and scipy versions.
+how many pairs the after tree won, the core count, the Python, numpy and
+scipy versions, and each tree's line counts of src/scottlab/*.py and
+tests/*.py.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
+def line_counts(tree: Path) -> dict:
+    """Total lines of the package sources and of the tests in tree."""
+    return {pattern: sum(len(p.read_text(encoding="utf-8").splitlines())
+                         for p in tree.glob(pattern))
+            for pattern in ("src/scottlab/*.py", "tests/*.py")}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--before", type=Path, required=True)
@@ -79,6 +87,7 @@ def main(argv=None) -> int:
     names = [w["name"] for w in BENCHMARK["workloads"]]
     seconds = float(BENCHMARK["run_seconds"])
     report = {"note": args.note, "seconds": seconds, "environment": versions(),
+              "lines": {side: line_counts(getattr(args, side)) for side in ("before", "after")},
               "workloads": {w: {"pairs": []} for w in names}}
     for i in range(PAIRS):
         for w in names:
