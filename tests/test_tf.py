@@ -71,12 +71,11 @@ def test_equation_residual_below_tolerance(tf_solution):
     assert tf_solution.residual_sup < 1e-8
 
 
-def test_residual_decreases_under_refinement(monkeypatch):
-    tight = tf.solve_tf_atom(tolerance=1e-8)
+def test_residual_decreases_under_refinement(tf_solution, monkeypatch):
     monkeypatch.setattr(tf, "BVP_TOL", 1e-6)
     loose = tf.solve_tf_atom(tolerance=1e-4)
     # collocation refinement is tolerance-driven; at least second order
-    assert tight.residual_sup < loose.residual_sup / 4.0
+    assert tf_solution.residual_sup < loose.residual_sup / 4.0
 
 
 def test_mass_normalization(tf_solution):
