@@ -53,6 +53,15 @@ def gauss(a, b, rule):
     return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
 
 
+def sqrt_panel_integral(f, edges, rule) -> float:
+    """integral f(r) dr by a Gauss rule on each panel [edges[i], edges[i + 1]] in x = sqrt(r).
+
+    cumsum, not sum: the panel totals are added strictly left to right.
+    """
+    x, w = gauss(edges[:-1], edges[1:], rule)
+    return float(np.cumsum(np.sum(w * 2.0 * x * f(x ** 2), axis=-1))[-1])
+
+
 def fork_cores() -> list:
     """The usable cores to fork one child per, or [] where forking does not pay or is unsafe.
 

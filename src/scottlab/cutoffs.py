@@ -14,6 +14,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .core import gauss
+
 
 def _flat(t):
     """exp(-1/t) continued by 0 for t <= 0."""
@@ -70,9 +72,7 @@ def bump_profile(s):
 @lru_cache(maxsize=None)
 def bump_norm() -> float:
     """Constant N with integral over R^3 of (N * bump_profile(|x|))^2 equal to 1."""
-    x, w = leggauss(200)
-    s = 0.5 * (x + 1.0)
-    ww = 0.5 * w
+    s, ww = gauss(0.0, 1.0, leggauss(200))
     val = 4.0 * np.pi * np.sum(ww * s ** 2 * bump_profile(s) ** 2)
     return 1.0 / np.sqrt(val)
 

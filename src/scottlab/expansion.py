@@ -71,11 +71,8 @@ class ExpansionReport:
     kappa: float
     leading: float
     scott: float
+    two_term: float
     mean_field: float
-
-    @property
-    def two_term(self) -> float:
-        return self.leading + self.scott
 
     @property
     def residual(self) -> float:
@@ -94,7 +91,8 @@ def expansion_sweep(Z_list, alpha: float, tf_solution: TFSolution,
         cfg = NuclearConfig(z=(1.0,), r=((0.0, 0.0, 0.0),), Z=float(Z), alpha=alpha)
         leading = tf_solution.E_atom * cfg.Z ** (7.0 / 3.0)
         scott = scott_term(cfg, s_provider_nonmagnetic)
+        two_term = two_term_energy(cfg, s_provider_nonmagnetic, tf_solution)
         mf = mean_field_energy(cfg, tf_solution, refine=refine, resolution=resolution)
-        out.append(ExpansionReport(Z=cfg.Z, alpha=alpha, kappa=cfg.kappa,
-                                   leading=leading, scott=scott, mean_field=mf))
+        out.append(ExpansionReport(Z=cfg.Z, alpha=alpha, kappa=cfg.kappa, leading=leading,
+                                   scott=scott, two_term=two_term, mean_field=mf))
     return out

@@ -38,12 +38,13 @@ _DIRS = np.stack(np.broadcast_arrays(_ST * np.cos(_PHIS), _ST * np.sin(_PHIS), _
 
 @dataclass(frozen=True)
 class ScaleFunctions:
-    """Scale field l and its gradient.
+    """Scale field l, at points and in the ray form of partition_check.
 
-    l(u) = slope * sqrt(r0^2 + d(u)^2) with slope = 1/100, so
-    |grad l| <= 1/100 < 1 everywhere.  For a single nucleus l is smooth
-    (a function of d^2); with several nuclei it is only Lipschitz across
-    the midplanes, and the closed-form Jacobian holds almost everywhere.
+    l(u) = slope * sqrt(r0^2 + d(u)^2) with slope = 1/100 and d the
+    distance to the nearest nucleus, so |grad l| <= 1/100 < 1 everywhere.
+    For a single nucleus l is smooth (a function of d^2); with several
+    nuclei it is only Lipschitz across the midplanes, and the closed-form
+    Jacobian holds almost everywhere.
     """
 
     r0: float = 1.0
@@ -58,24 +59,13 @@ class ScaleFunctions:
         object.__setattr__(self, "nuclei",
                            tuple(tuple(float(c) for c in p) for p in self.nuclei))
 
-    def _nearest(self, u):
+    def ell(self, u):
+        """l at a point u, or at each row of u."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        pos = np.asarray(self.nuclei)
-        diffs = u[:, None, :] - pos[None, :, :]
-        dists = np.linalg.norm(diffs, axis=2)
-        k = np.argmin(dists, axis=1)
-        idx = np.arange(u.shape[0])
-        return dists[idx, k], diffs[idx, k, :]
-
-    def d(self, u):
-        dist, _ = self._nearest(u)
-        return dist if dist.size > 1 else float(dist[0])
-
-    def _ell_grad(self, u):
-        """l and grad l at each row of u, from one nearest-nucleus search."""
-        dist, diff = self._nearest(u)
-        root = np.sqrt(self.r0 ** 2 + dist ** 2)
-        return self.slope * root, self.slope * diff / root[:, None]
+        dists = np.linalg.norm(u[:, None, :] - np.asarray(self.nuclei)[None], axis=2)
+        dist = np.min(dists, axis=1)
+        out = self.slope * np.sqrt(self.r0 ** 2 + dist ** 2)
+        return out if out.size > 1 else float(out[0])
 
     def _ell_dot_on_rays(self, x, s, dirs):
         """l(u) and (x - u) . grad l(u) at u = x + s n, for each radius s and unit direction n.
@@ -96,27 +86,14 @@ class ScaleFunctions:
         root = np.sqrt(self.r0 ** 2 + d2[0])
         return self.slope * root, -self.slope * S[0] * (proj[0] + S[0]) / root
 
-    def ell(self, u):
-        out = self._ell_grad(u)[0]
-        return out if out.size > 1 else float(out[0])
 
-    def grad_ell(self, u):
-        g = self._ell_grad(u)[1]
-        return g if g.shape[0] > 1 else g[0]
-
-
-def jacobian(rel, ell, grad):
+def jacobian(rel_dot_grad, ell):
     """|det D_u (x - u)/l(u)| = l^-3 |1 + (x - u) . grad l / l|.
 
-    rel = x - u, ell = l(u) and grad = grad l(u), for one point u or one
-    per row.  The map's derivative is -I/l - (x - u) (x) grad l / l^2, a
-    rank-one update of a multiple of the identity, whence the closed form.
+    rel_dot_grad = (x - u) . grad l(u) and ell = l(u), as the ray form
+    gives them.  The map's derivative is -I/l - (x - u) (x) grad l / l^2,
+    a rank-one update of a multiple of the identity, whence the closed form.
     """
-    return _jacobian(np.einsum("...j,...j->...", rel, grad), ell)
-
-
-def _jacobian(rel_dot_grad, ell):
-    """The Jacobian from (x - u) . grad l(u) and l(u)."""
     return ell ** -3 * np.abs(1.0 + rel_dot_grad / ell)
 
 
@@ -135,6 +112,6 @@ def partition_check(x, sf: ScaleFunctions) -> float:
     ws = 0.5 * radius * _WG
     # one nearest-nucleus search along the rays serves l(u) and the Jacobian
     ell_u, rel_dot_grad = sf._ell_dot_on_rays(x, s, _DIRS)
-    vals = unit_bump(s[:, None, None] / ell_u) ** 2 * _jacobian(rel_dot_grad, ell_u)
+    vals = unit_bump(s[:, None, None] / ell_u) ** 2 * jacobian(rel_dot_grad, ell_u)
     integral = np.einsum("i,j,ijk->", ws * s ** 2, _WC, vals) * _WPHI
     return float(integral)

@@ -47,7 +47,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .core import ScottEstimate, check_coupling, fork_cores, fork_join, gauss
+from .core import ScottEstimate, check_coupling, fork_cores, fork_join, gauss, neg_part_sum
 from .cutoffs import SmoothCutoff, bump_profile
 from .radial_eig import cutoff_weyl_coulomb
 
@@ -422,7 +422,7 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
             blocks[j] = vals
             if zero_field:
                 blocks[-j] = vals.copy()
-    trace = float(sum(np.sum(v) for v in blocks.values()))
+    trace = float(sum(neg_part_sum(v) for v in blocks.values()))
     return PauliTraceResult(trace=trace, blocks=blocks, mesh_shape=grid.shape, mu=mu,
                             workers=len(cpus))
 

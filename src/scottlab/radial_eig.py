@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ScottEstimate, fork_cores, fork_join
+from .core import ScottEstimate, fork_cores, fork_join, neg_part_sum
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_integral
 
@@ -215,7 +215,7 @@ class SpectralSum:
     def trace(self) -> float:
         total = 0.0
         for ell, vals in self.eigenvalues.items():
-            total += 2.0 * (2 * ell + 1) * float(np.sum(vals + self.mu))
+            total += 2.0 * (2 * ell + 1) * neg_part_sum(vals + self.mu)
         if self.coarse_trace is None:
             return total
         return (4.0 * total - self.coarse_trace) / 3.0
@@ -340,6 +340,8 @@ def scott_cutoff_schedule(R_list, refine: bool = True) -> ScottEstimate:
     Rs = sorted(float(R) for R in R_list)
     if len(Rs) < 1:
         raise ValueError("need at least one radius")
+    if len(set(Rs)) < len(Rs):
+        raise ValueError("radii must be distinct")
     vals = [scott_cutoff_value(R, refine=refine) for R in Rs]
     meta = {"R_values": Rs, "d_values": vals}
     if len(Rs) >= 2:

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
-from .core import gauss
+from .core import gauss, sqrt_panel_integral
 
 # decay exponent of perturbations around the 144/t^3 branch
 SOMMERFELD_LAMBDA = (math.sqrt(73.0) - 7.0) / 2.0
@@ -408,17 +408,13 @@ def equation_residual(profile: TFProfile) -> float:
     return float(max(series_worst, cell_worst))
 
 
-def _x_rule():
-    """Edges of 700 geometric panels in x = sqrt(t) on [0, 100], Gauss-16 nodes and weights."""
-    x_max = 100.0
-    edges = np.concatenate([[0.0], np.geomspace(x_max * 1e-6, x_max, 700)])
-    return (edges, *gauss(edges[:-1], edges[1:], _GL16))
+# edges of 700 geometric panels in x = sqrt(t) on [0, 100]
+_X_EDGES = np.concatenate([[0.0], np.geomspace(100.0 * 1e-6, 100.0, 700)])
 
 
 def _integrate_x(f_of_t) -> float:
-    """integral f(t) dt from 0 to 1e4 on the panels of _x_rule, summed left to right."""
-    _, x, wx = _x_rule()
-    return float(np.cumsum(np.sum(wx * 2.0 * x * f_of_t(x ** 2), axis=1))[-1])
+    """integral f(t) dt from 0 to 1e4, Gauss-16 on the panels _X_EDGES."""
+    return sqrt_panel_integral(f_of_t, _X_EDGES, _GL16)
 
 
 def _density(phi, t):
@@ -453,8 +449,8 @@ def _energy_integrals(phi):
     def before(panels):
         return np.concatenate([[0.0], np.cumsum(panels)[:-1]])[:, None]
 
-    edges, x, wx = _x_rule()
-    left = edges[:-1, None]
+    x, wx = gauss(_X_EDGES[:-1], _X_EDGES[1:], _GL16)
+    left = _X_EDGES[:-1, None]
     g = gauss(left, x, _GL12)[0]
     wg = _GL12[1]
     panel_m = np.sum(wx * dm(x), axis=1)
@@ -475,14 +471,9 @@ def _energy_integrals(phi):
 
 @dataclass(frozen=True)
 class TFConsistencyReport:
-    E_functional: float
-    E_phase_space: float
     rel_gap: float
     virial_ratio: float
     mass_error: float
-    kinetic: float
-    attraction: float
-    coulomb: float
     hls_ratio: float
 
 
@@ -499,13 +490,8 @@ def tf_energy_consistency(sol: TFSolution) -> TFConsistencyReport:
     # HLS diagnostic: D(rho) <= C ||rho||_{6/5}^2; report the fitted C
     norm65 = _integrate_x(lambda t: _volume(t) * _density(sol.phi, t) ** 1.2) ** (5.0 / 3.0)
     return TFConsistencyReport(
-        E_functional=e_func,
-        E_phase_space=e_ps,
         rel_gap=abs(e_func - e_ps) / abs(e_func),
         virial_ratio=abs(2.0 * sol.kinetic - sol.attraction + sol.D_rho) / abs(e_func),
         mass_error=sol.mass - 1.0,
-        kinetic=sol.kinetic,
-        attraction=sol.attraction,
-        coulomb=sol.D_rho,
         hls_ratio=sol.D_rho / norm65,
     )

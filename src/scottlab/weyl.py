@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import gauss
+from .core import sqrt_panel_integral
 
 MOMENTUM_COEFF = 8.0 * math.pi / 15.0
 
@@ -105,9 +105,7 @@ def _radial_profile_integral(f, r_lo, r_hi, breaks, n_panels):
     else:
         edges = np.sqrt(np.geomspace(r_lo, r_hi, n_panels + 1))
     edges = np.unique(np.concatenate([edges, np.sqrt([b for b in breaks if r_lo < b < r_hi])]))
-    x, w = gauss(edges[:-1], edges[1:], _GL24)
-    # cumsum, not sum: panel totals are added strictly left to right
-    return float(np.cumsum(np.sum(w * 2.0 * x * f(x ** 2), axis=-1))[-1])
+    return sqrt_panel_integral(f, edges, _GL24)
 
 
 def weyl_integral(wi: WeylIntegrand) -> float:

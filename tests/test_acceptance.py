@@ -174,7 +174,10 @@ def test_criterion_8_partition_of_unity():
     for _ in range(25):
         u = rng.normal(scale=2.0, size=3)
         x = u + rng.normal(scale=0.5, size=3) * sf.ell(u)
-        J = multiscale.jacobian(x - u, sf.ell(u), sf.grad_ell(u))
+        # J as partition_check computes it: the ray form along the ray from x through u
+        s = np.linalg.norm(u - x)
+        ell_u, rel_dot_grad = sf._ell_dot_on_rays(x, np.array([s]), ((u - x) / s)[None])
+        J = float(multiscale.jacobian(rel_dot_grad, ell_u)[0, 0])
         eps = 1e-6
         M = np.zeros((3, 3))
         for i in range(3):

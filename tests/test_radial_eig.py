@@ -406,6 +406,15 @@ def test_cutoff_scott_limit_via_extrapolation():
     assert est.meta["extrapolated"] == pytest.approx(0.25, abs=0.025)
 
 
+def test_cutoff_schedule_rejects_repeated_radii(monkeypatch):
+    # the two-radius extrapolation divides by sqrt(r2 / r1) - 1, so equal
+    # radii are refused before any trace is taken
+    monkeypatch.setattr(radial_eig, "scott_cutoff_value",
+                        lambda R, refine: pytest.fail("a trace was taken"))
+    with pytest.raises(ValueError, match="radii must be distinct"):
+        radial_eig.scott_cutoff_schedule([6, 6])
+
+
 # ---------------------------------------------------------------------------
 # semiclassical fit
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Guard against library code that no route uses.
 
 Every top-level function and class of the package must be referenced from
-somewhere other than its own definition: another place in src/, or the
-benchmark harness in perfbench/.  References are ast names and attribute
-names, matched by name, plus perfbench's string constants, which hold the
-names its patch table traces.  Names that scottlab/__init__.py re-exports
+somewhere other than its own definition: another place in src/, or a
+non-test file of the benchmark harness in perfbench/ (the caller set of
+tests/test_keywords.py).  References are ast names and attribute names,
+matched by name, plus perfbench's string constants, which hold the names
+its patch table traces.  Names that scottlab/__init__.py re-exports
 are public API and exempt.
 """
 
@@ -35,6 +36,8 @@ def test_every_top_level_definition_has_a_caller():
             for name, owner in _uses(tree)]
     outside = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         outside |= {name for name, _ in _uses(tree)}
         outside |= {node.value for node in ast.walk(tree)

@@ -101,10 +101,10 @@ def test_energy_consistency_report(tf_solution):
     rep = tf_energy_consistency(tf_solution)
     assert rep.rel_gap < 1e-4
     assert rep.virial_ratio < 1e-4
-    assert rep.E_functional < 0
+    assert tf_solution.E_atom < 0
     assert abs(rep.mass_error) < 1e-6
     # D = K/3 is the virial identity in disguise
-    assert rep.coulomb == pytest.approx(rep.kinetic / 3.0, rel=1e-6)
+    assert tf_solution.D_rho == pytest.approx(tf_solution.kinetic / 3.0, rel=1e-6)
     # HLS diagnostic: a finite fitted constant, not an assertion about sharpness
     assert 0.0 < rep.hls_ratio < 10.0
 
