@@ -475,7 +475,12 @@ def main(argv=None) -> int:
         probe, _ = parser.parse_known_args(argv)
         if probe.config:
             cfg = load_config(probe.config)
-            for sub_parser in parser._subparsers._group_actions[0].choices.values():
+            sub_parsers = parser._subparsers._group_actions[0].choices.values()
+            known = {a.dest for sp in sub_parsers for a in sp._actions} - {"help"}
+            unknown = sorted(k.replace("_", "-") for k in cfg if k not in known)
+            if unknown:  # a key of another subcommand is fine: one file may feed several
+                raise ValidationError(f"{probe.config}: unknown config keys: {', '.join(unknown)}")
+            for sub_parser in sub_parsers:
                 sub_parser.set_defaults(**{a.dest: _coerce(a, cfg[a.dest])
                                            for a in sub_parser._actions if a.dest in cfg})
         args = parser.parse_args(argv)

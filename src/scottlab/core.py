@@ -204,29 +204,11 @@ def check_coupling(kappa: float, beta: float) -> None:
         raise ValueError("beta must lie in (0, 1/(2 kappa)]")
 
 
-ROUTES = ("mu-limit", "cutoff-R", "spectral-fit", "ansatz-min")
-
-
 @dataclass(frozen=True)
 class ScottEstimate:
     """One evaluation of the Scott-function difference object (value ~ 2 S(kappa))."""
 
     value: float
     route: str
-    kappa: float = 0.0
     R: float = math.inf
-    beta: float | None = None
     meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        if self.route not in ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if self.beta is not None and self.kappa > 0:
-            check_coupling(self.kappa, self.beta)
-
-    @property
-    def S(self) -> float:
-        """The Scott value itself, value/2 (spin factor stripped)."""
-        return 0.5 * self.value

@@ -67,8 +67,6 @@ def mean_field_energy(config: NuclearConfig, tf_solution: TFSolution,
 @dataclass(frozen=True)
 class ExpansionReport:
     Z: float
-    alpha: float
-    kappa: float
     leading: float
     scott: float
     two_term: float
@@ -93,6 +91,6 @@ def expansion_sweep(Z_list, alpha: float, tf_solution: TFSolution,
         scott = scott_term(cfg, s_provider_nonmagnetic)
         two_term = two_term_energy(cfg, s_provider_nonmagnetic, tf_solution)
         mf = mean_field_energy(cfg, tf_solution, refine=refine, resolution=resolution)
-        out.append(ExpansionReport(Z=cfg.Z, alpha=alpha, kappa=cfg.kappa, leading=leading,
-                                   scott=scott, two_term=two_term, mean_field=mf))
+        out.append(ExpansionReport(Z=cfg.Z, leading=leading, scott=scott,
+                                   two_term=two_term, mean_field=mf))
     return out

@@ -57,7 +57,5 @@ def scott_mu_limit(mu_schedule) -> ScottEstimate:
     d = np.array([trace_neg_coulomb(m) - weyl_coulomb_mu(m, 1.0) for m in mus])
     A = np.vstack([np.ones_like(mus), np.sqrt(mus)]).T
     coef, *_ = np.linalg.lstsq(A, d, rcond=None)
-    return ScottEstimate(value=float(coef[0]), route="mu-limit", kappa=0.0,
-                         meta={"slope_sqrt_mu": float(coef[1]),
-                               "mu_schedule": [float(m) for m in mus],
-                               "d_values": [float(v) for v in d]})
+    return ScottEstimate(value=float(coef[0]), route="mu-limit",
+                         meta={"slope_sqrt_mu": float(coef[1])})

@@ -60,12 +60,13 @@ class ScaleFunctions:
                            tuple(tuple(float(c) for c in p) for p in self.nuclei))
 
     def ell(self, u):
-        """l at a point u, or at each row of u."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        dists = np.linalg.norm(u[:, None, :] - np.asarray(self.nuclei)[None], axis=2)
+        """l at a point u (a float), or at each row of a 2-D u (an array)."""
+        u = np.asarray(u, dtype=float)
+        rows = np.atleast_2d(u)
+        dists = np.linalg.norm(rows[:, None, :] - np.asarray(self.nuclei)[None], axis=2)
         dist = np.min(dists, axis=1)
         out = self.slope * np.sqrt(self.r0 ** 2 + dist ** 2)
-        return out if out.size > 1 else float(out[0])
+        return float(out[0]) if u.ndim == 1 else out
 
     def _ell_dot_on_rays(self, x, s, dirs):
         """l(u) and (x - u) . grad l(u) at u = x + s n, for each radius s and unit direction n.

@@ -206,10 +206,6 @@ class PauliGrid:
         self.nz = self.z.size
         self.R, self.Z = np.meshgrid(self.rho, self.z, indexing="ij")
 
-    @property
-    def shape(self):
-        return (self.nr, self.nz)
-
     def kinetic(self, h: float) -> sp.csr_matrix:
         """Symmetrized FV of -h^2 (rho^-1 d_rho rho d_rho + d_zz) as K_rho (x) I + I (x) K_z."""
         h2 = h * h
@@ -350,9 +346,7 @@ class PauliTraceResult:
 
     trace: float
     blocks: dict
-    mesh_shape: tuple
-    mu: float
-    workers: int = 0
+    workers: int
 
 
 def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
@@ -423,8 +417,7 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
             if zero_field:
                 blocks[-j] = vals.copy()
     trace = float(sum(neg_part_sum(v) for v in blocks.values()))
-    return PauliTraceResult(trace=trace, blocks=blocks, mesh_shape=grid.shape, mu=mu,
-                            workers=len(cpus))
+    return PauliTraceResult(trace=trace, blocks=blocks, workers=len(cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +490,8 @@ def minimize_scott(kappa: float, beta: float, R: float, grid: PauliGrid,
     check_coupling(kappa, beta)
     if budget < 1:
         raise ValueError(f"budget ({budget}) must be at least 1")
+    if n_modes < 1:
+        raise ValueError(f"n_modes ({n_modes}) must be at least 1")
     n, t, eye = n_modes, PROBE_STEP, np.eye(n_modes)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     probes = ([np.zeros(n)] + [t * eye[i] for i in range(n)]
@@ -532,12 +527,9 @@ def minimize_scott(kappa: float, beta: float, R: float, grid: PauliGrid,
             else:
                 exhausted = True
     best = min(range(len(history)), key=lambda i: history[i][2])
-    f0 = history[0][2]
-    est = ScottEstimate(value=history[best][2], route="ansatz-min", kappa=kappa,
-                        R=R, beta=beta,
-                        meta={"n_modes": n_modes, "seed": seed,
-                              "evaluations": len(history), "zero_field_value": f0,
+    est = ScottEstimate(value=history[best][2], route="ansatz-min", R=R,
+                        meta={"seed": seed, "evaluations": len(history),
                               "kappa_c": kappa_c, "certified": kappa < kappa_c})
     return MinimizeScottResult(estimate=est, theta=tuple(float(v) for v in thetas[best]),
                                history=history, budget_exhausted=exhausted,
-                               zero_field_value=f0)
+                               zero_field_value=history[0][2])

@@ -147,17 +147,9 @@ def auto_grid(V, h: float, mu: float, r_max: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChannelOperator:
-    """Symmetric tridiagonal representation of one angular momentum channel."""
-
-    diag: np.ndarray
-    off: np.ndarray
-
-
 def build_channel(v: np.ndarray, h: float, ell: int, grid: RadialGrid,
-                  f: Optional[np.ndarray] = None) -> ChannelOperator:
-    """Channel ell of -h^2 Delta - V from v = V(grid.r), sandwiched by f = phi(grid.r) if given."""
+                  f: Optional[np.ndarray] = None):
+    """Tridiagonal (d, e) of channel ell of -h^2 Delta - V, v = V(grid.r), sandwiched by f if given."""
     r = grid.r
     h2 = h * h
     d = h2 * grid.kin_diag + h2 * ell * (ell + 1) / r ** 2 - v
@@ -165,16 +157,16 @@ def build_channel(v: np.ndarray, h: float, ell: int, grid: RadialGrid,
     if f is not None:
         d = d * f * f
         e = e * f[:-1] * f[1:]
-    return ChannelOperator(diag=d, off=e)
+    return d, e
 
 
-def negative_eigenvalues(op: ChannelOperator, mu: float = 0.0) -> np.ndarray:
-    """All eigenvalues below -mu, ascending, via LAPACK bisection (Sturm counts)."""
+def negative_eigenvalues(op, mu: float = 0.0) -> np.ndarray:
+    """All eigenvalues below -mu of the channel op = (d, e), ascending, via LAPACK bisection."""
     from scipy.linalg import eigvalsh_tridiagonal
 
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    d, e = op.diag, op.off
+    d, e = op
     # bisection resolves eigenvalues to ~eps * ||T||; eigenvalues inside the
     # pad band are numerically indistinguishable from the threshold and their
     # true contribution to a shifted trace is below the pad anyway
@@ -205,9 +197,7 @@ class SpectralSum:
 
     eigenvalues: dict
     mu: float
-    h: float
     ell_max: int
-    grid_n: int
     coarse_trace: Optional[float] = None
     workers: int = 0
 
@@ -278,7 +268,7 @@ def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
     total = None
     for g, *found in zip(grids, *parts):
         channels, ell_max = _merge(found)
-        total = SpectralSum(channels, mu, h, ell_max, g.n,
+        total = SpectralSum(channels, mu, ell_max,
                             coarse_trace=None if total is None else total.trace,
                             workers=k if pooled else 0)
     return total
@@ -349,8 +339,7 @@ def scott_cutoff_schedule(R_list, refine: bool = True) -> ScottEstimate:
         d1, d2 = vals[-2], vals[-1]
         w = math.sqrt(r2 / r1)
         meta["extrapolated"] = (w * d2 - d1) / (w - 1.0)
-    return ScottEstimate(value=vals[-1], route="cutoff-R", kappa=0.0,
-                         R=Rs[-1], meta=meta)
+    return ScottEstimate(value=vals[-1], route="cutoff-R", R=Rs[-1], meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +385,6 @@ def scott_spectral_fit(tf_solution, h_list=(0.125, 0.1, 1.0 / 12.0, 1.0 / 16.0, 
                       resolution=resolution)
         samples.append((h, s.trace))
     fit = fit_expansion(samples, weyl_coeff=tf_solution.phase_space_coeff)
-    return ScottEstimate(value=fit.c2, route="spectral-fit", kappa=0.0,
+    return ScottEstimate(value=fit.c2, route="spectral-fit",
                          meta={"samples": samples, "c3": fit.c3,
                                "max_rel_residual": fit.max_rel_residual})

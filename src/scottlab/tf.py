@@ -263,7 +263,6 @@ class TFProfile:
     spline_w: np.ndarray
     spline_v: np.ndarray
     xi_tail: float
-    t_grid: np.ndarray = field(repr=False)
     _w_interp: _CubicHermite = field(repr=False, compare=False)
     _v_interp: _CubicHermite = field(repr=False, compare=False)
 
@@ -298,7 +297,7 @@ class TFProfile:
 
     def profile_table(self) -> np.ndarray:
         """Columns (t, phi, phi') on the export grid."""
-        t = self.t_grid
+        t = np.geomspace(T_GRID_MIN, T_GRID_MAX, N_GRID)
         return np.column_stack([t, self.phi(t), self.dphi(t)])
 
 
@@ -361,7 +360,6 @@ def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail, tolerance: float) -
     profile = TFProfile(
         slope0=slope0, series=baker_coefficients(slope0), spline_x=spline_x,
         spline_w=spline_w, spline_v=spline_v, xi_tail=xi_tail,
-        t_grid=np.geomspace(T_GRID_MIN, T_GRID_MAX, N_GRID),
         _w_interp=_CubicHermite(spline_x, spline_w, spline_v),
         _v_interp=_CubicHermite(spline_x, spline_v, vp),
     )

@@ -226,6 +226,19 @@ def test_config_file_validation(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg"), "weyl"]) == 4
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    for key in ("muu", "help"):
+        cfg.write_text(f"{key} = 0.5\n")
+        assert main(["--config", str(cfg), "weyl", "--out", str(tmp_path / "w.csv")]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
+    # a key of another subcommand is accepted: one file may feed several
+    cfg.write_text("h-list = 0.5 0.4 0.35\n")
+    assert main(["--config", str(cfg), "trace", "--mu", "0.05", "--n", "60",
+                 "--out", str(tmp_path / "t.csv")]) == 0
+
+
 def test_tf_cache_roundtrip(tmp_path):
     cache = tmp_path / "cache"
     out1 = tmp_path / "p1.csv"

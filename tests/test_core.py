@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scottlab.core import NuclearConfig, ScottEstimate, neg_part_sum
+from scottlab.core import NuclearConfig, check_coupling, neg_part_sum
 
 
 def test_neg_part_sum_examples():
@@ -67,12 +67,7 @@ def test_nuclear_config_validation():
         NuclearConfig(z=(-0.5, 1.5), r=((0, 0, 0), (1, 0, 0)))
 
 
-def test_scott_estimate_beta_admissibility():
-    ScottEstimate(value=0.25, route="mu-limit")
-    ScottEstimate(value=0.2, route="ansatz-min", kappa=0.1, beta=5.0)
+def test_check_coupling_beta_admissibility():
+    check_coupling(0.1, 5.0)
     with pytest.raises(ValueError):
-        ScottEstimate(value=0.2, route="ansatz-min", kappa=0.1, beta=5.1)
-    with pytest.raises(ValueError):
-        ScottEstimate(value=0.2, route="nonsense")
-    est = ScottEstimate(value=0.25, route="mu-limit")
-    assert est.S == pytest.approx(0.125)
+        check_coupling(0.1, 5.1)

@@ -122,3 +122,12 @@ def test_molecular_distance_field():
     # l = slope sqrt(r0^2 + d^2) with d the distance to the nearest nucleus
     assert sf2.ell(np.array([1.0, 0, 0])) == pytest.approx(0.01 * np.sqrt(1.0 + 1.0 ** 2))
     assert sf2.ell(np.array([3.5, 0, 0])) == pytest.approx(0.01 * np.sqrt(1.0 + 0.5 ** 2))
+
+
+def test_ell_returns_an_array_for_any_batch(sf):
+    # a one-row batch used to come back as a float
+    one = sf.ell(np.array([[1.0, 0, 0]]))
+    assert one.shape == (1,)
+    assert one[0] == sf.ell(np.array([1.0, 0, 0]))
+    assert isinstance(sf.ell(np.array([1.0, 0, 0])), float)
+    assert sf.ell(np.zeros((3, 3))).shape == (3,)

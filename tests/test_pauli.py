@@ -137,7 +137,7 @@ def test_pauli_trace_needs_a_domain():
 def kinetic_by_cells(grid, h):
     """The finite-volume kinetic operator cell by cell, the reference of PauliGrid.kinetic."""
     rho, drho, rf, z, dz, zf = grid.rho, grid.drho, grid.rho_faces, grid.z, grid.dz, grid.z_faces
-    nr, nz = grid.shape
+    nr, nz = grid.nr, grid.nz
     h2 = h * h
     K = np.zeros((nr * nz, nr * nz))
     for i in range(nr):
@@ -515,6 +515,12 @@ def test_minimize_scott_rejects_empty_budget():
     # budget = 0 used to report one evaluation
     with pytest.raises(ValueError, match="budget"):
         minimize_scott(0.05, 10.0, 8.0, ball8((8, 16)), budget=0)
+
+
+def test_minimize_scott_rejects_no_modes():
+    # n_modes = 0 used to raise IndexError on the empty generalized eigenproblem
+    with pytest.raises(ValueError, match="n_modes"):
+        minimize_scott(0.05, 10.0, 8.0, ball8((8, 16)), n_modes=0)
 
 
 @pytest.fixture(scope="module")

@@ -77,7 +77,7 @@ def test_sturm_count_consistency():
     for ell in (0, 1, 3):
         op = build_channel(VC(grid.r), 1.0, ell, grid)
         vals = negative_eigenvalues(op, mu=mu)
-        assert sturm_count(op.diag, op.off, -mu) == vals.size
+        assert sturm_count(*op, -mu) == vals.size
 
 
 def test_kinetic_stencil_nonnegative():
@@ -173,11 +173,11 @@ def serial_channels(V, h, mu, grid, cutoff=None):
 
 def serial_sum(V, h, mu, grid, cutoff=None, refine=False):
     """The oracle of a pooled sum: the same channels from the serial loop."""
-    coarse = radial_eig.SpectralSum(serial_channels(V, h, mu, grid, cutoff), mu, h, 0, grid.n)
+    coarse = radial_eig.SpectralSum(serial_channels(V, h, mu, grid, cutoff), mu, 0)
     if not refine:
         return coarse
     fine = grid.refined()
-    return radial_eig.SpectralSum(serial_channels(V, h, mu, fine, cutoff), mu, h, 0, fine.n,
+    return radial_eig.SpectralSum(serial_channels(V, h, mu, fine, cutoff), mu, 0,
                                   coarse_trace=coarse.trace)
 
 
