@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import __version__, expansion, hydrogen, multiscale, radial_eig, tf
-from .core import check_coupling
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_coulomb_mu, weyl_integral
 
@@ -107,17 +106,17 @@ def _positive(values, name: str):
 # ---------------------------------------------------------------------------
 
 
-def get_tf_solution(cache_dir: str | None, tolerance: float = 1e-8) -> tf.TFSolution:
+def get_tf_solution(cache_dir: str | None) -> tf.TFSolution:
     """The TF solution, solved or rebuilt from cache_dir/tf_profile.npz.
 
     The cache holds the spline data of a solve and the package version; a
     file that cannot be read, lacks a key, carries another version or holds
     data no spline can be built from is a miss and is rewritten.  A hit goes
     through the same constructor as a solve, so the residual is checked
-    against tolerance either way.
+    against tf.RESIDUAL_TOL either way.
     """
     if not cache_dir:
-        return tf.solve_tf_atom(tolerance=tolerance)
+        return tf.solve_tf_atom()
     os.makedirs(cache_dir, exist_ok=True)
     cache_file = os.path.join(cache_dir, "tf_profile.npz")
     try:
@@ -129,10 +128,10 @@ def get_tf_solution(cache_dir: str | None, tolerance: float = 1e-8) -> tf.TFSolu
     if (cached is not None and cached[0] == __version__
             and math.isfinite(cached[1]) and math.isfinite(cached[5])):
         try:
-            return tf._assemble(*cached[1:], tolerance)
+            return tf._assemble(*cached[1:])
         except ValueError:  # arrays no spline can be built from: a miss
             pass
-    sol = tf.solve_tf_atom(tolerance=tolerance)
+    sol = tf.solve_tf_atom()
     np.savez(cache_file, version=__version__, slope0=sol.slope0, x=sol.spline_x,
              w=sol.spline_w, v=sol.spline_v, xi_tail=sol.xi_tail)
     return sol
@@ -144,8 +143,7 @@ def get_tf_solution(cache_dir: str | None, tolerance: float = 1e-8) -> tf.TFSolu
 
 
 def cmd_tf(args) -> int:
-    _positive([args.tolerance], "tolerance")
-    sol = get_tf_solution(args.cache_dir, tolerance=args.tolerance)
+    sol = get_tf_solution(args.cache_dir)
     table = sol.profile_table()
     write_csv(args.out, ["t", "phi", "dphi"], table.tolist())
     rep = tf.tf_energy_consistency(sol)
@@ -204,6 +202,8 @@ def _resolve_potential(args):
         if data.shape[0] < 2 or data.shape[1] != 2:
             raise ValidationError(f"{args.file} needs at least two (r, V) rows "
                                   f"of two columns, got shape {data.shape}")
+        if not np.all(np.isfinite(data)):
+            raise ValidationError(f"{args.file}: r and V must be finite")
         r, v = data[:, 0], data[:, 1]
         if not np.all(np.diff(r) > 0):
             raise ValidationError(f"{args.file}: the r column must be strictly increasing")
@@ -306,11 +306,6 @@ def cmd_scott(args) -> int:
         _positive([args.kappa, args.R], "kappa and R")
         if min(args.modes, args.budget) < 1:
             raise ValidationError("modes and budget must be at least 1")
-        beta = args.beta if args.beta is not None else 0.5 / args.kappa
-        try:
-            check_coupling(args.kappa, beta)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
         mesh = _floats(args.mesh)
         # the z mesh is split into two halves, so n_z = 1 would leave no cells
         if not (len(mesh) == 2 and all(v.is_integer() for v in mesh)
@@ -318,7 +313,8 @@ def cmd_scott(args) -> int:
             raise ValidationError(f"--mesh needs two integers n_rho >= 1 and n_z >= 2, "
                                   f"got {args.mesh!r}")
         grid = pauli.PauliGrid.for_ball(args.R, n_rho=int(mesh[0]), n_z=int(mesh[1]))
-        res = pauli.minimize_scott(args.kappa, beta, args.R, grid,
+        # beta = 1/(2 kappa), its largest admissible value, weighs no field inside B(R/4)
+        res = pauli.minimize_scott(args.kappa, 0.5 / args.kappa, args.R, grid,
                                    n_modes=args.modes, budget=args.budget)
         write_csv(args.out, ["iteration", "theta_norm", "functional"],
                   [[i, n, v] for i, n, v in res.history])
@@ -402,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tf", help="solve the universal TF atom, export the profile")
     common(sp)
-    sp.add_argument("--tolerance", type=float, default=1e-8)
     sp.set_defaults(func=cmd_tf)
 
     sp = sub.add_parser("weyl", help="phase-space integral for a named potential")
@@ -439,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R-list", default=None)
     sp.add_argument("--h-list", default="0.125 0.1 0.0833333333333333 0.0625 0.05")
     sp.add_argument("--kappa", type=float, default=0.05)
-    sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--budget", type=int, default=60)
     sp.add_argument("--modes", type=int, default=2)
     sp.add_argument("--mesh", default="80 160")

@@ -36,20 +36,19 @@ def smooth_step(t):
 
 @dataclass(frozen=True)
 class SmoothCutoff:
-    """Radial cutoff phi_R: phi = 1 on [0, inner*R], 0 beyond R.
+    """Radial cutoff phi_R: phi = 1 on [0, R/2], 0 beyond R.
 
     phi^2 = 1 - smooth_step, so phi is C-infinity.
     """
 
     R: float
-    inner: float = 0.5
 
     def __post_init__(self):
-        if not (self.R > 0 and 0 < self.inner < 1):
-            raise ValueError("need R > 0 and 0 < inner < 1")
+        if not self.R > 0:
+            raise ValueError("need R > 0")
 
     def _t(self, r):
-        a = self.inner * self.R
+        a = 0.5 * self.R
         return (np.asarray(r, dtype=float) - a) / (self.R - a)
 
     def sq(self, r):

@@ -32,9 +32,12 @@ def trace_neg_coulomb(mu: float) -> float:
     """Tr[-Delta - 1/|x| + mu]_- = sum over n < 1/(2 sqrt(mu)) of 2 n^2 (e_n + mu).
 
     Closed Faulhaber form; mu must be positive (the untruncated sum diverges).
+    Raises ValueError past n = 2^53, where unit steps in n no longer move a level.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
+    if 0.5 / math.sqrt(mu) > 2.0 ** 53:
+        raise ValueError(f"mu = {mu:.3e} puts the threshold level above n = 2^53")
     n = _threshold_n(mu)
     if n < 1:
         return 0.0

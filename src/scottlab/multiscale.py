@@ -24,6 +24,8 @@ from .cutoffs import unit_bump
 # partition-identity quadrature
 N_RADIAL, N_THETA, N_PHI = 48, 24, 48
 
+SLOPE = 0.01  # bound on |grad l|; the partition identity needs it below 1
+
 # the rule itself, shaped to broadcast over (radius, polar angle, azimuth);
 # only the radial scale changes from point to point
 _XG, _WG = leggauss(N_RADIAL)
@@ -40,7 +42,7 @@ _DIRS = np.stack(np.broadcast_arrays(_ST * np.cos(_PHIS), _ST * np.sin(_PHIS), _
 class ScaleFunctions:
     """Scale field l, at points and in the ray form of partition_check.
 
-    l(u) = slope * sqrt(r0^2 + d(u)^2) with slope = 1/100 and d the
+    l(u) = SLOPE * sqrt(r0^2 + d(u)^2) with SLOPE = 1/100 and d the
     distance to the nearest nucleus, so |grad l| <= 1/100 < 1 everywhere.
     For a single nucleus l is smooth (a function of d^2); with several
     nuclei it is only Lipschitz across the midplanes, and the closed-form
@@ -49,13 +51,10 @@ class ScaleFunctions:
 
     r0: float = 1.0
     nuclei: tuple = ((0.0, 0.0, 0.0),)
-    slope: float = 0.01
 
     def __post_init__(self):
         if self.r0 <= 0:
             raise ValueError("r0 must be positive")
-        if not 0 < self.slope < 1:
-            raise ValueError("slope must lie in (0, 1) for the partition identity")
         object.__setattr__(self, "nuclei",
                            tuple(tuple(float(c) for c in p) for p in self.nuclei))
 
@@ -65,7 +64,7 @@ class ScaleFunctions:
         rows = np.atleast_2d(u)
         dists = np.linalg.norm(rows[:, None, :] - np.asarray(self.nuclei)[None], axis=2)
         dist = np.min(dists, axis=1)
-        out = self.slope * np.sqrt(self.r0 ** 2 + dist ** 2)
+        out = SLOPE * np.sqrt(self.r0 ** 2 + dist ** 2)
         return float(out[0]) if u.ndim == 1 else out
 
     def _ell_dot_on_rays(self, x, s, dirs):
@@ -85,7 +84,7 @@ class ScaleFunctions:
             d2 = np.take_along_axis(d2, k, axis=0)
             proj = np.take_along_axis(np.broadcast_to(proj, (len(xp),) + d2.shape[1:]), k, axis=0)
         root = np.sqrt(self.r0 ** 2 + d2[0])
-        return self.slope * root, -self.slope * S[0] * (proj[0] + S[0]) / root
+        return SLOPE * root, -SLOPE * S[0] * (proj[0] + S[0]) / root
 
 
 def jacobian(rel_dot_grad, ell):
@@ -102,17 +101,20 @@ def partition_check(x, sf: ScaleFunctions) -> float:
     """Numerical value of int psi_u(x)^2 l(u)^-3 du (should be 1).
 
     The domain {u : |x - u| <= l(u)} is contained in the ball around x of
-    radius l(x)/(1 - slope); the integral is done in spherical coordinates
-    around x with Gauss nodes in radius and polar angle.
+    radius l(x)/(1 - SLOPE); the integral is done in spherical coordinates
+    around x with Gauss nodes in radius and polar angle.  Raises ValueError
+    when the quadrature overflows (from about |x| = 1e108 on).
     """
     x = np.asarray(x, dtype=float)
     ell_x = sf.ell(x)
-    radius = ell_x / (1.0 - sf.slope) * 1.02
+    radius = ell_x / (1.0 - SLOPE) * 1.02
 
     s = 0.5 * radius * (_XG + 1.0)
     ws = 0.5 * radius * _WG
     # one nearest-nucleus search along the rays serves l(u) and the Jacobian
     ell_u, rel_dot_grad = sf._ell_dot_on_rays(x, s, _DIRS)
     vals = unit_bump(s[:, None, None] / ell_u) ** 2 * jacobian(rel_dot_grad, ell_u)
-    integral = np.einsum("i,j,ijk->", ws * s ** 2, _WC, vals) * _WPHI
-    return float(integral)
+    integral = float(np.einsum("i,j,ijk->", ws * s ** 2, _WC, vals) * _WPHI)
+    if not math.isfinite(integral):
+        raise ValueError(f"partition integral at |x| = {np.linalg.norm(x):.3e} is not finite")
+    return integral

@@ -30,6 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
 from .core import gauss, sqrt_panel_integral
+from .weyl import MOMENTUM_COEFF
 
 # decay exponent of perturbations around the 144/t^3 branch
 SOMMERFELD_LAMBDA = (math.sqrt(73.0) - 7.0) / 2.0
@@ -45,16 +46,17 @@ T_GRID_MIN, T_GRID_MAX, N_GRID = 1e-6, 1e4, 4000
 SLOPE_BRACKET = (-1.65, -1.5)
 SLOPE_ITERATIONS, SHOOT_T_END, SHOOT_RTOL = 60, 60.0, 1e-12
 
-# collocation tolerance and node cap, and the cells of the collocation-region
-# residual check
-BVP_TOL, MAX_NODES, RESIDUAL_CELLS = 1e-10, 200000, 200
+# collocation tolerance and node cap, the cells of the collocation-region
+# residual check, and the bound on equation_residual for every solution
+BVP_TOL, MAX_NODES, RESIDUAL_CELLS, RESIDUAL_TOL = 1e-10, 200000, 200, 1e-8
 
 # b with V(r) = phi(r/b)/r for z = 1 (fixes the universal ODE normalization)
 B_LENGTH = (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
 
 _RHO_COEFF = 1.0 / (3.0 * math.pi ** 2)          # rho = coeff * V^(3/2), spin 2 included
 _KIN_COEFF = 0.6 * (3.0 * math.pi ** 2) ** (2.0 / 3.0)
-_PS_COEFF = 2.0 / (15.0 * math.pi ** 2)          # phase-space prefactor of int V^(5/2)
+# phase-space prefactor of int V^(5/2); this grouping keeps the bits of 2/(15 pi^2)
+_PS_COEFF = 2.0 * MOMENTUM_COEFF / (2.0 * math.pi) ** 3
 
 
 class TFConvergenceError(RuntimeError):
@@ -334,25 +336,23 @@ class TFSolution(TFProfile):
         return lambda r: self.V(r, z=z)
 
 
-def solve_tf_atom(tolerance: float = 1e-8) -> TFSolution:
+def solve_tf_atom() -> TFSolution:
     """Solve the universal atomic TF problem.
 
-    tolerance bounds the reported TF-equation residual (relative,
-    cell-averaged; see equation_residual).  Raises TFConvergenceError with
-    the bracket state if the shooting stage fails, or if the residual ends
-    up above tolerance.
+    Raises TFConvergenceError with the bracket state if the shooting stage
+    fails, or if the TF-equation residual ends up above RESIDUAL_TOL.
     """
     slope0 = shoot_slope()
     sol, xi_tail = _solve_tail(baker_coefficients(slope0), math.log(T_GRID_MAX))
-    return _assemble(slope0, sol.x, sol.y[0], sol.y[1], xi_tail, tolerance)
+    return _assemble(slope0, sol.x, sol.y[0], sol.y[1], xi_tail)
 
 
-def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail, tolerance: float) -> TFSolution:
+def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail) -> TFSolution:
     """The one constructor of TFSolution, for a fresh solve and a cached one alike.
 
     Builds the profile from the shooting slope, the collocation data
     (log t, w, w') and the tail amplitude, raises TFConvergenceError when
-    the equation residual exceeds tolerance, then computes the energies.
+    the equation residual exceeds RESIDUAL_TOL, then computes the energies.
     The Hermite slopes of w' come from the ODE right side, which is what
     solve_bvp reports as yp, so cached data rebuild the solve exactly.
     """
@@ -364,9 +364,9 @@ def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail, tolerance: float) -
         _v_interp=_CubicHermite(spline_x, spline_v, vp),
     )
     residual = equation_residual(profile)
-    if residual > tolerance:
+    if residual > RESIDUAL_TOL:
         raise TFConvergenceError(
-            f"TF residual {residual:.3e} above tolerance {tolerance:.1e}")
+            f"TF residual {residual:.3e} above tolerance {RESIDUAL_TOL:.1e}")
     mass, attraction, kinetic, d_rho, ps = _energy_integrals(profile.phi)
     return TFSolution(
         **vars(profile), residual_sup=residual, E_atom=kinetic - attraction + d_rho,
@@ -472,7 +472,6 @@ class TFConsistencyReport:
     rel_gap: float
     virial_ratio: float
     mass_error: float
-    hls_ratio: float
 
 
 def tf_energy_consistency(sol: TFSolution) -> TFConsistencyReport:
@@ -481,15 +480,12 @@ def tf_energy_consistency(sol: TFSolution) -> TFConsistencyReport:
     (a) functional: (3/5)(3 pi^2)^(2/3) int rho^(5/3) - int V_nuc rho + D(rho);
     (b) phase space: 2 (2 pi)^-3 iint [p^2 - V]_- - D(rho).
     The virial ratio is |2K + U| / |E| with U = -attraction + D.  Both
-    energies are the ones stored on sol; only the HLS norm is new work.
+    energies are the ones stored on sol.
     """
     e_func = sol.E_atom
     e_ps = sol.phase_space - sol.D_rho
-    # HLS diagnostic: D(rho) <= C ||rho||_{6/5}^2; report the fitted C
-    norm65 = _integrate_x(lambda t: _volume(t) * _density(sol.phi, t) ** 1.2) ** (5.0 / 3.0)
     return TFConsistencyReport(
         rel_gap=abs(e_func - e_ps) / abs(e_func),
         virial_ratio=abs(2.0 * sol.kinetic - sol.attraction + sol.D_rho) / abs(e_func),
         mass_error=sol.mass - 1.0,
-        hls_ratio=sol.D_rho / norm65,
     )

@@ -27,7 +27,7 @@ N_PANELS, TAIL_TOL, MAX_OCTAVES = 160, 1e-12, 60
 
 
 class WeylDivergenceError(ValueError):
-    """The configuration integral fails the integrability tail test."""
+    """The configuration integral fails the integrability tail test or is not finite."""
 
 
 def momentum_reduce(v: float) -> float:
@@ -105,7 +105,10 @@ def _radial_profile_integral(f, r_lo, r_hi, breaks, n_panels):
     else:
         edges = np.sqrt(np.geomspace(r_lo, r_hi, n_panels + 1))
     edges = np.unique(np.concatenate([edges, np.sqrt([b for b in breaks if r_lo < b < r_hi])]))
-    return sqrt_panel_integral(f, edges, _GL24)
+    total = sqrt_panel_integral(f, edges, _GL24)
+    if not math.isfinite(total):
+        raise WeylDivergenceError(f"the integral over [{r_lo:g}, {r_hi:g}] is not finite")
+    return total
 
 
 def weyl_integral(wi: WeylIntegrand) -> float:
@@ -114,12 +117,13 @@ def weyl_integral(wi: WeylIntegrand) -> float:
     The configuration integral uses sqrt(r) panels split at the turning
     radii.  Raises WeylDivergenceError when the dyadic tail test finds
     non-decaying shell contributions (for example the bare Coulomb
-    potential at mu = 0 with no cutoff).
+    potential at mu = 0 with no cutoff) or a panel sum that is not finite.
     """
     def profile(r):
         return wi.w(r) * np.maximum(wi.V(r) - wi.mu, 0.0) ** 2.5 * r ** 2
 
-    coeff = -(8.0 / (15.0 * math.pi)) * wi.h ** -3
+    # -8/(15 pi) to the bit; MOMENTUM_COEFF / pi**2 and 4 pi tf._PS_COEFF are one ulp off
+    coeff = -2.0 * (2.0 * math.pi) ** -3 * MOMENTUM_COEFF * 4.0 * math.pi * wi.h ** -3
 
     r_up = wi.support
     if r_up is None and wi.mu > 0.0:

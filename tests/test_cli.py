@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scottlab import __version__
+from scottlab import __version__, tf
 from scottlab.cli import build_parser, main
 
 
@@ -79,6 +79,18 @@ def test_pooled_trace_exits_cleanly(tmp_path):
     assert sidecar[-1] == f"workers: {cores if cores > 1 else 0}"
 
 
+def test_mu_limit_beyond_float_resolution_ends(tmp_path):
+    # from n ~ 1e23 on a step of one no longer moves -1/(4 n^2) + mu, so the
+    # threshold search must refuse such N instead of looping
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "scottlab.cli", "scott", "--route", "mu-limit",
+                           "--N-list", "1e30 2e30 3e30", "--out", "m.csv"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode in (3, 5)
+
+
 def test_trace_validation_exit(tmp_path):
     assert main(["trace", "--mu", "-0.5", "--out", str(tmp_path / "x.csv")]) == 3
     assert main(["trace", "--potential", "coulomb", "--mu", "0",
@@ -102,8 +114,10 @@ def test_trace_from_potential_file(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["r,V\n", "r,V\n1.0,1.0\n", "r,V\n1,2,3\n2,3,4\n",
-                                  "r,V\n2.0,0.5\n1.0,1.0\n"],
-                         ids=["header-only", "one-row", "three-columns", "reversed"])
+                                  "r,V\n2.0,0.5\n1.0,1.0\n", "r,V\n1.0,nan\n2.0,0.5\n",
+                                  "r,V\n1.0,inf\n2.0,0.5\n"],
+                         ids=["header-only", "one-row", "three-columns", "reversed", "V-nan",
+                              "V-inf"])
 def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     src = tmp_path / "pot.csv"
     src.write_text(text)
@@ -119,7 +133,6 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["partition-check", "--d-min", "0"],
     ["partition-check", "--d-min", "1", "--d-max", "0.5"],
     ["partition-check", "--n-points", "-3"],
-    ["scott", "--route", "ansatz-min", "--beta", "100"],
     ["scott", "--route", "ansatz-min", "--R", "0"],
     ["weyl", "--h", "0"],
     ["weyl", "--potential", "tf", "--z", "-1"],
@@ -128,7 +141,6 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["trace", "--potential", "coulomb", "--n", "1000000000000"],
     ["trace", "--r-max", "-5", "--n", "100"],
     ["trace", "--r-max", "0"],
-    ["tf", "--tolerance", "-1"],
     ["--config", "{d}/maybe.cfg", "trace"],
     ["--config", "{d}/latin1.cfg", "weyl"],
     ["scott", "--route", "ansatz-min", "--modes", "0"],
@@ -136,9 +148,9 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["partition-check", "--seed", "-1"],
     ["scott", "--route", "ansatz-min", "--budget", "0"],
 ], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
-        "d-min-above-d-max", "n-points-negative", "beta-above-bound", "R-zero", "h-zero",
+        "d-min-above-d-max", "n-points-negative", "R-zero", "h-zero",
         "tf-z-negative", "z-negative", "n-below-8", "n-above-cap", "r-max-negative",
-        "r-max-zero", "tolerance-negative", "refine-maybe", "config-not-utf8", "modes-zero",
+        "r-max-zero", "refine-maybe", "config-not-utf8", "modes-zero",
         "modes-negative", "partition-seed-negative", "budget-zero"])
 def test_bad_input_is_a_validation_error(tmp_path, argv):
     (tmp_path / "maybe.cfg").write_text("refine = maybe\n")
@@ -153,7 +165,10 @@ def test_bad_input_is_a_validation_error(tmp_path, argv):
     (["trace", "--h", "1e300", "--mu", "0.1"], 5),
     (["scott", "--route", "cutoff-R", "--R-list", "1e-300,1e-200"], 5),
     (["scott", "--route", "cutoff-R", "--R-list", "6 6"], 3),
-], ids=["weyl-h-tiny", "expansion-Z-huge", "trace-h-huge", "cutoff-R-tiny", "cutoff-R-repeated"])
+    (["scott", "--route", "ansatz-min", "--R", "1e300", "--mesh", "8 16", "--budget", "1"], 5),
+    (["partition-check", "--d-max", "1e300", "--n-points", "3", "--seed", "1"], 5),
+], ids=["weyl-h-tiny", "expansion-Z-huge", "trace-h-huge", "cutoff-R-tiny", "cutoff-R-repeated",
+        "ansatz-min-R-huge", "partition-d-max-huge"])
 def test_arithmetic_failures_exit_with_a_documented_code(tmp_path, argv, code):
     assert run(tmp_path, *argv, "--cache-dir", "{d}/cache", "--out", "{d}/x.csv") == code
 
@@ -254,15 +269,16 @@ def test_tf_cache_roundtrip(tmp_path):
         assert abs(float(m1[key]) - float(m2[key])) < 1e-12
 
 
-def test_tf_cache_hit_rechecks_tolerance(tmp_path, capsys):
+def test_tf_cache_hit_rechecks_tolerance(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "cache")
     out = str(tmp_path / "p.csv")
     assert main(["tf", "--out", out, "--cache-dir", cache]) == 0
     capsys.readouterr()
-    assert main(["tf", "--out", out, "--cache-dir", cache, "--tolerance", "1e-14"]) == 5
+    monkeypatch.setattr(tf, "RESIDUAL_TOL", 1e-14)
+    assert main(["tf", "--out", out, "--cache-dir", cache]) == 5
     cached_err = capsys.readouterr().err
     assert "above tolerance" in cached_err
-    assert main(["tf", "--out", out, "--tolerance", "1e-14"]) == 5
+    assert main(["tf", "--out", out]) == 5
     assert capsys.readouterr().err == cached_err
 
 
@@ -459,9 +475,7 @@ def _cli_argv(draw, d):
         return argv
     argv += [command, *req("--out", *[str(d / "out.csv")] * 3, str(d / "missing" / "out.csv")),
              *req("--cache-dir", *[str(d / "cache")] * 3, str(d / "tf.csv"))]
-    if command == "tf":
-        argv += opt("--tolerance", "1e-8", "1e-14", *bad)
-    elif command == "weyl":
+    if command == "weyl":
         argv += opt("--potential", "coulomb", "tf", "other")
         argv += opt("--mu", "0.01", "0.1", *bad) + opt("--h", "1", "0.5", *bad)
         argv += opt("--z", "1", "2", *bad)
@@ -478,7 +492,8 @@ def _cli_argv(draw, d):
                                       "other"]))
         argv += ["--route", route]
         if route == "mu-limit":
-            argv += opt("--N-list", "50 100 200", "", "50 100", "0 1 2", "1e300 1 2", "x")
+            argv += opt("--N-list", "50 100 200", "", "50 100", "0 1 2", "1e300 1 2",
+                        "1e30 2e30 3e30", "x")
         elif route == "cutoff-R":
             argv += req("--R", "6", *bad) + opt("--R-list", "6 8", "", "0 6", "x")
             argv += draw(refine)
@@ -487,7 +502,7 @@ def _cli_argv(draw, d):
             argv += req("--resolution", "8", *bad) + draw(refine)
         elif route == "ansatz-min":
             argv += req("--R", "6", *bad) + opt("--kappa", "0.05", "1", *bad)
-            argv += opt("--beta", "1", "100", *bad) + req("--budget", "2", "0", "-1")
+            argv += req("--budget", "2", "0", "-1")
             argv += opt("--modes", "1", "2", "0", "-1")
             argv += req("--mesh", "8 16", "80", "0 32", "1 1", "4 2", "a b")
     elif command == "partition-check":

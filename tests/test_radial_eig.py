@@ -359,7 +359,7 @@ def test_fields_are_evaluated_once_per_grid():
 
 def test_localized_trace_inactive_cutoff_reduces_to_trace_neg():
     # phi identically 1 on a huge ball around the bound states, mu-shifted
-    phi = SmoothCutoff(600.0, inner=0.9)
+    phi = SmoothCutoff(600.0)
     mu = 1.0 / 16.0
     shifted = lambda r: 1.0 / r - mu
     loc = radial_eig._spectral_sum(shifted, 1.0, 0.0, make_grid(0.2, 600.0, 6000), phi, False)
