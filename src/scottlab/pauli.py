@@ -22,6 +22,17 @@ raises every diagonal term, so each later block dominates block j in the
 Loewner order; once such a block is empty, so is every later one on its
 side, and the walk stops there.
 
+At A = 0 the operator is (-h^2 Lap - V) (x) I_2, so block j = m + 1/2 is
+the direct sum of the scalar channels m and m + 1, each
+phi (K + (h m / rho)^2 - V + mu) phi on the nr nz cells, and block -j is
+block j again.  A zero-field trace therefore walks the channels m = 0, 1,
+... instead of the blocks, and factors and solves each channel once, at
+half the size of a block.  Channel m + 1 adds the positive diagonal
+(h / rho)^2 (2 m + 1) to channel m, so it dominates channel m and the walk
+stops at the first empty channel.  The blocks +-(m + 1/2) are then the
+sorted union of the eigenvalues of channels m and m + 1, and the trace
+sums them in the order of the block walk.
+
 The two side walks share nothing but the evaluated fields.  For A != 0
 on a mesh of at most FORK_MAX_NODES cells, on a machine with two or more
 usable cores and from a process that runs one thread (core.fork_cores),
@@ -30,8 +41,8 @@ trace alone; the parent inserts the +j blocks and then the -j blocks, in
 the order the in-process walks do, and reaps both children before it
 returns.  Both paths run the same walk on the same arrays, so a trace is
 bit for bit the same either way.  Processes, not threads: SuperLU's
-factorization holds the interpreter lock.  Larger meshes and A = 0 (one
-side) are walked in-process.
+factorization holds the interpreter lock.  Larger meshes and the A = 0
+channel walk run in-process.
 """
 
 from __future__ import annotations
@@ -55,11 +66,13 @@ log = logging.getLogger(__name__)
 
 
 class BlockCascadeError(RuntimeError):
-    """A side's block walk reached the cap JMAX without a certified stop."""
+    """A side's block walk, or the A = 0 channel walk, reached the cap JMAX
+    without a certified stop."""
 
 
 # shift-invert shift, below the zero-field block spectra (eigs_below moves
 # it when a field pulls states under it), and the cap on blocks per side
+# (on channels at A = 0)
 SIGMA, JMAX = -0.75, 30
 
 # interval width at which inertia bisection stops
@@ -236,11 +249,13 @@ def block_matrix(grid: PauliGrid, K: sp.csr_matrix, h: float, m: int, V2d: np.nd
         blocks.append(K + sp.diags(U.ravel()))
     coupling = sp.diags(-h * Brho2d.ravel())
     H = sp.bmat([[blocks[0], coupling], [coupling, blocks[1]]], format="csc")
-    if phi2d is not None:
-        f = np.concatenate([phi2d.ravel(), phi2d.ravel()])
-        Dw = sp.diags(f)
-        H = (Dw @ H @ Dw).tocsc()
-    return H
+    return H if phi2d is None else _sandwich(H, np.concatenate([phi2d.ravel(), phi2d.ravel()]))
+
+
+def _sandwich(H, f):
+    """D H D in CSC, D the diagonal of the cell values f of the cutoff phi."""
+    Dw = sp.diags(f)
+    return (Dw @ H @ Dw).tocsc()
 
 
 def _symmetric_lu(H, tau: float):
@@ -361,61 +376,67 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     suffices).  The mesh is grid, or else the (n_rho, n_z) = mesh ball of
     radius domain_radius.  Each side's walk stops at the first empty block
     with h |j| >= max(-side a rho): every later block on that side dominates
-    it (module docstring).  For A != 0 on a mesh of at most FORK_MAX_NODES
+    it (module docstring).  At A = 0 the walk runs over the scalar channels
+    m >= 0 and stops at the first empty one; the blocks are built from them
+    (module docstring).  For A != 0 on a mesh of at most FORK_MAX_NODES
     cells, where core.fork_cores allows it, the two sides are walked by two
-    forked children (module docstring).  No
-    extra spin factor: the spinor components are explicit.
+    forked children (module docstring).  No extra spin factor: the spinor
+    components are explicit.  A mesh whose geometry overflows raises
+    FloatingPointError.
     """
     if grid is None:
         if domain_radius is None:
             raise ValueError("pauli_trace_neg needs grid or domain_radius")
         grid = PauliGrid.for_ball(domain_radius, n_rho=mesh[0], n_z=mesh[1])
-    S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
+    # a mesh too wide for floating point would give zero stencil entries and
+    # an empty spectrum, not an error
+    with np.errstate(over="raise"):
+        S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
+        K = grid.kinetic(h)
     V2d = np.asarray(V(S), dtype=float)
     phi2d = None if phi is None else np.asarray(phi(S), dtype=float)
-    zero_field = A is None or A.is_zero
-    if zero_field:
-        a2d = np.zeros_like(V2d)
-        Bz = np.zeros_like(V2d)
-        Br = np.zeros_like(V2d)
-    else:
-        a2d, Br, Bz = A.fields(grid.R, grid.Z)
 
-    K = grid.kinetic(h)
-    # -a rho on the +j side, a rho on the -j side: once h |j| reaches its
-    # largest value the walk is monotone (module docstring)
-    a_rho = a2d * grid.R
-    # at A = 0 blocks j and -j are degenerate: walk m >= 0 only and store
-    # each block twice
-    sides = (1,) if zero_field else (1, -1)
-    forked = len(sides) > 1 and grid.nr * grid.nz <= FORK_MAX_NODES
-    cpus = fork_cores()[:len(sides)] if forked else []
-
-    def walk(i):
-        """{j: eigenvalues} of the nonempty blocks of side i, out to its certified stop."""
-        side = sides[i]
-        reach = float(np.max(-side * a_rho))
+    def walk(operator, side, reach):
+        """{m: eigenvalues} of the nonempty operators m of one walk, out to its certified stop."""
         found = {}
         m = 0 if side > 0 else -1
         for _ in range(JMAX):
-            j = m + 0.5
-            H = block_matrix(grid, K, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
-            vals = eigs_below(H, -1e-12, SIGMA)
+            vals = eigs_below(operator(m), -1e-12, SIGMA)
             if vals.size:
-                found[j] = vals
-            elif h * abs(j) >= reach:
+                found[m] = vals
+            elif h * abs(m + 0.5) >= reach:
                 return found
             m += side
-        raise BlockCascadeError(f"no certified stop within {JMAX} blocks")
+        raise BlockCascadeError(f"no certified stop within {JMAX} steps")
 
-    parts = fork_join(walk, cpus) if cpus else [walk(i) for i in range(len(sides))]
-    # insertion order is that of one walk after the other, and sum runs in it
-    blocks = {}
-    for found in parts:
-        for j, vals in found.items():
-            blocks[j] = vals
-            if zero_field:
-                blocks[-j] = vals.copy()
+    # insertion order is that of the block walks, and the sum runs in it
+    if A is None or A.is_zero:
+        def channel(m):
+            H = K + sp.diags(((h * m / grid.R) ** 2 - V2d + mu).ravel())
+            return H.tocsc() if phi2d is None else _sandwich(H, phi2d.ravel())
+
+        # reach 0: each channel dominates the one before, so the first empty
+        # one ends the walk
+        channels, blocks, cpus = walk(channel, 1, 0.0), {}, []
+        for m, vals in channels.items():
+            vals = np.sort(np.concatenate([vals, channels.get(m + 1, vals[:0])]))
+            blocks[m + 0.5], blocks[-m - 0.5] = vals, vals.copy()
+    else:
+        a2d, Br, Bz = A.fields(grid.R, grid.Z)
+        # -a rho on the +j side, a rho on the -j side: once h |j| reaches its
+        # largest value the walk is monotone (module docstring)
+        a_rho = a2d * grid.R
+
+        def block(m):
+            return block_matrix(grid, K, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
+
+        def side_walk(i):
+            side = (1, -1)[i]
+            return walk(block, side, float(np.max(-side * a_rho)))
+
+        cpus = fork_cores()[:2] if grid.nr * grid.nz <= FORK_MAX_NODES else []
+        parts = fork_join(side_walk, cpus) if cpus else [side_walk(0), side_walk(1)]
+        blocks = {m + 0.5: vals for found in parts for m, vals in found.items()}
     trace = float(sum(neg_part_sum(v) for v in blocks.values()))
     return PauliTraceResult(trace=trace, blocks=blocks, workers=len(cpus))
 

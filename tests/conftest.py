@@ -11,8 +11,10 @@ from scottlab import tf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the prologue of an orphan script: the solve it names prints the pid of each
-# forked child that calls it, then sleeps there
+# the prologue of an orphan script, after a line that sets pid_dir: each
+# forked child that calls the solve it names writes its pid to a file of its
+# own, <pid>.pid in pid_dir (renamed into place, so it is never read half
+# written), then sleeps there
 _SLEEP_IN_CHILDREN = """
 import os, sys, time
 here = os.getpid()
@@ -22,7 +24,10 @@ def sleep_in_children(module, name):
 
     def slow(*args, **kwargs):
         if os.getpid() != here:
-            print(os.getpid(), flush=True)
+            path = os.path.join(pid_dir, str(os.getpid()))
+            with open(path + ".tmp", "w") as f:
+                f.write(str(os.getpid()))
+            os.rename(path + ".tmp", path + ".pid")
             time.sleep(60)
         return solve(*args, **kwargs)
     setattr(module, name, slow)
@@ -45,7 +50,7 @@ def _alive(pid):
 
 
 @pytest.fixture
-def orphans_after_kill():
+def orphans_after_kill(tmp_path):
     """orphans_after_kill(script, n): the pids of the n forked children still running
     5 s after the process running script was SIGKILLed while they slept.
 
@@ -57,15 +62,20 @@ def orphans_after_kill():
     def run(script, n):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        with subprocess.Popen([sys.executable, "-c", _SLEEP_IN_CHILDREN + script],
-                              env=env, stdout=subprocess.PIPE, text=True) as proc:
+        prologue = f"pid_dir = {str(tmp_path)!r}\n" + _SLEEP_IN_CHILDREN
+        with subprocess.Popen([sys.executable, "-c", prologue + script], env=env) as proc:
             try:
-                while len(pids) < n:
-                    line = proc.stdout.readline()
-                    assert line, "the script ended before its children slept"
-                    pids.append(int(line))
+                while len(list(tmp_path.glob("*.pid"))) < n:
+                    assert proc.poll() is None, "the script ended before its children slept"
+                    time.sleep(0.02)
             finally:
                 proc.kill()
+        for path in sorted(tmp_path.glob("*.pid")):
+            text = path.read_text()
+            try:
+                pids.append(int(text))
+            except ValueError:
+                pytest.fail(f"{path.name} holds {text!r}, not a pid")
         deadline = time.monotonic() + 5.0
         while any(map(_alive, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)

@@ -324,18 +324,25 @@ def _damage(kind, data):
     return data
 
 
+@pytest.fixture(scope="module")
+def clean_tf(tmp_path_factory):
+    """One `tf` run from an empty cache: its output folder and its cache folder."""
+    root = tmp_path_factory.mktemp("clean_tf")
+    assert main(["tf", "--out", str(root / "clean.csv"), "--cache-dir", str(root / "clean")]) == 0
+    return root, root / "clean"
+
+
 @pytest.mark.parametrize("kind", ["nan-in-w", "reversed-x", "two-dim-v", "short-w",
                                   "inf-slope0"])
-def test_tf_cache_damaged_data_is_a_miss(tmp_path, kind):
-    clean = tmp_path / "clean"
-    assert main(["tf", "--out", str(tmp_path / "clean.csv"), "--cache-dir", str(clean)]) == 0
+def test_tf_cache_damaged_data_is_a_miss(tmp_path, clean_tf, kind):
+    root, clean = clean_tf
     with np.load(clean / "tf_profile.npz") as data:
         arrays = {k: data[k] for k in data.files}
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "tf_profile.npz").write_bytes(_npz_bytes(**_damage(kind, arrays)))
     assert main(["tf", "--out", str(tmp_path / "p.csv"), "--cache-dir", str(cache)]) == 0
-    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+    assert (tmp_path / "p.csv").read_bytes() == (root / "clean.csv").read_bytes()
     # the miss rewrote the file, so the next run is a hit on clean data
     assert (cache / "tf_profile.npz").read_bytes() == (clean / "tf_profile.npz").read_bytes()
 

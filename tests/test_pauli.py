@@ -238,6 +238,76 @@ def test_block_walk_stop_is_certified():
     assert res.trace == pytest.approx(sum(np.sum(v) for v in walk.values()), rel=1e-12)
 
 
+def zero_field_block_walk(grid, V, phi, mu):
+    """The oracle of an A = 0 trace: the 2n x 2n blocks j = m + 1/2 with zero
+    fields, walked outward to the first empty one, each stored as j and -j."""
+    S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
+    z = np.zeros_like(S)
+    phi2d = None if phi is None else phi(S)
+    blocks = {}
+    for m in range(pauli.JMAX):
+        H = pauli.block_matrix(grid, grid.kinetic(1.0), 1.0, m, V(S), z, z, z, mu=mu, phi2d=phi2d)
+        vals = pauli.eigs_below(H, -1e-12, pauli.SIGMA)
+        if not vals.size:
+            break
+        blocks[m + 0.5], blocks[-m - 0.5] = vals, vals
+    return blocks, float(sum(np.sum(v) for v in blocks.values()))
+
+
+@pytest.mark.parametrize("mesh", [(16, 32), (32, 64)], ids=["16x32", "32x64"])
+@pytest.mark.parametrize("V, cutoff, mu", [
+    (VC, True, 0.0),
+    (VC, False, 0.1),
+    (lambda r: 4.0 / r, False, 0.1),  # three nonempty channels
+], ids=["phi-mu0", "nophi-mu0.1", "Z4-nophi-mu0.1"])
+def test_zero_field_channels_equal_block_walk(mesh, V, cutoff, mu):
+    grid = ball8(mesh)
+    phi = SmoothCutoff(8.0) if cutoff else None
+    got = pauli_trace_neg(None, V, h=1.0, phi=phi, mu=mu, grid=grid)
+    blocks, trace = zero_field_block_walk(grid, V, phi, mu)
+    assert list(got.blocks) == list(blocks)
+    for j, vals in blocks.items():
+        # relative to the block's largest eigenvalue, the scale of the solver's error
+        assert np.max(np.abs(got.blocks[j] - vals)) <= 1e-12 * np.max(np.abs(vals))
+    assert got.trace == pytest.approx(trace, rel=1e-12, abs=0.0)
+
+
+def test_zero_field_factors_scalar_channels(monkeypatch):
+    grid = ball8((16, 32))
+    shapes, factor = [], pauli._symmetric_lu
+
+    def recorded(H, tau):
+        shapes.append(H.shape)
+        return factor(H, tau)
+
+    monkeypatch.setattr(pauli, "_symmetric_lu", recorded)
+    pauli_trace_neg(None, VC, h=1.0, mu=0.1, grid=grid)
+    scott_functional_parts(None, 8.0, grid=grid)
+    assert shapes and set(shapes) == {(grid.nr * grid.nz,) * 2}
+
+
+def test_zero_field_channel_cap(monkeypatch):
+    # channel 0 alone is nonempty: a cap of one channel has no certified
+    # stop, a cap of two stops at the empty channel 1
+    grid = ball8((16, 32))
+    monkeypatch.setattr(pauli, "JMAX", 1)
+    with pytest.raises(pauli.BlockCascadeError):
+        cutoff_trace(None, grid)
+    monkeypatch.setattr(pauli, "JMAX", 2)
+    assert list(cutoff_trace(None, grid).blocks) == [0.5, -0.5]
+
+
+@pytest.mark.parametrize("R", [1e100, 1e160, 1e300])
+@pytest.mark.parametrize("field", [False, True], ids=["A0", "A"])
+def test_overflowing_mesh_raises(R, field):
+    # on this mesh the stencil overflows from about R = 1e83 on, S from 1e154
+    # on; the A = 0 trace came back as 0.0, or hit JMAX at R = 1e100
+    A = FieldAnsatz(theta=(0.3, 0.2), support_radius=R / 4.0) if field else None
+    with pytest.raises(ArithmeticError):
+        pauli_trace_neg(A, VC, h=1.0, phi=SmoothCutoff(R),
+                        grid=PauliGrid.for_ball(R, n_rho=8, n_z=16))
+
+
 # ---------------------------------------------------------------------------
 # the two sides walked by forked children
 # ---------------------------------------------------------------------------
