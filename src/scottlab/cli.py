@@ -122,18 +122,17 @@ def get_tf_solution(cache_dir: str | None) -> tf.TFSolution:
     try:
         with np.load(cache_file) as data:
             cached = (str(data["version"]), float(data["slope0"]), data["x"],
-                      data["w"], data["v"], float(data["xi_tail"]))
+                      data["w"], data["v"])
     except Exception:  # missing, truncated or not an npz archive: a miss
         cached = None
-    if (cached is not None and cached[0] == __version__
-            and math.isfinite(cached[1]) and math.isfinite(cached[5])):
+    if cached is not None and cached[0] == __version__ and math.isfinite(cached[1]):
         try:
             return tf._assemble(*cached[1:])
         except ValueError:  # arrays no spline can be built from: a miss
             pass
     sol = tf.solve_tf_atom()
     np.savez(cache_file, version=__version__, slope0=sol.slope0, x=sol.spline_x,
-             w=sol.spline_w, v=sol.spline_v, xi_tail=sol.xi_tail)
+             w=sol.spline_w, v=sol.spline_v)
     return sol
 
 

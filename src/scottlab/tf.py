@@ -8,16 +8,17 @@ laws (V -> h^-4, rho -> h^-6, E -> h^-7 with h = z^-1/3).
 Solution strategy, in three stitched pieces:
 
 * a power series in u = sqrt(t) on [0, T_SERIES] whose coefficients obey
-  a closed recursion, anchored by the shooting slope phi'(0);
+  a closed recursion, anchored by the slope phi'(0);
 * collocation (solve_bvp) for (w, w') with w = log phi against s = log t
-  on [T_SERIES, T_GRID_MAX], closed at the far end by the Robin condition
-  of the decaying 144/t^3 branch (two passes refine the tail coefficient);
+  on [T_SERIES, T_GRID_MAX];
 * the asymptotic two-term tail beyond the grid.
 
-Forward shooting alone cannot deliver the far tail: the slope error is
-amplified like t^4.77 along the unstable manifold of the 144/t^3
-solution, which is why the collocation pass owns everything past the
-series region.
+One collocation solves for the profile and the slope phi'(0) together:
+the slope is the unknown parameter of the boundary-value problem, w and
+w' match the series at T_SERIES, and the far end carries the Robin
+condition of the decaying 144/t^3 branch with the solution's own tail
+amplitude.  The stitch at T_SERIES is C^1, and the tail amplitude is
+self-consistent.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ T_SERIES = 0.05
 # default exported grid (TF variable), log spaced
 T_GRID_MIN, T_GRID_MAX, N_GRID = 1e-6, 1e4, 4000
 
-# shooting: slope bracket, bisection steps, integration end (TF variable)
-# and ODE tolerance
-SLOPE_BRACKET = (-1.65, -1.5)
-SLOPE_ITERATIONS, SHOOT_T_END, SHOOT_RTOL = 60, 60.0, 1e-12
+# highest power of u = sqrt(t) in the series
+SERIES_ORDER = 40
 
 # collocation tolerance and node cap, the cells of the collocation-region
 # residual check, and the bound on equation_residual for every solution
@@ -60,7 +59,7 @@ _PS_COEFF = 2.0 * MOMENTUM_COEFF / (2.0 * math.pi) ** 3
 
 
 class TFConvergenceError(RuntimeError):
-    """Raised when the shooting bracket or the collocation pass fails."""
+    """Raised when the collocation fails or the equation residual is above RESIDUAL_TOL."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,33 +67,26 @@ class TFConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _series_pow(a: np.ndarray, p: float) -> np.ndarray:
-    """Power series (sum a_k u^k)^p with a_0 = 1, by the power-rule recurrence."""
-    n = a.size
-    b = np.zeros(n)
-    b[0] = 1.0
-    for k in range(1, n):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (j * (p + 1.0) / k - 1.0) * a[j] * b[k - j]
-        b[k] = acc
-    return b
-
-
-def baker_coefficients(slope0: float, order: int = 40) -> np.ndarray:
-    """Coefficients c_k of phi = sum c_k u^k, u = sqrt(t), near the origin.
+def baker_coefficients(slope0: float) -> np.ndarray:
+    """Coefficients c_k, k <= SERIES_ORDER, of phi = sum c_k u^k, u = sqrt(t), near the origin.
 
     In u the TF equation reads phi_uu - phi_u/u = 4 u phi^(3/2); matching
-    powers gives c_k k(k-2) = 4 [phi^(3/2)]_(k-3) for k >= 4 with
-    c_0 = 1, c_2 = slope0, c_3 = 4/3.
+    powers gives c_k k(k-2) = 4 g_(k-3) for k >= 4 with c_0 = 1,
+    c_2 = slope0, c_3 = 4/3, where g = c^(3/2) follows the power-rule
+    recurrence g_0 = 1, g_m = sum_(j=1..m) (2.5 j/m - 1) c_j g_(m-j).
     """
-    c = np.zeros(order + 1)
-    c[0] = 1.0
+    c = np.zeros(SERIES_ORDER + 1)
+    g = np.zeros(SERIES_ORDER - 2)
+    c[0] = g[0] = 1.0
     c[2] = slope0
     c[3] = 4.0 / 3.0
-    for k in range(4, order + 1):
-        g = _series_pow(c[: k - 2], 1.5)
-        c[k] = 4.0 * g[k - 3] / (k * (k - 2.0))
+    for k in range(4, SERIES_ORDER + 1):
+        m = k - 3
+        acc = 0.0
+        for j in range(1, m + 1):
+            acc += (j * 2.5 / m - 1.0) * c[j] * g[m - j]
+        g[m] = acc
+        c[k] = 4.0 * acc / (k * (k - 2.0))
     return c
 
 
@@ -112,101 +104,40 @@ def _series_eval(c: np.ndarray, t, deriv: int = 0):
     return (polyval(u, d2) - polyval(u, d1[1:])) / (4.0 * u ** 2)
 
 
-def _tf_rhs(t, y):
-    phi = max(y[0], 0.0)
-    return [y[1], phi * math.sqrt(phi) / math.sqrt(t)]
-
-
-def _classify_slope(slope: float):
-    """-1 if phi crosses zero (slope too low), +1 if phi' turns up."""
-    from scipy.integrate import solve_ivp
-
-    t0 = 1e-8
-    c = baker_coefficients(slope, order=8)
-    y0 = [float(_series_eval(c, t0)), float(_series_eval(c, t0, 1))]
-    hit = lambda t, y: y[0]
-    hit.terminal, hit.direction = True, -1
-    turn = lambda t, y: y[1]
-    turn.terminal, turn.direction = True, 1
-    sol = solve_ivp(_tf_rhs, (t0, SHOOT_T_END), y0, method="DOP853",
-                    rtol=SHOOT_RTOL, atol=1e-14, events=[hit, turn])
-    if sol.t_events[0].size:
-        return -1
-    if sol.t_events[1].size:
-        return +1
-    return 0
-
-
-def shoot_slope() -> float:
-    """Initial slope phi'(0) of the decaying branch by bisection in SLOPE_BRACKET."""
-    lo, hi = SLOPE_BRACKET
-    if _classify_slope(lo) != -1 or _classify_slope(hi) != +1:
-        raise TFConvergenceError(
-            f"shooting bracket {SLOPE_BRACKET} does not straddle the decaying branch")
-    for _ in range(SLOPE_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        side = _classify_slope(mid)
-        if side == -1:
-            lo = mid
-        elif side == +1:
-            hi = mid
-        else:  # survived to SHOOT_T_END without deciding: treat as converged
-            return mid
-    return 0.5 * (lo + hi)
-
-
 def _bvp_rhs(s, y):
     w, v = y
     return np.vstack([v, v - v * v + np.exp(0.5 * w + 1.5 * s)])
 
 
-def _solve_tail(series, s_hi):
-    """Collocation for (w = log phi, w') on [log T_SERIES, s_hi], two Robin passes."""
-    from scipy.integrate import solve_bvp, solve_ivp
+def _solve_profile():
+    """One collocation for (w = log phi, w') on [log T_SERIES, log T_GRID_MAX] and the slope.
 
-    s_lo = math.log(T_SERIES)
-    w_left = float(np.log(_series_eval(series, T_SERIES)))
+    The slope p = phi'(0) is the unknown parameter.  At T_SERIES, w and w'
+    equal the series with slope p; at t_hi = T_GRID_MAX the Robin condition
+    w' = -3 - lambda xi/(1 + xi) of the 144/t^3 branch takes the tail
+    amplitude 1 + xi = e^w t_hi^3 / 144 from the solution itself.
+    Sommerfeld's closed form (1 + q)^(-1/lambda), q = (t^3/144)^lambda, with
+    p = -1.6 is the initial guess.
+    """
+    from scipy.integrate import solve_bvp
 
-    # initial guess: forward integration to t = 40, Sommerfeld beyond
-    y0 = [float(_series_eval(series, T_SERIES)), float(_series_eval(series, T_SERIES, 1))]
-    fwd = solve_ivp(_tf_rhs, (T_SERIES, 40.0), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-15, dense_output=True)
-    if not fwd.success:
-        raise TFConvergenceError("forward integration for the initial guess failed")
+    def bc(ya, yb, p):
+        series = baker_coefficients(p[0])
+        phi = _series_eval(series, T_SERIES)
+        return np.array([
+            ya[0] - math.log(phi),
+            ya[1] - T_SERIES * _series_eval(series, T_SERIES, 1) / phi,
+            yb[1] + 3.0 + SOMMERFELD_LAMBDA * (1.0 - 144.0 * math.exp(-yb[0]) / T_GRID_MAX ** 3),
+        ])
 
-    def guess(s):
-        t = np.exp(s)
-        w = np.empty_like(s)
-        v = np.empty_like(s)
-        near = t <= 39.9
-        ph, dph = fwd.sol(np.clip(t[near], T_SERIES, 40.0))[:2]
-        w[near] = np.log(np.maximum(ph, 1e-300))
-        v[near] = t[near] * dph / ph
-        w[~near] = math.log(144.0) - 3.0 * s[~near]
-        v[~near] = -3.0
-        return np.vstack([w, v])
-
-    def make_bc(xi_hat):
-        slope = -3.0 - SOMMERFELD_LAMBDA * xi_hat / (1.0 + xi_hat)
-
-        def bc(ya, yb):
-            return np.array([ya[0] - w_left, yb[1] - slope])
-
-        return bc
-
-    mesh = np.linspace(s_lo, s_hi, 2001)
-    sol = solve_bvp(_bvp_rhs, make_bc(0.0), mesh, guess(mesh),
+    mesh = np.linspace(math.log(T_SERIES), math.log(T_GRID_MAX), 2001)
+    q = np.exp(SOMMERFELD_LAMBDA * (3.0 * mesh - math.log(144.0)))
+    guess = np.vstack([-np.log1p(q) / SOMMERFELD_LAMBDA, -3.0 * q / (1.0 + q)])
+    sol = solve_bvp(lambda s, y, p: _bvp_rhs(s, y), bc, mesh, guess, p=[-1.6],
                     tol=BVP_TOL, max_nodes=MAX_NODES)
     if sol.status != 0:
-        raise TFConvergenceError(f"collocation pass 1 failed: {sol.message}")
-    t_hi = math.exp(s_hi)
-    xi_hat = float(np.exp(sol.sol(s_hi)[0]) * t_hi ** 3 / 144.0 - 1.0)
-    sol = solve_bvp(_bvp_rhs, make_bc(xi_hat), sol.x, sol.y,
-                    tol=BVP_TOL, max_nodes=MAX_NODES)
-    if sol.status != 0:
-        raise TFConvergenceError(f"collocation pass 2 failed: {sol.message}")
-    xi_hat = float(np.exp(sol.sol(s_hi)[0]) * t_hi ** 3 / 144.0 - 1.0)
-    return sol, xi_hat
+        raise TFConvergenceError(f"collocation failed: {sol.message}")
+    return sol
 
 
 class _CubicHermite:
@@ -339,35 +270,37 @@ class TFSolution(TFProfile):
 def solve_tf_atom() -> TFSolution:
     """Solve the universal atomic TF problem.
 
-    Raises TFConvergenceError with the bracket state if the shooting stage
-    fails, or if the TF-equation residual ends up above RESIDUAL_TOL.
+    Raises TFConvergenceError if the collocation fails, or if the
+    TF-equation residual ends up above RESIDUAL_TOL.
     """
-    slope0 = shoot_slope()
-    sol, xi_tail = _solve_tail(baker_coefficients(slope0), math.log(T_GRID_MAX))
-    return _assemble(slope0, sol.x, sol.y[0], sol.y[1], xi_tail)
+    sol = _solve_profile()
+    return _assemble(float(sol.p[0]), sol.x, sol.y[0], sol.y[1])
 
 
-def _assemble(slope0, spline_x, spline_w, spline_v, xi_tail) -> TFSolution:
+def _assemble(slope0, spline_x, spline_w, spline_v) -> TFSolution:
     """The one constructor of TFSolution, for a fresh solve and a cached one alike.
 
-    Builds the profile from the shooting slope, the collocation data
-    (log t, w, w') and the tail amplitude, raises TFConvergenceError when
-    the equation residual exceeds RESIDUAL_TOL, then computes the energies.
-    The Hermite slopes of w' come from the ODE right side, which is what
-    solve_bvp reports as yp, so cached data rebuild the solve exactly.
+    Builds the profile from the slope and the collocation data (log t, w,
+    w'), takes the tail amplitude xi_tail from w at the last node, raises
+    TFConvergenceError when the equation residual exceeds RESIDUAL_TOL,
+    then computes the energies.  The Hermite slopes of w' come from the
+    ODE right side, which is what solve_bvp reports as yp, so cached data
+    rebuild the solve exactly.
     """
     vp = _bvp_rhs(spline_x, np.vstack([spline_w, spline_v]))[1]
     profile = TFProfile(
         slope0=slope0, series=baker_coefficients(slope0), spline_x=spline_x,
-        spline_w=spline_w, spline_v=spline_v, xi_tail=xi_tail,
+        spline_w=spline_w, spline_v=spline_v,
         _w_interp=_CubicHermite(spline_x, spline_w, spline_v),
         _v_interp=_CubicHermite(spline_x, spline_v, vp),
+        # evaluated after the interpolants have checked the arrays
+        xi_tail=math.exp(spline_w[-1] + 3.0 * spline_x[-1]) / 144.0 - 1.0,
     )
     residual = equation_residual(profile)
     if residual > RESIDUAL_TOL:
         raise TFConvergenceError(
             f"TF residual {residual:.3e} above tolerance {RESIDUAL_TOL:.1e}")
-    mass, attraction, kinetic, d_rho, ps = _energy_integrals(profile.phi)
+    mass, attraction, kinetic, d_rho, ps = _energy_integrals(profile)
     return TFSolution(
         **vars(profile), residual_sup=residual, E_atom=kinetic - attraction + d_rho,
         D_rho=d_rho, kinetic=kinetic, attraction=attraction, mass=mass,
@@ -425,9 +358,19 @@ def _volume(t):
     return 4.0 * np.pi * (B_LENGTH * t) ** 2 * B_LENGTH
 
 
-def _energy_integrals(phi):
-    """(mass, attraction, kinetic, D, phase-space) for z = 1 from the profile phi."""
-    mass = _integrate_x(lambda t: _volume(t) * _density(phi, t))
+def _energy_integrals(profile: TFProfile):
+    """(mass, attraction, kinetic, D, phase-space) for z = 1 from the profile.
+
+    The quadratures stop at t = T_GRID_MAX.  The mass beyond it, about 6e-10,
+    is added in closed form from the Sommerfeld tail to first order in
+    xi_tail; the other tails (attraction and D 2.4e-14, kinetic and phase
+    space about 1e-24) are below the printed precision and left out.
+    """
+    phi = profile.phi
+    mass_tail = (4.0 * math.pi * B_LENGTH ** 3 * _RHO_COEFF * (144.0 / B_LENGTH) ** 1.5
+                 / T_GRID_MAX ** 3
+                 * (1.0 / 3.0 + 1.5 * profile.xi_tail / (3.0 + SOMMERFELD_LAMBDA)))
+    mass = _integrate_x(lambda t: _volume(t) * _density(phi, t)) + mass_tail
     attraction = _integrate_x(lambda t: _volume(t) * _density(phi, t) / (B_LENGTH * t))
     kinetic = _KIN_COEFF * _integrate_x(lambda t: _volume(t) * _density(phi, t) ** (5.0 / 3.0))
     ps = -_PS_COEFF * _integrate_x(lambda t: _volume(t) * (phi(t) / (B_LENGTH * t)) ** 2.5)

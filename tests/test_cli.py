@@ -289,7 +289,7 @@ def _npz_bytes(**arrays):
 
 
 # spline data that would fail the residual check if they were used
-_BAD_SPLINE = dict(slope0=-1.5, x=[0.0, 1.0], w=[0.0, 0.0], v=[0.0, 0.0], xi_tail=0.0)
+_BAD_SPLINE = dict(slope0=-1.5, x=[0.0, 1.0], w=[0.0, 0.0], v=[0.0, 0.0])
 
 
 @pytest.mark.parametrize("content", [
@@ -303,7 +303,7 @@ def test_tf_cache_unreadable_file_is_a_miss(tmp_path, content):
     (cache / "tf_profile.npz").write_bytes(content)
     assert main(["tf", "--out", str(tmp_path / "p.csv"), "--cache-dir", str(cache)]) == 0
     with np.load(cache / "tf_profile.npz") as data:
-        assert {"version", "slope0", "x", "w", "v", "xi_tail"} <= set(data.files)
+        assert {"version", "slope0", "x", "w", "v"} <= set(data.files)
         assert str(data["version"]) == __version__
 
 
@@ -317,6 +317,8 @@ def _damage(kind, data):
         data["x"] = data["x"][::-1]
     elif kind == "two-dim-v":
         data["v"] = data["v"][None, :]
+    elif kind == "two-dim-w":
+        data["w"] = data["w"][None, :]
     elif kind == "short-w":
         data["w"] = data["w"][:-1]
     elif kind == "inf-slope0":
@@ -332,8 +334,8 @@ def clean_tf(tmp_path_factory):
     return root, root / "clean"
 
 
-@pytest.mark.parametrize("kind", ["nan-in-w", "reversed-x", "two-dim-v", "short-w",
-                                  "inf-slope0"])
+@pytest.mark.parametrize("kind", ["nan-in-w", "reversed-x", "two-dim-v", "two-dim-w",
+                                  "short-w", "inf-slope0"])
 def test_tf_cache_damaged_data_is_a_miss(tmp_path, clean_tf, kind):
     root, clean = clean_tf
     with np.load(clean / "tf_profile.npz") as data:

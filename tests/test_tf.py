@@ -9,6 +9,8 @@ from scottlab.tf import TFConvergenceError, tf_energy_consistency
 
 # frozen oracle outputs (recomputed below where cheap)
 SLOPE0 = -1.588071  # initial slope of the decaying branch
+# phi'(0) to 18 digits: Boyd, J. Comput. Appl. Math. 244 (2013)
+BOYD_SLOPE0 = -1.58807102261137531
 
 
 def _rk4_shoot_slope(step):
@@ -56,6 +58,33 @@ def test_slope0_against_rk4_step_halving_oracle(tf_solution):
     assert b2 == pytest.approx(SLOPE0, abs=5e-6)
     assert tf_solution.slope0 == pytest.approx(b2, abs=1e-5)
     assert tf_solution.slope0 == pytest.approx(SLOPE0, abs=1e-6)
+    assert abs(tf_solution.slope0 - BOYD_SLOPE0) < 1e-12
+
+
+def _series_pow(a, p):
+    """Power series (sum a_k u^k)^p with a_0 = 1, by the power-rule recurrence."""
+    b = np.zeros(a.size)
+    b[0] = 1.0
+    for k in range(1, a.size):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += (j * (p + 1.0) / k - 1.0) * a[j] * b[k - j]
+        b[k] = acc
+    return b
+
+
+def _baker_oracle(slope0):
+    """Series coefficients with c^(3/2) recomputed in full for every k."""
+    c = np.zeros(tf.SERIES_ORDER + 1)
+    c[0], c[2], c[3] = 1.0, slope0, 4.0 / 3.0
+    for k in range(4, tf.SERIES_ORDER + 1):
+        c[k] = 4.0 * _series_pow(c[: k - 2], 1.5)[k - 3] / (k * (k - 2.0))
+    return c
+
+
+@pytest.mark.parametrize("slope0", [BOYD_SLOPE0, -1.5])
+def test_baker_coefficients_match_nested_recurrence(slope0):
+    assert np.array_equal(tf.baker_coefficients(slope0), _baker_oracle(slope0))
 
 
 def test_profile_boundary_and_monotonicity(tf_solution):
@@ -83,10 +112,10 @@ def test_mass_normalization(tf_solution):
     assert tf_solution.mass == pytest.approx(1.0, abs=1e-6)
 
 
-def test_shooting_bracket_failure_is_diagnosed(monkeypatch):
-    monkeypatch.setattr(tf, "SLOPE_BRACKET", (-3.0, -2.5))
-    with pytest.raises(TFConvergenceError, match="bracket"):
-        tf.shoot_slope()
+def test_collocation_failure_is_diagnosed(monkeypatch):
+    monkeypatch.setattr(tf, "MAX_NODES", 3000)
+    with pytest.raises(TFConvergenceError, match="collocation failed"):
+        tf.solve_tf_atom()
 
 
 def test_density_accessor_consistency(tf_solution):
@@ -100,10 +129,10 @@ def test_density_accessor_consistency(tf_solution):
 
 def test_energy_consistency_report(tf_solution):
     rep = tf_energy_consistency(tf_solution)
-    assert rep.rel_gap < 1e-4
-    assert rep.virial_ratio < 1e-4
+    assert rep.rel_gap < 1e-13
+    assert rep.virial_ratio < 1e-13
     assert tf_solution.E_atom < 0
-    assert abs(rep.mass_error) < 1e-6
+    assert abs(rep.mass_error) < 1e-12
     # D = K/3 is the virial identity in disguise
     assert tf_solution.D_rho == pytest.approx(tf_solution.kinetic / 3.0, rel=1e-6)
     # HLS diagnostic: D(rho) <= C ||rho||_{6/5}^2; a finite fitted C, not an
