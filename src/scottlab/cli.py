@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, expansion, hydrogen, multiscale, radial_eig, tf
+from . import __version__, core, expansion, hydrogen, multiscale, radial_eig, tf
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_coulomb_mu, weyl_integral
 
@@ -325,6 +325,9 @@ def cmd_scott(args) -> int:
             "beats_zero_field": str(res.estimate.value < res.zero_field_value - 1e-6),
             "kappa_c": _fmt(res.estimate.meta["kappa_c"]),
             "certified": str(res.estimate.meta["certified"]),
+            # the traces ran under core.one_blas_thread, a no-op without the library
+            "pauli_blas_threads": ("1 (scipy OpenBLAS)" if core.scipy_openblas() is not None
+                                   else "default (scipy OpenBLAS not found)"),
         })
         print(f"ansatz-min upper bound on 2S({args.kappa:g}) at R={args.R:g}: "
               f"{res.estimate.value:.4f} (A=0 value {res.zero_field_value:.4f})")

@@ -14,11 +14,14 @@ so that is the one fixed here, once.)
 
 The one fork-join helper of the package lives here too: radial channel
 sums and Pauli side walks hand their independent parts to children forked
-and pinned per call, under one rule for when forking is done.
+and pinned per call, under one rule for when forking is done.  So does the
+cap that runs scipy's OpenBLAS at one thread over a block, which children
+forked inside the block inherit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -133,6 +136,62 @@ def fork_join(work, cpus) -> list:
             raise reply
         parts.append(reply)
     return parts
+
+
+def scipy_openblas():
+    """scipy's bundled OpenBLAS as loaded in this process, or None where it is not found.
+
+    Found as the libscipy_openblas-*.so line of /proc/self/maps (Linux, once
+    scipy.linalg is loaded; numpy's libscipy_openblas64_ is another library),
+    and only if it exports openblas_set_num_threads_local.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = [line.split(maxsplit=5)[5].strip() for line in maps
+                     if "/libscipy_openblas-" in line]
+    except OSError:
+        return None
+    if not paths:
+        return None
+    lib = ctypes.CDLL(paths[0])
+    return lib if hasattr(lib, "openblas_set_num_threads_local") else None
+
+
+# holders of one_blas_thread and the count the first of them replaced.  The
+# count is process state: in scipy's pthreads build the "local" setter sets
+# the count every thread reads, so overlapping holders on several threads
+# share one cap, and only the last one out restores the count
+_blas_lock = threading.Lock()
+_blas_holders, _blas_saved = 0, 0
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with scipy's OpenBLAS at one thread; restore the count on exit.
+
+    openblas_set_num_threads_local changes the count and leaves OpenBLAS's
+    thread pool alone, so children forked inside the block run their BLAS
+    calls on the calling thread alone, and the pool is still there after
+    the block.  A no-op where scipy_openblas() finds nothing.
+    """
+    global _blas_holders, _blas_saved
+    lib = scipy_openblas()
+    if lib is None:
+        yield
+        return
+    set_count = lib.openblas_set_num_threads_local
+    set_count.argtypes, set_count.restype = [ctypes.c_int], ctypes.c_int
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = set_count(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_count(_blas_saved)
 
 
 @dataclass(frozen=True)

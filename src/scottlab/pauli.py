@@ -33,16 +33,20 @@ stops at the first empty channel.  The blocks +-(m + 1/2) are then the
 sorted union of the eigenvalues of channels m and m + 1, and the trace
 sums them in the order of the block walk.
 
-The two side walks share nothing but the evaluated fields.  For A != 0
-on a mesh of at most FORK_MAX_NODES cells, on a machine with two or more
-usable cores and from a process that runs one thread (core.fork_cores),
-each side is walked by a child forked and pinned to its own core for that
-trace alone; the parent inserts the +j blocks and then the -j blocks, in
-the order the in-process walks do, and reaps both children before it
-returns.  Both paths run the same walk on the same arrays, so a trace is
-bit for bit the same either way.  Processes, not threads: SuperLU's
-factorization holds the interpreter lock.  Larger meshes and the A = 0
-channel walk run in-process.
+The two side walks share nothing but the evaluated fields.  For A != 0,
+on a machine with two or more usable cores and from a process that runs
+one thread (core.fork_cores), each side is walked by a child forked and
+pinned to its own core for that trace alone; the parent inserts the +j
+blocks and then the -j blocks, in the order the in-process walks do, and
+reaps both children before it returns.  Processes, not threads: SuperLU's
+factorization holds the interpreter lock.  The A = 0 channel walk runs
+in-process.
+
+A whole trace runs with scipy's OpenBLAS at one thread
+(core.one_blas_thread), and the children fork under that cap.  A pinned
+child then keeps no BLAS worker on its one core, and both paths run the
+same walk on the same arrays with the same BLAS, so a trace is bit for bit
+the same either way and whatever the process's default BLAS thread count.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .core import ScottEstimate, check_coupling, fork_cores, fork_join, gauss, neg_part_sum
+from .core import (ScottEstimate, check_coupling, fork_cores, fork_join, gauss,
+                   neg_part_sum, one_blas_thread)
 from .cutoffs import SmoothCutoff, bump_profile
 from .radial_eig import cutoff_weyl_coulomb
 
@@ -77,13 +82,6 @@ SIGMA, JMAX = -0.75, 30
 
 # interval width at which inertia bisection stops
 BISECT_TOL = 1e-8
-
-# largest mesh (rho cells x z cells) whose A != 0 side walks are forked.
-# A pinned child keeps the process's BLAS threads on its one core, which
-# costs little up to here and dominates above: one R = 20 trace took 29.7 s
-# in-process and 18.2 s forked on 72x144, 32.9 s and 114.2 s on 80x160
-# (README, "Performance")
-FORK_MAX_NODES = 72 * 144
 
 # core scale of the sinh-graded faces of PauliGrid.for_ball
 R_CORE = 0.15
@@ -364,6 +362,7 @@ class PauliTraceResult:
     workers: int
 
 
+@one_blas_thread()
 def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
                     phi: Optional[SmoothCutoff] = None, mu: float = 0.0,
                     grid: Optional[PauliGrid] = None,
@@ -378,11 +377,11 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     with h |j| >= max(-side a rho): every later block on that side dominates
     it (module docstring).  At A = 0 the walk runs over the scalar channels
     m >= 0 and stops at the first empty one; the blocks are built from them
-    (module docstring).  For A != 0 on a mesh of at most FORK_MAX_NODES
-    cells, where core.fork_cores allows it, the two sides are walked by two
-    forked children (module docstring).  No extra spin factor: the spinor
-    components are explicit.  A mesh whose geometry overflows raises
-    FloatingPointError.
+    (module docstring).  For A != 0, where core.fork_cores allows it, the
+    two sides are walked by two forked children; the whole trace runs with
+    scipy's OpenBLAS at one thread, the children included (module
+    docstring).  No extra spin factor: the spinor components are explicit.
+    A mesh whose geometry overflows raises FloatingPointError.
     """
     if grid is None:
         if domain_radius is None:
@@ -434,7 +433,7 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
             side = (1, -1)[i]
             return walk(block, side, float(np.max(-side * a_rho)))
 
-        cpus = fork_cores()[:2] if grid.nr * grid.nz <= FORK_MAX_NODES else []
+        cpus = fork_cores()[:2]
         parts = fork_join(side_walk, cpus) if cpus else [side_walk(0), side_walk(1)]
         blocks = {m + 0.5: vals for found in parts for m, vals in found.items()}
     trace = float(sum(neg_part_sum(v) for v in blocks.values()))

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import signal
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scottlab import tf
+from scottlab import core, tf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -32,6 +33,26 @@ def sleep_in_children(module, name):
         return solve(*args, **kwargs)
     setattr(module, name, slow)
 """
+
+
+@pytest.fixture
+def blas_count():
+    """The calling thread's scipy-OpenBLAS thread count, read through a callable.
+
+    The count is set to 2 for the test, a value that the one-thread cap
+    visibly changes, and set back afterwards.
+    """
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+
+    lib = core.scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy's OpenBLAS is not found in this process")
+    read, set_count = lib.scipy_openblas_get_num_threads, lib.openblas_set_num_threads_local
+    read.argtypes, read.restype = [], ctypes.c_int
+    set_count.argtypes, set_count.restype = [ctypes.c_int], ctypes.c_int
+    old = set_count(2)
+    yield read
+    set_count(old)
 
 
 @pytest.fixture(scope="session")

@@ -373,7 +373,9 @@ def test_scott_cutoff_route(tmp_path):
     assert "extrapolated_2S" in meta
 
 
-def test_scott_ansatz_min_route(tmp_path, capsys):
+def test_scott_ansatz_min_route(tmp_path, capsys, monkeypatch):
+    from scottlab import core
+
     out = tmp_path / "am.csv"
     args = ["scott", "--route", "ansatz-min", "--kappa", "0.05", "--R", "6",
             "--budget", "6", "--mesh", "24 48", "--out", str(out)]
@@ -384,10 +386,17 @@ def test_scott_ansatz_min_route(tmp_path, capsys):
     meta = (tmp_path / "am.csv.meta.txt").read_text()
     assert "estimate_2S_upper_bound" in meta
     assert "beats_zero_field" in meta
+    found = core.scipy_openblas() is not None
+    assert meta.endswith("pauli_blas_threads: 1 (scipy OpenBLAS)\n" if found
+                         else "pauli_blas_threads: default (scipy OpenBLAS not found)\n")
     # deterministic: a rerun is byte-identical
     out2 = tmp_path / "am2.csv"
     assert main(args[:-1] + [str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+    monkeypatch.setattr(core, "scipy_openblas", lambda: None)
+    assert main(args[:-1] + [str(tmp_path / "am3.csv")]) == 0
+    meta = (tmp_path / "am3.csv.meta.txt").read_text()
+    assert meta.endswith("pauli_blas_threads: default (scipy OpenBLAS not found)\n")
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,

@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scottlab.core import NuclearConfig, check_coupling, neg_part_sum
+from scottlab import core
+from scottlab.core import NuclearConfig, check_coupling, neg_part_sum, one_blas_thread
 
 
 def test_neg_part_sum_examples():
@@ -71,3 +74,47 @@ def test_check_coupling_beta_admissibility():
     check_coupling(0.1, 5.0)
     with pytest.raises(ValueError):
         check_coupling(0.1, 5.1)
+
+
+def test_one_blas_thread_caps_the_block_and_restores(blas_count):
+    with one_blas_thread():
+        assert blas_count() == 1
+    assert blas_count() == 2
+    with pytest.raises(ValueError, match="raised in the block"):
+        with one_blas_thread():
+            assert blas_count() == 1
+            raise ValueError("raised in the block")
+    assert blas_count() == 2
+
+
+def test_one_blas_thread_holders_on_many_threads(blas_count):
+    # the setter acts on the whole process, so the holders of all threads
+    # share one cap: a lost update of the holder count would let a holder
+    # read 2 inside the block, or leave the count at 1 after the last one
+    inside = []
+
+    def hold():
+        for _ in range(200):
+            with one_blas_thread():
+                inside.append(blas_count())
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hold) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(w.is_alive() for w in workers)
+    assert inside == [1] * 1600
+    assert blas_count() == 2
+
+
+def test_one_blas_thread_without_the_library_is_a_no_op(blas_count, monkeypatch):
+    monkeypatch.setattr(core, "scipy_openblas", lambda: None)
+    with one_blas_thread():
+        assert blas_count() == 2
+    assert blas_count() == 2

@@ -1,17 +1,22 @@
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scottlab import pauli, radial_eig
+from scottlab.core import one_blas_thread
 from scottlab.cutoffs import SmoothCutoff
 from scottlab.pauli import (FieldAnsatz, PauliGrid, field_energy, minimize_scott,
                             pauli_trace_neg, scott_functional_parts)
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 VC = lambda r: 1.0 / r
 SMALL_MESH = (48, 96)
 
@@ -325,18 +330,20 @@ def cutoff_trace(A, grid):
 
 
 def serial_walk(A, grid):
-    """The oracle of a forked trace: the +j walk, then the -j walk, one block at a time."""
+    """The oracle of a forked trace: the +j walk, then the -j walk, one block at a
+    time, under the same one-thread BLAS cap as the trace."""
     a_rho = A.fields(grid.R, grid.Z)[0] * grid.R
     blocks = {}
-    for side in (1, -1):
-        reach, m = np.max(-side * a_rho), 0 if side > 0 else -1
-        while True:
-            vals = pauli.eigs_below(cutoff_block(grid, m, A), -1e-12, pauli.SIGMA)
-            if vals.size:
-                blocks[m + 0.5] = vals
-            elif abs(m + 0.5) >= reach:
-                break
-            m += side
+    with one_blas_thread():
+        for side in (1, -1):
+            reach, m = np.max(-side * a_rho), 0 if side > 0 else -1
+            while True:
+                vals = pauli.eigs_below(cutoff_block(grid, m, A), -1e-12, pauli.SIGMA)
+                if vals.size:
+                    blocks[m + 0.5] = vals
+                elif abs(m + 0.5) >= reach:
+                    break
+                m += side
     return blocks, float(sum(np.sum(v) for v in blocks.values()))
 
 
@@ -455,16 +462,47 @@ def test_one_usable_core_forks_nothing(monkeypatch):
 
 
 @multicore
-def test_meshes_above_the_fork_limit_trace_in_process(monkeypatch):
-    grid = ball8((16, 32))
-    monkeypatch.setattr(pauli, "FORK_MAX_NODES", 16 * 32)
-    assert cutoff_trace(WEAK, grid).workers == 2
+def test_children_fork_under_the_one_thread_cap(monkeypatch, blas_count):
+    def report():
+        raise ValueError(f"BLAS threads in a child: {blas_count()}")
+
+    monkeypatch.setattr(pauli, "eigs_below", in_children(report))
+    with pytest.raises(ValueError, match="BLAS threads in a child: 1$"):
+        cutoff_trace(WEAK, ball8((16, 32)))
     assert_no_children()
-    monkeypatch.setattr(pauli, "FORK_MAX_NODES", 16 * 32 - 1)
-    monkeypatch.setattr(os, "fork", no_fork)
-    got = cutoff_trace(WEAK, grid)
-    assert got.workers == 0
-    assert got.trace == serial_walk(WEAK, grid)[1]
+    assert blas_count() == 2
+
+
+_BLAS_BITS = """
+from scottlab import pauli
+from scottlab.cutoffs import SmoothCutoff
+
+def trace():
+    return pauli.pauli_trace_neg(pauli.FieldAnsatz(theta=(0.2, 0.0), support_radius=2.0),
+                                 lambda r: 1.0 / r, phi=SmoothCutoff(8.0),
+                                 grid=pauli.PauliGrid.for_ball(8.0, n_rho=80, n_z=160))
+
+forked = trace()
+pauli.fork_cores = lambda: []
+serial = trace()
+print(forked.workers, serial.workers, repr(forked.trace), repr(serial.trace))
+"""
+
+
+@multicore
+def test_trace_bits_do_not_depend_on_the_blas_thread_count():
+    # on this mesh the trace used to read -0.46165492867957036 at two
+    # OpenBLAS threads and ...57025 at one
+    lines = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", _BLAS_BITS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines.append(done.stdout.split())
+    assert [line[:2] for line in lines] == [["2", "0"]] * 2
+    assert len({r for line in lines for r in line[2:]}) == 1, lines
 
 
 @multicore

@@ -9,8 +9,10 @@ first in even pairs and the after tree first in odd ones, so slow drift of
 the machine and any order effect fall on both sides alike.
 The file records every run, each side's median and quartiles per metric,
 how many pairs the after tree won, the core count, the Python, numpy and
-scipy versions, and each tree's line counts of src/scottlab/*.py and
-tests/*.py.
+scipy versions, scipy's OpenBLAS as the harness runs it (its configuration
+string, the OPENBLAS_NUM_THREADS that perfbench/run.py sets and the thread
+count the library reads), and each tree's line counts of src/scottlab/*.py
+and tests/*.py.
 """
 
 from __future__ import annotations
@@ -60,13 +62,37 @@ def summary(pairs) -> dict:
     return out
 
 
+# run in a fresh interpreter: the harness's thread limits are set before
+# scipy loads its OpenBLAS, which reads them once, at load
+_BLAS_PROBE = """
+import ctypes, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import run
+run.limit_threads()
+import scipy.linalg
+with open("/proc/self/maps") as maps:
+    paths = [line.split(maxsplit=5)[5].strip() for line in maps
+             if "/libscipy_openblas-" in line]
+out = {"OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]}
+if paths:
+    lib = ctypes.CDLL(paths[0])
+    lib.scipy_openblas_get_config.restype = ctypes.c_char_p
+    out["scipy_openblas_config"] = lib.scipy_openblas_get_config().decode()
+    out["scipy_openblas_threads"] = lib.scipy_openblas_get_num_threads()
+print(json.dumps(out))
+"""
+
+
 def versions() -> dict:
     import numpy
     import scipy
 
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    blas = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(perfbench)],
+                          capture_output=True, text=True, check=True)
     return {"cores": len(os.sched_getaffinity(0)), "machine": platform.machine(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__, "harness_blas": json.loads(blas.stdout)}
 
 
 def line_counts(tree: Path) -> dict:
