@@ -14,15 +14,18 @@ so that is the one fixed here, once.)
 
 The one fork-join helper of the package lives here too: radial channel
 sums and Pauli side walks hand their independent parts to children forked
-and pinned per call, under one rule for when forking is done.  So does the
-cap that runs scipy's OpenBLAS at one thread over a block, which children
-forked inside the block inherit.
+and pinned per call, under one rule for when forking is done.  So do the
+finder that loads scipy's OpenBLAS without importing scipy, and the cap
+that runs it at one thread over a block (children forked inside inherit it).
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+import glob
+import importlib.util
 import math
 import os
 import pickle
@@ -138,23 +141,19 @@ def fork_join(work, cpus) -> list:
     return parts
 
 
+@functools.cache
 def scipy_openblas():
-    """scipy's bundled OpenBLAS as loaded in this process, or None where it is not found.
-
-    Found as the libscipy_openblas-*.so line of /proc/self/maps (Linux, once
-    scipy.linalg is loaded; numpy's libscipy_openblas64_ is another library),
-    and only if it exports openblas_set_num_threads_local.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = [line.split(maxsplit=5)[5].strip() for line in maps
-                     if "/libscipy_openblas-" in line]
-    except OSError:
+    """scipy's bundled OpenBLAS, loaded once, or None where the file or a symbol is missing:
+    scipy.libs/libscipy_openblas-*.so, the file scipy.linalg loads, beside the package that
+    importlib.util.find_spec locates without importing scipy (numpy's ..64_ is another)."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
         return None
-    if not paths:
-        return None
-    lib = ctypes.CDLL(paths[0])
-    return lib if hasattr(lib, "openblas_set_num_threads_local") else None
+    libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), "scipy.libs")
+    names = sorted(glob.glob(os.path.join(glob.escape(libs), "libscipy_openblas-*.so")))
+    lib = ctypes.CDLL(names[0]) if names else None
+    symbols = ("openblas_set_num_threads_local", "scipy_dstebz_")
+    return lib if all(hasattr(lib, s) for s in symbols) else None
 
 
 # holders of one_blas_thread and the count the first of them replaced.  The

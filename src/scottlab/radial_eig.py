@@ -2,17 +2,17 @@
 
 Partial waves reduce the problem to symmetric tridiagonal eigenproblems,
 one per angular momentum channel, solved by LAPACK bisection with Sturm
-counting (stebz) so that counts below a threshold are certified.  The
-mesh is sinh-mapped, r = r_core sinh(xi): uniform with spacing
-r_core d(xi) at the Coulomb core and log-like in the tail, so u(0) = 0
-is exact and the l-dependent regular behaviour u ~ r^(l+1) needs no
-boundary surgery.  It is sinh and not log because a log mesh cut off at
-r_min carries a Dirichlet wall error O(|u'(0)|^2 r_min) and a stencil
-norm ~(h / (r_min dy))^2 that bisection resolves only to eps times it,
-while the sinh mesh keeps ||T|| ~ (h / (r_core dxi))^2 bounded.
-Cutoff sandwiches phi (H phi .) phi stay tridiagonal (diagonal
-congruence), and their negative spectrum is exactly supported inside
-supp phi, so the mesh can stop at the cutoff radius.
+counting (dstebz, called through ctypes in scipy's bundled OpenBLAS) so
+that counts below a threshold are certified.  The mesh is sinh-mapped,
+r = r_core sinh(xi): uniform with spacing r_core d(xi) at the Coulomb
+core and log-like in the tail, so u(0) = 0 is exact and the l-dependent
+regular behaviour u ~ r^(l+1) needs no boundary surgery.  It is sinh and
+not log because a log mesh cut off at r_min carries a Dirichlet wall
+error O(|u'(0)|^2 r_min) and a stencil norm ~(h / (r_min dy))^2 that
+bisection resolves only to eps times it, while the sinh mesh keeps
+||T|| ~ (h / (r_core dxi))^2 bounded.  Cutoff sandwiches phi (H phi .) phi
+stay tridiagonal (diagonal congruence), and their negative spectrum is
+exactly supported inside supp phi, so the mesh can stop at the cutoff radius.
 
 On a machine with two or more usable cores, a sum whose grid has at
 least POOL_MIN_NODES nodes forks one child per usable core, pinned to it,
@@ -21,20 +21,21 @@ grid up to its own first empty one and sends their eigenvalues back; the
 parent merges them in l order and stops at the first empty channel, as
 the in-process loop does, and reaps every child before it returns.  Both
 paths run the same code on the same arrays, so a sum is bit for bit the
-same either way.  Processes, not threads: LAPACK bisection (stebz) holds
-the interpreter lock.  Smaller grids stay in-process, where forking would
-cost more than it saves (the README gives the measured table).
+same either way.  Processes, not threads: the ctypes call to dstebz
+releases the interpreter lock, but threads were never measured.  Smaller
+grids stay in-process, where forking would cost more (README table).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import ScottEstimate, fork_cores, fork_join, neg_part_sum
+from .core import ScottEstimate, fork_cores, fork_join, neg_part_sum, scipy_openblas
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_integral
 
@@ -160,23 +161,53 @@ def build_channel(v: np.ndarray, h: float, ell: int, grid: RadialGrid,
     return d, e
 
 
+def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> np.ndarray:
+    """The eigenvalues of the tridiagonal (d, e) in (vl, vu], ascending, by LAPACK dstebz as
+    eigvalsh_tridiagonal(d, e, select="v", select_range=(vl, vu)) calls it: through ctypes
+    in scipy_openblas(), or else through scipy.linalg.lapack."""
+    lib = scipy_openblas()
+    if lib is None:
+        from scipy.linalg.lapack import dstebz
+        m, w, _, _, info = dstebz(d, e, 1, vl, vu, 1, 1, 0.0, "E")
+    else:
+        n, i32, f64, ref = d.size, ctypes.c_int32, ctypes.c_double, ctypes.byref
+        m, nsplit, info, w, work = i32(), i32(), i32(), np.empty(n), np.empty(4 * n)
+        iblock, isplit, iwork = (np.empty(k * n, dtype=np.int32) for k in (1, 1, 3))
+        pi, pf = ctypes.POINTER(i32), ctypes.POINTER(f64)
+        ai, af = (np.ctypeslib.ndpointer(t, 1, flags="C") for t in (np.int32, np.float64))
+        dstebz = lib.scipy_dstebz_
+        # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO, lengths
+        dstebz.argtypes = [ctypes.c_char_p] * 2 + [pi, pf, pf, pi, pi, pf, af, af, pi, pi, af,
+                                                   ai, ai, af, ai, pi] + [ctypes.c_size_t] * 2
+        dstebz.restype = None
+        dstebz(b"V", b"E", ref(i32(n)), ref(f64(vl)), ref(f64(vu)), ref(i32(1)), ref(i32(1)),
+               ref(f64(0.0)), d, e, ref(m), ref(nsplit), w, iblock, isplit, work, iwork,
+               ref(info), 1, 1)
+        m, info = m.value, info.value
+    if info != 0:  # LinAlgError is a ValueError
+        raise np.linalg.LinAlgError(f"LAPACK dstebz returned INFO = {info}")
+    return w[:m]
+
+
 def negative_eigenvalues(op, mu: float = 0.0) -> np.ndarray:
     """All eigenvalues below -mu of the channel op = (d, e), ascending, via LAPACK bisection."""
-    from scipy.linalg import eigvalsh_tridiagonal
-
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    d, e = op
+    d, e = (np.ascontiguousarray(a, dtype=float) for a in op)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError("a channel is d of n entries and e of n - 1")
     # bisection resolves eigenvalues to ~eps * ||T||; eigenvalues inside the
     # pad band are numerically indistinguishable from the threshold and their
     # true contribution to a shifted trace is below the pad anyway
     norm_est = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    if not (math.isfinite(norm_est) and math.isfinite(mu)):  # else the threshold is not
+        raise ValueError("channel entries, their norm and mu must be finite")
     pad = 128.0 * np.finfo(float).eps * norm_est
     lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e))) - 1.0
     vu = -mu - pad
     if lo >= vu:
         return np.array([])
-    vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, vu))
+    vals = _stebz(d, e, lo, vu)
     return np.sort(vals[vals < vu])
 
 
@@ -260,8 +291,8 @@ def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
         return out
 
     if pooled:
-        import scipy.linalg  # noqa: F401  (imported once here, inherited by the children)
-
+        if scipy_openblas() is None:  # loaded once here, inherited by the children
+            import scipy.linalg.lapack  # noqa: F401
         parts = fork_join(work, cpus)
     else:
         parts = [work(0)]

@@ -42,8 +42,6 @@ def blas_count():
     The count is set to 2 for the test, a value that the one-thread cap
     visibly changes, and set back afterwards.
     """
-    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
-
     lib = core.scipy_openblas()
     if lib is None:
         pytest.skip("scipy's OpenBLAS is not found in this process")

@@ -62,12 +62,10 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_pooled_trace_loads_no_process_pool(tmp_path):
-    # the channels go to children forked with os.fork; scipy.linalg itself
-    # loads concurrent.futures (through numpy.testing), so that is discounted
+    # the channels go to children forked with os.fork
     loaded = _modules(_RUN_CLI, "trace", "--potential", "coulomb", "--mu", "0.0025",
                       "--refine", "--out", "run.csv", cwd=tmp_path)
-    added = {m.split(".")[0] for m in loaded - _modules("import scipy.linalg")}
-    assert not added & {"multiprocessing", "concurrent"}
+    assert not {m.split(".")[0] for m in loaded} & {"multiprocessing", "concurrent"}
 
 
 def test_forked_side_walks_load_no_process_pool(tmp_path):
@@ -85,14 +83,13 @@ def test_forked_side_walks_load_no_process_pool(tmp_path):
     ["tf", "--cache-dir", "cache"],
     ["weyl", "--potential", "tf", "--mu", "0", "--cache-dir", "cache"],
     ["weyl", "--potential", "tf", "--mu", "0.01", "--cache-dir", "cache"],
-], ids=["mu-limit", "partition-check", "tf-hit", "weyl-tf-hit", "weyl-tf-mu"])
+    ["trace", "--potential", "coulomb", "--mu", "0.05"],
+    ["trace", "--potential", "tf", "--h", "0.25", "--mu", "0.01", "--cache-dir", "cache"],
+    ["scott", "--route", "cutoff-R"],
+    ["scott", "--route", "spectral-fit", "--cache-dir", "cache"],
+    ["expansion", "--cache-dir", "cache"],
+], ids=["mu-limit", "partition-check", "tf-hit", "weyl-tf-hit", "weyl-tf-mu", "trace-coulomb",
+        "trace-tf-hit", "cutoff-R", "spectral-fit-hit", "expansion-hit"])
 def test_command_runs_without_scipy(warm_cache, argv):
+    # the radial commands call LAPACK dstebz in scipy's bundled OpenBLAS by ctypes
     assert _scipy_modules(_RUN_CLI, *argv, "--out", "run.csv", cwd=warm_cache) == set()
-
-
-def test_coulomb_trace_loads_only_scipy_linalg(tmp_path):
-    loaded = _scipy_modules(_RUN_CLI, "trace", "--potential", "coulomb", "--mu", "0.05",
-                            "--out", "run.csv", cwd=tmp_path)
-    assert "scipy.linalg" in loaded
-    parts = {m.split(".")[1] for m in loaded if "." in m}
-    assert not parts & {"interpolate", "integrate", "optimize", "sparse"}

@@ -80,6 +80,93 @@ def test_sturm_count_consistency():
         assert sturm_count(*op, -mu) == vals.size
 
 
+def scipy_negative_eigenvalues(op, mu):
+    """negative_eigenvalues through scipy.linalg.eigvalsh_tridiagonal, as it was written before
+    it called LAPACK dstebz itself: the oracle of the direct call."""
+    d, e = op
+    norm_est = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    pad = 128.0 * np.finfo(float).eps * norm_est
+    lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e))) - 1.0
+    vu = -mu - pad
+    if lo >= vu:
+        return np.array([])
+    vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, vu))
+    return np.sort(vals[vals < vu])
+
+
+@pytest.fixture(params=["bundled", "fallback"])
+def dstebz_path(request, monkeypatch):
+    """dstebz through scipy's bundled OpenBLAS by ctypes, or through scipy.linalg.lapack."""
+    if request.param == "fallback":
+        monkeypatch.setattr(radial_eig, "scipy_openblas", lambda: None)
+    elif radial_eig.scipy_openblas() is None:
+        pytest.skip("scipy's bundled OpenBLAS is not found")
+    return request.param
+
+
+@pytest.mark.parametrize("case", ["tf-refined", "coulomb-mu-1/400", "cutoff-sandwich"])
+def test_negative_eigenvalues_equal_scipy_bit_for_bit(case, dstebz_path, tf_solution):
+    h, mu, f = 1.0, 0.0, None
+    if case == "tf-refined":
+        V, h = tf_solution.potential(), 0.1
+        grid = radial_eig.auto_grid(V, h, mu).refined()
+    elif case == "coulomb-mu-1/400":
+        V, mu = VC, 1.0 / 400.0
+        grid = radial_eig.auto_grid(V, h, mu)
+    else:
+        V, r_core = VC, radial_eig.core_radius(1.0)
+        n = radial_eig._resolution_nodes(VC, 1.0, 0.0, r_core, 80.0,
+                                         radial_eig.LOCALIZED_RESOLUTION)
+        grid = make_grid(r_core, 80.0, n).refined()
+        f = SmoothCutoff(80.0)(grid.r)
+    v, states = V(grid.r), 0
+    for ell in range(radial_eig.LMAX_CAP + 1):
+        op = build_channel(v, h, ell, grid, f)
+        want = scipy_negative_eigenvalues(op, mu)
+        assert negative_eigenvalues(op, mu).tobytes() == want.tobytes(), ell
+        states += want.size
+        if want.size == 0:
+            break
+    assert ell > 1 and states > 10
+
+
+def test_lapack_info_is_a_value_error(dstebz_path):
+    d, e = np.full(3, 2.0), np.full(2, -1.0)
+    got = radial_eig._stebz(d, e, -10.0, 10.0)
+    assert got == pytest.approx([2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)], abs=1e-14)
+    # VL >= VU is an illegal argument 5 to dstebz, so INFO = -5
+    with pytest.raises(ValueError, match="INFO = -5"):
+        radial_eig._stebz(d, e, 1.0, -1.0)
+
+
+def _inf_at_one_node(r):
+    v = 1.0 / r
+    v[7] = np.inf
+    return v
+
+
+@pytest.mark.parametrize("V, mu", [
+    (lambda r: 1e306 / r, 0.05),
+    (_inf_at_one_node, 0.05),
+    (lambda r: np.full_like(r, np.nan), 0.05),
+    (VC, np.inf),
+    (VC, np.nan),
+], ids=["overflowing-V", "inf-at-one-node", "nan-V", "inf-mu", "nan-mu"])
+def test_non_finite_channel_raises(V, mu):
+    # an infinite entry made the threshold -inf, and the channel read as empty
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            trace_neg(V, 1.0, mu=mu, grid=make_grid(0.01, 20.0, 400))
+
+
+def test_channel_whose_norm_overflows_raises():
+    d, e = np.array([1e308, 1e308, 1.0]), np.array([1e308, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        negative_eigenvalues((d, e))
+    with pytest.raises(ValueError, match="n - 1"):
+        negative_eigenvalues((d, e[:1]))
+
+
 def test_kinetic_stencil_nonnegative():
     # the continuum kinetic term is >= 0; the stencils reproduce that up to
     # discretization (exactly for the uniform map)

@@ -11,8 +11,11 @@ The file records every run, each side's median and quartiles per metric,
 how many pairs the after tree won, the core count, the Python, numpy and
 scipy versions, scipy's OpenBLAS as the harness runs it (its configuration
 string, the OPENBLAS_NUM_THREADS that perfbench/run.py sets and the thread
-count the library reads), and each tree's line counts of src/scottlab/*.py
-and tests/*.py.
+count the library reads), each tree's line counts of src/scottlab/*.py
+and tests/*.py, and which dstebz each tree's radial layer calls: the path
+of scipy's bundled OpenBLAS, or "scipy.linalg" where its
+scottlab.core.scipy_openblas() finds none (so a tree that predates the
+direct call reads "scipy.linalg" too).
 """
 
 from __future__ import annotations
@@ -63,23 +66,29 @@ def summary(pairs) -> dict:
 
 
 # run in a fresh interpreter: the harness's thread limits are set before
-# scipy loads its OpenBLAS, which reads them once, at load
+# scipy's OpenBLAS is loaded, which reads them once, at load
 _BLAS_PROBE = """
 import ctypes, json, os, sys
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
 import run
 run.limit_threads()
-import scipy.linalg
-with open("/proc/self/maps") as maps:
-    paths = [line.split(maxsplit=5)[5].strip() for line in maps
-             if "/libscipy_openblas-" in line]
+from scottlab import core
+lib = core.scipy_openblas()
 out = {"OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]}
-if paths:
-    lib = ctypes.CDLL(paths[0])
+if lib is not None:
     lib.scipy_openblas_get_config.restype = ctypes.c_char_p
     out["scipy_openblas_config"] = lib.scipy_openblas_get_config().decode()
     out["scipy_openblas_threads"] = lib.scipy_openblas_get_num_threads()
 print(json.dumps(out))
+"""
+
+# run with a tree's src/ first on the path: its own finder says where its
+# radial layer calls dstebz
+_DSTEBZ_PROBE = """
+import json
+from scottlab import core
+lib = getattr(core, "scipy_openblas", lambda: None)()
+print(json.dumps(lib._name if lib is not None else "scipy.linalg"))
 """
 
 
@@ -87,12 +96,20 @@ def versions() -> dict:
     import numpy
     import scipy
 
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    blas = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(perfbench)],
-                          capture_output=True, text=True, check=True)
+    root = Path(__file__).resolve().parents[1]
+    blas = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(root / "perfbench"),
+                           str(root / "src")], capture_output=True, text=True, check=True)
     return {"cores": len(os.sched_getaffinity(0)), "machine": platform.machine(),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "harness_blas": json.loads(blas.stdout)}
+
+
+def radial_dstebz(tree: Path) -> str:
+    """The dstebz tree's radial layer calls: scipy's bundled library (its path) or scipy.linalg."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-c", _DSTEBZ_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def line_counts(tree: Path) -> dict:
@@ -114,6 +131,8 @@ def main(argv=None) -> int:
     seconds = float(BENCHMARK["run_seconds"])
     report = {"note": args.note, "seconds": seconds, "environment": versions(),
               "lines": {side: line_counts(getattr(args, side)) for side in ("before", "after")},
+              "radial_dstebz": {side: radial_dstebz(getattr(args, side))
+                                for side in ("before", "after")},
               "workloads": {w: {"pairs": []} for w in names}}
     for i in range(PAIRS):
         for w in names:
