@@ -145,7 +145,7 @@ def fork_join(work, cpus) -> list:
 def scipy_openblas():
     """scipy's bundled OpenBLAS, loaded once, or None where the file or a symbol is missing:
     scipy.libs/libscipy_openblas-*.so, the file scipy.linalg loads, beside the package that
-    importlib.util.find_spec locates without importing scipy (numpy's ..64_ is another)."""
+    importlib.util.find_spec locates without importing scipy (numpy's libscipy_openblas64_ differs)."""
     spec = importlib.util.find_spec("scipy")
     if spec is None or spec.origin is None:
         return None

@@ -173,16 +173,16 @@ def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> np.ndarray:
         n, i32, f64, ref = d.size, ctypes.c_int32, ctypes.c_double, ctypes.byref
         m, nsplit, info, w, work = i32(), i32(), i32(), np.empty(n), np.empty(4 * n)
         iblock, isplit, iwork = (np.empty(k * n, dtype=np.int32) for k in (1, 1, 3))
-        pi, pf = ctypes.POINTER(i32), ctypes.POINTER(f64)
-        ai, af = (np.ctypeslib.ndpointer(t, 1, flags="C") for t in (np.int32, np.float64))
-        dstebz = lib.scipy_dstebz_
-        # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO, lengths
-        dstebz.argtypes = [ctypes.c_char_p] * 2 + [pi, pf, pf, pi, pi, pf, af, af, pi, pi, af,
-                                                   ai, ai, af, ai, pi] + [ctypes.c_size_t] * 2
-        dstebz.restype = None
+        dstebz = lib.scipy_dstebz_  # one object per cached handle: typed on the first call
+        if dstebz.restype is not None:
+            pi, pf, p = ctypes.POINTER(i32), ctypes.POINTER(f64), ctypes.c_void_p
+            # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO, lengths
+            dstebz.argtypes = ([ctypes.c_char_p] * 2 + [pi, pf, pf, pi, pi, pf, p, p, pi, pi]
+                               + [p] * 5 + [pi] + [ctypes.c_size_t] * 2)
+            dstebz.restype = None
         dstebz(b"V", b"E", ref(i32(n)), ref(f64(vl)), ref(f64(vu)), ref(i32(1)), ref(i32(1)),
-               ref(f64(0.0)), d, e, ref(m), ref(nsplit), w, iblock, isplit, work, iwork,
-               ref(info), 1, 1)
+               ref(f64(0.0)), d.ctypes.data, e.ctypes.data, ref(m), ref(nsplit),
+               *(a.ctypes.data for a in (w, iblock, isplit, work, iwork)), ref(info), 1, 1)
         m, info = m.value, info.value
     if info != 0:  # LinAlgError is a ValueError
         raise np.linalg.LinAlgError(f"LAPACK dstebz returned INFO = {info}")
