@@ -12,11 +12,12 @@ quantity -min(a,0); phase-space energy identities such as the two-sided
 Thomas-Fermi energy formula only close with the negative-valued choice,
 so that is the one fixed here, once.)
 
-The one fork-join helper of the package lives here too: radial channel
-sums and Pauli side walks hand their independent parts to children forked
-and pinned per call, under one rule for when forking is done.  So do the
-finder that loads scipy's OpenBLAS without importing scipy, and the cap
-that runs it at one thread over a block (children forked inside inherit it).
+The one fork-join helper of the package lives here too: Pauli side walks
+hand their two independent parts to children forked and pinned per call,
+under one rule for when forking is done (radial channel sums run on
+threads instead).  So do the finder that loads scipy's OpenBLAS without
+importing scipy, and the cap that runs it at one thread over a block
+(children forked inside inherit it).
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def fork_join(work, cpus) -> list:
 def scipy_openblas():
     """scipy's bundled OpenBLAS, loaded once, or None where the file or a symbol is missing:
     scipy.libs/libscipy_openblas-*.so, the file scipy.linalg loads, beside the package that
-    importlib.util.find_spec locates without importing scipy (numpy's libscipy_openblas64_ differs)."""
+    importlib.util.find_spec locates without importing scipy (numpy's libscipy_openblas64_ differs).
+    The prototypes of the two symbols the package calls are declared on the cached handle."""
     spec = importlib.util.find_spec("scipy")
     if spec is None or spec.origin is None:
         return None
@@ -153,7 +155,16 @@ def scipy_openblas():
     names = sorted(glob.glob(os.path.join(glob.escape(libs), "libscipy_openblas-*.so")))
     lib = ctypes.CDLL(names[0]) if names else None
     symbols = ("openblas_set_num_threads_local", "scipy_dstebz_")
-    return lib if all(hasattr(lib, s) for s in symbols) else None
+    if not all(hasattr(lib, s) for s in symbols):
+        return None
+    lib.openblas_set_num_threads_local.argtypes = [ctypes.c_int]
+    lib.openblas_set_num_threads_local.restype = ctypes.c_int
+    pi, pf, p = ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO, lengths
+    lib.scipy_dstebz_.argtypes = ([ctypes.c_char_p] * 2 + [pi, pf, pf, pi, pi, pf, p, p, pi, pi]
+                                  + [p] * 5 + [pi] + [ctypes.c_size_t] * 2)
+    lib.scipy_dstebz_.restype = None
+    return lib
 
 
 # holders of one_blas_thread and the count the first of them replaced.  The
@@ -179,7 +190,6 @@ def one_blas_thread():
         yield
         return
     set_count = lib.openblas_set_num_threads_local
-    set_count.argtypes, set_count.restype = [ctypes.c_int], ctypes.c_int
     with _blas_lock:
         if _blas_holders == 0:
             _blas_saved = set_count(1)

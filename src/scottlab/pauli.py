@@ -38,9 +38,13 @@ on a machine with two or more usable cores and from a process that runs
 one thread (core.fork_cores), each side is walked by a child forked and
 pinned to its own core for that trace alone; the parent inserts the +j
 blocks and then the -j blocks, in the order the in-process walks do, and
-reaps both children before it returns.  Processes, not threads: SuperLU's
-factorization holds the interpreter lock.  The A = 0 channel walk runs
-in-process.
+reaps both children before it returns.  Processes, not threads, because
+they measured faster: six A != 0 traces (R = 8, 64x128, phi_8) took
+1.16-1.17 s forked against 1.39-1.43 s on two threads, with identical
+traces.  SuperLU's factorization does release the interpreter lock: two
+threads each factoring one 64x128 A != 0 block (n = 16,384) six times took
+1.19-1.22 times as long as one thread doing six.  The A = 0 channel walk
+runs in-process.
 
 A whole trace runs with scipy's OpenBLAS at one thread
 (core.one_blas_thread), and the children fork under that cap.  A pinned

@@ -14,28 +14,29 @@ bisection resolves only to eps times it, while the sinh mesh keeps
 stay tridiagonal (diagonal congruence), and their negative spectrum is
 exactly supported inside supp phi, so the mesh can stop at the cutoff radius.
 
-On a machine with two or more usable cores, a sum whose grid has at
-least POOL_MIN_NODES nodes forks one child per usable core, pinned to it,
-for that sum alone.  Child i solves the channels l = i (mod k) of each
-grid up to its own first empty one and sends their eigenvalues back; the
-parent merges them in l order and stops at the first empty channel, as
-the in-process loop does, and reaps every child before it returns.  Both
-paths run the same code on the same arrays, so a sum is bit for bit the
-same either way.  Processes, not threads: the ctypes call to dstebz
-releases the interpreter lock, but threads were never measured.  Smaller
-grids stay in-process, where forking would cost more (README table).
+A sum runs its channels on one thread per usable core, the calling thread
+included, started for that sum alone and joined before it returns or
+raises.  The ctypes call to dstebz releases the interpreter lock, so the
+bisections run in parallel.  The threads take (grid, l) tasks from one
+queue in l order and skip those above the first empty channel found so
+far on their grid; the channels are then read in l order up to the first
+empty one, as a loop on one thread reads them, so a sum is bit for bit
+the same on any number of threads.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import ScottEstimate, fork_cores, fork_join, neg_part_sum, scipy_openblas
+from .core import ScottEstimate, neg_part_sum, scipy_openblas
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_integral
 
@@ -50,10 +51,6 @@ R_CAP, N_CAP, R_PROBE_MAX, LMAX_CAP = 1e4, 60000, 1e12, 200
 
 # nodes per local de Broglie length of the cutoff-localized meshes
 LOCALIZED_RESOLUTION = 24.0
-
-# nodes of a sum's grid from which its channels go to forked children: the
-# smallest grids on which one sum saves more than forking costs
-POOL_MIN_NODES = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +170,10 @@ def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> np.ndarray:
         n, i32, f64, ref = d.size, ctypes.c_int32, ctypes.c_double, ctypes.byref
         m, nsplit, info, w, work = i32(), i32(), i32(), np.empty(n), np.empty(4 * n)
         iblock, isplit, iwork = (np.empty(k * n, dtype=np.int32) for k in (1, 1, 3))
-        dstebz = lib.scipy_dstebz_  # one object per cached handle: typed on the first call
-        if dstebz.restype is not None:
-            pi, pf, p = ctypes.POINTER(i32), ctypes.POINTER(f64), ctypes.c_void_p
-            # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO, lengths
-            dstebz.argtypes = ([ctypes.c_char_p] * 2 + [pi, pf, pf, pi, pi, pf, p, p, pi, pi]
-                               + [p] * 5 + [pi] + [ctypes.c_size_t] * 2)
-            dstebz.restype = None
-        dstebz(b"V", b"E", ref(i32(n)), ref(f64(vl)), ref(f64(vu)), ref(i32(1)), ref(i32(1)),
-               ref(f64(0.0)), d.ctypes.data, e.ctypes.data, ref(m), ref(nsplit),
-               *(a.ctypes.data for a in (w, iblock, isplit, work, iwork)), ref(info), 1, 1)
+        lib.scipy_dstebz_(b"V", b"E", ref(i32(n)), ref(f64(vl)), ref(f64(vu)), ref(i32(1)),
+                          ref(i32(1)), ref(f64(0.0)), d.ctypes.data, e.ctypes.data, ref(m),
+                          ref(nsplit), *(a.ctypes.data for a in (w, iblock, isplit, work, iwork)),
+                          ref(info), 1, 1)
         m, info = m.value, info.value
     if info != 0:  # LinAlgError is a ValueError
         raise np.linalg.LinAlgError(f"LAPACK dstebz returned INFO = {info}")
@@ -222,8 +213,8 @@ class SpectralSum:
 
     With coarse_trace set (a refined sum) the eigenvalues are those of the
     fine grid and the trace is the two-grid Richardson value
-    (4 T_fine - T_coarse) / 3.  workers counts the processes that solved
-    the channels, 0 when they were solved in-process.
+    (4 T_fine - T_coarse) / 3.  workers counts the threads that solved
+    the channels, 0 when the calling thread solved them alone.
     """
 
     eigenvalues: dict
@@ -246,62 +237,80 @@ class SpectralSum:
         return int(sum((2 * ell + 1) * vals.size for ell, vals in self.eigenvalues.items()))
 
 
-def _merge(parts):
-    """Channels 0, 1, ... up to the first empty one, parts[i] holding l = i (mod k).
-
-    Each part runs up to and including its own first empty channel, so
-    every channel up to the first empty one overall is there.
-    """
-    found = {}
+def _merge(found):
+    """Channels 0, 1, ... of found up to the first empty one, and the last nonempty l."""
+    channels = {}
     for ell in range(LMAX_CAP + 1):
-        vals = parts[ell % len(parts)][ell]
-        if vals.size == 0:
-            return found, ell - 1
-        found[ell] = vals
+        if found[ell].size == 0:
+            return channels, ell - 1
+        channels[ell] = found[ell]
     raise ChannelCascadeError(f"channels still nonempty at the l cap {LMAX_CAP}")
 
 
 def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
     """The channel sum on grid, or with refine its two-grid Richardson value.
 
-    V and the cutoff are evaluated once on each grid.  Where core.fork_cores
-    gives k cores (two or more usable ones, and a process that runs one
-    thread) and the grid has at least POOL_MIN_NODES nodes, child i of k
-    forked ones solves the channels l = i (mod k) of every grid; otherwise
-    work(0) runs here with k = 1.
+    V and the cutoff are evaluated once on each grid.  The calling thread
+    and k - 1 started ones (k usable cores) then solve the channels as the
+    module docstring says, taking the tasks (fine, 0), (coarse, 0), (fine,
+    1), ...  The first exception raised is raised here, after every thread
+    is joined.
     """
-    grids = [grid, grid.refined()] if refine else [grid]
-    fields = [(np.asarray(V(g.r), dtype=float),
-               None if cutoff is None else np.asarray(cutoff(g.r), dtype=float))
-              for g in grids]
-    cpus = fork_cores()
-    pooled = bool(cpus) and grid.n >= POOL_MIN_NODES
-    k = len(cpus) if pooled else 1
+    grids = [(g, np.asarray(V(g.r), dtype=float),
+              None if cutoff is None else np.asarray(cutoff(g.r), dtype=float))
+             for g in ([grid, grid.refined()] if refine else [grid])]
+    scipy_openblas()  # loaded, and dstebz declared, before any thread calls it
+    tasks = iter([(ell, i) for ell in range(LMAX_CAP + 1) for i in reversed(range(len(grids)))])
+    found, first_empty = [{} for _ in grids], [LMAX_CAP + 1] * len(grids)
+    errors, lock = [], threading.Lock()
 
-    def work(i):
-        """Channels i, i + k, ... of each grid, up to and including its first empty one."""
-        out = []
-        for g, (v, f) in zip(grids, fields):
-            found = {}
-            for ell in range(i, LMAX_CAP + 1, k):
-                found[ell] = negative_eigenvalues(build_channel(v, h, ell, g, f), mu=mu)
-                if found[ell].size == 0:
-                    break
-            out.append(found)
-        return out
+    def take():
+        """The next task below its grid's first empty channel; None once one has raised."""
+        with lock:
+            if not errors:
+                return next(((ell, i) for ell, i in tasks if ell < first_empty[i]), None)
 
-    if pooled:
-        if scipy_openblas() is None:  # loaded once here, inherited by the children
-            import scipy.linalg.lapack  # noqa: F401
-        parts = fork_join(work, cpus)
-    else:
-        parts = [work(0)]
+    def work():
+        try:
+            while (task := take()) is not None:
+                ell, i = task
+                g, v, f = grids[i]
+                vals = negative_eigenvalues(build_channel(v, h, ell, g, f), mu=mu)
+                with lock:
+                    found[i][ell] = vals
+                    if vals.size == 0:
+                        first_empty[i] = min(first_empty[i], ell)
+        except BaseException as exc:  # raised below, once every thread is joined
+            with lock:
+                errors.append(exc)
+
+    # each thread runs in a copy of the caller's context, so a numpy errstate
+    # around the sum holds for every channel, whichever thread solves it
+    k = len(os.sched_getaffinity(0))
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(k - 1)]
+    try:
+        for t in threads:
+            t.start()
+        work()
+    except BaseException as exc:  # a thread that would not start
+        with lock:
+            errors.append(exc)
+    for t in threads:
+        while t.is_alive():
+            try:
+                t.join()
+            except BaseException as exc:  # a signal handler's: the threads stop after their channel
+                with lock:
+                    errors.append(exc)
+    if errors:
+        raise errors[0]
     total = None
-    for g, *found in zip(grids, *parts):
-        channels, ell_max = _merge(found)
+    for parts in found:
+        channels, ell_max = _merge(parts)
         total = SpectralSum(channels, mu, ell_max,
                             coarse_trace=None if total is None else total.trace,
-                            workers=k if pooled else 0)
+                            workers=k if k > 1 else 0)
     return total
 
 

@@ -64,8 +64,8 @@ def test_trace_csv_summary_row(tmp_path):
 
 
 def test_pooled_trace_exits_cleanly(tmp_path):
-    # a grid large enough for forked children; the run ends without a word
-    # on stderr, and the sidecar says how many children solved the channels
+    # the run ends without a word on stderr, and the sidecar says how many
+    # threads solved the channels
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

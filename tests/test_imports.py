@@ -62,7 +62,7 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_pooled_trace_loads_no_process_pool(tmp_path):
-    # the channels go to children forked with os.fork
+    # the channels go to threading.Thread workers, not to an executor or a process pool
     loaded = _modules(_RUN_CLI, "trace", "--potential", "coulomb", "--mu", "0.0025",
                       "--refine", "--out", "run.csv", cwd=tmp_path)
     assert not {m.split(".")[0] for m in loaded} & {"multiprocessing", "concurrent"}

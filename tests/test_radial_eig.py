@@ -240,11 +240,14 @@ def test_mapping_variants_agree():
 
 
 # ---------------------------------------------------------------------------
-# channels solved in forked children
+# channels solved on threads
 # ---------------------------------------------------------------------------
 
 multicore = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                               reason="forked children need two usable cores")
+                               reason="a sum starts threads only on two usable cores")
+
+# SpectralSum.workers of every sum in this process
+WORKERS = len(os.sched_getaffinity(0)) if len(os.sched_getaffinity(0)) > 1 else 0
 
 
 def serial_channels(V, h, mu, grid, cutoff=None):
@@ -259,7 +262,7 @@ def serial_channels(V, h, mu, grid, cutoff=None):
 
 
 def serial_sum(V, h, mu, grid, cutoff=None, refine=False):
-    """The oracle of a pooled sum: the same channels from the serial loop."""
+    """The oracle of a threaded sum: the same channels from the serial loop."""
     coarse = radial_eig.SpectralSum(serial_channels(V, h, mu, grid, cutoff), mu, 0)
     if not refine:
         return coarse
@@ -276,137 +279,164 @@ def assert_same_sum(got, want):
 
 
 def pool_grid(r_max):
-    """A grid just large enough for its sums to go to forked children."""
-    return make_grid(radial_eig.core_radius(1.0), r_max, radial_eig.POOL_MIN_NODES)
+    """A grid of 3,000 nodes: a few ms per channel."""
+    return make_grid(radial_eig.core_radius(1.0), r_max, 3000)
 
 
-def assert_no_children():
-    """Every child this process forked has been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def localized_grid(R):
+    """The grid localized_trace_neg builds for a cutoff of radius R at h = 1."""
+    r_core = radial_eig.core_radius(1.0)
+    n = radial_eig._resolution_nodes(VC, 1.0, 0.0, r_core, R, radial_eig.LOCALIZED_RESOLUTION)
+    return make_grid(r_core, R, n)
 
 
-def in_children(action):
-    """negative_eigenvalues, but running action first when called in a forked child."""
-    here = os.getpid()
+@pytest.fixture
+def paced(monkeypatch):
+    """paced(seconds, fail_at=None): every _stebz call sleeps seconds first; call number
+    fail_at sleeps half that and raises LinAlgError.  Returns the calls' start times, and
+    the time of the raise as the last entry once it raised."""
+    solve, starts = radial_eig._stebz, []
 
-    def solve(op, mu=0.0):
-        if os.getpid() != here:
-            action()
-        return negative_eigenvalues(op, mu=mu)
-    return solve
+    def install(seconds, fail_at=None):
+        def slow(*args):
+            starts.append(time.perf_counter())
+            if len(starts) == fail_at:
+                time.sleep(seconds / 2)
+                starts.append(time.perf_counter())
+                raise np.linalg.LinAlgError("injected")
+            time.sleep(seconds)
+            return solve(*args)
+        monkeypatch.setattr(radial_eig, "_stebz", slow)
+        return starts
+    return install
 
 
-@multicore
 @pytest.mark.parametrize("refine", [False, True], ids=["plain", "refined"])
-def test_pooled_trace_equals_serial_loop(refine):
+def test_pooled_trace_equals_serial_loop(refine, paced):
     grid = pool_grid(400.0)
+    starts = paced(0.0)
     got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid, refine=refine)
-    assert got.workers == len(os.sched_getaffinity(0))
-    assert_no_children()
+    # each grid's channels up to its first empty one, and at most one
+    # channel past it per other thread
+    grids = 2 if refine else 1
+    assert len(starts) <= grids * (got.ell_max + 2 + max(WORKERS - 1, 0))
+    assert got.workers == WORKERS
     assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=refine))
 
 
-@multicore
 def test_pooled_localized_trace_equals_serial_loop():
     phi = SmoothCutoff(80.0)
     grid = pool_grid(80.0)
     got = radial_eig._spectral_sum(VC, 1.0, 0.0, grid, phi, True)
-    assert got.workers == len(os.sched_getaffinity(0))
+    assert got.workers == WORKERS
     assert_same_sum(got, serial_sum(VC, 1.0, 0.0, grid, cutoff=phi, refine=True))
 
 
-@multicore
+def test_small_grid_sums_equal_serial_loop(tf_solution):
+    # grids of a few hundred to two thousand nodes: a short sum on threads
+    phi = SmoothCutoff(20.0)
+    grid = localized_grid(20.0)
+    assert grid.n == 536
+    got = localized_trace_neg(VC, phi, 1.0, refine=True)
+    assert got.workers == WORKERS
+    assert_same_sum(got, serial_sum(VC, 1.0, 0.0, grid, cutoff=phi, refine=True))
+    V = tf_solution.potential()
+    grid = radial_eig.auto_grid(V, 0.125, 0.0)
+    assert grid.n == 1979
+    got = trace_neg(V, 0.125, refine=True)
+    assert got.workers == WORKERS
+    assert_same_sum(got, serial_sum(V, 0.125, 0.0, grid, refine=True))
+
+
 def test_pooled_cascade_cap_and_worker_errors_reach_the_caller(monkeypatch):
     grid = pool_grid(400.0)
+    threads = threading.active_count()
     with monkeypatch.context() as patch:
         patch.setattr(radial_eig, "LMAX_CAP", 2)
         with pytest.raises(ChannelCascadeError):
             trace_neg(VC, 1.0, mu=1.0 / 400.0, grid=grid)
-    assert_no_children()
-    # build_channel ignores mu, so the children are the first to reject it
+    assert threading.active_count() == threads
+    # build_channel ignores mu, so the workers are the first to reject it
     with pytest.raises(ValueError, match="mu must be nonnegative"):
         trace_neg(VC, 1.0, mu=-1.0, grid=grid)
-    assert_no_children()
+    assert threading.active_count() == threads
     got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid)
-    assert got.workers > 0
+    assert got.workers == WORKERS
+    assert threading.active_count() == threads
     assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid))
 
 
-def _unpicklable():
-    raise ValueError(lambda: None)
-
-
-@multicore
-@pytest.mark.parametrize("action, status", [
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
-    (_unpicklable, 1),
-], ids=["killed", "unpicklable-reply"])
-def test_child_without_a_reply_is_a_runtime_error(monkeypatch, action, status):
-    monkeypatch.setattr(radial_eig, "negative_eigenvalues", in_children(action))
-    with pytest.raises(RuntimeError, match=rf"ended without a reply \(exit status {status}\)"):
-        trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0))
-    assert_no_children()
-
-
-@multicore
-def test_child_without_a_reply_is_a_compute_error_in_the_cli(monkeypatch, tmp_path):
-    from scottlab.cli import EXIT_COMPUTE, main
-
-    monkeypatch.setattr(radial_eig, "negative_eigenvalues",
-                        in_children(lambda: os.kill(os.getpid(), signal.SIGKILL)))
-    assert main(["trace", "--potential", "coulomb", "--mu", "0.0025",
-                 "--out", str(tmp_path / "t.csv")]) == EXIT_COMPUTE
-    assert_no_children()
+def test_worker_error_stops_every_worker(paced):
+    # the other threads are mid-channel when the third call raises: each
+    # finishes that channel and takes no other
+    threads = threading.active_count()
+    starts = paced(0.1, fail_at=3)
+    t0 = time.perf_counter()
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        trace_neg(VC, 1.0, mu=1.0 / 400.0, grid=pool_grid(400.0), refine=True)
+    elapsed = time.perf_counter() - t0
+    raised = starts.pop()
+    assert all(t < raised for t in starts)
+    assert len(starts) <= 3 + max(WORKERS - 1, 0)
+    assert elapsed < 0.6  # the sum has 20 channels of 0.1 s
+    assert threading.active_count() == threads
 
 
 class _Interrupted(Exception):
     pass
 
 
-@multicore
-def test_parent_interrupted_while_waiting_reaps_its_children(monkeypatch):
+def test_interrupted_sum_joins_its_threads(paced):
+    # SIGALRM's handler raises in the calling thread mid-channel, the
+    # pattern of a timeout or Ctrl-C in the CLI
     def interrupt(signum, frame):
+        fired.append(time.perf_counter())
         raise _Interrupted
 
-    monkeypatch.setattr(radial_eig, "negative_eigenvalues", in_children(lambda: time.sleep(60)))
+    threads, fired = threading.active_count(), []
+    starts = paced(0.2)
     previous = signal.signal(signal.SIGALRM, interrupt)
     t0 = time.perf_counter()
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.5)
         with pytest.raises(_Interrupted):
-            trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0))
+            trace_neg(VC, 1.0, mu=1.0 / 400.0, grid=pool_grid(400.0), refine=True)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert time.perf_counter() - t0 < 30.0  # killed, not waited for
-    assert_no_children()
+    elapsed = time.perf_counter() - t0
+    assert threading.active_count() == threads
+    assert all(t < fired[0] for t in starts)
+    assert elapsed < 1.2  # within one channel of the alarm; the sum has 20 channels of 0.2 s
 
 
 @multicore
-def test_children_die_with_their_parent(orphans_after_kill):
-    script = """
-from scottlab import radial_eig
-sleep_in_children(radial_eig, "negative_eigenvalues")
-grid = radial_eig.make_grid(radial_eig.core_radius(1.0), 400.0, radial_eig.POOL_MIN_NODES)
-radial_eig.trace_neg(lambda r: 1.0 / r, 1.0, mu=0.01, grid=grid)
-"""
-    assert orphans_after_kill(script, len(os.sched_getaffinity(0))) == []
+def test_callers_errstate_holds_on_every_thread(monkeypatch):
+    # numpy's error state is a context variable, which a new thread does not inherit
+    build, caller = radial_eig.build_channel, threading.current_thread()
+
+    def overflow_off_the_caller(v, h, ell, grid, f=None):
+        if threading.current_thread() is not caller:
+            np.array([1e308]) * 10.0
+        return build(v, h, ell, grid, f)
+
+    monkeypatch.setattr(radial_eig, "build_channel", overflow_off_the_caller)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0), refine=True)
 
 
 def test_one_usable_core_starts_no_pool(monkeypatch):
-    def no_fork():
-        raise AssertionError("a child was forked")
+    def no_start(thread):
+        raise AssertionError("a thread was started")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(os, "fork", no_fork)
-    got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0))
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0), refine=True)
     assert got.workers == 0
 
 
-@multicore
 def test_second_thread_sums_in_process():
-    # fork is safe only from a process that runs one thread
     grid = pool_grid(400.0)
     got = []
     worker = threading.Thread(target=lambda: got.append(
@@ -414,8 +444,23 @@ def test_second_thread_sums_in_process():
     worker.start()
     worker.join(timeout=120)
     assert not worker.is_alive()
-    assert got[0].workers == 0
+    assert got[0].workers == WORKERS
     assert_same_sum(got[0], serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=True))
+
+
+@multicore
+def test_side_walks_still_fork_after_a_sum():
+    # core.fork_cores forks only from a process that runs one thread, so a
+    # thread left over from a radial sum would keep the side walks in-process
+    from scottlab.pauli import FieldAnsatz, PauliGrid, pauli_trace_neg
+
+    assert threading.active_count() == 1
+    trace_neg(VC, 1.0, mu=0.1, refine=True)
+    radial_eig.localized_trace_neg(VC, SmoothCutoff(8.0), 1.0, refine=True)
+    assert threading.active_count() == 1
+    got = pauli_trace_neg(FieldAnsatz(theta=(8.0, 0.0), support_radius=2.0), VC, h=1.0,
+                          phi=SmoothCutoff(8.0), grid=PauliGrid.for_ball(8.0, n_rho=16, n_z=32))
+    assert got.workers == 2
 
 
 class _Counted:

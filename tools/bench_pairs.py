@@ -8,7 +8,11 @@ runs every workload with seed SEED + i in both trees, back to back, the before t
 first in even pairs and the after tree first in odd ones, so slow drift of
 the machine and any order effect fall on both sides alike.
 The file records every run, each side's median and quartiles per metric,
-how many pairs the after tree won, the core count, the Python, numpy and
+how many pairs the after tree won, the verdict on each metric (claim_holds:
+the after tree won at least nine tenths of the pairs and the medians differ
+by more than the before side's interquartile range; within_bound: the after
+median exceeds the before median by no more than the bound BENCHMARK.json
+gives the metric), the core count, the Python, numpy and
 scipy versions, scipy's OpenBLAS as the harness runs it (its configuration
 string, the OPENBLAS_NUM_THREADS that perfbench/run.py sets and the thread
 count the library reads), each tree's line counts of src/scottlab/*.py
@@ -33,6 +37,7 @@ BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").
 PAIRS = 10
 SEED = 1
 METRICS = ("pass_s", "setup_s", "peak_rss_mb")  # all lower is better
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -57,11 +62,13 @@ def quartiles(values) -> dict:
 def summary(pairs) -> dict:
     out = {}
     for m in METRICS:
-        before = [p["before"][m] for p in pairs]
-        after = [p["after"][m] for p in pairs]
-        out[m] = {"before": quartiles(before), "after": quartiles(after),
-                  "after_wins": sum(a < b for a, b in zip(after, before)),
-                  "pairs": len(pairs)}
+        before = quartiles([p["before"][m] for p in pairs])
+        after = quartiles([p["after"][m] for p in pairs])
+        wins = sum(p["after"][m] < p["before"][m] for p in pairs)
+        out[m] = {"before": before, "after": after, "after_wins": wins, "pairs": len(pairs),
+                  "claim_holds": (10 * wins >= 9 * len(pairs) and before["median"] - after["median"]
+                                  > before["q3"] - before["q1"]),
+                  "within_bound": after["median"] <= before["median"] * (1.0 + BOUNDS[m])}
     return out
 
 
