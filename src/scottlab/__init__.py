@@ -1,7 +1,7 @@
 """scottlab: Thomas-Fermi theory, Weyl integrals, negative-eigenvalue
 traces and Scott-correction estimates at desk scale."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import NuclearConfig, ScottEstimate, neg_part_sum  # noqa: F401
 from .expansion import two_term_energy  # noqa: F401

@@ -15,9 +15,9 @@ so that is the one fixed here, once.)
 The one fork-join helper of the package lives here too: Pauli side walks
 hand their two independent parts to children forked and pinned per call,
 under one rule for when forking is done (radial channel sums run on
-threads instead).  So do the finder that loads scipy's OpenBLAS without
-importing scipy, and the cap that runs it at one thread over a block
-(children forked inside inherit it).
+threads instead).  So do the finders of numpy's and scipy's bundled
+OpenBLAS (scipy's found without importing scipy), and the cap that runs
+one at one thread over a block (children forked inside inherit it).
 """
 
 from __future__ import annotations
@@ -143,64 +143,68 @@ def fork_join(work, cpus) -> list:
 
 
 @functools.cache
-def scipy_openblas():
-    """scipy's bundled OpenBLAS, loaded once, or None where the file or a symbol is missing:
-    scipy.libs/libscipy_openblas-*.so, the file scipy.linalg loads, beside the package that
-    importlib.util.find_spec locates without importing scipy (numpy's libscipy_openblas64_ differs).
-    The prototypes of the two symbols the package calls are declared on the cached handle."""
-    spec = importlib.util.find_spec("scipy")
+def _bundled_openblas(package: str, stem: str, **prototypes):
+    """<package>.libs/<stem>-*.so, loaded once without importing package, with the prototypes
+    of openblas_set_num_threads_local and the named symbols; None without the file or a symbol."""
+    spec = importlib.util.find_spec(package)
     if spec is None or spec.origin is None:
         return None
-    libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), "scipy.libs")
-    names = sorted(glob.glob(os.path.join(glob.escape(libs), "libscipy_openblas-*.so")))
+    libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), package + ".libs")
+    names = sorted(glob.glob(os.path.join(glob.escape(libs), stem + "-*.so")))
     lib = ctypes.CDLL(names[0]) if names else None
-    symbols = ("openblas_set_num_threads_local", "scipy_dstebz_")
-    if not all(hasattr(lib, s) for s in symbols):
+    prototypes["openblas_set_num_threads_local"] = ((ctypes.c_int,), ctypes.c_int)
+    if not all(hasattr(lib, symbol) for symbol in prototypes):
         return None
-    lib.openblas_set_num_threads_local.argtypes = [ctypes.c_int]
-    lib.openblas_set_num_threads_local.restype = ctypes.c_int
-    pi, pf, p = ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
-    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO, lengths
-    lib.scipy_dstebz_.argtypes = ([ctypes.c_char_p] * 2 + [pi, pf, pf, pi, pi, pf, p, p, pi, pi]
-                                  + [p] * 5 + [pi] + [ctypes.c_size_t] * 2)
-    lib.scipy_dstebz_.restype = None
+    for symbol, (argtypes, restype) in prototypes.items():
+        getattr(lib, symbol).argtypes, getattr(lib, symbol).restype = argtypes, restype
     return lib
 
 
-# holders of one_blas_thread and the count the first of them replaced.  The
-# count is process state: in scipy's pthreads build the "local" setter sets
-# the count every thread reads, so overlapping holders on several threads
-# share one cap, and only the last one out restores the count
+_I64, _F64, _P = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+# RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO, lengths
+_DSTEBZ64 = ((ctypes.c_char_p,) * 2 + (_I64, _F64, _F64, _I64, _I64, _F64, _P, _P, _I64, _I64)
+             + (_P,) * 5 + (_I64,) + (ctypes.c_size_t,) * 2, None)
+# the finders: numpy's OpenBLAS, mapped by import numpy, with LAPACK dstebz (64-bit
+# integers), and scipy's, the file scipy.linalg loads
+numpy_openblas = functools.partial(_bundled_openblas, "numpy", "libscipy_openblas64_",
+                                   scipy_dstebz_64_=_DSTEBZ64)
+scipy_openblas = functools.partial(_bundled_openblas, "scipy", "libscipy_openblas")
+
+
+# per library, the holders of one_blas_thread and the count the first of them
+# replaced.  The count is process state: in these pthreads builds the "local"
+# setter sets the count every thread reads, so overlapping holders on several
+# threads share one cap, and only the last one out restores the count
 _blas_lock = threading.Lock()
-_blas_holders, _blas_saved = 0, 0
+_blas_held = {}  # library -> [holders, saved count]
 
 
 @contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with scipy's OpenBLAS at one thread; restore the count on exit.
+def one_blas_thread(finder=None):
+    """Run the block with finder()'s OpenBLAS (scipy's by default) at one thread, then restore.
 
     openblas_set_num_threads_local changes the count and leaves OpenBLAS's
     thread pool alone, so children forked inside the block run their BLAS
     calls on the calling thread alone, and the pool is still there after
-    the block.  A no-op where scipy_openblas() finds nothing.
+    the block.  A no-op where the finder finds nothing.
     """
-    global _blas_holders, _blas_saved
-    lib = scipy_openblas()
+    lib = (finder or scipy_openblas)()
     if lib is None:
         yield
         return
     set_count = lib.openblas_set_num_threads_local
     with _blas_lock:
-        if _blas_holders == 0:
-            _blas_saved = set_count(1)
-        _blas_holders += 1
+        held = _blas_held.setdefault(lib, [0, 0])
+        if held[0] == 0:
+            held[1] = set_count(1)
+        held[0] += 1
     try:
         yield
     finally:
         with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                set_count(_blas_saved)
+            held[0] -= 1
+            if held[0] == 0:
+                set_count(held[1])
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Partial waves reduce the problem to symmetric tridiagonal eigenproblems,
 one per angular momentum channel, solved by LAPACK bisection with Sturm
-counting (dstebz, called through ctypes in scipy's bundled OpenBLAS) so
+counting (dstebz, called through ctypes in numpy's bundled OpenBLAS) so
 that counts below a threshold are certified.  The mesh is sinh-mapped,
 r = r_core sinh(xi): uniform with spacing r_core d(xi) at the Coulomb
 core and log-like in the tail, so u(0) = 0 is exact and the l-dependent
@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ScottEstimate, neg_part_sum, scipy_openblas
+from .core import ScottEstimate, neg_part_sum, numpy_openblas
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_integral
 
@@ -161,19 +161,19 @@ def build_channel(v: np.ndarray, h: float, ell: int, grid: RadialGrid,
 def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> np.ndarray:
     """The eigenvalues of the tridiagonal (d, e) in (vl, vu], ascending, by LAPACK dstebz as
     eigvalsh_tridiagonal(d, e, select="v", select_range=(vl, vu)) calls it: through ctypes
-    in scipy_openblas(), or else through scipy.linalg.lapack."""
-    lib = scipy_openblas()
+    in numpy_openblas(), with 64-bit integers, or else through scipy.linalg.lapack."""
+    lib = numpy_openblas()
     if lib is None:
         from scipy.linalg.lapack import dstebz
         m, w, _, _, info = dstebz(d, e, 1, vl, vu, 1, 1, 0.0, "E")
     else:
-        n, i32, f64, ref = d.size, ctypes.c_int32, ctypes.c_double, ctypes.byref
-        m, nsplit, info, w, work = i32(), i32(), i32(), np.empty(n), np.empty(4 * n)
-        iblock, isplit, iwork = (np.empty(k * n, dtype=np.int32) for k in (1, 1, 3))
-        lib.scipy_dstebz_(b"V", b"E", ref(i32(n)), ref(f64(vl)), ref(f64(vu)), ref(i32(1)),
-                          ref(i32(1)), ref(f64(0.0)), d.ctypes.data, e.ctypes.data, ref(m),
-                          ref(nsplit), *(a.ctypes.data for a in (w, iblock, isplit, work, iwork)),
-                          ref(info), 1, 1)
+        n, i64, f64, ref = d.size, ctypes.c_int64, ctypes.c_double, ctypes.byref
+        m, nsplit, info, w, work = i64(), i64(), i64(), np.empty(n), np.empty(4 * n)
+        iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (1, 1, 3))
+        lib.scipy_dstebz_64_(b"V", b"E", ref(i64(n)), ref(f64(vl)), ref(f64(vu)), ref(i64(1)),
+                             ref(i64(1)), ref(f64(0.0)), d.ctypes.data, e.ctypes.data, ref(m),
+                             ref(nsplit), *(a.ctypes.data for a in (w, iblock, isplit, work,
+                                                                     iwork)), ref(info), 1, 1)
         m, info = m.value, info.value
     if info != 0:  # LinAlgError is a ValueError
         raise np.linalg.LinAlgError(f"LAPACK dstebz returned INFO = {info}")
@@ -259,7 +259,7 @@ def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
     grids = [(g, np.asarray(V(g.r), dtype=float),
               None if cutoff is None else np.asarray(cutoff(g.r), dtype=float))
              for g in ([grid, grid.refined()] if refine else [grid])]
-    scipy_openblas()  # loaded, and dstebz declared, before any thread calls it
+    numpy_openblas()  # loaded, and dstebz declared, before any thread calls it
     tasks = iter([(ell, i) for ell in range(LMAX_CAP + 1) for i in reversed(range(len(grids)))])
     found, first_empty = [{} for _ in grids], [LMAX_CAP + 1] * len(grids)
     errors, lock = [], threading.Lock()

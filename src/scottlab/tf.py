@@ -9,12 +9,12 @@ Solution strategy, in three stitched pieces:
 
 * a power series in u = sqrt(t) on [0, T_SERIES] whose coefficients obey
   a closed recursion, anchored by the slope phi'(0);
-* collocation (solve_bvp) for (w, w') with w = log phi against s = log t
-  on [T_SERIES, T_GRID_MAX];
+* Chebyshev collocation for (w, w') with w = log phi against s = log t
+  on [T_SERIES, T_GRID_MAX], sampled onto a uniform mesh in s;
 * the asymptotic two-term tail beyond the grid.
 
-One collocation solves for the profile and the slope phi'(0) together:
-the slope is the unknown parameter of the boundary-value problem, w and
+One Newton iteration, in numpy alone, solves for the profile and the slope
+phi'(0) together: the slope is an unknown of the boundary-value problem, w and
 w' match the series at T_SERIES, and the far end carries the Robin
 condition of the decaying 144/t^3 branch with the solution's own tail
 amplitude.  The stitch at T_SERIES is C^1, and the tail amplitude is
@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
-from .core import gauss, sqrt_panel_integral
+from .core import gauss, numpy_openblas, one_blas_thread, sqrt_panel_integral
 from .weyl import MOMENTUM_COEFF
 
 # decay exponent of perturbations around the 144/t^3 branch
@@ -45,9 +45,9 @@ T_GRID_MIN, T_GRID_MAX, N_GRID = 1e-6, 1e4, 4000
 # highest power of u = sqrt(t) in the series
 SERIES_ORDER = 40
 
-# collocation tolerance and node cap, the cells of the collocation-region
-# residual check, and the bound on equation_residual for every solution
-BVP_TOL, MAX_NODES, RESIDUAL_CELLS, RESIDUAL_TOL = 1e-10, 200000, 200, 1e-8
+# Chebyshev collocation order, Newton step cap, uniform samples of the solution, the
+# cells of the collocation-region residual check, and the bound on equation_residual
+CHEB_ORDER, NEWTON_MAX, N_SAMPLES, RESIDUAL_CELLS, RESIDUAL_TOL = 70, 30, 6001, 200, 1e-8
 
 # b with V(r) = phi(r/b)/r for z = 1 (fixes the universal ODE normalization)
 B_LENGTH = (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
@@ -109,35 +109,51 @@ def _bvp_rhs(s, y):
     return np.vstack([v, v - v * v + np.exp(0.5 * w + 1.5 * s)])
 
 
+@one_blas_thread(numpy_openblas)  # an LU on several threads has other low bits
 def _solve_profile():
     """One collocation for (w = log phi, w') on [log T_SERIES, log T_GRID_MAX] and the slope.
 
-    The slope p = phi'(0) is the unknown parameter.  At T_SERIES, w and w'
-    equal the series with slope p; at t_hi = T_GRID_MAX the Robin condition
-    w' = -3 - lambda xi/(1 + xi) of the 144/t^3 branch takes the tail
-    amplitude 1 + xi = e^w t_hi^3 / 144 from the solution itself.
-    Sommerfeld's closed form (1 + q)^(-1/lambda), q = (t^3/144)^lambda, with
-    p = -1.6 is the initial guess.
+    Newton on (w, v = w') at CHEB_ORDER + 1 Chebyshev points and on p = phi'(0).
+    w' = v holds at all points but the left end, v' = v - v^2 + e^(w/2 + 3s/2)
+    at all but the right end.  At T_SERIES, w and v equal the series with slope
+    p; at t_hi = T_GRID_MAX the Robin condition v = -3 - lambda xi/(1 + xi) of the
+    144/t^3 branch takes the tail amplitude 1 + xi = e^w t_hi^3 / 144 from the
+    solution.  Sommerfeld's (1 + q)^(-1/lambda), q = (t^3/144)^lambda, with p = -1.6
+    starts it.  Returns p and (s, w, v) on N_SAMPLES uniform points in s.
     """
-    from scipy.integrate import solve_bvp
+    def series(p):  # (w, v) at T_SERIES from the series with slope p
+        c = baker_coefficients(p)
+        phi = _series_eval(c, T_SERIES)
+        return np.array([math.log(phi), T_SERIES * _series_eval(c, T_SERIES, 1) / phi])
 
-    def bc(ya, yb, p):
-        series = baker_coefficients(p[0])
-        phi = _series_eval(series, T_SERIES)
-        return np.array([
-            ya[0] - math.log(phi),
-            ya[1] - T_SERIES * _series_eval(series, T_SERIES, 1) / phi,
-            yb[1] + 3.0 + SOMMERFELD_LAMBDA * (1.0 - 144.0 * math.exp(-yb[0]) / T_GRID_MAX ** 3),
-        ])
-
-    mesh = np.linspace(math.log(T_SERIES), math.log(T_GRID_MAX), 2001)
-    q = np.exp(SOMMERFELD_LAMBDA * (3.0 * mesh - math.log(144.0)))
-    guess = np.vstack([-np.log1p(q) / SOMMERFELD_LAMBDA, -3.0 * q / (1.0 + q)])
-    sol = solve_bvp(lambda s, y, p: _bvp_rhs(s, y), bc, mesh, guess, p=[-1.6],
-                    tol=BVP_TOL, max_nodes=MAX_NODES)
-    if sol.status != 0:
-        raise TFConvergenceError(f"collocation failed: {sol.message}")
-    return sol
+    a, b, n = math.log(T_SERIES), math.log(T_GRID_MAX), CHEB_ORDER
+    s = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
+    lam = np.r_[0.5, np.ones(n - 1), 0.5] * (-1.0) ** np.arange(n + 1)  # barycentric weights
+    D = np.outer(1.0 / lam, lam) / (s[:, None] - s + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    q = np.exp(SOMMERFELD_LAMBDA * (3.0 * s - math.log(144.0)))
+    w, v, p = -np.log1p(q) / SOMMERFELD_LAMBDA, -3.0 * q / (1.0 + q), -1.6
+    for _ in range(NEWTON_MAX):
+        bc, e = series(p), np.exp(0.5 * w + 1.5 * s)
+        g = SOMMERFELD_LAMBDA * 144.0 * math.exp(-w[-1]) / T_GRID_MAX ** 3
+        resid = np.r_[(np.r_[D @ w, D @ v] - _bvp_rhs(s, (w, v)).ravel())[1:-1],
+                      w[0] - bc[0], v[-1] + 3.0 + SOMMERFELD_LAMBDA - g, v[0] - bc[1]]
+        jac = np.zeros((2 * n + 3, 2 * n + 3))
+        jac[:-3, :-1] = np.block([[D, -np.eye(n + 1)],
+                                  [-0.5 * np.diag(e), D - np.diag(1.0 - 2.0 * v)]])[1:-1]
+        jac[[-3, -2, -2, -1], [0, n, 2 * n + 1, n + 1]] = 1.0, g, 1.0, 1.0
+        jac[[-3, -1], -1] = (series(p - 1e-6) - series(p + 1e-6)) / 2e-6
+        step = np.linalg.solve(jac, -resid)
+        w, v, p = w + step[:n + 1], v + step[n + 1:-1], p + step[-1]
+        if np.max(np.abs(step)) < 1e-12:
+            break
+    else:
+        raise TFConvergenceError(f"collocation failed: no convergence in {NEWTON_MAX} Newton steps")
+    fine = np.linspace(a, b, N_SAMPLES)
+    gap = fine[:, None] - s
+    k = lam / np.where(gap == 0.0, 1e-300, gap)  # on a node, its own term swamps the rest
+    k /= k.sum(axis=1, keepdims=True)
+    return float(p), fine, np.sum(k * w, axis=1), np.sum(k * v, axis=1)
 
 
 class _CubicHermite:
@@ -273,19 +289,17 @@ def solve_tf_atom() -> TFSolution:
     Raises TFConvergenceError if the collocation fails, or if the
     TF-equation residual ends up above RESIDUAL_TOL.
     """
-    sol = _solve_profile()
-    return _assemble(float(sol.p[0]), sol.x, sol.y[0], sol.y[1])
+    return _assemble(*_solve_profile())
 
 
 def _assemble(slope0, spline_x, spline_w, spline_v) -> TFSolution:
     """The one constructor of TFSolution, for a fresh solve and a cached one alike.
 
-    Builds the profile from the slope and the collocation data (log t, w,
+    Builds the profile from the slope and the sampled solution (log t, w,
     w'), takes the tail amplitude xi_tail from w at the last node, raises
     TFConvergenceError when the equation residual exceeds RESIDUAL_TOL,
     then computes the energies.  The Hermite slopes of w' come from the
-    ODE right side, which is what solve_bvp reports as yp, so cached data
-    rebuild the solve exactly.
+    ODE right side, so cached data rebuild the solve exactly.
     """
     vp = _bvp_rhs(spline_x, np.vstack([spline_w, spline_v]))[1]
     profile = TFProfile(

@@ -38,3 +38,32 @@ def test_within_bound_reads_each_metrics_bound():
     got = bench_pairs.summary(pairs(BEFORE, [b * 1.2 for b in BEFORE]))
     assert {m: got[m]["within_bound"] for m in bench_pairs.METRICS} == {
         "pass_s": True, "setup_s": True, "peak_rss_mb": False}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tree(tmp_path, core_source):
+    """A checkout root whose scottlab package holds only core_source as core.py."""
+    package = tmp_path / "src" / "scottlab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "core.py").write_text(core_source)
+    return tmp_path
+
+
+def test_radial_dstebz_reports_numpys_library():
+    path = bench_pairs.radial_dstebz(ROOT)
+    assert "numpy.libs" in path and "libscipy_openblas64_-" in path
+
+
+@pytest.mark.parametrize("core_source, want", [
+    # a tree whose finder finds no library falls back to scipy.linalg
+    ("def numpy_openblas():\n    return None\n", "scipy.linalg"),
+    # older trees: dstebz in scipy's bundled library, or scipy.linalg before the direct call
+    ("class Lib:\n    _name = 'scipy.libs/libscipy_openblas-x.so'\n"
+     "def scipy_openblas():\n    return Lib()\n", "scipy.libs/libscipy_openblas-x.so"),
+    ("", "scipy.linalg"),
+], ids=["numpy-finder-finds-none", "scipy-finder", "no-finder"])
+def test_radial_dstebz_follows_each_trees_finder(tmp_path, core_source, want):
+    assert bench_pairs.radial_dstebz(_tree(tmp_path, core_source)) == want

@@ -349,6 +349,22 @@ def test_tf_cache_damaged_data_is_a_miss(tmp_path, clean_tf, kind):
     assert (cache / "tf_profile.npz").read_bytes() == (clean / "tf_profile.npz").read_bytes()
 
 
+def test_tf_cache_of_version_0_2_0_is_solved_again(tmp_path, clean_tf, monkeypatch):
+    # the profile's low bits moved in 0.3.0, so a cache that 0.2.0 wrote is a
+    # miss even where its data would pass every check
+    root, clean = clean_tf
+    with np.load(clean / "tf_profile.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "tf_profile.npz").write_bytes(_npz_bytes(**dict(arrays, version="0.2.0")))
+    solves, solve = [], tf.solve_tf_atom
+    monkeypatch.setattr(tf, "solve_tf_atom", lambda: solves.append(1) or solve())
+    assert main(["tf", "--out", str(tmp_path / "p.csv"), "--cache-dir", str(cache)]) == 0
+    assert solves == [1]
+    assert (cache / "tf_profile.npz").read_bytes() == (clean / "tf_profile.npz").read_bytes()
+
+
 def test_scott_spectral_fit_fast_config(tmp_path, capsys):
     out = tmp_path / "fit.csv"
     code = main(["scott", "--route", "spectral-fit",

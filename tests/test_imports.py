@@ -1,7 +1,8 @@
 """Each CLI process loads only the scipy parts its command runs.
 
-Every check starts a fresh interpreter, so the modules this test process
-has already loaded do not count, and reads its sys.modules.
+Every check starts a fresh interpreter, so the modules and libraries this
+test process has already loaded do not count, and reads its sys.modules
+or the files mapped into it.
 """
 
 import json
@@ -19,7 +20,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(sys.modules)))
+with open("/proc/self/maps") as maps:
+    files = sorted({{line.split(maxsplit=5)[-1].strip() for line in maps if "/" in line}})
+print(json.dumps([sorted(sys.modules), files]))
 """
 
 _RUN_CLI = """
@@ -29,14 +32,20 @@ if main(sys.argv[1:]) != 0:
 """
 
 
-def _modules(body, *argv, cwd=None):
-    """The modules loaded by running body (with argv) in a fresh interpreter."""
+def _loaded(body, *argv, cwd=None):
+    """The modules loaded and the files mapped by running body (with argv) in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", _PROBE.format(body=body), *argv],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    modules, files = json.loads(done.stdout.splitlines()[-1])
+    return set(modules), set(files)
+
+
+def _modules(body, *argv, cwd=None):
+    return _loaded(body, *argv, cwd=cwd)[0]
 
 
 def _scipy_modules(body, *argv, cwd=None):
@@ -80,6 +89,7 @@ def test_forked_side_walks_load_no_process_pool(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["scott", "--route", "mu-limit"],
     ["partition-check", "--n-points", "3"],
+    ["tf", "--cache-dir", "{empty}"],
     ["tf", "--cache-dir", "cache"],
     ["weyl", "--potential", "tf", "--mu", "0", "--cache-dir", "cache"],
     ["weyl", "--potential", "tf", "--mu", "0.01", "--cache-dir", "cache"],
@@ -88,8 +98,15 @@ def test_forked_side_walks_load_no_process_pool(tmp_path):
     ["scott", "--route", "cutoff-R"],
     ["scott", "--route", "spectral-fit", "--cache-dir", "cache"],
     ["expansion", "--cache-dir", "cache"],
-], ids=["mu-limit", "partition-check", "tf-hit", "weyl-tf-hit", "weyl-tf-mu", "trace-coulomb",
-        "trace-tf-hit", "cutoff-R", "spectral-fit-hit", "expansion-hit"])
-def test_command_runs_without_scipy(warm_cache, argv):
-    # the radial commands call LAPACK dstebz in scipy's bundled OpenBLAS by ctypes
-    assert _scipy_modules(_RUN_CLI, *argv, "--out", "run.csv", cwd=warm_cache) == set()
+], ids=["mu-limit", "partition-check", "tf-miss", "tf-hit", "weyl-tf-hit", "weyl-tf-mu",
+        "trace-coulomb", "trace-tf-hit", "cutoff-R", "spectral-fit-hit", "expansion-hit"])
+def test_command_runs_without_scipy(warm_cache, tmp_path, argv):
+    # the TF profile is a numpy collocation, and the radial commands call LAPACK
+    # dstebz in numpy's bundled OpenBLAS by ctypes: no scipy module is imported
+    # and scipy's bundled OpenBLAS (scipy.libs/libscipy_openblas-*.so; numpy's is
+    # libscipy_openblas64_-*.so) is not mapped.  {empty} names a fresh cache
+    argv = [a.format(empty=tmp_path / "cache") for a in argv]
+    modules, files = _loaded(_RUN_CLI, *argv, "--out", "run.csv", cwd=warm_cache)
+    assert {m for m in modules if m == "scipy" or m.startswith("scipy.")} == set()
+    assert any("_multiarray_umath" in f for f in files)  # the maps were read
+    assert [f for f in files if "scipy.libs" in f or "libscipy_openblas-" in f] == []

@@ -96,11 +96,11 @@ def scipy_negative_eigenvalues(op, mu):
 
 @pytest.fixture(params=["bundled", "fallback"])
 def dstebz_path(request, monkeypatch):
-    """dstebz through scipy's bundled OpenBLAS by ctypes, or through scipy.linalg.lapack."""
+    """dstebz through numpy's bundled OpenBLAS by ctypes, or through scipy.linalg.lapack."""
     if request.param == "fallback":
-        monkeypatch.setattr(radial_eig, "scipy_openblas", lambda: None)
-    elif radial_eig.scipy_openblas() is None:
-        pytest.skip("scipy's bundled OpenBLAS is not found")
+        monkeypatch.setattr(radial_eig, "numpy_openblas", lambda: None)
+    elif radial_eig.numpy_openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
     return request.param
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,10 +105,10 @@ def test_equation_residual_below_tolerance(tf_solution):
 
 
 def test_residual_decreases_under_refinement(tf_solution, monkeypatch):
-    monkeypatch.setattr(tf, "BVP_TOL", 1e-6)
+    monkeypatch.setattr(tf, "CHEB_ORDER", 40)
     monkeypatch.setattr(tf, "RESIDUAL_TOL", 1e-4)
     loose = tf.solve_tf_atom()
-    # collocation refinement is tolerance-driven; at least second order
+    # a lower collocation order leaves a larger residual
     assert tf_solution.residual_sup < loose.residual_sup / 4.0
 
 
@@ -113,9 +117,66 @@ def test_mass_normalization(tf_solution):
 
 
 def test_collocation_failure_is_diagnosed(monkeypatch):
-    monkeypatch.setattr(tf, "MAX_NODES", 3000)
+    # one Newton step from Sommerfeld's guess does not converge
+    monkeypatch.setattr(tf, "NEWTON_MAX", 1)
     with pytest.raises(TFConvergenceError, match="collocation failed"):
         tf.solve_tf_atom()
+
+
+def _solve_bvp_profile():
+    """The profile from scipy's solve_bvp on the same variables and conditions: the oracle
+    of the Chebyshev collocation."""
+    from scipy.integrate import solve_bvp
+
+    def bc(ya, yb, p):
+        series = tf.baker_coefficients(p[0])
+        phi = tf._series_eval(series, tf.T_SERIES)
+        return np.array([
+            ya[0] - math.log(phi),
+            ya[1] - tf.T_SERIES * tf._series_eval(series, tf.T_SERIES, 1) / phi,
+            yb[1] + 3.0 + tf.SOMMERFELD_LAMBDA * (1.0 - 144.0 * math.exp(-yb[0])
+                                                  / tf.T_GRID_MAX ** 3),
+        ])
+
+    mesh = np.linspace(math.log(tf.T_SERIES), math.log(tf.T_GRID_MAX), 2001)
+    q = np.exp(tf.SOMMERFELD_LAMBDA * (3.0 * mesh - math.log(144.0)))
+    guess = np.vstack([-np.log1p(q) / tf.SOMMERFELD_LAMBDA, -3.0 * q / (1.0 + q)])
+    sol = solve_bvp(lambda s, y, p: tf._bvp_rhs(s, y), bc, mesh, guess, p=[-1.6],
+                    tol=1e-10, max_nodes=200000)
+    assert sol.status == 0, sol.message
+    return tf._assemble(float(sol.p[0]), sol.x, sol.y[0], sol.y[1])
+
+
+def test_profile_matches_solve_bvp_oracle(tf_solution):
+    oracle = _solve_bvp_profile()
+    assert abs(oracle.slope0 - BOYD_SLOPE0) < 1e-12
+    np.testing.assert_allclose(tf_solution.profile_table(), oracle.profile_table(),
+                               rtol=1e-12, atol=0.0)
+
+
+_PROFILE_BITS = """
+import hashlib
+import numpy as np
+from scottlab import tf
+sol = tf.solve_tf_atom()
+print(hashlib.sha256(np.r_[sol.slope0, sol.spline_x, sol.spline_w, sol.spline_v].tobytes())
+      .hexdigest())
+"""
+
+
+def test_profile_bits_do_not_depend_on_the_blas_thread_count():
+    # np.linalg.solve and the matrix products go through numpy's OpenBLAS,
+    # which reads OPENBLAS_NUM_THREADS once, at load: hence fresh interpreters
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", _PROFILE_BITS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 def test_density_accessor_consistency(tf_solution):

@@ -17,9 +17,10 @@ scipy versions, scipy's OpenBLAS as the harness runs it (its configuration
 string, the OPENBLAS_NUM_THREADS that perfbench/run.py sets and the thread
 count the library reads), each tree's line counts of src/scottlab/*.py
 and tests/*.py, and which dstebz each tree's radial layer calls: the path
-of scipy's bundled OpenBLAS, or "scipy.linalg" where its
-scottlab.core.scipy_openblas() finds none (so a tree that predates the
-direct call reads "scipy.linalg" too).
+of the bundled OpenBLAS its finder loads, or "scipy.linalg" where the
+finder finds none.  The finder is scottlab.core.numpy_openblas(), or in
+older trees scipy_openblas(), so those report scipy's library; a tree
+that predates both reads "scipy.linalg".
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ print(json.dumps(out))
 _DSTEBZ_PROBE = """
 import json
 from scottlab import core
-lib = getattr(core, "scipy_openblas", lambda: None)()
+finder = getattr(core, "numpy_openblas", None) or getattr(core, "scipy_openblas", lambda: None)
+lib = finder()
 print(json.dumps(lib._name if lib is not None else "scipy.linalg"))
 """
 
@@ -112,7 +114,7 @@ def versions() -> dict:
 
 
 def radial_dstebz(tree: Path) -> str:
-    """The dstebz tree's radial layer calls: scipy's bundled library (its path) or scipy.linalg."""
+    """The dstebz tree's radial layer calls: a bundled library (its path) or scipy.linalg."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run([sys.executable, "-c", _DSTEBZ_PROBE], env=env,
                           capture_output=True, text=True, check=True)
