@@ -109,11 +109,11 @@ def _positive(values, name: str):
 def get_tf_solution(cache_dir: str | None) -> tf.TFSolution:
     """The TF solution, solved or rebuilt from cache_dir/tf_profile.npz.
 
-    The cache holds the spline data of a solve and the package version; a
-    file that cannot be read, lacks a key, carries another version or holds
-    data no spline can be built from is a miss and is rewritten.  A hit goes
-    through the same constructor as a solve, so the residual is checked
-    against tf.RESIDUAL_TOL either way.
+    The cache holds the spline data of a solve and the package version.  A
+    file that cannot be read, lacks a key or carries another version is a
+    miss, and so are data no spline can be built from or whose residual
+    exceeds tf.RESIDUAL_TOL (cached data go through the same constructor as
+    a solve): the profile is solved again and the file rewritten.
     """
     if not cache_dir:
         return tf.solve_tf_atom()
@@ -128,7 +128,7 @@ def get_tf_solution(cache_dir: str | None) -> tf.TFSolution:
     if cached is not None and cached[0] == __version__ and math.isfinite(cached[1]):
         try:
             return tf._assemble(*cached[1:])
-        except ValueError:  # arrays no spline can be built from: a miss
+        except (ValueError, tf.TFConvergenceError):  # no spline, or one that fails the check
             pass
     sol = tf.solve_tf_atom()
     np.savez(cache_file, version=__version__, slope0=sol.slope0, x=sol.spline_x,
@@ -228,6 +228,7 @@ def cmd_trace(args) -> int:
         r_max = 4.0 / max(args.mu, 1e-2) if args.r_max is None else args.r_max
         grid = radial_eig.make_grid(radial_eig.core_radius(args.h), r_max, args.n)
     s = radial_eig.trace_neg(V, args.h, mu=args.mu, grid=grid, refine=args.refine)
+    ell_max = max(s.eigenvalues, default=-1)
     rows = []
     for ell in sorted(s.eigenvalues):
         for k, e in enumerate(s.eigenvalues[ell]):
@@ -237,11 +238,11 @@ def cmd_trace(args) -> int:
     write_sidecar(args.out + ".meta.txt", vars_of(args), {
         "trace": _fmt(s.trace),
         "n_states": str(s.n_states),
-        "ell_max": str(s.ell_max),
+        "ell_max": str(ell_max),
         "summary_row": "final row l=-1,k=-1 holds the spin-weighted shifted trace",
         "workers": str(s.workers),
     })
-    print(f"trace = {s.trace:.9e} over {s.n_states} states, l <= {s.ell_max}")
+    print(f"trace = {s.trace:.9e} over {s.n_states} states, l <= {ell_max}")
     return EXIT_OK
 
 

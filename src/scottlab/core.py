@@ -10,7 +10,8 @@ self-adjoint operator is the sum of its negative eigenvalues, a number
 <= 0.  (The literature sometimes writes [a]_- for the nonnegative
 quantity -min(a,0); phase-space energy identities such as the two-sided
 Thomas-Fermi energy formula only close with the negative-valued choice,
-so that is the one fixed here, once.)
+so that is the one fixed here, once.)  Both trace layers return that sum as
+one record, SpectralSum, whose trace is the one place it is summed.
 
 The one fork-join helper of the package lives here too: Pauli side walks
 hand their two independent parts to children forked and pinned per call,
@@ -205,6 +206,41 @@ def one_blas_thread(finder=None):
             held[0] -= 1
             if held[0] == 0:
                 set_count(held[1])
+
+
+@dataclass(frozen=True)
+class SpectralSum:
+    """Negative eigenvalues per key and their weighted, shifted trace.
+
+    Radial sums key the eigenvalues by channel l, with degeneracy 2 l + 1,
+    spin 2.0 (spin is implicit) and shift mu; Pauli traces key them by
+    signed block j, with degeneracy 1, spin 1.0 (spinors are explicit) and
+    shift 0.0.  With coarse_trace set (a refined sum) the eigenvalues are
+    those of the fine grid and the trace is the two-grid Richardson value
+    (4 T_fine - T_coarse) / 3.  workers counts the threads or processes
+    that solved the keys, 0 when the caller solved them alone.
+    """
+
+    eigenvalues: dict
+    degeneracy: dict
+    spin: float
+    shift: float
+    coarse_trace: float | None = None
+    workers: int = 0
+
+    @property
+    def trace(self) -> float:
+        """Sum of spin * degeneracy * neg_part_sum(eigenvalues + shift), keys in their order."""
+        total = 0.0
+        for key, vals in self.eigenvalues.items():
+            total += self.spin * self.degeneracy[key] * neg_part_sum(vals + self.shift)
+        if self.coarse_trace is None:
+            return total
+        return (4.0 * total - self.coarse_trace) / 3.0
+
+    @property
+    def n_states(self) -> int:
+        return int(sum(self.degeneracy[key] * vals.size for key, vals in self.eigenvalues.items()))
 
 
 @dataclass(frozen=True)

@@ -66,8 +66,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .core import (ScottEstimate, check_coupling, fork_cores, fork_join, gauss,
-                   neg_part_sum, one_blas_thread)
+from .core import (ScottEstimate, SpectralSum, check_coupling, fork_cores, fork_join, gauss,
+                   one_blas_thread)
 from .cutoffs import SmoothCutoff, bump_profile
 from .radial_eig import cutoff_weyl_coulomb
 
@@ -353,25 +353,12 @@ def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class PauliTraceResult:
-    """Negative eigenvalues per signed block j and their sum.
-
-    workers counts the processes that walked the two sides, 0 when they
-    were walked in-process.
-    """
-
-    trace: float
-    blocks: dict
-    workers: int
-
-
 @one_blas_thread()
 def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
                     phi: Optional[SmoothCutoff] = None, mu: float = 0.0,
                     grid: Optional[PauliGrid] = None,
                     domain_radius: Optional[float] = None,
-                    mesh=(96, 192)) -> PauliTraceResult:
+                    mesh=(96, 192)) -> SpectralSum:
     """Trace of [phi (T_h(A) - V) phi + mu]_- summed over signed j_z blocks.
 
     V is a radial accessor V(|x|); phi an optional radial cutoff (the
@@ -384,8 +371,10 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     (module docstring).  For A != 0, where core.fork_cores allows it, the
     two sides are walked by two forked children; the whole trace runs with
     scipy's OpenBLAS at one thread, the children included (module
-    docstring).  No extra spin factor: the spinor components are explicit.
-    A mesh whose geometry overflows raises FloatingPointError.
+    docstring).  No extra spin factor: the spinor components are explicit, so
+    the record keys the blocks by j with degeneracy 1, spin 1.0 and shift 0.0
+    (mu is in the operator).  A mesh whose geometry overflows raises
+    FloatingPointError.
     """
     if grid is None:
         if domain_radius is None:
@@ -440,8 +429,7 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
         cpus = fork_cores()[:2]
         parts = fork_join(side_walk, cpus) if cpus else [side_walk(0), side_walk(1)]
         blocks = {m + 0.5: vals for found in parts for m, vals in found.items()}
-    trace = float(sum(neg_part_sum(v) for v in blocks.values()))
-    return PauliTraceResult(trace=trace, blocks=blocks, workers=len(cpus))
+    return SpectralSum(blocks, dict.fromkeys(blocks, 1), 1.0, 0.0, workers=len(cpus))
 
 
 # ---------------------------------------------------------------------------

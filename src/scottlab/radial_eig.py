@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ScottEstimate, neg_part_sum, numpy_openblas
+from .core import ScottEstimate, SpectralSum, numpy_openblas
 from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_integral
 
@@ -207,42 +207,12 @@ def negative_eigenvalues(op, mu: float = 0.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralSum:
-    """Per-channel negative eigenvalues and the spin-weighted shifted trace.
-
-    With coarse_trace set (a refined sum) the eigenvalues are those of the
-    fine grid and the trace is the two-grid Richardson value
-    (4 T_fine - T_coarse) / 3.  workers counts the threads that solved
-    the channels, 0 when the calling thread solved them alone.
-    """
-
-    eigenvalues: dict
-    mu: float
-    ell_max: int
-    coarse_trace: Optional[float] = None
-    workers: int = 0
-
-    @property
-    def trace(self) -> float:
-        total = 0.0
-        for ell, vals in self.eigenvalues.items():
-            total += 2.0 * (2 * ell + 1) * neg_part_sum(vals + self.mu)
-        if self.coarse_trace is None:
-            return total
-        return (4.0 * total - self.coarse_trace) / 3.0
-
-    @property
-    def n_states(self) -> int:
-        return int(sum((2 * ell + 1) * vals.size for ell, vals in self.eigenvalues.items()))
-
-
 def _merge(found):
-    """Channels 0, 1, ... of found up to the first empty one, and the last nonempty l."""
+    """Channels 0, 1, ... of found up to the first empty one."""
     channels = {}
     for ell in range(LMAX_CAP + 1):
         if found[ell].size == 0:
-            return channels, ell - 1
+            return channels
         channels[ell] = found[ell]
     raise ChannelCascadeError(f"channels still nonempty at the l cap {LMAX_CAP}")
 
@@ -307,8 +277,8 @@ def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
         raise errors[0]
     total = None
     for parts in found:
-        channels, ell_max = _merge(parts)
-        total = SpectralSum(channels, mu, ell_max,
+        channels = _merge(parts)
+        total = SpectralSum(channels, {ell: 2 * ell + 1 for ell in channels}, 2.0, mu,
                             coarse_trace=None if total is None else total.trace,
                             workers=k if k > 1 else 0)
     return total

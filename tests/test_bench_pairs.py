@@ -67,3 +67,36 @@ def test_radial_dstebz_reports_numpys_library():
 ], ids=["numpy-finder-finds-none", "scipy-finder", "no-finder"])
 def test_radial_dstebz_follows_each_trees_finder(tmp_path, core_source, want):
     assert bench_pairs.radial_dstebz(_tree(tmp_path, core_source)) == want
+
+
+def _folder(root, name, files):
+    folder = root / name
+    folder.mkdir()
+    (folder / "cache").mkdir()  # folders are not outputs
+    for file, text in files.items():
+        (folder / file).write_text(text)
+    return folder
+
+
+def test_compare_outputs_finds_the_first_differing_line(tmp_path):
+    same = {"a.csv": "x,y\n1,2\n", "a.exit": "0\n"}
+    runs = {"before": [_folder(tmp_path, "b0", {**same, "a.stdout": "t = 1\n"}),
+                       _folder(tmp_path, "b1", {**same, "a.stdout": "t = 1\n"})],
+            "after": [_folder(tmp_path, "a0", {**same, "a.stdout": "t = 1\nmore\n",
+                                               "a.stderr": "warn\n"}),
+                      _folder(tmp_path, "a1", {"a.csv": "x,y\n1,3\n", "a.exit": "0\n",
+                                               "a.stdout": "t = 1\nmore\n", "a.stderr": "warn\n"})]}
+    got = bench_pairs.compare_outputs(runs)
+    assert got["commands"] == dict(bench_pairs.OUTPUT_COMMANDS)
+    assert got["identical"] == {"trees": False, "before_repeat": True, "after_repeat": False}
+    files = got["files"]
+    assert list(files) == ["a.csv", "a.exit", "a.stderr", "a.stdout"]
+    assert files["a.exit"] == dict.fromkeys(("trees", "before_repeat", "after_repeat"),
+                                            "identical")
+    assert files["a.csv"]["trees"] == "identical"
+    assert files["a.csv"]["after_repeat"] == {"line": 2, "lines": ["1,2\n", "1,3\n"]}
+    # a longer file differs on the first line past the shorter one's end
+    assert files["a.stdout"]["trees"] == {"line": 2, "lines": [None, "more\n"]}
+    # a file one run lacks reads as no lines
+    assert files["a.stderr"]["trees"] == {"line": 1, "lines": [None, "warn\n"]}
+    assert files["a.stderr"]["before_repeat"] == "identical"

@@ -308,7 +308,8 @@ def test_tf_cache_unreadable_file_is_a_miss(tmp_path, content):
 
 
 def _damage(kind, data):
-    """Copy of the cached arrays with one defect that no spline can be built from."""
+    """Copy of the cached arrays with one defect: data no spline can be built from, or
+    (scaled-w) a spline whose residual fails tf.RESIDUAL_TOL."""
     data = dict(data)
     if kind == "nan-in-w":
         data["w"] = data["w"].copy()
@@ -323,6 +324,8 @@ def _damage(kind, data):
         data["w"] = data["w"][:-1]
     elif kind == "inf-slope0":
         data["slope0"] = np.inf
+    elif kind == "scaled-w":
+        data["w"] = data["w"] * (1.0 + 1e-6)
     return data
 
 
@@ -335,7 +338,7 @@ def clean_tf(tmp_path_factory):
 
 
 @pytest.mark.parametrize("kind", ["nan-in-w", "reversed-x", "two-dim-v", "two-dim-w",
-                                  "short-w", "inf-slope0"])
+                                  "short-w", "inf-slope0", "scaled-w"])
 def test_tf_cache_damaged_data_is_a_miss(tmp_path, clean_tf, kind):
     root, clean = clean_tf
     with np.load(clean / "tf_profile.npz") as data:

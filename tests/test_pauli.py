@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from scottlab import pauli, radial_eig
-from scottlab.core import one_blas_thread
+from scottlab.core import neg_part_sum, one_blas_thread
 from scottlab.cutoffs import SmoothCutoff
 from scottlab.pauli import (FieldAnsatz, PauliGrid, field_energy, minimize_scott,
                             pauli_trace_neg, scott_functional_parts)
@@ -98,7 +98,7 @@ def test_zero_field_reduction_matches_scalar_trace():
     scalar = radial_eig.trace_neg(VC, 1.0, mu=mu).trace
     assert abs(res.trace - scalar) / abs(scalar) < 1e-2
     # two degenerate blocks, one 1s level each
-    assert set(res.blocks) == {0.5, -0.5}
+    assert set(res.eigenvalues) == {0.5, -0.5}
 
 
 def test_pauli_trace_nonpositive_potential():
@@ -127,8 +127,8 @@ def test_zeeman_splitting_signs():
     A = FieldAnsatz(theta=(0.5,), support_radius=6.0, scales=(1.0,))
     res = pauli_trace_neg(A, VC, h=1.0, mu=0.1, domain_radius=10.0,
                           mesh=SMALL_MESH)
-    assert 0.5 in res.blocks and -0.5 in res.blocks
-    assert res.blocks[0.5][0] < res.blocks[-0.5][0]
+    assert 0.5 in res.eigenvalues and -0.5 in res.eigenvalues
+    assert res.eigenvalues[0.5][0] < res.eigenvalues[-0.5][0]
 
 
 def test_pauli_trace_needs_a_domain():
@@ -239,7 +239,7 @@ def test_block_walk_stop_is_certified():
         vals = pauli.eigs_below(cutoff_block(grid, m, A), -1e-12, pauli.SIGMA)
         if vals.size:
             walk[m + 0.5] = vals
-    assert set(res.blocks) == set(walk)
+    assert set(res.eigenvalues) == set(walk)
     assert res.trace == pytest.approx(sum(np.sum(v) for v in walk.values()), rel=1e-12)
 
 
@@ -270,11 +270,13 @@ def test_zero_field_channels_equal_block_walk(mesh, V, cutoff, mu):
     phi = SmoothCutoff(8.0) if cutoff else None
     got = pauli_trace_neg(None, V, h=1.0, phi=phi, mu=mu, grid=grid)
     blocks, trace = zero_field_block_walk(grid, V, phi, mu)
-    assert list(got.blocks) == list(blocks)
+    assert list(got.eigenvalues) == list(blocks)
     for j, vals in blocks.items():
         # relative to the block's largest eigenvalue, the scale of the solver's error
-        assert np.max(np.abs(got.blocks[j] - vals)) <= 1e-12 * np.max(np.abs(vals))
+        assert np.max(np.abs(got.eigenvalues[j] - vals)) <= 1e-12 * np.max(np.abs(vals))
     assert got.trace == pytest.approx(trace, rel=1e-12, abs=0.0)
+    assert got.trace == block_sum(got)
+    assert got.n_states == sum(vals.size for vals in blocks.values())
 
 
 def test_zero_field_factors_scalar_channels(monkeypatch):
@@ -299,7 +301,7 @@ def test_zero_field_channel_cap(monkeypatch):
     with pytest.raises(pauli.BlockCascadeError):
         cutoff_trace(None, grid)
     monkeypatch.setattr(pauli, "JMAX", 2)
-    assert list(cutoff_trace(None, grid).blocks) == [0.5, -0.5]
+    assert list(cutoff_trace(None, grid).eigenvalues) == [0.5, -0.5]
 
 
 @pytest.mark.parametrize("R", [1e100, 1e160, 1e300])
@@ -347,6 +349,11 @@ def serial_walk(A, grid):
     return blocks, float(sum(np.sum(v) for v in blocks.values()))
 
 
+def block_sum(r):
+    """The trace of a Pauli record summed outside it: its blocks' negative parts, in key order."""
+    return float(sum(neg_part_sum(v) for v in r.eigenvalues.values()))
+
+
 def assert_no_children():
     """Every child this process forked has been reaped."""
     with pytest.raises(ChildProcessError):
@@ -377,10 +384,11 @@ def test_forked_trace_equals_serial_walk(mesh, A):
     assert got.workers == 2
     assert_no_children()
     blocks, trace = serial_walk(A, grid)
-    assert list(got.blocks) == list(blocks)
+    assert list(got.eigenvalues) == list(blocks)
     for j, vals in blocks.items():
-        assert np.array_equal(got.blocks[j], vals)
-    assert got.trace == trace
+        assert np.array_equal(got.eigenvalues[j], vals)
+    assert got.trace == trace == block_sum(got)
+    assert got.n_states == sum(vals.size for vals in blocks.values())
 
 
 @multicore
@@ -458,7 +466,7 @@ def test_one_usable_core_forks_nothing(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     got = cutoff_trace(WEAK, grid)
     assert got.workers == 0
-    assert got.trace == serial_walk(WEAK, grid)[1]
+    assert got.trace == serial_walk(WEAK, grid)[1] == block_sum(got)
 
 
 @multicore
@@ -516,8 +524,8 @@ def test_second_thread_traces_in_process():
     assert not worker.is_alive()
     assert got[0].workers == 0
     blocks, trace = serial_walk(STRONG, grid)
-    assert list(got[0].blocks) == list(blocks)
-    assert got[0].trace == trace
+    assert list(got[0].eigenvalues) == list(blocks)
+    assert got[0].trace == trace == block_sum(got[0])
 
 
 @multicore
@@ -526,7 +534,7 @@ def test_zero_field_trace_never_forks(monkeypatch):
     got = cutoff_trace(None, ball8((16, 32)))
     assert got.workers == 0
     # blocks -j follow blocks j, as the in-process walk inserts them
-    assert list(got.blocks) == [0.5, -0.5]
+    assert list(got.eigenvalues) == [0.5, -0.5]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from scottlab import radial_eig
+from scottlab.core import neg_part_sum
 from scottlab.cutoffs import SmoothCutoff
 from scottlab.hydrogen import trace_neg_coulomb
 from scottlab.radial_eig import (ChannelCascadeError, RadialGrid, build_channel,
@@ -262,20 +263,28 @@ def serial_channels(V, h, mu, grid, cutoff=None):
 
 
 def serial_sum(V, h, mu, grid, cutoff=None, refine=False):
-    """The oracle of a threaded sum: the same channels from the serial loop."""
-    coarse = radial_eig.SpectralSum(serial_channels(V, h, mu, grid, cutoff), mu, 0)
-    if not refine:
-        return coarse
-    fine = grid.refined()
-    return radial_eig.SpectralSum(serial_channels(V, h, mu, fine, cutoff), mu, 0,
-                                  coarse_trace=coarse.trace)
+    """The oracle of a threaded sum: the channels from the serial loop, and their trace
+    summed by an explicit loop in l order (two-grid Richardson with refine)."""
+    def channels_and_trace(g):
+        channels, total = serial_channels(V, h, mu, g, cutoff), 0.0
+        for ell, vals in channels.items():
+            total += 2.0 * (2 * ell + 1) * neg_part_sum(vals + mu)
+        return channels, total
+
+    channels, trace = channels_and_trace(grid)
+    if refine:
+        coarse = trace
+        channels, trace = channels_and_trace(grid.refined())
+        trace = (4.0 * trace - coarse) / 3.0
+    return channels, trace
 
 
 def assert_same_sum(got, want):
-    assert got.eigenvalues.keys() == want.eigenvalues.keys()
-    for ell, vals in want.eigenvalues.items():
+    channels, trace = want
+    assert got.eigenvalues.keys() == channels.keys()
+    for ell, vals in channels.items():
         assert np.array_equal(got.eigenvalues[ell], vals)
-    assert got.trace == want.trace
+    assert got.trace == trace
 
 
 def pool_grid(r_max):
@@ -319,7 +328,7 @@ def test_pooled_trace_equals_serial_loop(refine, paced):
     # each grid's channels up to its first empty one, and at most one
     # channel past it per other thread
     grids = 2 if refine else 1
-    assert len(starts) <= grids * (got.ell_max + 2 + max(WORKERS - 1, 0))
+    assert len(starts) <= grids * (max(got.eigenvalues) + 2 + max(WORKERS - 1, 0))
     assert got.workers == WORKERS
     assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=refine))
 

@@ -21,17 +21,26 @@ of the bundled OpenBLAS its finder loads, or "scipy.linalg" where the
 finder finds none.  The finder is scottlab.core.numpy_openblas(), or in
 older trees scipy_openblas(), so those report scipy's library; a tree
 that predates both reads "scipy.linalg".
+
+Before the pairs, each tree runs OUTPUT_COMMANDS twice, each time in order
+from a new empty folder with the same relative --cache-dir and --out paths,
+so the sidecars' path lines match.  The outputs block records, for every
+CSV, sidecar, stdout, stderr and exit code, whether the two trees' first
+runs are identical or the first line where they differ, and the same for
+each tree's two runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
@@ -121,6 +130,77 @@ def radial_dstebz(tree: Path) -> str:
     return json.loads(done.stdout)
 
 
+# the ten commands of the cli-session workload (its partition seed fixed at 1),
+# then four that cover the rest of the trace and scott routes
+OUTPUT_COMMANDS = (
+    ("tf_miss", ["tf"]),
+    ("tf_hit", ["tf"]),
+    ("weyl_tf", ["weyl", "--potential", "tf", "--mu", "0"]),
+    ("trace_tf", ["trace", "--potential", "tf", "--h", "0.1", "--refine"]),
+    ("trace_coulomb", ["trace", "--potential", "coulomb", "--mu", "0.0025", "--refine"]),
+    ("scott_mu", ["scott", "--route", "mu-limit"]),
+    ("scott_cutoff", ["scott", "--route", "cutoff-R", "--R-list", "20 40 80 160"]),
+    ("scott_fit", ["scott", "--route", "spectral-fit"]),
+    ("expansion", ["expansion"]),
+    ("partition", ["partition-check", "--n-points", "100", "--seed", "1"]),
+    ("weyl_mu", ["weyl", "--mu", "0.0025"]),
+    ("trace_n200", ["trace", "--mu", "0.05", "--n", "200"]),
+    ("scott_cutoff_default", ["scott", "--route", "cutoff-R"]),
+    ("ansatz_min", ["scott", "--route", "ansatz-min", "--R", "8", "--mesh", "32 64"]),
+)
+
+
+def run_outputs(tree: Path, folder: Path) -> None:
+    """Run OUTPUT_COMMANDS with tree's package, in order, from the new folder, where
+    each leaves <name>.csv, its sidecar, <name>.stdout, <name>.stderr and <name>.exit."""
+    folder.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    for name, argv in OUTPUT_COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "scottlab.cli", *argv, "--cache-dir",
+                               "cache", "--out", f"{name}.csv"],
+                              cwd=folder, env=env, capture_output=True, timeout=600)
+        (folder / f"{name}.stdout").write_bytes(done.stdout)
+        (folder / f"{name}.stderr").write_bytes(done.stderr)
+        (folder / f"{name}.exit").write_text(f"{done.returncode}\n")
+
+
+def first_difference(a: Path, b: Path):
+    """"identical", or the first line (counted from 1) where files a and b differ,
+    with each file's line there, its line end kept (null past its end or for a missing file)."""
+    lines = [p.read_bytes().splitlines(keepends=True) if p.is_file() else [] for p in (a, b)]
+    for number, pair in enumerate(itertools.zip_longest(*lines), 1):
+        if pair[0] != pair[1]:
+            return {"line": number,
+                    "lines": [None if x is None else x.decode(errors="replace") for x in pair]}
+    return "identical"
+
+
+def compare_outputs(runs: dict) -> dict:
+    """The outputs block from {"before": [folder, folder], "after": [...]}: per file,
+    the two trees' first runs compared, and each tree's two runs."""
+    names = sorted({p.name for folders in runs.values() for folder in folders
+                    for p in folder.iterdir() if p.is_file()})
+    files = {name: {"trees": first_difference(runs["before"][0] / name, runs["after"][0] / name),
+                    **{f"{side}_repeat": first_difference(*(f / name for f in runs[side]))
+                       for side in ("before", "after")}}
+             for name in names}
+    verdict = {key: all(f[key] == "identical" for f in files.values())
+               for key in ("trees", "before_repeat", "after_repeat")}
+    return {"commands": dict(OUTPUT_COMMANDS), "identical": verdict, "files": files}
+
+
+def outputs(before: Path, after: Path) -> dict:
+    """Both trees run OUTPUT_COMMANDS twice, alternated, in temporary folders; compared."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {"before": [], "after": []}
+        for i in range(2):
+            for side, tree in (("before", before), ("after", after)):
+                folder = Path(tmp) / f"{side}{i}"
+                run_outputs(tree, folder)
+                runs[side].append(folder)
+        return compare_outputs(runs)
+
+
 def line_counts(tree: Path) -> dict:
     """Total lines of the package sources and of the tests in tree."""
     return {pattern: sum(len(p.read_text(encoding="utf-8").splitlines())
@@ -142,6 +222,7 @@ def main(argv=None) -> int:
               "lines": {side: line_counts(getattr(args, side)) for side in ("before", "after")},
               "radial_dstebz": {side: radial_dstebz(getattr(args, side))
                                 for side in ("before", "after")},
+              "outputs": outputs(args.before, args.after),
               "workloads": {w: {"pairs": []} for w in names}}
     for i in range(PAIRS):
         for w in names:
