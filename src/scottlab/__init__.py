@@ -3,7 +3,6 @@ traces and Scott-correction estimates at desk scale."""
 
 __version__ = "0.3.0"
 
-from .core import NuclearConfig, ScottEstimate, neg_part_sum  # noqa: F401
-from .expansion import two_term_energy  # noqa: F401
+from .core import ScottEstimate, neg_part_sum  # noqa: F401
 from .multiscale import jacobian  # noqa: F401
 from .weyl import momentum_reduce  # noqa: F401

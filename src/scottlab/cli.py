@@ -170,14 +170,12 @@ def cmd_weyl(args) -> int:
             raise ValidationError("coulomb Weyl integral needs mu > 0")
         value = weyl_integral(WeylIntegrand(V=lambda r: args.z / r, mu=args.mu, h=args.h))
         closed = weyl_coulomb_mu(args.mu, args.z)
-        rows = [[args.potential, args.mu, args.h, value, closed]]
-        header = ["potential", "mu", "h", "value", "closed_form"]
     else:
         sol = get_tf_solution(args.cache_dir)
         value = weyl_integral(WeylIntegrand(V=sol.potential(args.z), mu=args.mu, h=args.h))
-        rows = [[args.potential, args.mu, args.h, value, float("nan")]]
-        header = ["potential", "mu", "h", "value", "closed_form"]
-    write_csv(args.out, header, rows)
+        closed = float("nan")
+    write_csv(args.out, ["potential", "mu", "h", "value", "closed_form"],
+              [[args.potential, args.mu, args.h, value, closed]])
     write_sidecar(args.out + ".meta.txt", vars_of(args))
     print(f"weyl integral = {value:.9e}")
     return EXIT_OK

@@ -243,67 +243,6 @@ class SpectralSum:
         return int(sum(self.degeneracy[key] * vals.size for key, vals in self.eigenvalues.items()))
 
 
-@dataclass(frozen=True)
-class NuclearConfig:
-    """Nuclear charges and geometry in mean-field scaled variables.
-
-    z are the relative charges (sum 1), r the scaled positions, Z the total
-    charge and alpha the fine structure constant.  Derived couplings:
-    kappa = 8 pi Z alpha^2 and kappa_k = 8 pi Z_k alpha^2 with Z_k = Z z_k.
-    """
-
-    z: tuple = (1.0,)
-    r: tuple = ((0.0, 0.0, 0.0),)
-    Z: float = 1.0
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        z = tuple(float(v) for v in self.z)
-        r = tuple(tuple(float(c) for c in pos) for pos in self.r)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "r", r)
-        if len(z) != len(r):
-            raise ValueError("need one position per charge")
-        if any(v <= 0 for v in z):
-            raise ValueError("all relative charges must be positive")
-        if abs(math.fsum(z) - 1.0) > 1e-12:
-            raise ValueError("relative charges must sum to 1 within 1e-12")
-        if any(len(pos) != 3 for pos in r):
-            raise ValueError("positions must be 3-vectors")
-        if self.Z <= 0:
-            raise ValueError("total charge must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.r_min <= 0:
-            raise ValueError("nuclear positions must be distinct")
-
-    @property
-    def M(self) -> int:
-        return len(self.z)
-
-    @property
-    def Z_k(self) -> tuple:
-        return tuple(self.Z * v for v in self.z)
-
-    @property
-    def kappa(self) -> float:
-        return 8.0 * math.pi * self.Z * self.alpha ** 2
-
-    @property
-    def kappa_k(self) -> tuple:
-        return tuple(8.0 * math.pi * Zk * self.alpha ** 2 for Zk in self.Z_k)
-
-    @property
-    def r_min(self) -> float:
-        if self.M == 1:
-            return math.inf
-        d = math.inf
-        for i in range(self.M):
-            for j in range(i + 1, self.M):
-                d = min(d, math.dist(self.r[i], self.r[j]))
-        return d
-
-
 def check_coupling(kappa: float, beta: float) -> None:
     """Raise ValueError unless the couplings are admissible: kappa > 0, 0 < beta <= 1/(2 kappa)."""
     if kappa <= 0:

@@ -1,7 +1,9 @@
 """Two-term energy assembly and the mean-field comparison sweep.
 
-The headline object is E(Z) ~ Z^(7/3) E_TF + 2 Z^2 sum_k z_k^2 S(kappa_k)
-with kappa_k = 8 pi Z_k alpha^2.  The mean-field side evaluates
+The paper's headline object is E(Z) ~ Z^(7/3) E_TF + 2 Z^2 sum_k z_k^2 S(kappa_k)
+with kappa_k = 8 pi Z_k alpha^2.  The package evaluates it for the one case
+it has both terms of: an atom at alpha = 0, where the Scott term is
+2 Z^2 S(0) with the exact S(0) = 1/8.  The mean-field side evaluates
 Z^(7/3) [h^3 trace - D(rho_TF)] at h = Z^(-1/3), which is
 the scaling-reduced one-body energy the expansion approximates; the sweep
 records how fast their difference dies relative to Z^2.
@@ -9,55 +11,20 @@ records how fast their difference dies relative to Z^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
-
-from .core import S0, NuclearConfig
+from .core import S0
 from . import radial_eig
 from .tf import TFSolution
 
 
-class UnsupportedConfigError(ValueError):
-    """Raised for quantitative requests outside the atomic (M = 1) scope."""
-
-
-def s_provider_nonmagnetic(kappa: float) -> float:
-    """S(kappa) provider for alpha = 0 runs: the exact S(0) = 1/8."""
-    if kappa != 0.0:
-        raise ValueError("nonmagnetic provider only serves kappa = 0")
-    return S0
-
-
-def two_term_energy(config: NuclearConfig, s_provider: Callable[[float], float],
-                    tf_solution: TFSolution) -> float:
-    """Z^(7/3) E_atom + 2 Z^2 sum_k z_k^2 S(kappa_k).
-
-    Quantitative leading terms exist only for atoms; molecular requests
-    raise UnsupportedConfigError (the Scott sum itself would be available,
-    but the molecular TF energy is out of scope).
-    """
-    if config.M != 1:
-        raise UnsupportedConfigError(
-            "molecular TF leading term unavailable; expansion is quantitative for M = 1 only")
-    return tf_solution.E_atom * config.Z ** (7.0 / 3.0) + scott_term(config, s_provider)
-
-
-def scott_term(config: NuclearConfig, s_provider) -> float:
-    """2 Z^2 sum_k z_k^2 S(8 pi Z_k alpha^2) alone."""
-    return 2.0 * config.Z ** 2 * sum(z ** 2 * s_provider(kk)
-                                     for z, kk in zip(config.z, config.kappa_k))
-
-
-def mean_field_energy(config: NuclearConfig, tf_solution: TFSolution,
+def mean_field_energy(Z: float, tf_solution: TFSolution,
                       refine: bool = True, resolution: float = 20.0) -> float:
-    """Z^(7/3) [h^3 trace - D(rho_TF)] at h = Z^(-1/3).
+    """Z^(7/3) [h^3 trace - D(rho_TF)] at h = Z^(-1/3) for an atom of charge Z.
 
     The trace is the A = 0 spectral trace of -h^2 Delta - V_TF.
     """
-    if config.M != 1:
-        raise UnsupportedConfigError("mean-field energy implemented for atoms only")
-    Z = config.Z
     h = Z ** (-1.0 / 3.0)
     s = radial_eig.trace_neg(tf_solution.potential(), h, mu=0.0,
                              refine=refine, resolution=resolution)
@@ -69,8 +36,12 @@ class ExpansionReport:
     Z: float
     leading: float
     scott: float
-    two_term: float
     mean_field: float
+
+    @property
+    def two_term(self) -> float:
+        """Z^(7/3) E_atom + 2 Z^2 S(0)."""
+        return self.leading + self.scott
 
     @property
     def residual(self) -> float:
@@ -83,14 +54,20 @@ class ExpansionReport:
 
 def expansion_sweep(Z_list, alpha: float, tf_solution: TFSolution,
                     refine: bool = True, resolution: float = 20.0) -> list:
-    """ExpansionReport per Z with the exact S(0) as Scott term; alpha > 0 raises ValueError."""
-    out = []
-    for Z in Z_list:
-        cfg = NuclearConfig(z=(1.0,), r=((0.0, 0.0, 0.0),), Z=float(Z), alpha=alpha)
-        leading = tf_solution.E_atom * cfg.Z ** (7.0 / 3.0)
-        scott = scott_term(cfg, s_provider_nonmagnetic)
-        two_term = two_term_energy(cfg, s_provider_nonmagnetic, tf_solution)
-        mf = mean_field_energy(cfg, tf_solution, refine=refine, resolution=resolution)
-        out.append(ExpansionReport(Z=cfg.Z, leading=leading, scott=scott,
-                                   two_term=two_term, mean_field=mf))
-    return out
+    """ExpansionReport per atomic charge Z, with the exact S(0) as Scott term.
+
+    Only alpha = 0 is served, and each Z must be positive and finite; any
+    other value raises ValueError naming it, before any trace is solved.
+    """
+    if alpha != 0.0:
+        raise ValueError(f"expansion needs alpha = 0 (S(kappa) is known only at kappa = 0), "
+                         f"got alpha = {alpha!r}")
+    Zs = [float(Z) for Z in Z_list]
+    for Z in Zs:
+        if not (math.isfinite(Z) and Z > 0):
+            raise ValueError(f"Z must be positive and finite, got Z = {Z!r}")
+    return [ExpansionReport(Z=Z, leading=tf_solution.E_atom * Z ** (7.0 / 3.0),
+                            scott=2.0 * Z ** 2 * S0,
+                            mean_field=mean_field_energy(Z, tf_solution, refine=refine,
+                                                         resolution=resolution))
+            for Z in Zs]

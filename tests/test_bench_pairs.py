@@ -100,3 +100,30 @@ def test_compare_outputs_finds_the_first_differing_line(tmp_path):
     # a file one run lacks reads as no lines
     assert files["a.stderr"]["trees"] == {"line": 1, "lines": [None, "warn\n"]}
     assert files["a.stderr"]["before_repeat"] == "identical"
+
+
+# the tail of a pytest -q run with a failure, a parametrized failure whose id
+# holds " - ", a collection error, and captured output that looks like a summary
+PYTEST_OUTPUT = """\
+.F.F.E
+=================================== FAILURES ===================================
+___________________________________ test_bad ___________________________________
+----------------------------- Captured stdout call -----------------------------
+FAILED not/a/test.py::printed_by_a_test
+=========================== short test summary info ============================
+FAILED tests/test_x.py::test_bad - assert [1] == [2]
+FAILED tests/test_x.py::test_p[Z = nan - x] - AssertionError: assert 'a - b' == 'c'
+ERROR tests/test_y.py
+2 failed, 285 passed, 3 warnings, 1 error in 21.30s
+"""
+
+
+@pytest.mark.parametrize("output, want", [
+    (PYTEST_OUTPUT, {"passed": 285, "failed": ["tests/test_x.py::test_bad",
+                                               "tests/test_x.py::test_p[Z = nan - x]"],
+                     "errors": ["tests/test_y.py"]}),
+    ("....\n4 passed in 0.50s\n", {"passed": 4, "failed": [], "errors": []}),
+    ("", {"passed": 0, "failed": [], "errors": []}),
+], ids=["failures", "all-passed", "no-output"])
+def test_tier1_summary_reads_pytest_output(output, want):
+    assert bench_pairs.tier1_summary(output, 21.304) == {**want, "seconds": 21.3}

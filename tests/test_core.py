@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottlab import core
-from scottlab.core import NuclearConfig, check_coupling, neg_part_sum, one_blas_thread
+from scottlab.core import check_coupling, neg_part_sum, one_blas_thread
 
 
 def test_neg_part_sum_examples():
@@ -40,34 +40,6 @@ def test_neg_part_sum_permutation_invariant(values, rng):
 @given(st.lists(st.floats(-1e6, 1e6), max_size=30), st.floats(0.0, 1e6))
 def test_neg_part_sum_monotone_under_nonnegative(values, extra):
     assert neg_part_sum(values + [extra]) == neg_part_sum(values)
-
-
-def test_nuclear_config_atomic_defaults():
-    cfg = NuclearConfig(Z=10.0, alpha=0.01)
-    assert cfg.M == 1
-    assert cfg.r_min == math.inf
-    assert cfg.kappa == pytest.approx(8.0 * math.pi * 10.0 * 1e-4)
-
-
-def test_nuclear_config_kappa_bookkeeping():
-    cfg = NuclearConfig(z=(0.5, 0.25, 0.25),
-                        r=((0, 0, 0), (3, 0, 0), (0, 4, 0)),
-                        Z=20.0, alpha=0.02)
-    # kappa = sum_k kappa_k / sum_k z_k, exactly
-    assert sum(cfg.kappa_k) / sum(cfg.z) == pytest.approx(cfg.kappa, rel=1e-15)
-    assert cfg.Z_k == pytest.approx((10.0, 5.0, 5.0))
-    assert cfg.r_min == pytest.approx(3.0)
-
-
-def test_nuclear_config_validation():
-    with pytest.raises(ValueError):
-        NuclearConfig(z=(0.5, 0.6), r=((0, 0, 0), (1, 0, 0)))
-    with pytest.raises(ValueError):
-        NuclearConfig(z=(1.0,), r=((0, 0, 0),), Z=-1.0)
-    with pytest.raises(ValueError):
-        NuclearConfig(z=(0.5, 0.5), r=((0, 0, 0), (0, 0, 0)))
-    with pytest.raises(ValueError):
-        NuclearConfig(z=(-0.5, 1.5), r=((0, 0, 0), (1, 0, 0)))
 
 
 def test_check_coupling_beta_admissibility():

@@ -1,42 +1,22 @@
+import math
+import re
+
 import pytest
 
 from scottlab import radial_eig
-from scottlab.core import NuclearConfig
-from scottlab.expansion import (ExpansionReport, UnsupportedConfigError,
-                                expansion_sweep, mean_field_energy,
-                                s_provider_nonmagnetic, two_term_energy)
+from scottlab.expansion import ExpansionReport, expansion_sweep, mean_field_energy
 
 
 def test_two_term_arithmetic(tf_solution):
-    s = s_provider_nonmagnetic
-    cfg = NuclearConfig(Z=10.0, alpha=0.0)
-    val = two_term_energy(cfg, s, tf_solution)
-    assert val == pytest.approx(tf_solution.E_atom * 10 ** (7 / 3) + 25.0, rel=1e-12)
-    cfg1 = NuclearConfig(Z=1.0, alpha=0.0)
-    assert two_term_energy(cfg1, s, tf_solution) == pytest.approx(
-        tf_solution.E_atom + 0.25, rel=1e-12)
-
-
-def test_two_term_molecular_is_unsupported(tf_solution):
-    cfg = NuclearConfig(z=(0.5, 0.5), r=((0, 0, 0), (5, 0, 0)), Z=10.0)
-    with pytest.raises(UnsupportedConfigError):
-        two_term_energy(cfg, s_provider_nonmagnetic, tf_solution)
-
-
-def test_two_term_monotone_under_decreasing_provider(tf_solution):
-    # a decreasing S makes the magnetic two-term energy smaller
-    cfg0 = NuclearConfig(Z=10.0, alpha=0.0)
-    cfg1 = NuclearConfig(Z=10.0, alpha=0.02)
-    decreasing = lambda k: 0.125 / (1.0 + k)
-    e0 = two_term_energy(cfg0, decreasing, tf_solution)
-    e1 = two_term_energy(cfg1, decreasing, tf_solution)
-    assert e1 <= e0
+    reports = expansion_sweep([1.0, 10.0], 0.0, tf_solution, refine=False, resolution=10.0)
+    assert reports[0].two_term == pytest.approx(tf_solution.E_atom + 0.25, rel=1e-12)
+    assert reports[1].two_term == pytest.approx(tf_solution.E_atom * 10 ** (7 / 3) + 25.0,
+                                                rel=1e-12)
 
 
 def test_mean_field_identity_at_unit_charge(tf_solution):
     # Z = 1, h = 1: the formula is trace - D by inspection
-    cfg = NuclearConfig(Z=1.0)
-    val = mean_field_energy(cfg, tf_solution, refine=False, resolution=10.0)
+    val = mean_field_energy(1.0, tf_solution, refine=False, resolution=10.0)
     tr = radial_eig.trace_neg(tf_solution.potential(), 1.0, mu=0.0,
                               refine=False, resolution=10.0).trace
     assert val == pytest.approx(tr - tf_solution.D_rho, rel=1e-10)
@@ -77,3 +57,13 @@ def test_expansion_sweep_reports(tf_solution):
 def test_expansion_sweep_needs_provider_for_magnetic(tf_solution):
     with pytest.raises(ValueError):
         expansion_sweep([8.0], 0.05, tf_solution)
+
+
+@pytest.mark.parametrize("Z, alpha, bad", [
+    (math.nan, 0.0, "Z = nan"), (math.inf, 0.0, "Z = inf"), (0.0, 0.0, "Z = 0.0"),
+    (-8.0, 0.0, "Z = -8.0"), (8.0, 0.05, "alpha = 0.05"), (8.0, -0.01, "alpha = -0.01"),
+    (8.0, math.nan, "alpha = nan"),
+])
+def test_expansion_sweep_names_the_bad_input(tf_solution, Z, alpha, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        expansion_sweep([Z], alpha, tf_solution)

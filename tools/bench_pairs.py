@@ -28,6 +28,10 @@ so the sidecars' path lines match.  The outputs block records, for every
 CSV, sidecar, stdout, stderr and exit code, whether the two trees' first
 runs are identical or the first line where they differ, and the same for
 each tree's two runs.
+
+Each tree also runs the tier-1 suite once, from its root, with src/ first on
+PYTHONPATH.  The tier1 block records, per tree, the passed count, the names
+of the failed and errored tests and the wall time.
 """
 
 from __future__ import annotations
@@ -37,10 +41,12 @@ import itertools
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
@@ -201,6 +207,36 @@ def outputs(before: Path, after: Path) -> dict:
         return compare_outputs(runs)
 
 
+# the tier-1 command of ROADMAP.md, run with PYTHONPATH=src ahead of any other entry
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+
+
+def tier1_summary(output: str, seconds: float) -> dict:
+    """The tier1 entry from pytest -q output: the passed count (from its last line),
+    the node ids its short summary lists as FAILED and as ERROR, and the wall time."""
+    lines = output.splitlines()
+    headers = [i for i, line in enumerate(lines) if "short test summary info" in line]
+    listed = {"FAILED": [], "ERROR": []}
+    for line in lines[headers[-1] + 1:] if headers else []:
+        # a node id, with a parametrized id in brackets that may hold spaces, then " - why"
+        m = re.match(r"(FAILED|ERROR) (\S+?(?:\[[^\]]*\])?)(?: - |$)", line)
+        if m:
+            listed[m[1]].append(m[2])
+    passed = re.search(r"(\d+) passed", lines[-1]) if lines else None
+    return {"passed": int(passed[1]) if passed else 0, "failed": listed["FAILED"],
+            "errors": listed["ERROR"], "seconds": round(seconds, 2)}
+
+
+def tier1(tree: Path) -> dict:
+    """Run the tier-1 suite once from tree's root; its tier1_summary."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH="src" + (":" + path if path else ""))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                          text=True, timeout=1800)
+    return tier1_summary(done.stdout, time.perf_counter() - start)
+
+
 def line_counts(tree: Path) -> dict:
     """Total lines of the package sources and of the tests in tree."""
     return {pattern: sum(len(p.read_text(encoding="utf-8").splitlines())
@@ -222,6 +258,7 @@ def main(argv=None) -> int:
               "lines": {side: line_counts(getattr(args, side)) for side in ("before", "after")},
               "radial_dstebz": {side: radial_dstebz(getattr(args, side))
                                 for side in ("before", "after")},
+              "tier1": {side: tier1(getattr(args, side)) for side in ("before", "after")},
               "outputs": outputs(args.before, args.after),
               "workloads": {w: {"pairs": []} for w in names}}
     for i in range(PAIRS):
