@@ -5,4 +5,3 @@ __version__ = "0.3.0"
 
 from .core import ScottEstimate, neg_part_sum  # noqa: F401
 from .multiscale import jacobian  # noqa: F401
-from .weyl import momentum_reduce  # noqa: F401

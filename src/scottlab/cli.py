@@ -2,9 +2,10 @@
 
 Every run writes a CSV with a header row and a text sidecar recording the
 package version, the resolved parameters and the provenance of fixed
-constants.  Exit codes: 0 success, 2 usage / unknown subcommand (argparse),
-3 validation failure, 4 I/O failure, 5 computation failure.  Identical
-configuration (seeds included) produces byte-identical CSV output.
+constants, once its computation has succeeded.  Exit codes: 0 success,
+2 usage / unknown subcommand (argparse), 3 validation failure, 4 I/O
+failure, 5 computation failure.  Identical configuration (seeds included)
+produces byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def write_csv(path: str, header, rows) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def write_sidecar(path: str, params: dict, extra: dict | None = None) -> None:
+def write_sidecar(path: str, params: dict, extra: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"version: scottlab {__version__}\n")
@@ -61,7 +62,7 @@ def write_sidecar(path: str, params: dict, extra: dict | None = None) -> None:
                 fh.write(f"param {k}: {v}\n")
             for k, v in PROVENANCE.items():
                 fh.write(f"constant {k}: {v}\n")
-            for k, v in (extra or {}).items():
+            for k, v in extra.items():
                 fh.write(f"{k}: {v}\n")
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
@@ -137,16 +138,15 @@ def get_tf_solution(cache_dir: str | None) -> tf.TFSolution:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each validates its input, computes and returns (CSV header,
+# CSV rows, sidecar extra lines, summary lines); main writes and prints them
 # ---------------------------------------------------------------------------
 
 
-def cmd_tf(args) -> int:
+def cmd_tf(args):
     sol = get_tf_solution(args.cache_dir)
-    table = sol.profile_table()
-    write_csv(args.out, ["t", "phi", "dphi"], table.tolist())
     rep = tf.tf_energy_consistency(sol)
-    write_sidecar(args.out + ".meta.txt", vars_of(args), {
+    return ["t", "phi", "dphi"], sol.profile_table().tolist(), {
         "slope0": _fmt(sol.slope0),
         "E_atom": _fmt(sol.E_atom),
         "D_rho": _fmt(sol.D_rho),
@@ -155,13 +155,11 @@ def cmd_tf(args) -> int:
         "virial_ratio": _fmt(rep.virial_ratio),
         "energy_gap": _fmt(rep.rel_gap),
         "mass_error": _fmt(rep.mass_error),
-    })
-    print(f"TF atom: slope0 = {sol.slope0:.9f}, E_atom = {sol.E_atom:.9f}, "
-          f"residual = {sol.residual_sup:.3e}")
-    return EXIT_OK
+    }, [f"TF atom: slope0 = {sol.slope0:.9f}, E_atom = {sol.E_atom:.9f}, "
+        f"residual = {sol.residual_sup:.3e}"]
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args):
     _positive([args.h, args.z], "h and z")
     if not (math.isfinite(args.mu) and args.mu >= 0):
         raise ValidationError("mu must be nonnegative and finite")
@@ -174,11 +172,9 @@ def cmd_weyl(args) -> int:
         sol = get_tf_solution(args.cache_dir)
         value = weyl_integral(WeylIntegrand(V=sol.potential(args.z), mu=args.mu, h=args.h))
         closed = float("nan")
-    write_csv(args.out, ["potential", "mu", "h", "value", "closed_form"],
-              [[args.potential, args.mu, args.h, value, closed]])
-    write_sidecar(args.out + ".meta.txt", vars_of(args))
-    print(f"weyl integral = {value:.9e}")
-    return EXIT_OK
+    return (["potential", "mu", "h", "value", "closed_form"],
+            [[args.potential, args.mu, args.h, value, closed]], {},
+            [f"weyl integral = {value:.9e}"])
 
 
 def _resolve_potential(args):
@@ -187,28 +183,26 @@ def _resolve_potential(args):
     if args.potential == "tf":
         sol = get_tf_solution(args.cache_dir)
         return sol.potential()
-    if args.potential == "file":
-        if not args.file:
-            raise ValidationError("potential=file needs --file")
-        try:
-            data = np.loadtxt(args.file, delimiter=",", skiprows=1, ndmin=2)
-        except OSError as exc:
-            raise IOError(f"cannot read {args.file}: {exc}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse {args.file}: {exc}") from exc
-        if data.shape[0] < 2 or data.shape[1] != 2:
-            raise ValidationError(f"{args.file} needs at least two (r, V) rows "
-                                  f"of two columns, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValidationError(f"{args.file}: r and V must be finite")
-        r, v = data[:, 0], data[:, 1]
-        if not np.all(np.diff(r) > 0):
-            raise ValidationError(f"{args.file}: the r column must be strictly increasing")
-        return lambda q: np.interp(q, r, v, left=v[0], right=0.0)
-    raise ValidationError(f"unknown potential {args.potential!r}")
+    if not args.file:
+        raise ValidationError("potential=file needs --file")
+    try:
+        data = np.loadtxt(args.file, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise IOError(f"cannot read {args.file}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse {args.file}: {exc}") from exc
+    if data.shape[0] < 2 or data.shape[1] != 2:
+        raise ValidationError(f"{args.file} needs at least two (r, V) rows "
+                              f"of two columns, got shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{args.file}: r and V must be finite")
+    r, v = data[:, 0], data[:, 1]
+    if not np.all(np.diff(r) > 0):
+        raise ValidationError(f"{args.file}: the r column must be strictly increasing")
+    return lambda q: np.interp(q, r, v, left=v[0], right=0.0)
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args):
     _positive([args.h, args.resolution], "h and resolution")
     if not (math.isfinite(args.mu) and args.mu >= 0):
         raise ValidationError("mu must be nonnegative and finite")
@@ -232,19 +226,16 @@ def cmd_trace(args) -> int:
         for k, e in enumerate(s.eigenvalues[ell]):
             rows.append([ell, k, float(e)])
     rows.append([-1, -1, s.trace])
-    write_csv(args.out, ["l", "k", "value"], rows)
-    write_sidecar(args.out + ".meta.txt", vars_of(args), {
+    return ["l", "k", "value"], rows, {
         "trace": _fmt(s.trace),
         "n_states": str(s.n_states),
         "ell_max": str(ell_max),
         "summary_row": "final row l=-1,k=-1 holds the spin-weighted shifted trace",
         "workers": str(s.workers),
-    })
-    print(f"trace = {s.trace:.9e} over {s.n_states} states, l <= {ell_max}")
-    return EXIT_OK
+    }, [f"trace = {s.trace:.9e} over {s.n_states} states, l <= {ell_max}"]
 
 
-def cmd_scott(args) -> int:
+def cmd_scott(args):
     if args.route == "mu-limit":
         Ns = sorted({int(v) for v in _positive(_floats(args.N_list), "N")})
         if len(Ns) < 3 or Ns[0] < 1:
@@ -256,11 +247,9 @@ def cmd_scott(args) -> int:
             t = hydrogen.trace_neg_coulomb(mu)
             w = weyl_coulomb_mu(mu, 1.0)
             rows.append([mu, t, w, t - w])
-        write_csv(args.out, ["mu", "trace", "weyl", "difference"], rows)
-        write_sidecar(args.out + ".meta.txt", vars_of(args),
-                      {"estimate_2S": _fmt(est.value), "route": est.route})
-        print(f"2S(0) ≈ {est.value:.4f}")
-        return EXIT_OK
+        return (["mu", "trace", "weyl", "difference"], rows,
+                {"estimate_2S": _fmt(est.value), "route": est.route},
+                [f"2S(0) ≈ {est.value:.4f}"])
 
     if args.route == "cutoff-R":
         Rs = _positive(_floats(args.R_list) if args.R_list else [args.R], "R")
@@ -272,13 +261,11 @@ def cmd_scott(args) -> int:
             phi = SmoothCutoff(R)
             w = radial_eig.cutoff_weyl_coulomb(phi)
             rows.append([R, d + w, w, d])
-        write_csv(args.out, ["R", "trace", "weyl", "difference"], rows)
         extra = {"estimate_2S_at_largest_R": _fmt(est.value), "route": est.route}
         if "extrapolated" in est.meta:
             extra["extrapolated_2S"] = _fmt(est.meta["extrapolated"])
-        write_sidecar(args.out + ".meta.txt", vars_of(args), extra)
-        print(f"2S(0) finite-R estimate at R={est.R:g}: {est.value:.4f}")
-        return EXIT_OK
+        return (["R", "trace", "weyl", "difference"], rows, extra,
+                [f"2S(0) finite-R estimate at R={est.R:g}: {est.value:.4f}"])
 
     if args.route == "spectral-fit":
         hs = _positive(_floats(args.h_list), "h")
@@ -288,54 +275,43 @@ def cmd_scott(args) -> int:
         sol = get_tf_solution(args.cache_dir)
         est = radial_eig.scott_spectral_fit(sol, h_list=hs, refine=args.refine,
                                             resolution=args.resolution)
-        write_csv(args.out, ["h", "trace"],
-                  [[h, t] for h, t in est.meta["samples"]])
-        write_sidecar(args.out + ".meta.txt", vars_of(args), {
+        return ["h", "trace"], est.meta["samples"], {
             "c3_pinned": _fmt(est.meta["c3"]),
             "c2_estimate_2S": _fmt(est.value),
             "max_rel_residual": _fmt(est.meta["max_rel_residual"]),
-        })
-        print(f"spectral fit: c2 ≈ {est.value:.4f} (2S(0) target 0.25)")
-        return EXIT_OK
+        }, [f"spectral fit: c2 ≈ {est.value:.4f} (2S(0) target 0.25)"]
 
-    if args.route == "ansatz-min":
-        from . import pauli  # scipy.sparse throughout: loaded only by this route
+    from . import pauli  # ansatz-min, scipy.sparse throughout: loaded only by this route
 
-        _positive([args.kappa, args.R], "kappa and R")
-        if min(args.modes, args.budget) < 1:
-            raise ValidationError("modes and budget must be at least 1")
-        mesh = _floats(args.mesh)
-        # the z mesh is split into two halves, so n_z = 1 would leave no cells
-        if not (len(mesh) == 2 and all(v.is_integer() for v in mesh)
-                and mesh[0] >= 1 and mesh[1] >= 2):
-            raise ValidationError(f"--mesh needs two integers n_rho >= 1 and n_z >= 2, "
-                                  f"got {args.mesh!r}")
-        grid = pauli.PauliGrid.for_ball(args.R, n_rho=int(mesh[0]), n_z=int(mesh[1]))
-        # beta = 1/(2 kappa), its largest admissible value, weighs no field inside B(R/4)
-        res = pauli.minimize_scott(args.kappa, 0.5 / args.kappa, args.R, grid,
-                                   n_modes=args.modes, budget=args.budget)
-        write_csv(args.out, ["iteration", "theta_norm", "functional"],
-                  [[i, n, v] for i, n, v in res.history])
-        write_sidecar(args.out + ".meta.txt", vars_of(args), {
-            "estimate_2S_upper_bound": _fmt(res.estimate.value),
-            "zero_field_value": _fmt(res.zero_field_value),
-            "theta_best": " ".join(_fmt(t) for t in res.theta),
-            "budget_exhausted": str(res.budget_exhausted),
-            "beats_zero_field": str(res.estimate.value < res.zero_field_value - 1e-6),
-            "kappa_c": _fmt(res.estimate.meta["kappa_c"]),
-            "certified": str(res.estimate.meta["certified"]),
-            # the traces ran under core.one_blas_thread, a no-op without the library
-            "pauli_blas_threads": ("1 (scipy OpenBLAS)" if core.scipy_openblas() is not None
-                                   else "default (scipy OpenBLAS not found)"),
-        })
-        print(f"ansatz-min upper bound on 2S({args.kappa:g}) at R={args.R:g}: "
-              f"{res.estimate.value:.4f} (A=0 value {res.zero_field_value:.4f})")
-        return EXIT_OK
-
-    raise ValidationError(f"unknown scott route {args.route!r}")
+    _positive([args.kappa, args.R], "kappa and R")
+    if min(args.modes, args.budget) < 1:
+        raise ValidationError("modes and budget must be at least 1")
+    mesh = _floats(args.mesh)
+    # the z mesh is split into two halves, so n_z = 1 would leave no cells
+    if not (len(mesh) == 2 and all(v.is_integer() for v in mesh)
+            and mesh[0] >= 1 and mesh[1] >= 2):
+        raise ValidationError(f"--mesh needs two integers n_rho >= 1 and n_z >= 2, "
+                              f"got {args.mesh!r}")
+    grid = pauli.PauliGrid.for_ball(args.R, n_rho=int(mesh[0]), n_z=int(mesh[1]))
+    # beta = 1/(2 kappa), its largest admissible value, weighs no field inside B(R/4)
+    res = pauli.minimize_scott(args.kappa, 0.5 / args.kappa, args.R, grid,
+                               n_modes=args.modes, budget=args.budget)
+    return ["iteration", "theta_norm", "functional"], res.history, {
+        "estimate_2S_upper_bound": _fmt(res.estimate.value),
+        "zero_field_value": _fmt(res.zero_field_value),
+        "theta_best": " ".join(_fmt(t) for t in res.theta),
+        "budget_exhausted": str(res.budget_exhausted),
+        "beats_zero_field": str(res.estimate.value < res.zero_field_value - 1e-6),
+        "kappa_c": _fmt(res.estimate.meta["kappa_c"]),
+        "certified": str(res.estimate.meta["certified"]),
+        # the traces ran under core.one_blas_thread, a no-op without the library
+        "pauli_blas_threads": ("1 (scipy OpenBLAS)" if core.scipy_openblas() is not None
+                               else "default (scipy OpenBLAS not found)"),
+    }, [f"ansatz-min upper bound on 2S({args.kappa:g}) at R={args.R:g}: "
+        f"{res.estimate.value:.4f} (A=0 value {res.zero_field_value:.4f})"]
 
 
-def cmd_partition_check(args) -> int:
+def cmd_partition_check(args):
     if args.n_points < 1:
         raise ValidationError("n-points must be at least 1")
     if args.seed < 0:
@@ -355,14 +331,11 @@ def cmd_partition_check(args) -> int:
         val = multiscale.partition_check(x, sf)
         worst = max(worst, abs(val - 1.0))
         rows.append([x[0], x[1], x[2], d, val])
-    write_csv(args.out, ["x1", "x2", "x3", "d", "integral"], rows)
-    write_sidecar(args.out + ".meta.txt", vars_of(args),
-                  {"max_abs_deviation": _fmt(worst)})
-    print(f"partition identity: max |value - 1| = {worst:.3e} over {args.n_points} points")
-    return EXIT_OK
+    return (["x1", "x2", "x3", "d", "integral"], rows, {"max_abs_deviation": _fmt(worst)},
+            [f"partition identity: max |value - 1| = {worst:.3e} over {args.n_points} points"])
 
 
-def cmd_expansion(args) -> int:
+def cmd_expansion(args):
     Zs = _positive(_floats(args.Z_list), "Z")
     _positive([args.resolution], "resolution")
     sol = get_tf_solution(args.cache_dir)
@@ -370,21 +343,13 @@ def cmd_expansion(args) -> int:
                                         resolution=args.resolution)
     rows = [[r.Z, r.leading, r.scott, r.mean_field, r.residual, r.residual_over_Z2]
             for r in reports]
-    write_csv(args.out, ["Z", "leading", "scott", "mean_field", "residual",
-                         "residual_over_Z2"], rows)
-    write_sidecar(args.out + ".meta.txt", vars_of(args))
-    for r in reports:
-        print(f"Z={r.Z:g}: residual/Z^2 = {r.residual_over_Z2:.6f}")
-    return EXIT_OK
+    return (["Z", "leading", "scott", "mean_field", "residual", "residual_over_Z2"], rows, {},
+            [f"Z={r.Z:g}: residual/Z^2 = {r.residual_over_Z2:.6f}" for r in reports])
 
 
 # ---------------------------------------------------------------------------
 # parser and dispatch
 # ---------------------------------------------------------------------------
-
-
-def vars_of(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,19 +435,26 @@ def main(argv=None) -> int:
         probe, _ = parser.parse_known_args(argv)
         if probe.config:
             cfg = load_config(probe.config)
-            sub_parsers = parser._subparsers._group_actions[0].choices.values()
-            known = {a.dest for sp in sub_parsers for a in sp._actions} - {"help"}
+            sub_parsers = parser._subparsers._group_actions[0].choices
+            known = {a.dest for sp in sub_parsers.values() for a in sp._actions} - {"help"}
             unknown = sorted(k.replace("_", "-") for k in cfg if k not in known)
             if unknown:  # a key of another subcommand is fine: one file may feed several
                 raise ValidationError(f"{probe.config}: unknown config keys: {', '.join(unknown)}")
-            for sub_parser in sub_parsers:
+            if probe.command:  # only the subcommand that runs takes the file's values
+                sub_parser = sub_parsers[probe.command]
                 sub_parser.set_defaults(**{a.dest: _coerce(a, cfg[a.dest])
                                            for a in sub_parser._actions if a.dest in cfg})
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 2
-        return args.func(args)
+        header, rows, extra, summary = args.func(args)
+        write_csv(args.out, header, rows)
+        write_sidecar(args.out + ".meta.txt",
+                      {k: v for k, v in vars(args).items() if k != "func"}, extra)
+        for line in summary:
+            print(line)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error:validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -496,7 +468,8 @@ def main(argv=None) -> int:
 
 def _coerce(action, value):
     """Config value as the default of action: a boolean word for a switch, else the raw
-    string, which argparse converts through the action's type."""
+    string, which argparse converts through the action's type.  argparse checks no
+    default against the action's choices, so a value outside them is rejected here."""
     if isinstance(action.default, bool) or isinstance(getattr(action, "const", None), bool):
         word = str(value).strip().lower()
         if word in ("1", "true", "yes", "on"):
@@ -504,6 +477,9 @@ def _coerce(action, value):
         if word in ("0", "false", "no", "off"):
             return False
         raise ValidationError(f"{action.dest} must be a boolean word, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(f"{action.dest} must be one of {', '.join(action.choices)}, "
+                              f"got {value!r}")
     return value
 
 

@@ -19,6 +19,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .core import sqrt_panel_integral
 
+# int over R^3 of [p^2 - v]_- dp = -MOMENTUM_COEFF [v]_+^(5/2)
 MOMENTUM_COEFF = 8.0 * math.pi / 15.0
 
 # sqrt(r) panels of the main quadrature; relative size at which a dyadic
@@ -28,14 +29,6 @@ N_PANELS, TAIL_TOL, MAX_OCTAVES = 160, 1e-12, 60
 
 class WeylDivergenceError(ValueError):
     """The configuration integral fails the integrability tail test or is not finite."""
-
-
-def momentum_reduce(v: float) -> float:
-    """int over R^3 of [p^2 - v]_- dp = -(8 pi / 15) max(v, 0)^(5/2)."""
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError("v must be finite")
-    return -MOMENTUM_COEFF * max(v, 0.0) ** 2.5
 
 
 @dataclass(frozen=True)

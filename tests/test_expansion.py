@@ -54,11 +54,6 @@ def test_expansion_sweep_reports(tf_solution):
     assert reports[1].residual_over_Z2 < reports[0].residual_over_Z2
 
 
-def test_expansion_sweep_needs_provider_for_magnetic(tf_solution):
-    with pytest.raises(ValueError):
-        expansion_sweep([8.0], 0.05, tf_solution)
-
-
 @pytest.mark.parametrize("Z, alpha, bad", [
     (math.nan, 0.0, "Z = nan"), (math.inf, 0.0, "Z = inf"), (0.0, 0.0, "Z = 0.0"),
     (-8.0, 0.0, "Z = -8.0"), (8.0, 0.05, "alpha = 0.05"), (8.0, -0.01, "alpha = -0.01"),

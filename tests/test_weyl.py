@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from scottlab.weyl import (WeylDivergenceError, WeylIntegrand, momentum_reduce,
+from scottlab.weyl import (MOMENTUM_COEFF, WeylDivergenceError, WeylIntegrand,
                            weyl_coulomb_mu, weyl_integral)
 
 
@@ -31,21 +31,16 @@ def weyl_integral_box(V, weight, box, n=48):
     return -(8.0 * math.pi / 15.0) * 2.0 * (2.0 * math.pi) ** -3 * total
 
 
-def test_momentum_reduce_trivial_cases():
-    assert momentum_reduce(-3.0) == 0.0
-    assert momentum_reduce(0.0) == 0.0
-    assert momentum_reduce(1.0) == pytest.approx(-8.0 * math.pi / 15.0, rel=1e-15)
-
-
-def test_momentum_reduce_against_3d_quadrature():
-    # oracle: radial momentum quadrature of (p^2 - v) over |p| <= sqrt(v), v = 4
+def test_momentum_coeff_against_3d_quadrature():
+    # oracle: radial momentum quadrature of (p^2 - v) over |p| <= sqrt(v), v = 4,
+    # which weyl_integral takes in closed form as -MOMENTUM_COEFF v^(5/2)
     v = 4.0
     x, w = leggauss(200)
     p = 0.5 * math.sqrt(v) * (x + 1.0)
     oracle = 4.0 * math.pi * np.sum(0.5 * math.sqrt(v) * w * (p ** 2 - v) * p ** 2)
-    assert oracle == pytest.approx(-(8 * math.pi / 15) * 32.0, rel=1e-12)
-    assert momentum_reduce(v) == pytest.approx(oracle, rel=1e-12)
-    assert momentum_reduce(v) == pytest.approx(-53.61651, abs=1e-4)
+    assert MOMENTUM_COEFF == pytest.approx(8.0 * math.pi / 15.0, rel=1e-15)
+    assert -MOMENTUM_COEFF * v ** 2.5 == pytest.approx(oracle, rel=1e-12)
+    assert oracle == pytest.approx(-53.61651, abs=1e-4)
 
 
 def test_weyl_integral_nonpositive_potential_is_zero():

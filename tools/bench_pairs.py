@@ -27,7 +27,9 @@ from a new empty folder with the same relative --cache-dir and --out paths,
 so the sidecars' path lines match.  The outputs block records, for every
 CSV, sidecar, stdout, stderr and exit code, whether the two trees' first
 runs are identical or the first line where they differ, and the same for
-each tree's two runs.
+each tree's two runs.  The last two commands fail (exit 3 and 5), so their
+stderr and exit codes are compared too, and any CSV or sidecar they leave
+is listed.
 
 Each tree also runs the tier-1 suite once, from its root, with src/ first on
 PYTHONPATH.  The tier1 block records, per tree, the passed count, the names
@@ -153,6 +155,9 @@ OUTPUT_COMMANDS = (
     ("trace_n200", ["trace", "--mu", "0.05", "--n", "200"]),
     ("scott_cutoff_default", ["scott", "--route", "cutoff-R"]),
     ("ansatz_min", ["scott", "--route", "ansatz-min", "--R", "8", "--mesh", "32 64"]),
+    # error paths: stderr and exit code are compared, and no CSV or sidecar may appear
+    ("ansatz_min_mesh_one", ["scott", "--route", "ansatz-min", "--mesh", "80"]),
+    ("scott_cutoff_tiny", ["scott", "--route", "cutoff-R", "--R-list", "1e-300,1e-200"]),
 )
 
 
