@@ -287,10 +287,10 @@ def cmd_scott(args):
     if min(args.modes, args.budget) < 1:
         raise ValidationError("modes and budget must be at least 1")
     mesh = _floats(args.mesh)
-    # the z mesh is split into two halves, so n_z = 1 would leave no cells
+    # the mesh holds the n_z / 2 cells above z = 0, so n_z must be even and at least 2
     if not (len(mesh) == 2 and all(v.is_integer() for v in mesh)
-            and mesh[0] >= 1 and mesh[1] >= 2):
-        raise ValidationError(f"--mesh needs two integers n_rho >= 1 and n_z >= 2, "
+            and mesh[0] >= 1 and mesh[1] >= 2 and mesh[1] % 2 == 0):
+        raise ValidationError(f"--mesh needs two integers n_rho >= 1 and an even n_z >= 2, "
                               f"got {args.mesh!r}")
     grid = pauli.PauliGrid.for_ball(args.R, n_rho=int(mesh[0]), n_z=int(mesh[1]))
     # beta = 1/(2 kappa), its largest admissible value, weighs no field inside B(R/4)

@@ -19,17 +19,32 @@ the kinetic stencil, V, mu, the Zeeman term and the B_rho coupling are the
 same for every m, and the phi sandwich is a congruence.  Where
 h |j| >= max(-side a rho) over the mesh, one step outward on that side
 raises every diagonal term, so each later block dominates block j in the
-Loewner order; once such a block is empty, so is every later one on its
-side, and the walk stops there.
+Loewner order, parity sector by parity sector (below); once such a
+block is empty, so is every later one on its side, and the walk stops
+there.
+
+The mesh covers z > 0 only.  V and phi are radial and every FieldAnsatz
+has a(rho, z) even in z, so B_z is even and B_rho odd; the reflection
+(u, d)(z) -> (u(-z), -d(-z)) then commutes with every block, and
+u(z) -> u(-z) with every zero-field channel.  Each operator is therefore the
+direct sum of two parity sectors on the half mesh, each with half its
+unknowns.  The kinetic operator comes as the pair (K_0, K_1) = (K_even,
+K_odd): K_even closes the mirror face z = 0 with no flux, like the axis face,
+and K_odd closes it against a Dirichlet wall, like the outer faces.  Sector p
+of a block puts its up component on K_p and its down component on K_{1-p};
+sector p of a channel is on K_p.  Each sector is certified by its own
+inertia count, an operator's eigenvalues are the sorted union of its two
+sectors', and it is empty only when both are.  A potential, cutoff or field
+without this z-parity would couple the sectors, and the split would be wrong.
 
 At A = 0 the operator is (-h^2 Lap - V) (x) I_2, so block j = m + 1/2 is
 the direct sum of the scalar channels m and m + 1, each
-phi (K + (h m / rho)^2 - V + mu) phi on the nr nz cells, and block -j is
-block j again.  A zero-field trace therefore walks the channels m = 0, 1,
-... instead of the blocks, and factors and solves each channel once, at
-half the size of a block.  Channel m + 1 adds the positive diagonal
-(h / rho)^2 (2 m + 1) to channel m, so it dominates channel m and the walk
-stops at the first empty channel.  The blocks +-(m + 1/2) are then the
+phi (K + (h m / rho)^2 - V + mu) phi on the nr nz cells (in two sectors),
+and block -j is block j again.  A zero-field trace therefore walks the
+channels m = 0, 1, ... instead of the blocks, and factors and solves each
+channel once, at half the size of a block.  Channel m + 1 adds the
+positive diagonal (h / rho)^2 (2 m + 1) to channel m, so it dominates
+channel m and the walk stops at the first empty channel.  The blocks +-(m + 1/2) are then the
 sorted union of the eigenvalues of channels m and m + 1, and the trace
 sums them in the order of the block walk.
 
@@ -201,18 +216,23 @@ def _graded_faces(scale, span, n):
 
 @dataclass
 class PauliGrid:
-    """Tensor (rho, z) finite-volume mesh."""
+    """Tensor (rho, z) finite-volume mesh over the half plane z > 0 (module docstring)."""
 
     rho_faces: np.ndarray
     z_faces: np.ndarray
 
     @classmethod
     def for_ball(cls, radius: float, n_rho: int = 96, n_z: int = 192) -> "PauliGrid":
-        half = _graded_faces(R_CORE, radius, n_z // 2)
-        zf = np.concatenate([-half[::-1], half[1:]])
-        return cls(rho_faces=_graded_faces(R_CORE, radius, n_rho), z_faces=zf)
+        """The half of the ball |x| < radius above z = 0: n_z / 2 cells in z, n_z even."""
+        if n_z % 2:
+            raise ValueError(f"n_z ({n_z}) must be even: the mesh holds the n_z / 2 cells "
+                             "above z = 0")
+        return cls(rho_faces=_graded_faces(R_CORE, radius, n_rho),
+                   z_faces=_graded_faces(R_CORE, radius, n_z // 2))
 
     def __post_init__(self):
+        if self.z_faces[0] != 0.0:
+            raise ValueError("the z faces start at the mirror plane z = 0")
         self.rho = 0.5 * (self.rho_faces[1:] + self.rho_faces[:-1])
         self.z = 0.5 * (self.z_faces[1:] + self.z_faces[:-1])
         self.drho = np.diff(self.rho_faces)
@@ -221,34 +241,38 @@ class PauliGrid:
         self.nz = self.z.size
         self.R, self.Z = np.meshgrid(self.rho, self.z, indexing="ij")
 
-    def kinetic(self, h: float) -> sp.csr_matrix:
-        """Symmetrized FV of -h^2 (rho^-1 d_rho rho d_rho + d_zz) as K_rho (x) I + I (x) K_z."""
+    def kinetic(self, h: float) -> tuple:
+        """(K_even, K_odd): the symmetrized FV of -h^2 (rho^-1 d_rho rho d_rho + d_zz)
+        as K_rho (x) I + I (x) K_z for functions even and odd in z."""
         h2 = h * h
         rho, drho, rf = self.rho, self.drho, self.rho_faces
         z, dz, zf = self.z, self.dz, self.z_faces
         # conductances of rho faces 1..nr (the axis face conducts nothing) and
-        # of z faces 0..nz; the outermost faces close against the Dirichlet wall
+        # of z faces 1..nz; the outermost faces close against the Dirichlet wall
         g_rho = h2 * rf[1:] / np.diff(np.append(rho, rf[-1]))
-        g_z = h2 / np.diff(np.concatenate([[zf[0]], z, [zf[-1]]]))
+        g_z = h2 / np.diff(np.append(z, zf[-1]))
         d_rho = (np.append(0.0, g_rho[:-1]) + g_rho) / (rho * drho)
-        d_z = (g_z[:-1] + g_z[1:]) / dz
         c_rho = -h2 * rf[1:-1] / (np.diff(rho) * np.sqrt(rho[:-1] * drho[:-1] * rho[1:] * drho[1:]))
         c_z = -h2 / (np.diff(z) * np.sqrt(dz[:-1] * dz[1:]))
-        k_rho = sp.diags([c_rho, d_rho, c_rho], [-1, 0, 1])
-        k_z = sp.diags([c_z, d_z, c_z], [-1, 0, 1])
-        return (sp.kron(k_rho, sp.identity(self.nz), format="csr")
-                + sp.kron(sp.identity(self.nr), k_z, format="csr"))
+        k_rho = sp.kron(sp.diags([c_rho, d_rho, c_rho], [-1, 0, 1]), sp.identity(self.nz),
+                        format="csr")
+        # the mirror face z = 0 conducts nothing for even functions, like the
+        # axis face, and closes against a Dirichlet wall for odd ones
+        k_z = [sp.diags([c_z, (np.append(g_0, g_z[:-1]) + g_z) / dz, c_z], [-1, 0, 1])
+               for g_0 in (0.0, h2 / (z[0] - zf[0]))]
+        return tuple(k_rho + sp.kron(sp.identity(self.nr), k, format="csr") for k in k_z)
 
 
-def block_matrix(grid: PauliGrid, K: sp.csr_matrix, h: float, m: int, V2d: np.ndarray,
+def block_matrix(grid: PauliGrid, K: tuple, h: float, m: int, p: int, V2d: np.ndarray,
                  a2d: np.ndarray, Bz2d: np.ndarray, Brho2d: np.ndarray,
                  mu: float = 0.0, phi2d: Optional[np.ndarray] = None):
-    """Assemble the j = m + 1/2 block (up component m, down m + 1); K = grid.kinetic(h)."""
+    """Assemble parity sector p of the j = m + 1/2 block: up component m on K[p], down
+    m + 1 on K[1 - p]; K = grid.kinetic(h)."""
     R = grid.R
     blocks = []
-    for mm, sgn in ((m, +1), (m + 1, -1)):
+    for mm, sgn, Kp in ((m, +1, K[p]), (m + 1, -1, K[1 - p])):
         U = (h * mm / R + a2d) ** 2 - V2d + mu - sgn * h * Bz2d
-        blocks.append(K + sp.diags(U.ravel()))
+        blocks.append(Kp + sp.diags(U.ravel()))
     coupling = sp.diags(-h * Brho2d.ravel())
     H = sp.bmat([[blocks[0], coupling], [coupling, blocks[1]]], format="csc")
     return H if phi2d is None else _sandwich(H, np.concatenate([phi2d.ravel(), phi2d.ravel()]))
@@ -364,17 +388,18 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     V is a radial accessor V(|x|); phi an optional radial cutoff (the
     negative spectrum then lives inside supp phi, so a mesh over that ball
     suffices).  The mesh is grid, or else the (n_rho, n_z) = mesh ball of
-    radius domain_radius.  Each side's walk stops at the first empty block
-    with h |j| >= max(-side a rho): every later block on that side dominates
-    it (module docstring).  At A = 0 the walk runs over the scalar channels
-    m >= 0 and stops at the first empty one; the blocks are built from them
-    (module docstring).  For A != 0, where core.fork_cores allows it, the
-    two sides are walked by two forked children; the whole trace runs with
-    scipy's OpenBLAS at one thread, the children included (module
-    docstring).  No extra spin factor: the spinor components are explicit, so
-    the record keys the blocks by j with degeneracy 1, spin 1.0 and shift 0.0
-    (mu is in the operator).  A mesh whose geometry overflows raises
-    FloatingPointError.
+    radius domain_radius.  Every block and channel is solved in its two
+    parity sectors on the half mesh (module docstring).  Each side's walk
+    stops at the first empty block with h |j| >= max(-side a rho): every
+    later block on that side dominates it (module docstring).  At A = 0 the
+    walk runs over the scalar channels m >= 0 and stops at the first empty
+    one; the blocks are built from them (module docstring).  For A != 0,
+    where core.fork_cores allows it, the two sides are walked by two forked
+    children; the whole trace runs with scipy's OpenBLAS at one thread, the
+    children included (module docstring).  No extra spin factor: the spinor
+    components are explicit, so the record keys the blocks by j with
+    degeneracy 1, spin 1.0 and shift 0.0 (mu is in the operator).  A mesh
+    whose geometry overflows raises FloatingPointError.
     """
     if grid is None:
         if domain_radius is None:
@@ -388,12 +413,13 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     V2d = np.asarray(V(S), dtype=float)
     phi2d = None if phi is None else np.asarray(phi(S), dtype=float)
 
-    def walk(operator, side, reach):
-        """{m: eigenvalues} of the nonempty operators m of one walk, out to its certified stop."""
+    def walk(sectors, side, reach):
+        """{m: eigenvalues} of the nonempty operators m of one walk, out to its certified
+        stop; sectors(m) yields the two parity sectors of operator m."""
         found = {}
         m = 0 if side > 0 else -1
         for _ in range(JMAX):
-            vals = eigs_below(operator(m), -1e-12, SIGMA)
+            vals = np.sort(np.concatenate([eigs_below(H, -1e-12, SIGMA) for H in sectors(m)]))
             if vals.size:
                 found[m] = vals
             elif h * abs(m + 0.5) >= reach:
@@ -404,8 +430,10 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     # insertion order is that of the block walks, and the sum runs in it
     if A is None or A.is_zero:
         def channel(m):
-            H = K + sp.diags(((h * m / grid.R) ** 2 - V2d + mu).ravel())
-            return H.tocsc() if phi2d is None else _sandwich(H, phi2d.ravel())
+            U = sp.diags(((h * m / grid.R) ** 2 - V2d + mu).ravel())
+            for Kp in K:
+                H = Kp + U
+                yield H.tocsc() if phi2d is None else _sandwich(H, phi2d.ravel())
 
         # reach 0: each channel dominates the one before, so the first empty
         # one ends the walk
@@ -420,7 +448,8 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
         a_rho = a2d * grid.R
 
         def block(m):
-            return block_matrix(grid, K, h, m, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
+            for p in (0, 1):
+                yield block_matrix(grid, K, h, m, p, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
 
         def side_walk(i):
             side = (1, -1)[i]

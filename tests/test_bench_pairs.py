@@ -97,9 +97,18 @@ def test_compare_outputs_finds_the_first_differing_line(tmp_path):
     assert files["a.csv"]["after_repeat"] == {"line": 2, "lines": ["1,2\n", "1,3\n"]}
     # a longer file differs on the first line past the shorter one's end
     assert files["a.stdout"]["trees"] == {"line": 2, "lines": [None, "more\n"]}
-    # a file one run lacks reads as no lines
-    assert files["a.stderr"]["trees"] == {"line": 1, "lines": [None, "warn\n"]}
+    # a file one run lacks is reported as missing there
+    assert files["a.stderr"]["trees"] == {"exists": [False, True]}
     assert files["a.stderr"]["before_repeat"] == "identical"
+
+
+def test_missing_file_differs_from_an_empty_one(tmp_path):
+    # both used to read as no lines, and so as "identical"
+    (tmp_path / "x.csv").write_text("")
+    missing = tmp_path / "gone" / "x.csv"
+    assert bench_pairs.first_difference(tmp_path / "x.csv", missing) == {"exists": [True, False]}
+    assert bench_pairs.first_difference(missing, tmp_path / "x.csv") == {"exists": [False, True]}
+    assert bench_pairs.first_difference(tmp_path / "x.csv", tmp_path / "x.csv") == "identical"
 
 
 # the tail of a pytest -q run with a failure, a parametrized failure whose id

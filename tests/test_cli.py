@@ -134,6 +134,7 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
 @pytest.mark.parametrize("argv", [
     ["scott", "--route", "ansatz-min", "--mesh", "80"],
     ["scott", "--route", "ansatz-min", "--mesh", "0 32"],
+    ["scott", "--route", "ansatz-min", "--mesh", "16 33"],
     ["scott", "--route", "mu-limit", "--N-list", ""],
     ["scott", "--route", "mu-limit", "--N-list", "50 100"],
     ["partition-check", "--d-min", "0"],
@@ -155,8 +156,8 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["scott", "--route", "ansatz-min", "--modes", "-1"],
     ["partition-check", "--seed", "-1"],
     ["scott", "--route", "ansatz-min", "--budget", "0"],
-], ids=["mesh-one-number", "mesh-zero", "N-list-empty", "N-list-two", "d-min-zero",
-        "d-min-above-d-max", "n-points-negative", "R-zero", "h-zero",
+], ids=["mesh-one-number", "mesh-zero", "mesh-odd-n-z", "N-list-empty", "N-list-two",
+        "d-min-zero", "d-min-above-d-max", "n-points-negative", "R-zero", "h-zero",
         "tf-z-negative", "z-negative", "n-below-8", "n-above-cap", "r-max-negative",
         "r-max-zero", "refine-maybe", "config-not-utf8", "config-potential-file",
         "config-route-other", "modes-zero",

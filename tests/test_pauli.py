@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scottlab import pauli, radial_eig
 from scottlab.core import neg_part_sum, one_blas_thread
@@ -19,6 +20,9 @@ from scottlab.pauli import (FieldAnsatz, PauliGrid, field_energy, minimize_scott
 SRC = Path(__file__).resolve().parents[1] / "src"
 VC = lambda r: 1.0 / r
 SMALL_MESH = (48, 96)
+# max(a rho) = 3.26 on the -j side: that walk visits four blocks, the +j walk two
+STRONG = FieldAnsatz(theta=(8.0, 0.0), support_radius=2.0)
+WEAK = FieldAnsatz(theta=(0.3, 0.2), support_radius=2.0)
 
 
 def ball8(mesh):
@@ -139,18 +143,25 @@ def test_pauli_trace_needs_a_domain():
         pauli_trace_neg(None, VC, h=1.0, phi=SmoothCutoff(8.0))
 
 
-def kinetic_by_cells(grid, h):
-    """The finite-volume kinetic operator cell by cell, the reference of PauliGrid.kinetic."""
-    rho, drho, rf, z, dz, zf = grid.rho, grid.drho, grid.rho_faces, grid.z, grid.dz, grid.z_faces
-    nr, nz = grid.nr, grid.nz
+def kinetic_by_cells(rho_faces, z_faces, h, floor):
+    """The finite-volume kinetic operator cell by cell on the tensor mesh of the faces, the
+    reference of PauliGrid.kinetic: no flux through the axis, a Dirichlet wall at the outer
+    rho face and the top z face, and at the bottom z face a wall (floor "wall") or no flux
+    (floor "no-flux")."""
+    rho, z = 0.5 * (rho_faces[1:] + rho_faces[:-1]), 0.5 * (z_faces[1:] + z_faces[:-1])
+    drho, dz, rf, zf = np.diff(rho_faces), np.diff(z_faces), rho_faces, z_faces
+    nr, nz = rho.size, z.size
     h2 = h * h
-    K = np.zeros((nr * nz, nr * nz))
+    K = {}
     for i in range(nr):
         for j in range(nz):
             k = i * nz + j
             g_in = 0.0 if i == 0 else h2 * rf[i] / (rho[i] - rho[i - 1])
             g_out = h2 * rf[i + 1] / ((rho[i + 1] - rho[i]) if i + 1 < nr else (rf[i + 1] - rho[i]))
-            g_dn = h2 / ((z[j] - z[j - 1]) if j > 0 else (z[j] - zf[0]))
+            if j > 0:
+                g_dn = h2 / (z[j] - z[j - 1])
+            else:
+                g_dn = h2 / (z[j] - zf[0]) if floor == "wall" else 0.0
             g_up = h2 / ((z[j + 1] - z[j]) if j + 1 < nz else (zf[-1] - z[j]))
             K[k, k] = (g_in + g_out) / (rho[i] * drho[i]) + (g_dn + g_up) / dz[j]
             if i + 1 < nr:
@@ -158,48 +169,102 @@ def kinetic_by_cells(grid, h):
                     (rho[i + 1] - rho[i]) * np.sqrt(rho[i] * drho[i] * rho[i + 1] * drho[i + 1]))
             if j + 1 < nz:
                 K[k, k + 1] = K[k + 1, k] = -h2 / ((z[j + 1] - z[j]) * np.sqrt(dz[j] * dz[j + 1]))
-    return K
+    rows, cols = np.array(list(K)).T
+    return sp.csr_matrix((list(K.values()), (rows, cols)), shape=(nr * nz,) * 2)
 
 
-@pytest.mark.parametrize("mesh", [(1, 2), (2, 2), (5, 3), (12, 20)])
+@pytest.mark.parametrize("mesh", [(1, 2), (2, 2), (5, 6), (12, 20)])
 def test_kinetic_matches_cell_loop(mesh):
     grid = PauliGrid.for_ball(8.0, n_rho=mesh[0], n_z=mesh[1])
+    assert grid.nz == mesh[1] // 2 and grid.z_faces[0] == 0.0
     for h in (1.0, 0.3):
-        K = grid.kinetic(h)
-        want = kinetic_by_cells(grid, h)
-        # same entries, bit for bit, and no stored zeros
-        np.testing.assert_array_equal(K.toarray(), want)
-        assert K.nnz == np.count_nonzero(want)
+        for K, floor in zip(grid.kinetic(h), ("no-flux", "wall")):
+            want = kinetic_by_cells(grid.rho_faces, grid.z_faces, h, floor).toarray()
+            # same entries, bit for bit, and no stored zeros
+            np.testing.assert_array_equal(K.toarray(), want)
+            assert K.nnz == np.count_nonzero(want)
+
+
+def test_mesh_is_the_upper_half():
+    # an odd n_z used to be rounded down to the next even count
+    with pytest.raises(ValueError, match="must be even"):
+        PauliGrid.for_ball(8.0, 16, 33)
+    with pytest.raises(ValueError, match="mirror plane"):
+        PauliGrid(rho_faces=np.linspace(0.0, 1.0, 3), z_faces=np.linspace(-1.0, 1.0, 3))
 
 
 def test_inertia_count_matches_dense():
     grid = PauliGrid.for_ball(8.0, n_rho=24, n_z=48)
     S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
     z = np.zeros_like(S)
-    H = pauli.block_matrix(grid, grid.kinetic(1.0), 1.0, 0, 1.0 / S, z, z, z, mu=0.05)
-    dense = np.linalg.eigvalsh(H.toarray())
-    want = int(np.sum(dense < -1e-9))
-    assert pauli.inertia_below(H, -1e-9) == want
-    vals = pauli.eigs_below(H, -1e-9, sigma=-0.75)
-    assert vals.size == want
-    np.testing.assert_allclose(vals, dense[dense < -1e-9], atol=1e-7)
+    for p in (0, 1):
+        H = pauli.block_matrix(grid, grid.kinetic(1.0), 1.0, 0, p, 1.0 / S, z, z, z, mu=0.05)
+        dense = np.linalg.eigvalsh(H.toarray())
+        want = int(np.sum(dense < -1e-9))
+        assert pauli.inertia_below(H, -1e-9) == want
+        vals = pauli.eigs_below(H, -1e-9, sigma=-0.75)
+        assert vals.size == want
+        np.testing.assert_allclose(vals, dense[dense < -1e-9], atol=1e-7)
 
 
-def cutoff_block(grid, m, A=None):
-    """The j = m + 1/2 block of phi_8 (T_1(A) - 1/|x|) phi_8 on grid."""
+def cutoff_block(grid, m, p, A=None):
+    """Parity sector p of the j = m + 1/2 block of phi_8 (T_1(A) - 1/|x|) phi_8 on grid."""
     S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
     if A is None:
         a = br = bz = np.zeros_like(S)
     else:
         a, br, bz = A.fields(grid.R, grid.Z)
-    return pauli.block_matrix(grid, grid.kinetic(1.0), 1.0, m, VC(S), a, bz, br,
+    return pauli.block_matrix(grid, grid.kinetic(1.0), 1.0, m, p, VC(S), a, bz, br,
                               phi2d=SmoothCutoff(8.0)(S))
+
+
+def sector_eigs(grid, m, A=None):
+    """The eigenvalues below -1e-12 of the cutoff block j = m + 1/2: the sorted union of its
+    two sectors', as the trace's walk takes them."""
+    return np.sort(np.concatenate([pauli.eigs_below(cutoff_block(grid, m, p, A), -1e-12,
+                                                    pauli.SIGMA) for p in (0, 1)]))
+
+
+def full_block(grid, m, V, A=None, phi=None, mu=0.0):
+    """The j = m + 1/2 block of phi (T_1(A) - V) phi + mu on the whole mesh of grid, its z
+    faces reflected through z = 0 and closed by Dirichlet walls at both ends: the operator
+    that the two parity sectors of pauli.block_matrix split."""
+    zf = np.concatenate([-grid.z_faces[::-1], grid.z_faces[1:]])
+    R, Z = np.meshgrid(grid.rho, 0.5 * (zf[1:] + zf[:-1]), indexing="ij")
+    S = np.sqrt(R ** 2 + Z ** 2)
+    a, br, bz = (np.zeros_like(S),) * 3 if A is None else A.fields(R, Z)
+    K = kinetic_by_cells(grid.rho_faces, zf, 1.0, "wall")
+    up, down = (K + sp.diags(((k / R + a) ** 2 - V(S) + mu - sgn * bz).ravel())
+                for k, sgn in ((m, 1), (m + 1, -1)))
+    coupling = sp.diags(-br.ravel())
+    H = sp.bmat([[up, coupling], [coupling, down]], format="csc")
+    if phi is None:
+        return H
+    D = sp.diags(np.tile(phi(S).ravel(), 2))
+    return (D @ H @ D).tocsc()
+
+
+def sector_isometry(grid, p):
+    """Q with Q^T Q = I mapping sector p on grid to the whole mesh: the up component is
+    extended to z < 0 even for p = 0 and odd for p = 1, the down component the other way."""
+    nr, nz = grid.nr, grid.nz
+    cell = np.arange(nr * nz)
+    i, k = np.divmod(cell, nz)
+    upper, mirror = i * 2 * nz + nz + k, i * 2 * nz + nz - 1 - k
+    rows, cols, vals = [], [], []
+    for c, parity in ((0, 1 - 2 * p), (1, 2 * p - 1)):
+        for full, sign in ((upper, 1.0), (mirror, parity)):
+            rows.append(c * 2 * nr * nz + full)
+            cols.append(c * nr * nz + cell)
+            vals.append(np.full(cell.size, sign / math.sqrt(2.0)))
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(4 * nr * nz, 2 * nr * nz))
 
 
 def test_eigs_below_shift_inside_the_spectrum(caplog):
     # sigma = -0.1 lies above the lowest eigenvalue (-0.23694), and the
     # near-zero cluster of the cutoff exterior lies closer to it
-    H = cutoff_block(ball8((12, 24)), 0)
+    H = cutoff_block(ball8((12, 24)), 0, 0)
     dense = np.linalg.eigvalsh(H.toarray())
     want = dense[dense < -1e-12]
     assert want.size == 1 and want[0] == pytest.approx(-0.23694, abs=1e-5)
@@ -220,7 +285,8 @@ def test_block_walk_stop_is_certified():
     a_rho = A.fields(grid.R, grid.Z)[0] * grid.R
 
     def count(j):
-        return pauli.inertia_below(cutoff_block(grid, int(j - 0.5), A), -1e-12)
+        return sum(pauli.inertia_below(cutoff_block(grid, int(j - 0.5), p, A), -1e-12)
+                   for p in (0, 1))
 
     stops = {}
     for side in (1, -1):
@@ -236,23 +302,51 @@ def test_block_walk_stop_is_certified():
     assert count(-2.5) == 0
     walk = {}
     for m in range(-7, 7):
-        vals = pauli.eigs_below(cutoff_block(grid, m, A), -1e-12, pauli.SIGMA)
+        vals = sector_eigs(grid, m, A)
         if vals.size:
             walk[m + 0.5] = vals
     assert set(res.eigenvalues) == set(walk)
     assert res.trace == pytest.approx(sum(np.sum(v) for v in walk.values()), rel=1e-12)
 
 
+@pytest.mark.parametrize("mesh", [(16, 32), (32, 64)], ids=["16x32", "32x64"])
+@pytest.mark.parametrize("A", [None, WEAK, STRONG], ids=["A0", "weak", "strong"])
+def test_sectors_split_the_full_mesh_block(mesh, A):
+    grid = ball8(mesh)
+    phi = SmoothCutoff(8.0)
+    nonempty = set()
+    # every block the walks visit, and the first empty one past each stop
+    for m in range(-5, 3):
+        H = full_block(grid, m, VC, A, phi)
+        want = pauli.eigs_below(H, -1e-12, pauli.SIGMA)
+        counts = []
+        for p in (0, 1):
+            sector, Q = cutoff_block(grid, m, p, A), sector_isometry(grid, p)
+            restricted = (Q.T @ H @ Q).tocsc()
+            # the full block restricted to the sector is the sector, up to rounding
+            assert abs(restricted - sector).max() <= 1e-13 * abs(sector).max()
+            counts.append(pauli.inertia_below(sector, -1e-12))
+            assert counts[-1] == pauli.inertia_below(restricted, -1e-12)
+            got = pauli.eigs_below(sector, -1e-12, pauli.SIGMA)
+            ref = pauli.eigs_below(restricted, -1e-12, pauli.SIGMA)
+            assert got.size == ref.size == counts[-1]
+            # relative to the largest eigenvalue, the scale of the solver's error
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref), initial=0.0))
+        assert sum(counts) == pauli.inertia_below(H, -1e-12) == want.size
+        got = sector_eigs(grid, m, A)
+        assert got.size == want.size
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), initial=0.0))
+        if want.size:
+            nonempty.add(m + 0.5)
+    assert nonempty == set(cutoff_trace(A, grid).eigenvalues)
+
+
 def zero_field_block_walk(grid, V, phi, mu):
-    """The oracle of an A = 0 trace: the 2n x 2n blocks j = m + 1/2 with zero
-    fields, walked outward to the first empty one, each stored as j and -j."""
-    S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
-    z = np.zeros_like(S)
-    phi2d = None if phi is None else phi(S)
+    """The oracle of an A = 0 trace: the blocks j = m + 1/2 with zero fields on the
+    whole mesh, walked outward to the first empty one, each stored as j and -j."""
     blocks = {}
     for m in range(pauli.JMAX):
-        H = pauli.block_matrix(grid, grid.kinetic(1.0), 1.0, m, V(S), z, z, z, mu=mu, phi2d=phi2d)
-        vals = pauli.eigs_below(H, -1e-12, pauli.SIGMA)
+        vals = pauli.eigs_below(full_block(grid, m, V, phi=phi, mu=mu), -1e-12, pauli.SIGMA)
         if not vals.size:
             break
         blocks[m + 0.5], blocks[-m - 0.5] = vals, vals
@@ -322,25 +416,20 @@ def test_overflowing_mesh_raises(R, field):
 multicore = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                                reason="forked children need two usable cores")
 
-# max(a rho) = 3.26 on the -j side: that walk visits four blocks, the +j walk two
-STRONG = FieldAnsatz(theta=(8.0, 0.0), support_radius=2.0)
-WEAK = FieldAnsatz(theta=(0.3, 0.2), support_radius=2.0)
-
-
 def cutoff_trace(A, grid):
     return pauli_trace_neg(A, VC, h=1.0, phi=SmoothCutoff(8.0), grid=grid)
 
 
 def serial_walk(A, grid):
-    """The oracle of a forked trace: the +j walk, then the -j walk, one block at a
-    time, under the same one-thread BLAS cap as the trace."""
+    """The oracle of a forked trace: the +j walk, then the -j walk, one block (its two
+    sectors) at a time, under the same one-thread BLAS cap as the trace."""
     a_rho = A.fields(grid.R, grid.Z)[0] * grid.R
     blocks = {}
     with one_blas_thread():
         for side in (1, -1):
             reach, m = np.max(-side * a_rho), 0 if side > 0 else -1
             while True:
-                vals = pauli.eigs_below(cutoff_block(grid, m, A), -1e-12, pauli.SIGMA)
+                vals = sector_eigs(grid, m, A)
                 if vals.size:
                     blocks[m + 0.5] = vals
                 elif abs(m + 0.5) >= reach:

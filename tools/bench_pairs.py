@@ -27,9 +27,9 @@ from a new empty folder with the same relative --cache-dir and --out paths,
 so the sidecars' path lines match.  The outputs block records, for every
 CSV, sidecar, stdout, stderr and exit code, whether the two trees' first
 runs are identical or the first line where they differ, and the same for
-each tree's two runs.  The last two commands fail (exit 3 and 5), so their
-stderr and exit codes are compared too, and any CSV or sidecar they leave
-is listed.
+each tree's two runs.  The last three commands fail (exit 3, 3 and 5), so
+their stderr and exit codes are compared too, and any CSV or sidecar they
+leave is listed.
 
 Each tree also runs the tier-1 suite once, from its root, with src/ first on
 PYTHONPATH.  The tier1 block records, per tree, the passed count, the names
@@ -157,6 +157,7 @@ OUTPUT_COMMANDS = (
     ("ansatz_min", ["scott", "--route", "ansatz-min", "--R", "8", "--mesh", "32 64"]),
     # error paths: stderr and exit code are compared, and no CSV or sidecar may appear
     ("ansatz_min_mesh_one", ["scott", "--route", "ansatz-min", "--mesh", "80"]),
+    ("ansatz_min_mesh_odd", ["scott", "--route", "ansatz-min", "--mesh", "16 33"]),
     ("scott_cutoff_tiny", ["scott", "--route", "cutoff-R", "--R-list", "1e-300,1e-200"]),
 )
 
@@ -176,8 +177,12 @@ def run_outputs(tree: Path, folder: Path) -> None:
 
 
 def first_difference(a: Path, b: Path):
-    """"identical", or the first line (counted from 1) where files a and b differ,
-    with each file's line there, its line end kept (null past its end or for a missing file)."""
+    """"identical"; {"exists": [a exists, b exists]} where only one of the files exists;
+    else the first line (counted from 1) where files a and b differ, with each file's
+    line there, its line end kept (null past its end)."""
+    exists = [p.is_file() for p in (a, b)]
+    if exists[0] != exists[1]:
+        return {"exists": exists}
     lines = [p.read_bytes().splitlines(keepends=True) if p.is_file() else [] for p in (a, b)]
     for number, pair in enumerate(itertools.zip_longest(*lines), 1):
         if pair[0] != pair[1]:
