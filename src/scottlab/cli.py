@@ -304,6 +304,8 @@ def cmd_scott(args):
         "beats_zero_field": str(res.estimate.value < res.zero_field_value - 1e-6),
         "kappa_c": _fmt(res.estimate.meta["kappa_c"]),
         "certified": str(res.estimate.meta["certified"]),
+        "response_lu": str(res.estimate.meta["response_lu"]),
+        "response_residual": _fmt(res.estimate.meta["response_residual"]),
         # the traces ran under core.one_blas_thread, a no-op without the library
         "pauli_blas_threads": ("1 (scipy OpenBLAS)" if core.scipy_openblas() is not None
                                else "default (scipy OpenBLAS not found)"),

@@ -218,7 +218,9 @@ class SpectralSum:
     shift 0.0.  With coarse_trace set (a refined sum) the eigenvalues are
     those of the fine grid and the trace is the two-grid Richardson value
     (4 T_fine - T_coarse) / 3.  workers counts the threads or processes
-    that solved the keys, 0 when the caller solved them alone.
+    that solved the keys, 0 when the caller solved them alone.  response
+    is a Pauli zero-field trace's second-order response to the mode fields
+    it was asked for (pauli.TraceResponse), None otherwise.
     """
 
     eigenvalues: dict
@@ -227,6 +229,7 @@ class SpectralSum:
     shift: float
     coarse_trace: float | None = None
     workers: int = 0
+    response: object = field(default=None, compare=False, repr=False)
 
     @property
     def trace(self) -> float:

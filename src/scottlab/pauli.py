@@ -48,6 +48,14 @@ channel m and the walk stops at the first empty channel.  The blocks +-(m + 1/2)
 sorted union of the eigenvalues of channels m and m + 1, and the trace
 sums them in the order of the block walk.
 
+The same walk keeps each negative state's Ritz vector, and from them alone
+gives the trace's second-order response to mode fields at A = 0: the
+Hessian d^2 Tr / d theta_i d theta_j that decides whether A = 0 is a local
+minimum of the Scott functional.  Each negative state needs one
+Sternheimer solve per channel sector that its first-order coupling
+reaches, on the range orthogonal to the negative states (_trace_response),
+so the Hessian costs one LU per such sector and state, not A != 0 traces.
+
 The two side walks share nothing but the evaluated fields.  For A != 0,
 on a machine with two or more usable cores and from a process that runs
 one thread (core.fork_cores), each side is walked by a child forked and
@@ -105,9 +113,12 @@ BISECT_TOL = 1e-8
 # core scale of the sinh-graded faces of PauliGrid.for_ball
 R_CORE = 0.15
 
-# second-difference step of minimize_scott's zero-field response; the
-# critical coupling it gives moves by < 1e-3 relative over t = 0.1 ... 0.4
-PROBE_STEP = 0.2
+# first step of minimize_scott's ray walk above the critical coupling
+RAY_STEP = 0.2
+
+# the response's refinement stops at this relative step, and fails after
+# REFINE_STEPS steps (each gains about two digits: _sternheimer)
+REFINE_TOL, REFINE_STEPS = 1e-11, 30
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +333,30 @@ def _bisect_eigenvalues(H, lo, hi, count, _n_lo=None):
             + _bisect_eigenvalues(H, mid, hi, count - left, _n_lo=n_mid))
 
 
-def _ritz_below(H, k: int, threshold: float, sigma: float) -> np.ndarray:
-    """Sorted shift-invert Ritz values below threshold of the k eigenvalues nearest sigma."""
+def _ritz_below(H, k: int, threshold: float, sigma: float, vectors: bool = False):
+    """Sorted shift-invert Ritz values below threshold of the k eigenvalues nearest sigma,
+    and with vectors their Ritz vectors as columns in the same order (else None)."""
     n = H.shape[0]
     lu = _symmetric_lu(H, sigma)
     op = LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
     # fixed start vector keeps repeated runs byte-identical
     v0 = np.full(n, 1.0 / math.sqrt(n), dtype=float)
     try:
-        vals = eigsh(H, k=k, sigma=sigma, which="LM", OPinv=op, v0=v0,
-                     maxiter=1000, ncv=min(n - 1, max(2 * k + 1, 20)),
-                     return_eigenvectors=False)
+        got = eigsh(H, k=k, sigma=sigma, which="LM", OPinv=op, v0=v0,
+                    maxiter=1000, ncv=min(n - 1, max(2 * k + 1, 20)),
+                    return_eigenvectors=vectors)
     except ArpackNoConvergence as exc:
         log.warning("ARPACK did not converge: %d of %d Ritz values (n = %d, sigma = %g)",
                     len(exc.eigenvalues), k, n, sigma)
-        vals = np.asarray(exc.eigenvalues)
-    vals = np.sort(vals)
-    return vals[vals < threshold]
+        got = (exc.eigenvalues, exc.eigenvectors) if vectors else exc.eigenvalues
+    vals, vecs = got if vectors else (got, None)
+    vals = np.asarray(vals)
+    keep = np.argsort(vals)
+    keep = keep[vals[keep] < threshold]
+    return vals[keep], None if vecs is None else vecs[:, keep]
 
 
-def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
+def eigs_below(H, threshold: float, sigma: float, vectors: Optional[list] = None) -> np.ndarray:
     """All eigenvalues below threshold, certified by an inertia count.
 
     Cutoff-sandwiched operators carry a dense near-zero cluster (the
@@ -352,29 +367,126 @@ def eigs_below(H, threshold: float, sigma: float) -> np.ndarray:
     threshold are exactly the count eigenvalues there, wherever sigma lies.
     With fewer, sigma is doubled until no state lies under it and the solve
     repeated; shallow stragglers still missing are refined by inertia
-    bisection.
+    bisection.  Given a list, vectors gets one array appended: the Ritz
+    vectors of the Ritz values as columns, in their order.  A straggler has
+    no Ritz vector, so that array then has fewer columns than there are
+    eigenvalues.
     """
     if not sigma < 0.0:
         raise ValueError(f"sigma must be negative, got {sigma:g}")
     count = inertia_below(H, threshold)
-    if count == 0:
-        return np.array([])
-    k = min(count, H.shape[0] - 2)
-    vals = _ritz_below(H, k, threshold, sigma)
-    if vals.size < count:
-        moved = sigma
-        while inertia_below(H, moved) > 0:
-            moved *= 2.0
-        if moved != sigma:
-            log.warning("shift %g lies above part of the spectrum; moved to %g", sigma, moved)
-            sigma = moved
-            vals = _ritz_below(H, k, threshold, sigma)
-    if vals.size < count:
-        log.warning("bisecting %d of %d eigenvalues below %g", count - vals.size, count, threshold)
-        lo = float(vals[-1]) if vals.size else float(sigma)
-        extra = _bisect_eigenvalues(H, lo + 1e-12, threshold, count - vals.size)
-        vals = np.sort(np.concatenate([vals, extra]))
+    vals, vecs = np.array([]), np.empty((H.shape[0], 0))
+    if count:
+        k = min(count, H.shape[0] - 2)
+        want = vectors is not None
+        vals, vecs = _ritz_below(H, k, threshold, sigma, want)
+        if vals.size < count:
+            moved = sigma
+            while inertia_below(H, moved) > 0:
+                moved *= 2.0
+            if moved != sigma:
+                log.warning("shift %g lies above part of the spectrum; moved to %g", sigma, moved)
+                sigma = moved
+                vals, vecs = _ritz_below(H, k, threshold, sigma, want)
+        if vals.size < count:
+            log.warning("bisecting %d of %d eigenvalues below %g", count - vals.size, count,
+                        threshold)
+            lo = float(vals[-1]) if vals.size else float(sigma)
+            extra = _bisect_eigenvalues(H, lo + 1e-12, threshold, count - vals.size)
+            vals = np.sort(np.concatenate([vals, extra]))
+    if vectors is not None:
+        vectors.append(vecs)
     return vals
+
+
+@dataclass(frozen=True)
+class TraceResponse:
+    """Second-order response of a zero-field trace to mode fields: hessian[i, j] is
+    d^2 Tr / d theta_i d theta_j at theta = 0, lu the LUs its solves factored and
+    residual their worst final relative refinement step."""
+
+    hessian: np.ndarray
+    lu: int
+    residual: float
+
+
+def _sternheimer(H, lam: float, rhs: np.ndarray, vecs: np.ndarray) -> tuple:
+    """(y, last relative step): y solves (H - lam) y = -Q rhs on the range of
+    Q = I - vecs vecs^T, column by column, where vecs holds every eigenvector of H
+    below zero and lam < 0.
+
+    On that range H - lam >= |lam|, so the LU of H - sigma at sigma = lam - 0.01 |lam|
+    preconditions a projected refinement that gains about two digits a step.  It stops
+    once every column's step is at most REFINE_TOL of the column; RuntimeError after
+    REFINE_STEPS steps, so no result that did not converge is returned.
+    """
+    lu = _symmetric_lu(H, lam - 0.01 * abs(lam))
+
+    def project(x):
+        return x - vecs @ (vecs.T @ x)
+
+    b = -project(rhs)
+    y, r = np.zeros_like(b), b
+    for _ in range(REFINE_STEPS):
+        step = project(lu.solve(r))
+        y += step
+        rel = float(np.max(np.linalg.norm(step, axis=0)
+                           / np.maximum(np.linalg.norm(y, axis=0), np.finfo(float).tiny)))
+        if rel <= REFINE_TOL:
+            return y, rel
+        r = b - (H @ y - lam * y)
+    raise RuntimeError(f"response solve at {lam:g}: relative step {rel:.1e} after "
+                       f"{REFINE_STEPS} steps, not {REFINE_TOL:g}")
+
+
+def _trace_response(states: dict, sector, fields: list, f: np.ndarray, h: float,
+                    h_rho: np.ndarray) -> TraceResponse:
+    """The response of the zero-field trace whose channel walk left states[m, p] = (negative
+    eigenvalues, their Ritz vectors) for every channel m it walked, each sector p of which
+    sector(m, p) assembles; fields[i] = (a, B_rho, B_z) of mode i, f the sandwich phi^2
+    and h_rho = h / rho, all per cell.
+
+    The block operator is exactly quadratic in theta: its first derivative B1_i holds
+    2 h k a_i / rho -+ h B_z,i on the up (k = m) and down (k = m + 1) diagonals and
+    -h B_rho,i off them, its second B2_ij = 2 a_i a_j on both diagonals, each times f.
+    For each negative state u (eigenvalue lam) of each block,
+    d^2 lam / d theta_i d theta_j summed over the block's negative states is
+    <u, B2_ij u> + 2 <B1_i u, y_j> with (B0 - lam) y_j = -Q B1_j u on the range of
+    Q = I - P_neg (second-order perturbation theory; the terms between two negative
+    states cancel in pairs).  At A = 0 block m + 1/2 is channel m (up) beside channel
+    m + 1 (down), so B1_j u has a part on u's own channel sector and one, from the odd
+    B_rho, on the neighbouring channel in the other sector, and each part is one
+    _sternheimer solve.  A channel-m state in sector q sits in block m + 1/2 as the up
+    component, beside channel m + 1, and for m >= 1 in block m - 1/2 as the down one,
+    beside channel m - 1; its own solves share one LU.  Block -j at theta is block j
+    at -theta, so the blocks j < 0 give the same Hessian as those j > 0: it is counted
+    twice.  A negative state without a Ritz vector (a bisected straggler) is a
+    RuntimeError: dropping it would change the Hessian silently.
+    """
+    n, a_modes = len(fields), np.column_stack([a for a, _, _ in fields])
+    hess, lus, worst = np.zeros((n, n)), 0, 0.0
+    for (m, q), (vals, vecs) in states.items():
+        if vecs.shape[1] != vals.size:
+            raise RuntimeError(f"channel {m}, sector {q}: {vals.size - vecs.shape[1]} of "
+                               f"{vals.size} negative states have no Ritz vector")
+        # (sign of the Zeeman term on u's diagonal, the neighbouring channel)
+        sides = [(-1.0, m + 1)] + ([(1.0, m - 1)] if m else [])
+        for lam, u in zip(vals, vecs.T):
+            fu = f * u
+            own = np.column_stack([(2.0 * m * h_rho * a + sign * h * bz) * fu
+                                   for sign, _ in sides for a, _, bz in fields])
+            coupling = np.column_stack([-h * br * fu for _, br, _ in fields])
+            y, rel = _sternheimer(sector(m, q), lam, own, vecs)
+            cross = sum(own[:, k:k + n].T @ y[:, k:k + n] for k in range(0, own.shape[1], n))
+            lus, worst = lus + 1, max(worst, rel)
+            for _, other in sides:
+                y, rel = _sternheimer(sector(other, 1 - q), lam, coupling,
+                                      states[other, 1 - q][1])
+                cross = cross + coupling.T @ y
+                lus, worst = lus + 1, max(worst, rel)
+            hess += len(sides) * 2.0 * (a_modes.T * (fu * u)) @ a_modes + 2.0 * cross
+    hess = hess + hess.T  # twice the symmetric part: the blocks j > 0 and j < 0
+    return TraceResponse(hess, lus, worst)
 
 
 @one_blas_thread()
@@ -382,7 +494,7 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
                     phi: Optional[SmoothCutoff] = None, mu: float = 0.0,
                     grid: Optional[PauliGrid] = None,
                     domain_radius: Optional[float] = None,
-                    mesh=(96, 192)) -> SpectralSum:
+                    mesh=(96, 192), modes: tuple = ()) -> SpectralSum:
     """Trace of [phi (T_h(A) - V) phi + mu]_- summed over signed j_z blocks.
 
     V is a radial accessor V(|x|); phi an optional radial cutoff (the
@@ -398,7 +510,9 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     children; the whole trace runs with scipy's OpenBLAS at one thread, the
     children included (module docstring).  No extra spin factor: the spinor
     components are explicit, so the record keys the blocks by j with
-    degeneracy 1, spin 1.0 and shift 0.0 (mu is in the operator).  A mesh
+    degeneracy 1, spin 1.0 and shift 0.0 (mu is in the operator).  With
+    modes, a sequence of FieldAnsatz (A zero only), the record's response is
+    the trace's second-order response to them (TraceResponse).  A mesh
     whose geometry overflows raises FloatingPointError.
     """
     if grid is None:
@@ -413,13 +527,13 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     V2d = np.asarray(V(S), dtype=float)
     phi2d = None if phi is None else np.asarray(phi(S), dtype=float)
 
-    def walk(sectors, side, reach):
+    def walk(solved, side, reach):
         """{m: eigenvalues} of the nonempty operators m of one walk, out to its certified
-        stop; sectors(m) yields the two parity sectors of operator m."""
+        stop; solved(m) yields the eigenvalues of the two parity sectors of operator m."""
         found = {}
         m = 0 if side > 0 else -1
         for _ in range(JMAX):
-            vals = np.sort(np.concatenate([eigs_below(H, -1e-12, SIGMA) for H in sectors(m)]))
+            vals = np.sort(np.concatenate(list(solved(m))))
             if vals.size:
                 found[m] = vals
             elif h * abs(m + 0.5) >= reach:
@@ -428,12 +542,20 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
         raise BlockCascadeError(f"no certified stop within {JMAX} steps")
 
     # insertion order is that of the block walks, and the sum runs in it
+    response = None
     if A is None or A.is_zero:
+        def sector(m, p):
+            H = K[p] + sp.diags(((h * m / grid.R) ** 2 - V2d + mu).ravel())
+            return H.tocsc() if phi2d is None else _sandwich(H, phi2d.ravel())
+
+        states = {}  # (m, p) -> the negative eigenvalues and Ritz vectors of that sector
+
         def channel(m):
-            U = sp.diags(((h * m / grid.R) ** 2 - V2d + mu).ravel())
-            for Kp in K:
-                H = Kp + U
-                yield H.tocsc() if phi2d is None else _sandwich(H, phi2d.ravel())
+            for p in (0, 1):
+                vecs = []
+                vals = eigs_below(sector(m, p), -1e-12, SIGMA, vectors=vecs)
+                states[m, p] = vals, vecs[0]
+                yield vals
 
         # reach 0: each channel dominates the one before, so the first empty
         # one ends the walk
@@ -441,7 +563,13 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
         for m, vals in channels.items():
             vals = np.sort(np.concatenate([vals, channels.get(m + 1, vals[:0])]))
             blocks[m + 0.5], blocks[-m - 0.5] = vals, vals.copy()
+        if modes:
+            f = (np.ones_like(S) if phi2d is None else phi2d ** 2).ravel()
+            fields = [tuple(x.ravel() for x in M.fields(grid.R, grid.Z)) for M in modes]
+            response = _trace_response(states, sector, fields, f, h, (h / grid.R).ravel())
     else:
+        if modes:
+            raise ValueError("the response to modes is taken at A = 0")
         a2d, Br, Bz = A.fields(grid.R, grid.Z)
         # -a rho on the +j side, a rho on the -j side: once h |j| reaches its
         # largest value the walk is monotone (module docstring)
@@ -449,7 +577,8 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
 
         def block(m):
             for p in (0, 1):
-                yield block_matrix(grid, K, h, m, p, V2d, a2d, Bz, Br, mu=mu, phi2d=phi2d)
+                yield eigs_below(block_matrix(grid, K, h, m, p, V2d, a2d, Bz, Br, mu=mu,
+                                              phi2d=phi2d), -1e-12, SIGMA)
 
         def side_walk(i):
             side = (1, -1)[i]
@@ -458,7 +587,8 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
         cpus = fork_cores()[:2]
         parts = fork_join(side_walk, cpus) if cpus else [side_walk(0), side_walk(1)]
         blocks = {m + 0.5: vals for found in parts for m, vals in found.items()}
-    return SpectralSum(blocks, dict.fromkeys(blocks, 1), 1.0, 0.0, workers=len(cpus))
+    return SpectralSum(blocks, dict.fromkeys(blocks, 1), 1.0, 0.0, workers=len(cpus),
+                       response=response)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +598,12 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
 
 @dataclass(frozen=True)
 class ScottFunctionalParts:
-    """trace + field_inner / kappa - weyl."""
+    """trace + field_inner / kappa - weyl, and the trace's response where it was asked for."""
 
     trace: float
     field_inner: float
     weyl: float
+    response: Optional[TraceResponse] = None
 
     def value(self, kappa: float, beta: float) -> float:
         """The functional at coupling kappa.
@@ -484,8 +615,8 @@ class ScottFunctionalParts:
         return self.trace + self.field_inner / kappa - self.weyl
 
 
-def scott_functional_parts(A: Optional[FieldAnsatz], R: float,
-                           grid: PauliGrid) -> ScottFunctionalParts:
+def scott_functional_parts(A: Optional[FieldAnsatz], R: float, grid: PauliGrid,
+                           modes: tuple = ()) -> ScottFunctionalParts:
     """kappa- and beta-independent pieces of the localized Scott functional on grid.
 
     The trace is Tr[phi_R (T_1(A) - 1/|x|) phi_R]_-; field_inner is the
@@ -493,14 +624,16 @@ def scott_functional_parts(A: Optional[FieldAnsatz], R: float,
     phi_R^2-weighted Coulomb phase-space integral.  The paper weighs field
     energy outside B(R/4) by beta; every ansatz here lives inside B(R/4),
     so that zone is empty, and an ansatz with larger support is rejected.
+    With modes (A = None only), response is the trace's second-order
+    response to those fields, from the same channel walk (pauli_trace_neg).
     """
     if A is not None and A.support_radius > R / 4.0 + 1e-12:
         raise ValueError(f"ansatz support {A.support_radius:g} exceeds R/4 = {R / 4.0:g}")
     phi = SmoothCutoff(R)
-    tr = pauli_trace_neg(A, lambda r: 1.0 / r, h=1.0, phi=phi, grid=grid)
+    tr = pauli_trace_neg(A, lambda r: 1.0 / r, h=1.0, phi=phi, grid=grid, modes=modes)
     return ScottFunctionalParts(trace=tr.trace,
                                 field_inner=0.0 if A is None else field_energy(A),
-                                weyl=cutoff_weyl_coulomb(phi))
+                                weyl=cutoff_weyl_coulomb(phi), response=tr.response)
 
 
 @dataclass(frozen=True)
@@ -516,61 +649,59 @@ def minimize_scott(kappa: float, beta: float, R: float, grid: PauliGrid,
                    n_modes: int = 2, budget: int = 60, seed: int = 0) -> MinimizeScottResult:
     """Upper bound on 2 S(R, kappa, beta) over the n_modes ansatz family on grid.
 
-    The trace is even in theta and the field energy is theta^T G theta, so
-    the 1 + n(n+1)/2 evaluations at theta = 0, t e_i and t (e_i + e_j),
-    t = PROBE_STEP, give the trace Hessian H_T (second differences) and G.
-    For kappa < kappa_c = 2 / |lambda_min(H_T, G)| (inf if lambda_min >= 0)
-    H_T + 2 G / kappa is positive definite and theta = 0 is returned as a
-    certified strict local minimum; the certificate is local, not global.
-    Otherwise the ray along the lowest generalized eigenvector is walked in
-    steps t 2^k while the value falls and the budget lasts.  The value is the
-    least one evaluated: always an upper bound, never above the A = 0 value.
-    A budget below the probe count leaves kappa_c nan.  The path is
-    deterministic: the result does not depend on seed, only meta records it.
+    The trace is even in theta and the field energy is theta^T G theta.  One
+    zero-field evaluation gives the value at theta = 0 and, from its channel
+    walk, the trace Hessian H_T: the trace's second-order response to the
+    unit modes (scott_functional_parts); G comes from field_energy at e_i
+    and e_i + e_j.  For kappa < kappa_c = 2 / |lambda_min(H_T, G)| (inf if
+    lambda_min >= 0) H_T + 2 G / kappa is positive definite and theta = 0 is
+    returned as a certified strict local minimum, at the cost of that one
+    evaluation; the certificate is local, not global.  Otherwise the ray
+    along the lowest generalized eigenvector is walked in steps
+    RAY_STEP 2^k while the value falls and the budget lasts.  budget bounds
+    the evaluations, the zero-field one included, so it can run out only on
+    that ray.  The value is the least one evaluated: always an upper bound,
+    never above the A = 0 value.  The path is deterministic: the result does
+    not depend on seed, only meta records it.
     """
     check_coupling(kappa, beta)
     if budget < 1:
         raise ValueError(f"budget ({budget}) must be at least 1")
     if n_modes < 1:
         raise ValueError(f"n_modes ({n_modes}) must be at least 1")
-    n, t, eye = n_modes, PROBE_STEP, np.eye(n_modes)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    probes = ([np.zeros(n)] + [t * eye[i] for i in range(n)]
-              + [t * (eye[i] + eye[j]) for i, j in pairs])
-    history, thetas = [], []
+    n, eye = n_modes, np.eye(n_modes)
 
-    def evaluate(theta):
-        A = None if not np.any(theta) else FieldAnsatz(
-            theta=tuple(theta), support_radius=R / 4.0,
-            scales=tuple(0.5 ** i for i in range(n)))
-        p = scott_functional_parts(A, R, grid=grid)
-        thetas.append(theta)
-        history.append((len(history) + 1, float(np.linalg.norm(theta)), p.value(kappa, beta)))
-        return p.trace, p.field_inner
+    def ansatz(theta):
+        return FieldAnsatz(theta=tuple(theta), support_radius=R / 4.0,
+                           scales=tuple(0.5 ** i for i in range(n)))
 
-    T, f = np.array([evaluate(theta) for theta in probes[:budget]]).T
-    exhausted, kappa_c = budget < len(probes), math.nan
-    if not exhausted:
-        H, G = np.diag(2.0 * (T[1:n + 1] - T[0])), np.diag(f[1:n + 1])
-        for (i, j), T_ij, f_ij in zip(pairs, T[n + 1:], f[n + 1:]):
-            H[i, j] = H[j, i] = T_ij - T[i + 1] - T[j + 1] + T[0]
-            G[i, j] = G[j, i] = 0.5 * (f_ij - f[i + 1] - f[j + 1])
-        lam, vecs = eigh(H, G)  # the common factor 1/t^2 cancels
-        kappa_c = 2.0 / -float(lam[0]) if lam[0] < 0.0 else math.inf
-        if kappa >= kappa_c:
-            v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-            s, last = t, history[0][2]
-            while len(history) < budget:
-                evaluate(s * v)
-                if history[-1][2] >= last:
-                    break
-                s, last = 2.0 * s, history[-1][2]
-            else:
-                exhausted = True
+    zero = scott_functional_parts(None, R, grid=grid, modes=tuple(ansatz(e) for e in eye))
+    history, thetas = [(1, 0.0, zero.value(kappa, beta))], [np.zeros(n)]
+    G = np.diag([field_energy(ansatz(e)) for e in eye])
+    for i in range(n):
+        for j in range(i + 1, n):
+            G[i, j] = G[j, i] = 0.5 * (field_energy(ansatz(eye[i] + eye[j])) - G[i, i] - G[j, j])
+    lam, vecs = eigh(zero.response.hessian, G)
+    kappa_c = 2.0 / -float(lam[0]) if lam[0] < 0.0 else math.inf
+    exhausted = False
+    if kappa >= kappa_c:
+        v = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        s, last = RAY_STEP, history[0][2]
+        while len(history) < budget:
+            thetas.append(s * v)
+            p = scott_functional_parts(ansatz(s * v), R, grid=grid)
+            history.append((len(history) + 1, float(np.linalg.norm(s * v)), p.value(kappa, beta)))
+            if history[-1][2] >= last:
+                break
+            s, last = 2.0 * s, history[-1][2]
+        else:
+            exhausted = True
     best = min(range(len(history)), key=lambda i: history[i][2])
     est = ScottEstimate(value=history[best][2], route="ansatz-min", R=R,
                         meta={"seed": seed, "evaluations": len(history),
-                              "kappa_c": kappa_c, "certified": kappa < kappa_c})
+                              "kappa_c": kappa_c, "certified": kappa < kappa_c,
+                              "response_lu": zero.response.lu,
+                              "response_residual": zero.response.residual})
     return MinimizeScottResult(estimate=est, theta=tuple(float(v) for v in thetas[best]),
                                history=history, budget_exhausted=exhausted,
                                zero_field_value=history[0][2])

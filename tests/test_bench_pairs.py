@@ -52,6 +52,21 @@ def _tree(tmp_path, core_source):
     return tmp_path
 
 
+def test_outputs_run_both_ansatz_min_branches():
+    # ansatz_min certifies A = 0 from the zero-field response; ansatz_min_ray lies
+    # above kappa_c, so its sidecar and CSV cover the ray walk and its A != 0 traces
+    from scottlab import cli, pauli
+
+    commands = dict(bench_pairs.OUTPUT_COMMANDS)
+    for name, certified in (("ansatz_min", True), ("ansatz_min_ray", False)):
+        args = cli.build_parser().parse_args(commands[name])
+        n_rho, n_z = (int(v) for v in args.mesh.split())
+        grid = pauli.PauliGrid.for_ball(args.R, n_rho=n_rho, n_z=n_z)
+        res = pauli.minimize_scott(args.kappa, 0.5 / args.kappa, args.R, grid,
+                                   n_modes=args.modes, budget=1)
+        assert res.estimate.meta["certified"] == certified, name
+
+
 def test_radial_dstebz_reports_numpys_library():
     path = bench_pairs.radial_dstebz(ROOT)
     assert "numpy.libs" in path and "libscipy_openblas64_-" in path

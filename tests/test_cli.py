@@ -443,14 +443,16 @@ def test_killed_side_walk_is_a_compute_error(monkeypatch, tmp_path):
 
     here, solve = os.getpid(), pauli.eigs_below
 
-    def eigs(H, threshold, sigma):
+    def eigs(H, threshold, sigma, **kwargs):
         if os.getpid() != here:
             os.kill(os.getpid(), signal.SIGKILL)
-        return solve(H, threshold, sigma)
+        return solve(H, threshold, sigma, **kwargs)
 
     monkeypatch.setattr(pauli, "eigs_below", eigs)
-    assert main(["scott", "--route", "ansatz-min", "--mesh", "16 32",
-                 "--out", str(tmp_path / "am.csv")]) == EXIT_COMPUTE
+    # kappa_c is about 200 at R = 8: above it the route walks the ray, whose A != 0
+    # traces fork their side walks
+    assert main(["scott", "--route", "ansatz-min", "--R", "8", "--mesh", "32 64",
+                 "--kappa", "300", "--out", str(tmp_path / "am.csv")]) == EXIT_COMPUTE
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -700,10 +700,16 @@ def test_minimize_scott_bounded_by_zero_field():
     assert len(res.history) == res.estimate.meta["evaluations"]
 
 
-def test_minimize_scott_budget_flag():
-    # three evaluations do not complete the four-point certificate
-    res = minimize_scott(0.05, 10.0, 8.0, ball8((32, 64)), n_modes=2, budget=3, seed=0)
+def test_minimize_scott_budget_flag(certified):
+    # the certificate costs the one zero-field evaluation, so below kappa_c a
+    # budget of one suffices; above it the ray walk runs the budget out
+    below = minimize_scott(0.05, 10.0, 8.0, ball8((32, 64)), n_modes=2, budget=1, seed=0)
+    assert not below.budget_exhausted
+    assert below.estimate.meta["certified"]
+    kappa = 1.25 * certified.estimate.meta["kappa_c"]
+    res = minimize_scott(kappa, 0.5 / kappa, 8.0, ball8((32, 64)), n_modes=2, budget=2, seed=0)
     assert res.budget_exhausted
+    assert res.estimate.meta["evaluations"] == 2
     assert res.estimate.value <= res.zero_field_value + 1e-12
     assert not res.estimate.meta["certified"]
 
@@ -735,37 +741,107 @@ def certified():
 
 def test_minimize_scott_certifies_zero_field(certified):
     assert certified.theta == (0.0, 0.0)
-    assert certified.estimate.meta["evaluations"] == 1 + 2 * 3 // 2
+    assert certified.estimate.meta["evaluations"] == 1
     assert certified.estimate.meta["certified"]
     assert not certified.budget_exhausted
     kappa_c = certified.estimate.meta["kappa_c"]
     assert math.isfinite(kappa_c) and kappa_c > 0.05
     assert certified.estimate.value == certified.zero_field_value
+    # the value and the response come from one zero-field walk, the same as the functional's
+    assert certified.zero_field_value == scott_functional_parts(
+        None, 8.0, ball8((32, 64))).value(0.05, 10.0)
+    # one state (channel 0, sector 0): its own channel sector and channel 1 in sector 1
+    assert certified.estimate.meta["response_lu"] == 2
+    assert 0.0 < certified.estimate.meta["response_residual"] <= pauli.REFINE_TOL
 
 
-def test_critical_coupling_is_step_independent(certified, monkeypatch):
-    monkeypatch.setattr(pauli, "PROBE_STEP", pauli.PROBE_STEP / 2.0)
-    half = minimize_scott(0.05, 10.0, 8.0, ball8((32, 64)), n_modes=2)
-    assert half.estimate.meta["kappa_c"] == pytest.approx(
-        certified.estimate.meta["kappa_c"], rel=1e-2)
+def mode_ansatz(theta):
+    """minimize_scott's field at the coefficients theta on the R = 8 ball."""
+    return FieldAnsatz(theta=tuple(theta), support_radius=2.0,
+                       scales=tuple(0.5 ** i for i in range(len(theta))))
+
+
+def probe_hessian(grid, t):
+    """The oracle of the trace Hessian of two modes: second differences of the cutoff
+    trace at theta = 0, t e_i and t (e_1 + e_2), over t^2."""
+    def trace(theta):
+        return scott_functional_parts(mode_ansatz(theta) if np.any(theta) else None, 8.0,
+                                      grid).trace
+
+    eye = np.eye(2)
+    t0, (t1, t2) = trace(np.zeros(2)), (trace(t * e) for e in eye)
+    t12 = trace(t * (eye[0] + eye[1]))
+    return np.array([[2.0 * (t1 - t0), t12 - t1 - t2 + t0],
+                     [t12 - t1 - t2 + t0, 2.0 * (t2 - t0)]]) / t ** 2
+
+
+@pytest.mark.parametrize("mesh", [(32, 64), (64, 128)], ids=["32x64", "64x128"])
+def test_trace_response_equals_extrapolated_probes(mesh):
+    grid = ball8(mesh)
+    got = scott_functional_parts(None, 8.0, grid,
+                                 modes=tuple(mode_ansatz(e) for e in np.eye(2))).response
+    # the probes' error is O(t^2): Richardson extrapolation from t = 0.2 and 0.1
+    want = (4.0 * probe_hessian(grid, 0.1) - probe_hessian(grid, 0.2)) / 3.0
+    assert np.max(np.abs(got.hessian - want)) <= 1e-5 * np.max(np.abs(want))
+    assert np.array_equal(got.hessian, got.hessian.T)
+
+
+def test_response_needs_zero_field():
+    with pytest.raises(ValueError, match="at A = 0"):
+        pauli_trace_neg(WEAK, VC, phi=SmoothCutoff(8.0), grid=ball8((8, 16)),
+                        modes=(mode_ansatz((1.0,)),))
+
+
+def test_response_solve_that_does_not_converge_is_an_error(monkeypatch):
+    # each refinement step gains about two digits, so two steps cannot reach 1e-11
+    monkeypatch.setattr(pauli, "REFINE_STEPS", 2)
+    with pytest.raises(RuntimeError, match="relative step .* after 2 steps"):
+        minimize_scott(0.05, 10.0, 8.0, ball8((16, 32)))
+
+
+def test_state_without_a_ritz_vector_is_a_compute_error(monkeypatch, tmp_path):
+    # a straggler that eigs_below bisected, or a pair ARPACK did not deliver, has
+    # no Ritz vector; the response must not drop that state
+    from scottlab.cli import EXIT_COMPUTE, main
+
+    grid, ritz = ball8((16, 32)), pauli._ritz_below
+    want = scott_functional_parts(None, 8.0, grid).trace
+
+    def one_fewer(H, k, threshold, sigma, vectors=False):
+        vals, vecs = ritz(H, k, threshold, sigma, vectors)
+        return vals[:-1], None if vecs is None else vecs[:, :-1]
+
+    monkeypatch.setattr(pauli, "_ritz_below", one_fewer)
+    # the trace still holds the state, by bisection
+    assert scott_functional_parts(None, 8.0, grid).trace == pytest.approx(want, abs=1e-7)
+    with pytest.raises(RuntimeError, match="have no Ritz vector"):
+        minimize_scott(0.05, 10.0, 8.0, grid)
+    out = tmp_path / "am.csv"
+    assert main(["scott", "--route", "ansatz-min", "--R", "8", "--mesh", "16 32",
+                 "--out", str(out)]) == EXIT_COMPUTE
+    assert not out.exists()
 
 
 def test_minimize_scott_walks_the_ray_above_critical_coupling(certified):
     kappa = 4.0 * certified.estimate.meta["kappa_c"]
-    # two ray steps past the four probes; the functional still falls at both
+    # five ray steps past the zero-field evaluation; the functional still falls at each
     res = minimize_scott(kappa, 0.5 / kappa, 8.0, ball8((32, 64)), n_modes=2, budget=6)
     assert not res.estimate.meta["certified"]
     assert res.budget_exhausted
-    assert res.estimate.value < min(v for _, _, v in res.history[:4])
+    assert res.estimate.value < min(v for _, _, v in res.history[:1])
     assert res.estimate.value < res.zero_field_value
 
 
 def test_critical_coupling_separates_the_branches(certified):
-    # below kappa_c no probe beats A = 0; above it the first ray step does
+    # below kappa_c the first ray step does not beat A = 0; above it, it does
     low, high = (f * certified.estimate.meta["kappa_c"] for f in (0.8, 1.25))
     below = minimize_scott(low, 0.5 / low, 8.0, ball8((32, 64)), n_modes=2)
     assert below.estimate.meta["certified"]
-    assert all(v > below.zero_field_value for _, _, v in below.history[1:])
+    assert len(below.history) == 1
     above = minimize_scott(high, 0.5 / high, 8.0, ball8((32, 64)), n_modes=2, budget=5)
     assert not above.estimate.meta["certified"]
-    assert above.history[4][2] < above.zero_field_value
+    assert above.history[1][2] < above.zero_field_value
+    # the same step at the coupling below kappa_c, where the walk does not go
+    step = pauli.RAY_STEP * np.array(above.theta) / np.linalg.norm(above.theta)
+    parts = scott_functional_parts(mode_ansatz(step), 8.0, ball8((32, 64)))
+    assert parts.value(low, 0.5 / low) > below.zero_field_value

@@ -155,6 +155,9 @@ OUTPUT_COMMANDS = (
     ("trace_n200", ["trace", "--mu", "0.05", "--n", "200"]),
     ("scott_cutoff_default", ["scott", "--route", "cutoff-R"]),
     ("ansatz_min", ["scott", "--route", "ansatz-min", "--R", "8", "--mesh", "32 64"]),
+    # kappa above kappa_c (about 199.7 on this mesh): the ray walk, which runs A != 0 traces
+    ("ansatz_min_ray", ["scott", "--route", "ansatz-min", "--kappa", "300", "--R", "8",
+                        "--mesh", "32 64", "--budget", "4"]),
     # error paths: stderr and exit code are compared, and no CSV or sidecar may appear
     ("ansatz_min_mesh_one", ["scott", "--route", "ansatz-min", "--mesh", "80"]),
     ("ansatz_min_mesh_odd", ["scott", "--route", "ansatz-min", "--mesh", "16 33"]),
