@@ -4,8 +4,8 @@ Every run writes a CSV with a header row and a text sidecar recording the
 package version, the resolved parameters and the provenance of fixed
 constants, once its computation has succeeded.  Exit codes: 0 success,
 2 usage / unknown subcommand (argparse), 3 validation failure, 4 I/O
-failure, 5 computation failure.  Identical configuration (seeds included)
-produces byte-identical CSV output.
+failure, 5 computation failure (memory exhaustion included).  Identical
+configuration (seeds included) produces byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error:validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error:compute: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except IOError as exc:

@@ -13,12 +13,13 @@ Thomas-Fermi energy formula only close with the negative-valued choice,
 so that is the one fixed here, once.)  Both trace layers return that sum as
 one record, SpectralSum, whose trace is the one place it is summed.
 
-The one fork-join helper of the package lives here too: Pauli side walks
-hand their two independent parts to children forked and pinned per call,
-under one rule for when forking is done (radial channel sums run on
-threads instead).  So do the finders of numpy's and scipy's bundled
-OpenBLAS (scipy's found without importing scipy), and the cap that runs
-one at one thread over a block (children forked inside inherit it).
+The one fork-join helper of the package lives here too: a Pauli trace walks
+one of its two independent sides itself and hands the other to a child
+forked and pinned per call, under one rule for when forking is done (radial
+channel sums run on threads instead; there too the caller takes a share).
+So do the finders of numpy's and scipy's bundled OpenBLAS (scipy's found
+without importing scipy), and the cap that runs one at one thread over a
+block (children forked inside inherit it).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def sqrt_panel_integral(f, edges, rule) -> float:
 
 
 def fork_cores() -> list:
-    """The usable cores to fork one child per, or [] where forking does not pay or is unsafe.
+    """The usable cores for fork_join, or [] where forking does not pay or is unsafe.
 
     Forking pays only on two or more usable cores, and is safe only from a
     process that runs one thread.
@@ -80,67 +81,54 @@ def fork_cores() -> list:
     return cpus if len(cpus) > 1 and threading.active_count() == 1 else []
 
 
-def _child(work, i: int, cpu: int, w: int, parent: int) -> None:
-    """In a forked child: pinned to cpu, send work(i) or its exception over w and exit.
-
-    The kernel SIGKILLs the child when its parent dies; the pid check covers
-    a parent that died before that request.
-    """
-    code = 1
-    try:
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
-        if os.getppid() != parent:
-            return
-        os.sched_setaffinity(0, {cpu})
-        try:
-            reply = work(i)
-        except Exception as exc:
-            reply = exc
-        with os.fdopen(w, "wb") as pipe:
-            pipe.write(pickle.dumps(reply))
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def fork_join(work, cpus) -> list:
-    """[work(0), ..., work(k - 1)], work(i) run in a child forked and pinned to cpus[i].
+    """[work(0), work(1)]: work(0) run here, work(1) in a child forked and pinned to cpus[1].
 
-    Forked, so each child inherits the imported modules and the evaluated
-    fields; pinned, because the scheduler was seen to stack both children
-    of a 2-core machine on one core.  A child's exception is raised here; a
-    child that ends without a reply raises RuntimeError.  Every child is
-    reaped before this returns or raises, and is killed first if the parent
-    raises while it waits.
+    Forked, so the child inherits the imported modules and the evaluated
+    fields; pinned, because the scheduler was seen to stack two workers of
+    a 2-core machine on one core.  The caller's own affinity is left alone.
+    The child's exception is raised here; a child that ends without a reply
+    raises RuntimeError.  The child is reaped before this returns or raises,
+    and is killed first if the caller's share raises or the caller is
+    interrupted while it waits.  The kernel SIGKILLs the child when its
+    parent dies; the child's pid check covers a parent that died before
+    that request.
     """
-    children = []  # (pid, read end of its pipe)
     parent = os.getpid()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+            if os.getppid() != parent:
+                os._exit(1)
+            os.sched_setaffinity(0, {cpus[1]})
+            try:
+                reply = work(1)
+            except Exception as exc:
+                reply = exc
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(pickle.dumps(reply))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
     try:
-        for i, cpu in enumerate(cpus):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(work, i, cpu, w, parent)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        replies = [pipe.read() for _, pipe in children]
+        with os.fdopen(r, "rb") as pipe:
+            here = work(0)
+            data = pipe.read()
     except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
+        os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        status = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-        for _, pipe in children:
-            pipe.close()
-    parts = []
-    for (pid, _), code, data in zip(children, status, replies):
-        if not data:
-            raise RuntimeError(f"worker {pid} ended without a reply (exit status {code})")
-        reply = pickle.loads(data)
-        if isinstance(reply, Exception):
-            raise reply
-        parts.append(reply)
-    return parts
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not data:
+        raise RuntimeError(f"worker {pid} ended without a reply (exit status {code})")
+    reply = pickle.loads(data)
+    if isinstance(reply, Exception):
+        raise reply
+    return [here, reply]
 
 
 @functools.cache

@@ -58,19 +58,20 @@ so the Hessian costs one LU per such sector and state, not A != 0 traces.
 
 The two side walks share nothing but the evaluated fields.  For A != 0,
 on a machine with two or more usable cores and from a process that runs
-one thread (core.fork_cores), each side is walked by a child forked and
-pinned to its own core for that trace alone; the parent inserts the +j
-blocks and then the -j blocks, in the order the in-process walks do, and
-reaps both children before it returns.  Processes, not threads, because
-they measured faster: six A != 0 traces (R = 8, 64x128, phi_8) took
-1.16-1.17 s forked against 1.39-1.43 s on two threads, with identical
-traces.  SuperLU's factorization does release the interpreter lock: two
-threads each factoring one 64x128 A != 0 block (n = 16,384) six times took
-1.19-1.22 times as long as one thread doing six.  The A = 0 channel walk
-runs in-process.
+one thread (core.fork_cores), the caller walks the +j side while one
+child, forked for that trace alone and pinned to the second usable core,
+walks the -j side; the caller inserts the +j blocks and then the -j
+blocks, in the order the in-process walks do, and reaps the child before
+it returns.  A process, not a thread, because it measured faster: six
+A != 0 traces (R = 8, 64x128, phi_8) took 1.16-1.17 s on two forked
+children against 1.39-1.43 s on two threads, with identical traces.
+SuperLU releases the interpreter lock only in part: two threads each
+factoring one 64x128 A != 0 sector (n = 8,192) six times took a median
+1.15-1.25 times as long as one thread doing six, and 400 solves each
+1.59-1.72 times.  The A = 0 channel walk runs in-process.
 
 A whole trace runs with scipy's OpenBLAS at one thread
-(core.one_blas_thread), and the children fork under that cap.  A pinned
+(core.one_blas_thread), and the child forks under that cap.  The pinned
 child then keeps no BLAS worker on its one core, and both paths run the
 same walk on the same arrays with the same BLAS, so a trace is bit for bit
 the same either way and whatever the process's default BLAS thread count.
@@ -377,9 +378,11 @@ def eigs_below(H, threshold: float, sigma: float, vectors: Optional[list] = None
     count = inertia_below(H, threshold)
     vals, vecs = np.array([]), np.empty((H.shape[0], 0))
     if count:
+        # ARPACK needs 0 < k < n - 1: an operator of two unknowns or fewer is bisected
         k = min(count, H.shape[0] - 2)
         want = vectors is not None
-        vals, vecs = _ritz_below(H, k, threshold, sigma, want)
+        if k >= 1:
+            vals, vecs = _ritz_below(H, k, threshold, sigma, want)
         if vals.size < count:
             moved = sigma
             while inertia_below(H, moved) > 0:
@@ -387,7 +390,8 @@ def eigs_below(H, threshold: float, sigma: float, vectors: Optional[list] = None
             if moved != sigma:
                 log.warning("shift %g lies above part of the spectrum; moved to %g", sigma, moved)
                 sigma = moved
-                vals, vecs = _ritz_below(H, k, threshold, sigma, want)
+                if k >= 1:
+                    vals, vecs = _ritz_below(H, k, threshold, sigma, want)
         if vals.size < count:
             log.warning("bisecting %d of %d eigenvalues below %g", count - vals.size, count,
                         threshold)
@@ -506,14 +510,15 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     later block on that side dominates it (module docstring).  At A = 0 the
     walk runs over the scalar channels m >= 0 and stops at the first empty
     one; the blocks are built from them (module docstring).  For A != 0,
-    where core.fork_cores allows it, the two sides are walked by two forked
-    children; the whole trace runs with scipy's OpenBLAS at one thread, the
-    children included (module docstring).  No extra spin factor: the spinor
-    components are explicit, so the record keys the blocks by j with
-    degeneracy 1, spin 1.0 and shift 0.0 (mu is in the operator).  With
-    modes, a sequence of FieldAnsatz (A zero only), the record's response is
-    the trace's second-order response to them (TraceResponse).  A mesh
-    whose geometry overflows raises FloatingPointError.
+    where core.fork_cores allows it, the caller walks the +j side and one
+    forked child the -j side; the whole trace runs with scipy's OpenBLAS at
+    one thread, the child included (module docstring).  No extra spin
+    factor: the spinor components are explicit, so the record keys the
+    blocks by j with degeneracy 1, spin 1.0 and shift 0.0 (mu is in the
+    operator).  With modes, a sequence of FieldAnsatz (A zero only), the
+    record's response is the trace's second-order response to them
+    (TraceResponse).  A mesh whose geometry overflows raises
+    FloatingPointError.
     """
     if grid is None:
         if domain_radius is None:

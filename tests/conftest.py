@@ -12,26 +12,22 @@ from scottlab import core, tf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the prologue of an orphan script, after a line that sets pid_dir: each
-# forked child that calls the solve it names writes its pid to a file of its
-# own, <pid>.pid in pid_dir (renamed into place, so it is never read half
-# written), then sleeps there
-_SLEEP_IN_CHILDREN = """
-import os, sys, time
-here = os.getpid()
+# an orphan script, after a line that sets pid_dir: the child of its
+# fork_join writes its pid to a file of its own, <pid>.pid in pid_dir
+# (renamed into place, so it is never read half written), then sleeps there
+_ORPHAN = """
+import os, time
+from scottlab import core
 
-def sleep_in_children(module, name):
-    solve = getattr(module, name)
+def work(i):
+    if i:
+        path = os.path.join(pid_dir, str(os.getpid()))
+        with open(path + ".tmp", "w") as f:
+            f.write(str(os.getpid()))
+        os.rename(path + ".tmp", path + ".pid")
+        time.sleep(60)
 
-    def slow(*args, **kwargs):
-        if os.getpid() != here:
-            path = os.path.join(pid_dir, str(os.getpid()))
-            with open(path + ".tmp", "w") as f:
-                f.write(str(os.getpid()))
-            os.rename(path + ".tmp", path + ".pid")
-            time.sleep(60)
-        return solve(*args, **kwargs)
-    setattr(module, name, slow)
+core.fork_join(work, (sorted(os.sched_getaffinity(0)) * 2)[:2])
 """
 
 
@@ -53,6 +49,14 @@ def blas_count():
     set_count(old)
 
 
+@pytest.fixture
+def reaped():
+    """After the test, check that every child the test forked has been reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def tf_solution():
     """One shared universal-profile solve for the whole suite."""
@@ -69,40 +73,27 @@ def _alive(pid):
 
 
 @pytest.fixture
-def orphans_after_kill(tmp_path):
-    """orphans_after_kill(script, n): the pids of the n forked children still running
-    5 s after the process running script was SIGKILLed while they slept.
-
-    script calls sleep_in_children(module, name) before its forked solve.
-    Every child still there is killed in teardown.
+def orphan_after_kill(tmp_path):
+    """The pid of the child of a fork_join if it still runs 5 s after its parent was
+    SIGKILLed while the child slept, else None.  A child still there is killed in teardown.
     """
-    pids = []
-
-    def run(script, n):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        prologue = f"pid_dir = {str(tmp_path)!r}\n" + _SLEEP_IN_CHILDREN
-        with subprocess.Popen([sys.executable, "-c", prologue + script], env=env) as proc:
-            try:
-                while len(list(tmp_path.glob("*.pid"))) < n:
-                    assert proc.poll() is None, "the script ended before its children slept"
-                    time.sleep(0.02)
-            finally:
-                proc.kill()
-        for path in sorted(tmp_path.glob("*.pid")):
-            text = path.read_text()
-            try:
-                pids.append(int(text))
-            except ValueError:
-                pytest.fail(f"{path.name} holds {text!r}, not a pid")
-        deadline = time.monotonic() + 5.0
-        while any(map(_alive, pids)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        return [pid for pid in pids if _alive(pid)]
-
-    yield run
-    for pid in pids:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    script = f"pid_dir = {str(tmp_path)!r}\n" + _ORPHAN
+    with subprocess.Popen([sys.executable, "-c", script], env=env) as proc:
         try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+            while not list(tmp_path.glob("*.pid")):
+                assert proc.poll() is None, "the script ended before its child slept"
+                time.sleep(0.02)
+        finally:
+            proc.kill()
+    path, = tmp_path.glob("*.pid")
+    pid = int(path.read_text())
+    deadline = time.monotonic() + 5.0
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    yield pid if _alive(pid) else None
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass

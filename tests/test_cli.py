@@ -178,9 +178,11 @@ def test_bad_input_is_a_validation_error(tmp_path, argv):
     (["scott", "--route", "cutoff-R", "--R-list", "1e-300,1e-200"], 5),
     (["scott", "--route", "cutoff-R", "--R-list", "6 6"], 3),
     (["scott", "--route", "ansatz-min", "--R", "1e300", "--mesh", "8 16", "--budget", "1"], 5),
+    # a mesh whose first array (PiB) fails to allocate at once
+    (["scott", "--route", "ansatz-min", "--R", "6", "--mesh", "1e15 2"], 5),
     (["partition-check", "--d-max", "1e300", "--n-points", "3", "--seed", "1"], 5),
 ], ids=["weyl-h-tiny", "expansion-Z-huge", "trace-h-huge", "cutoff-R-tiny", "cutoff-R-repeated",
-        "ansatz-min-R-huge", "partition-d-max-huge"])
+        "ansatz-min-R-huge", "ansatz-min-mesh-huge", "partition-d-max-huge"])
 def test_arithmetic_failures_exit_with_a_documented_code(tmp_path, argv, code):
     assert run(tmp_path, *argv, "--cache-dir", "{d}/cache", "--out", "{d}/x.csv") == code
     # outputs are written only after the computation has succeeded
@@ -434,7 +436,7 @@ def test_scott_ansatz_min_route(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="forked children need two usable cores")
+                    reason="forking needs two usable cores")
 def test_killed_side_walk_is_a_compute_error(monkeypatch, tmp_path):
     import signal
 
@@ -450,7 +452,7 @@ def test_killed_side_walk_is_a_compute_error(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pauli, "eigs_below", eigs)
     # kappa_c is about 200 at R = 8: above it the route walks the ray, whose A != 0
-    # traces fork their side walks
+    # traces fork their -j side walks
     assert main(["scott", "--route", "ansatz-min", "--R", "8", "--mesh", "32 64",
                  "--kappa", "300", "--out", str(tmp_path / "am.csv")]) == EXIT_COMPUTE
     with pytest.raises(ChildProcessError):
@@ -558,7 +560,7 @@ def _cli_argv(draw, d):
             argv += req("--R", "6", *bad) + opt("--kappa", "0.05", "1", *bad)
             argv += req("--budget", "2", "0", "-1")
             argv += opt("--modes", "1", "2", "0", "-1")
-            argv += req("--mesh", "8 16", "80", "0 32", "1 1", "4 2", "a b")
+            argv += req("--mesh", "8 16", "80", "0 32", "1 1", "4 2", "a b", "1e15 2")
     elif command == "partition-check":
         argv += req("--n-points", "1", "3", "0", "-3", "x")
         argv += opt("--r0", "1", *bad) + opt("--d-min", "1e-3", "10", *bad)

@@ -1,6 +1,9 @@
 import math
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scottlab import core
-from scottlab.core import check_coupling, neg_part_sum, one_blas_thread
+from scottlab.core import check_coupling, fork_join, neg_part_sum, one_blas_thread
 
 
 def test_neg_part_sum_examples():
@@ -90,3 +93,60 @@ def test_one_blas_thread_without_the_library_is_a_no_op(blas_count, monkeypatch)
     with one_blas_thread():
         assert blas_count() == 2
     assert blas_count() == 2
+
+
+# ---------------------------------------------------------------------------
+# fork_join: work(0) in the caller, work(1) in one forked child
+# ---------------------------------------------------------------------------
+
+# the child is pinned to CPUS[1], which is the caller's core on a one-core machine
+CPUS = (sorted(os.sched_getaffinity(0)) * 2)[:2]
+
+
+def test_fork_join_runs_work_0_here_and_work_1_in_a_pinned_child(reaped):
+    here, cores = os.getpid(), os.sched_getaffinity(0)
+    got = fork_join(lambda i: (i, os.getpid() == here, os.sched_getaffinity(0)), CPUS)
+    assert got == [(0, True, cores), (1, False, {CPUS[1]})]
+    assert os.sched_getaffinity(0) == cores
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
+def test_error_in_either_share_is_raised_and_the_child_reaped(reaped, failing):
+    def work(i):
+        if i == failing:
+            raise ValueError(f"rejected in share {i}")
+        time.sleep(60 * i)
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"rejected in share {failing}"):
+        fork_join(work, CPUS)
+    assert time.perf_counter() - t0 < 30.0  # a sleeping child is killed, not waited for
+
+
+@pytest.mark.parametrize("share, status", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    (lambda: lambda: None, 1),
+], ids=["killed", "unpicklable-reply"])
+def test_child_without_a_reply_is_a_runtime_error(reaped, share, status):
+    with pytest.raises(RuntimeError, match=rf"ended without a reply \(exit status {status}\)"):
+        fork_join(lambda i: share() if i else None, CPUS)
+
+
+def test_caller_interrupted_while_waiting_reaps_the_child(reaped):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt  # not an Exception: Ctrl-C
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            fork_join(lambda i: time.sleep(60 * i), CPUS)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 30.0  # killed, not waited for
+
+
+def test_child_dies_with_its_parent(orphan_after_kill):
+    assert orphan_after_kill is None

@@ -78,7 +78,7 @@ def test_pooled_trace_loads_no_process_pool(tmp_path):
 
 
 def test_forked_side_walks_load_no_process_pool(tmp_path):
-    # the two sides of a magnetic trace go to children forked with os.fork;
+    # the -j side of a magnetic trace goes to a child forked with os.fork;
     # what scipy.sparse.linalg loads itself is discounted
     loaded = _modules(_RUN_CLI, "scott", "--route", "ansatz-min", "--mesh", "16 32",
                       "--out", "run.csv", cwd=tmp_path)
