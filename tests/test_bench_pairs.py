@@ -54,17 +54,25 @@ def _tree(tmp_path, core_source):
 
 def test_outputs_run_both_ansatz_min_branches():
     # ansatz_min certifies A = 0 from the zero-field response; ansatz_min_ray lies
-    # above kappa_c, so its sidecar and CSV cover the ray walk and its A != 0 traces
+    # above kappa_c, so its sidecar and CSV cover the ray walk and its A != 0 traces;
+    # ansatz_min_mesh_tiny certifies on sectors too small for ARPACK
     from scottlab import cli, pauli
 
     commands = dict(bench_pairs.OUTPUT_COMMANDS)
-    for name, certified in (("ansatz_min", True), ("ansatz_min_ray", False)):
+    for name, certified in (("ansatz_min", True), ("ansatz_min_ray", False),
+                            ("ansatz_min_mesh_tiny", True)):
         args = cli.build_parser().parse_args(commands[name])
         n_rho, n_z = (int(v) for v in args.mesh.split())
         grid = pauli.PauliGrid.for_ball(args.R, n_rho=n_rho, n_z=n_z)
         res = pauli.minimize_scott(args.kappa, 0.5 / args.kappa, args.R, grid,
                                    n_modes=args.modes, budget=1)
         assert res.estimate.meta["certified"] == certified, name
+
+
+def test_outputs_end_with_the_three_failing_commands():
+    names = [name for name, _ in bench_pairs.OUTPUT_COMMANDS]
+    assert names[-4:] == ["ansatz_min_mesh_tiny", "ansatz_min_mesh_one", "ansatz_min_mesh_odd",
+                          "scott_cutoff_tiny"]
 
 
 def test_radial_dstebz_reports_numpys_library():

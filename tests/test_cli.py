@@ -190,6 +190,16 @@ def test_arithmetic_failures_exit_with_a_documented_code(tmp_path, argv, code):
     assert not (tmp_path / "x.csv.meta.txt").exists()
 
 
+@pytest.mark.parametrize("mesh", ["1 2", "2 2", "1 4"])
+def test_ansatz_min_certifies_meshes_too_small_for_arpack(tmp_path, mesh):
+    # each channel sector has one or two unknowns, fewer than ARPACK needs; these
+    # exited 5 because a bisected state has no vector for the response
+    out = tmp_path / "am.csv"
+    assert main(["scott", "--route", "ansatz-min", "--R", "8", "--mesh", mesh,
+                 "--out", str(out)]) == 0
+    assert "certified: True\n" in (tmp_path / "am.csv.meta.txt").read_text()
+
+
 def test_trace_r_max_without_n_bounds_the_grid(tmp_path):
     # a radius-20 box cuts the n >= 4 shells that lie below -mu = -0.01
     def trace(*argv):

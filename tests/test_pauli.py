@@ -274,12 +274,39 @@ def test_eigs_below_shift_inside_the_spectrum(caplog):
         pauli.eigs_below(H, -1e-12, sigma=0.0)
 
 
-@pytest.mark.parametrize("H", [[[-1.0]], [[-1.0, 0.5], [0.5, 2.0]], [[-0.3, 0.2], [0.2, -2.0]]],
-                         ids=["1x1", "2x2-one-negative", "2x2-two-negative"])
-def test_eigs_below_bisects_operators_too_small_for_arpack(H):
+TOO_SMALL_FOR_ARPACK = pytest.mark.parametrize("H", [
+    [[-1.0]], [[-1.0, 0.5], [0.5, 2.0]], [[-0.3, 0.2], [0.2, -2.0]],
+    [[-1.0, 0.3, 0.0], [0.3, -0.5, 0.1], [0.0, 0.1, 2.0]],  # count 2 > n - 2
+], ids=["1x1", "2x2-one-negative", "2x2-two-negative", "3x3-two-negative"])
+
+
+@TOO_SMALL_FOR_ARPACK
+def test_eigs_below_solves_operators_too_small_for_arpack_densely(H):
     dense = np.linalg.eigvalsh(H)
-    got = pauli.eigs_below(sp.csc_matrix(H), -1e-12, pauli.SIGMA)
+    vectors = []
+    got = pauli.eigs_below(sp.csc_matrix(H), -1e-12, pauli.SIGMA, vectors=vectors)
+    np.testing.assert_allclose(got, dense[dense < 0.0], rtol=0.0, atol=1e-14)
+    # one vector per value, each an eigenvector of H
+    (vecs,) = vectors
+    assert vecs.shape == (len(H), got.size)
+    assert np.max(np.abs(np.asarray(H) @ vecs - vecs * got)) <= 1e-14
+
+
+@TOO_SMALL_FOR_ARPACK
+def test_dense_count_that_differs_from_the_inertia_is_bisected(monkeypatch, H):
+    # the inertia count stays the certificate: a dense solve that finds no state
+    # below the threshold is set aside and the counted states are bisected
+    dense, solve = np.linalg.eigvalsh(H), pauli.eigh
+
+    def shifted(A):
+        w, v = solve(A)
+        return w + 10.0, v
+
+    monkeypatch.setattr(pauli, "eigh", shifted)
+    vectors = []
+    got = pauli.eigs_below(sp.csc_matrix(H), -1e-12, pauli.SIGMA, vectors=vectors)
     np.testing.assert_allclose(got, dense[dense < 0.0], rtol=0.0, atol=pauli.BISECT_TOL)
+    assert vectors[0].shape == (len(H), 0)
 
 
 def test_block_walk_stop_is_certified():
@@ -402,6 +429,68 @@ def test_zero_field_channel_cap(monkeypatch):
         cutoff_trace(None, grid)
     monkeypatch.setattr(pauli, "JMAX", 2)
     assert list(cutoff_trace(None, grid).eigenvalues) == [0.5, -0.5]
+
+
+def channel_sector(grid, m, p, phi, mu):
+    """Parity sector p of the zero-field channel m of phi (T_1 - 1/|x|) phi + mu on grid."""
+    S = np.sqrt(grid.R ** 2 + grid.Z ** 2)
+    H = grid.kinetic(1.0)[p] + sp.diags(((m / grid.R) ** 2 - VC(S) + mu).ravel())
+    D = sp.identity(H.shape[0]) if phi is None else sp.diags(phi(S).ravel())
+    return (D @ H @ D).tocsc()
+
+
+def sector_walks(operator, side, reach):
+    """The oracle of one side's sector walks: every (m, p) they solve.  Sector p is walked
+    outward from m = 0 (side 1) or m = -1 (side -1) up to and including its first
+    operator(m, p) with no state below -1e-12 and |m + 1/2| >= reach."""
+    solved = []
+    for p in (0, 1):
+        m = 0 if side > 0 else -1
+        while True:
+            solved.append((m, p))
+            if abs(m + 0.5) >= reach and not pauli.inertia_below(operator(m, p), -1e-12):
+                break
+            m += side
+    return solved
+
+
+@pytest.mark.parametrize("mesh", [(16, 32), (32, 64)], ids=["16x32", "32x64"])
+@pytest.mark.parametrize("A, cutoff, mu", [
+    (None, True, 0.0), (None, False, 0.1), (WEAK, True, 0.0), (STRONG, True, 0.0),
+], ids=["A0-phi", "A0-nophi-mu0.1", "weak", "strong"])
+def test_each_sector_leaves_the_walk_at_its_certified_stop(monkeypatch, mesh, A, cutoff, mu):
+    grid = ball8(mesh)
+    phi = SmoothCutoff(8.0) if cutoff else None
+    solved = []
+    if A is None:
+        # a channel sector is known by its operator: the walk solves it once
+        candidates = {(m, p): channel_sector(grid, m, p, phi, mu)
+                      for m in range(8) for p in (0, 1)}
+        solve = pauli.eigs_below
+
+        def eigs(H, threshold, sigma, **kwargs):
+            solved.extend(key for key, ref in candidates.items()
+                          if abs(H - ref).max() <= 1e-13 * abs(ref).max())
+            return solve(H, threshold, sigma, **kwargs)
+
+        monkeypatch.setattr(pauli, "eigs_below", eigs)
+        want = sector_walks(lambda m, p: candidates[m, p], 1, 0.0)
+    else:
+        a_rho = A.fields(grid.R, grid.Z)[0] * grid.R
+        want = [key for side in (1, -1) for key in sector_walks(
+            lambda m, p: cutoff_block(grid, m, p, A), side, np.max(-side * a_rho))]
+        assemble = pauli.block_matrix
+
+        def block(grid, K, h, m, p, *args, **kwargs):
+            solved.append((m, p))
+            return assemble(grid, K, h, m, p, *args, **kwargs)
+
+        # every side walk in this process, where the wrapper records it
+        monkeypatch.setattr(pauli, "fork_cores", lambda: [])
+        monkeypatch.setattr(pauli, "block_matrix", block)
+    pauli_trace_neg(A, VC, h=1.0, phi=phi, mu=mu, grid=grid)
+    # no sector is solved past its own stop, and none twice
+    assert sorted(solved) == sorted(want)
 
 
 @pytest.mark.parametrize("R", [1e100, 1e160, 1e300])

@@ -27,9 +27,10 @@ from a new empty folder with the same relative --cache-dir and --out paths,
 so the sidecars' path lines match.  The outputs block records, for every
 CSV, sidecar, stdout, stderr and exit code, whether the two trees' first
 runs are identical or the first line where they differ, and the same for
-each tree's two runs.  The last three commands fail (exit 3, 3 and 5), so
-their stderr and exit codes are compared too, and any CSV or sidecar they
-leave is listed.
+each tree's two runs.  ansatz_min_mesh_tiny runs the ansatz-min route on
+a mesh whose channel sectors hold one unknown, too few for ARPACK.  The
+last three commands fail (exit 3, 3 and 5), so their stderr and exit codes
+are compared too, and any CSV or sidecar they leave is listed.
 
 Each tree also runs the tier-1 suite once, from its root, with src/ first on
 PYTHONPATH.  The tier1 block records, per tree, the passed count, the names
@@ -139,7 +140,7 @@ def radial_dstebz(tree: Path) -> str:
 
 
 # the ten commands of the cli-session workload (its partition seed fixed at 1),
-# then four that cover the rest of the trace and scott routes
+# then six that cover the rest of the trace and scott routes
 OUTPUT_COMMANDS = (
     ("tf_miss", ["tf"]),
     ("tf_hit", ["tf"]),
@@ -158,6 +159,8 @@ OUTPUT_COMMANDS = (
     # kappa above kappa_c (about 199.7 on this mesh): the ray walk, which runs A != 0 traces
     ("ansatz_min_ray", ["scott", "--route", "ansatz-min", "--kappa", "300", "--R", "8",
                         "--mesh", "32 64", "--budget", "4"]),
+    # one unknown per channel sector: solved densely, not by ARPACK
+    ("ansatz_min_mesh_tiny", ["scott", "--route", "ansatz-min", "--mesh", "1 2"]),
     # error paths: stderr and exit code are compared, and no CSV or sidecar may appear
     ("ansatz_min_mesh_one", ["scott", "--route", "ansatz-min", "--mesh", "80"]),
     ("ansatz_min_mesh_odd", ["scott", "--route", "ansatz-min", "--mesh", "16 33"]),
