@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import gauss
+from .core import gauss, numpy_openblas, one_blas_thread
 
 
 def _flat(t):
@@ -71,7 +71,8 @@ def bump_profile(s):
 @lru_cache(maxsize=None)
 def bump_norm() -> float:
     """Constant N with integral over R^3 of (N * bump_profile(|x|))^2 equal to 1."""
-    s, ww = gauss(0.0, 1.0, leggauss(200))
+    with one_blas_thread(numpy_openblas):  # leggauss's eigvalsh: the same bits, 5x faster
+        s, ww = gauss(0.0, 1.0, leggauss(200))
     val = 4.0 * np.pi * np.sum(ww * s ** 2 * bump_profile(s) ** 2)
     return 1.0 / np.sqrt(val)
 

@@ -14,20 +14,30 @@ bisection resolves only to eps times it, while the sinh mesh keeps
 stay tridiagonal (diagonal congruence), and their negative spectrum is
 exactly supported inside supp phi, so the mesh can stop at the cutoff radius.
 
+dstebz bisects a fixed tree: its root is the Gershgorin interval, widened
+by FUDGE and clipped to (vl, vu], and it splits each node holding
+eigenvalues at its midpoint until the node is narrower than its tolerance.
+Computed Sturm counts are monotone, so a node gives the same final
+intervals wherever the bisection started.  A refined sum's large fine
+channels start (dlaebz) at the deepest unconverged nodes with midpoints
+outside a window around each coarse eigenvalue, if the counts add up.
+
 A sum runs its channels on one thread per usable core, the calling thread
 included, started for that sum alone and joined before it returns or
-raises.  The ctypes call to dstebz releases the interpreter lock, so the
+raises.  The ctypes calls to LAPACK release the interpreter lock, so the
 bisections run in parallel.  The threads take (grid, l) tasks from one
-queue in l order and skip those above the first empty channel found so
-far on their grid; the channels are then read in l order up to the first
-empty one, as a loop on one thread reads them, so a sum is bit for bit
-the same on any number of threads.
+queue in l order, the coarse channel l + 1 before the fine channel l (which
+takes the coarse eigenvalues as guesses if they are there), and skip those
+above the first empty channel found so far on their grid; the channels are
+then read in l order up to the first empty one, as a loop on one thread
+reads them, so a sum is bit for bit the same on any number of threads.
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
+import logging
 import math
 import os
 import threading
@@ -41,6 +51,9 @@ from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_integral
 
 
+log = logging.getLogger(__name__)
+
+
 class ChannelCascadeError(RuntimeError):
     """More channels carry negative eigenvalues than the configured cap."""
 
@@ -51,6 +64,12 @@ R_CAP, N_CAP, R_PROBE_MAX, LMAX_CAP = 1e4, 60000, 1e12, 200
 
 # nodes per local de Broglie length of the cutoff-localized meshes
 LOCALIZED_RESOLUTION = 24.0
+
+# LAPACK's dlamch("P") and dlamch("S"), dstebz's FUDGE and every bisection's ABSTOL (0: its own)
+ULP, SAFEMIN, FUDGE, ABSTOL = np.finfo(float).eps, np.finfo(float).tiny, 2.1, 0.0
+
+# the smallest channel whose bisection guesses speed up (the walk down the tree costs ~1 ms)
+GUIDED_N = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +139,12 @@ def auto_grid(V, h: float, mu: float, r_max: Optional[float] = None,
     (times 4), core scale ~ h^2, spacing ~ local de Broglie length / resolution."""
     r_core = core_radius(h)
     if r_max is None:
-        if mu > 0.0:
-            r_t = _outermost_radius(V, mu)
-            if r_t is None:
-                r_max = 50.0 * h
-            else:
-                r_max = min(R_CAP, 4.0 * r_t)
-        else:
-            # last WKB-bound scale: largest r with r^2 V(r) >= (h/2)^2
-            r_t = _outermost_radius(lambda r: r * r * np.asarray(V(r)), 0.25 * h * h)
-            if r_t is None:
-                r_max = 50.0 * h
-            elif r_t > 0.5 * R_PROBE_MAX:
-                raise ValueError(
-                    "V does not decay fast enough for a finite mu = 0 trace")
-            else:
-                r_max = min(R_CAP, 6.0 * r_t)
+        # at mu = 0 the last WKB-bound scale: largest r with r^2 V(r) >= (h/2)^2
+        r_t = (_outermost_radius(V, mu) if mu > 0.0 else
+               _outermost_radius(lambda r: r * r * np.asarray(V(r)), 0.25 * h * h))
+        if not mu > 0.0 and r_t is not None and r_t > 0.5 * R_PROBE_MAX:
+            raise ValueError("V does not decay fast enough for a finite mu = 0 trace")
+        r_max = 50.0 * h if r_t is None else min(R_CAP, (4.0 if mu > 0.0 else 6.0) * r_t)
     n = _resolution_nodes(V, h, mu, r_core, r_max, resolution)
     return make_grid(r_core, r_max, n)
 
@@ -165,13 +174,13 @@ def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> np.ndarray:
     lib = numpy_openblas()
     if lib is None:
         from scipy.linalg.lapack import dstebz
-        m, w, _, _, info = dstebz(d, e, 1, vl, vu, 1, 1, 0.0, "E")
+        m, w, _, _, info = dstebz(d, e if e.size else np.zeros(1), 1, vl, vu, 1, 1, ABSTOL, "E")
     else:
         n, i64, f64, ref = d.size, ctypes.c_int64, ctypes.c_double, ctypes.byref
         m, nsplit, info, w, work = i64(), i64(), i64(), np.empty(n), np.empty(4 * n)
         iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (1, 1, 3))
         lib.scipy_dstebz_64_(b"V", b"E", ref(i64(n)), ref(f64(vl)), ref(f64(vu)), ref(i64(1)),
-                             ref(i64(1)), ref(f64(0.0)), d.ctypes.data, e.ctypes.data, ref(m),
+                             ref(i64(1)), ref(f64(ABSTOL)), d.ctypes.data, e.ctypes.data, ref(m),
                              ref(nsplit), *(a.ctypes.data for a in (w, iblock, isplit, work,
                                                                      iwork)), ref(info), 1, 1)
         m, info = m.value, info.value
@@ -180,8 +189,84 @@ def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> np.ndarray:
     return w[:m]
 
 
-def negative_eigenvalues(op, mu: float = 0.0) -> np.ndarray:
-    """All eigenvalues below -mu of the channel op = (d, e), ascending, via LAPACK bisection."""
+def _laebz(lib, ijob: int, nitmax: int, minp: int, d, e, e2, ab, nab, c, atoli, pivmin):
+    """LAPACK dlaebz as dstebz calls it (NBMIN = 0) on minp intervals, ab and nab holding 2 MMAX
+    entries, lower ends first, and MMAX points c (IJOB = 3's, with NVAL -1); (MOUT, INFO)."""
+    i64, f64, ref = ctypes.c_int64, ctypes.c_double, ctypes.byref
+    mmax = ab.size // 2
+    nval, work, iwork = np.full(mmax, -1, dtype=np.int64), np.empty(mmax), np.empty_like(nab)
+    mout, info = i64(), i64()
+    lib.scipy_dlaebz_64_(*(ref(i64(k)) for k in (ijob, nitmax, d.size, mmax, minp, 0)),
+                         *(ref(f64(x)) for x in (atoli, 2.0 * ULP, pivmin)),
+                         *(a.ctypes.data for a in (d, e, e2, nval, ab, c)), ref(mout),
+                         *(a.ctypes.data for a in (nab, work, iwork)), ref(info))
+    return mout.value, info.value
+
+
+def _from_root(n: int, nodes: int, reason: str) -> None:
+    log.debug("channel of n = %d, %d guided nodes, bisected from the root: %s", n, nodes, reason)
+
+
+def _guided(d, e, vl: float, vu: float, guesses):
+    """_stebz(d, e, vl, vu), unsorted, from the tree nodes the guesses locate; None: the root."""
+    lib, n = numpy_openblas(), d.size
+    if not hasattr(lib, "scipy_dlaebz_64_"):
+        return _from_root(n, 0, "no dlaebz")
+    e2 = e * e
+    if np.any(np.abs(d[1:] * d[:-1]) * ULP ** 2 + SAFEMIN > e2):
+        return _from_root(n, 0, "split")
+    # dstebz's set-up of its one block
+    pivmin = max(1.0, float(np.max(e2))) * SAFEMIN
+    left, right = np.append(0.0, np.abs(e)), np.append(np.abs(e), 0.0)
+    gl, gu = float(np.min(d - left - right)), float(np.max(d + left + right))
+    fudge = FUDGE * max(abs(gl), abs(gu)) * ULP * n
+    gl, gu = gl - fudge - FUDGE * pivmin, gu + fudge + FUDGE * pivmin
+    atoli = ABSTOL if ABSTOL > 0.0 else ULP * max(abs(gl), abs(gu))
+    gl, gu, tol = max(gl, vl), min(gu, vu), max(atoli, pivmin)
+    if gl >= gu:
+        return np.empty(0)
+    itmax = int((math.log(gu - gl + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+    # per guess, the deepest unconverged node whose midpoint is outside the guess's window
+    g = np.unique(guesses)
+    w = 1e-4 * np.abs(g) + 4.0 * atoli
+    a, b = np.full(g.size, gl), np.full(g.size, gu)
+    depth, live = np.zeros(g.size, dtype=np.int64), np.ones(g.size, dtype=bool)
+    for _ in range(itmax):
+        c = 0.5 * (a + b)
+        up, down = c < g - w, c > g + w
+        na, nb = np.where(up, c, a), np.where(down, c, b)
+        live &= (up | down) & (nb - na >= np.maximum(tol, 2.0 * ULP * np.maximum(-na, nb)))
+        if not live.any():
+            break
+        a, b, depth = np.where(live, na, a), np.where(live, nb, b), depth + live
+    # tree nodes nest or are disjoint: keep the outermost of each nest
+    order = np.lexsort((-b, a))
+    a, b, depth = a[order], b[order], depth[order]
+    keep = np.append(True, b[1:] > np.maximum.accumulate(b)[:-1])
+    a, b, depth = a[keep], b[keep], depth[keep]
+    # one Sturm count per distinct node end, the root's included, by one IJOB = 3 step from
+    # [p, p] at c = p: the count a bisection step takes (dstebz's IJOB = 1 count of the root's
+    # ends differs from it only where a pivot equals PIVMIN exactly)
+    ends = np.unique(np.concatenate(([gl, gu], a, b)))
+    counts = np.zeros(2 * ends.size, dtype=np.int64)
+    _laebz(lib, 3, 1, ends.size, d, e, e2, np.tile(ends, 2), counts, ends, atoli, pivmin)
+    lo, hi = (counts[ends.size + np.searchsorted(ends, x)] for x in (a, b))
+    if np.any(hi < lo) or np.sum(hi - lo) != counts[-1] - counts[ends.size]:
+        return _from_root(n, a.size, "count mismatch")
+    start, minp = hi > lo, int(np.count_nonzero(hi > lo))
+    ab, nab = np.empty(2 * n), np.empty(2 * n, dtype=np.int64)
+    ab[:minp], ab[n:n + minp] = a[start], b[start]
+    nab[:minp], nab[n:n + minp] = lo[start], hi[start]
+    mout, info = _laebz(lib, 2, itmax - int(depth[start].max(initial=0)), minp, d, e, e2, ab,
+                        nab, np.empty(n), atoli, pivmin)
+    if info != 0:
+        return _from_root(n, minp, f"{info} intervals not converged")
+    return np.repeat(0.5 * (ab[:mout] + ab[n:n + mout]), nab[n:n + mout] - nab[:mout])
+
+
+def negative_eigenvalues(op, mu: float = 0.0, guesses=()) -> np.ndarray:
+    """All eigenvalues below -mu of the channel op = (d, e), ascending, via LAPACK bisection;
+    guesses (a coarser grid's eigenvalues of the channel) only choose where it starts."""
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     d, e = (np.ascontiguousarray(a, dtype=float) for a in op)
@@ -190,15 +275,19 @@ def negative_eigenvalues(op, mu: float = 0.0) -> np.ndarray:
     # bisection resolves eigenvalues to ~eps * ||T||; eigenvalues inside the
     # pad band are numerically indistinguishable from the threshold and their
     # true contribution to a shifted trace is below the pad anyway
-    norm_est = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    e_max = float(np.max(np.abs(e))) if e.size else 0.0
+    norm_est = float(np.max(np.abs(d))) + 2.0 * e_max
     if not (math.isfinite(norm_est) and math.isfinite(mu)):  # else the threshold is not
         raise ValueError("channel entries, their norm and mu must be finite")
     pad = 128.0 * np.finfo(float).eps * norm_est
-    lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e))) - 1.0
+    lo = float(np.min(d)) - 2.0 * e_max - 1.0
     vu = -mu - pad
     if lo >= vu:
         return np.array([])
-    vals = _stebz(d, e, lo, vu)
+    guesses = np.asarray(guesses, dtype=float)
+    vals = _guided(d, e, lo, vu, guesses) if guesses.size and d.size >= GUIDED_N else None
+    if vals is None:
+        vals = _stebz(d, e, lo, vu)
     return np.sort(vals[vals < vu])
 
 
@@ -222,30 +311,35 @@ def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
 
     V and the cutoff are evaluated once on each grid.  The calling thread
     and k - 1 started ones (k usable cores) then solve the channels as the
-    module docstring says, taking the tasks (fine, 0), (coarse, 0), (fine,
-    1), ...  The first exception raised is raised here, after every thread
-    is joined.
+    module docstring says, taking the tasks (coarse, 0), (coarse, 1), (fine,
+    0), (coarse, 2), (fine, 1), ...  The first exception raised is raised
+    here, after every thread is joined.
     """
     grids = [(g, np.asarray(V(g.r), dtype=float),
               None if cutoff is None else np.asarray(cutoff(g.r), dtype=float))
              for g in ([grid, grid.refined()] if refine else [grid])]
-    numpy_openblas()  # loaded, and dstebz declared, before any thread calls it
-    tasks = iter([(ell, i) for ell in range(LMAX_CAP + 1) for i in reversed(range(len(grids)))])
+    numpy_openblas()  # loaded, and its LAPACK declared, before any thread calls it
+    tasks = iter(sorted(((ell, i) for ell in range(LMAX_CAP + 1) for i in range(len(grids))),
+                        key=lambda task: (task[0] + task[1], task[1])))
     found, first_empty = [{} for _ in grids], [LMAX_CAP + 1] * len(grids)
     errors, lock = [], threading.Lock()
 
     def take():
-        """The next task below its grid's first empty channel; None once one has raised."""
+        """The next task below its grid's first empty channel, with the coarse eigenvalues of
+        a fine task's channel where they are solved already; None once one has raised."""
         with lock:
             if not errors:
-                return next(((ell, i) for ell, i in tasks if ell < first_empty[i]), None)
+                for ell, i in tasks:
+                    if ell < first_empty[i]:
+                        return ell, i, found[0].get(ell, ()) if i else ()
 
     def work():
         try:
             while (task := take()) is not None:
-                ell, i = task
+                ell, i, guesses = task
                 g, v, f = grids[i]
-                vals = negative_eigenvalues(build_channel(v, h, ell, g, f), mu=mu)
+                vals = negative_eigenvalues(build_channel(v, h, ell, g, f), mu=mu,
+                                            guesses=guesses)
                 with lock:
                     found[i][ell] = vals
                     if vals.size == 0:

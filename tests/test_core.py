@@ -103,6 +103,15 @@ def test_one_blas_thread_without_the_library_is_a_no_op(blas_count, monkeypatch)
 CPUS = (sorted(os.sched_getaffinity(0)) * 2)[:2]
 
 
+def test_finder_without_an_optional_symbol_still_finds_the_library():
+    if core.numpy_openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    find, absent = core._bundled_openblas, {"no_such_symbol_64_": ((), None)}
+    assert find("numpy", "libscipy_openblas64_", (), **absent) is None
+    lib = find("numpy", "libscipy_openblas64_", tuple(absent), **absent)
+    assert lib is not None and not hasattr(lib, "no_such_symbol_64_")
+
+
 def test_fork_join_runs_work_0_here_and_work_1_in_a_pinned_child(reaped):
     here, cores = os.getpid(), os.sched_getaffinity(0)
     got = fork_join(lambda i: (i, os.getpid() == here, os.sched_getaffinity(0)), CPUS)

@@ -1,10 +1,14 @@
+import logging
 import os
 import signal
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from scottlab import radial_eig
@@ -138,6 +142,138 @@ def test_lapack_info_is_a_value_error(dstebz_path):
     # VL >= VU is an illegal argument 5 to dstebz, so INFO = -5
     with pytest.raises(ValueError, match="INFO = -5"):
         radial_eig._stebz(d, e, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("d0, mu", [(-0.5, 0.0), (-0.5, 0.25), (0.5, 0.0), (-1e8, 0.0)])
+def test_one_by_one_channel_equals_scipy(d0, mu, dstebz_path):
+    # LAPACK's N = 1 case returns d0 when vl < d0 <= vu; the norm estimate read an empty e
+    op = (np.array([d0]), np.array([]))
+    want = eigvalsh_tridiagonal(*op)
+    want = want[want < -mu]
+    assert negative_eigenvalues(op, mu).tobytes() == want.tobytes()
+    assert negative_eigenvalues(op, mu, guesses=[d0]).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="n - 1"):
+        negative_eigenvalues((np.array([]), np.array([])))
+
+
+# ---------------------------------------------------------------------------
+# bisection started from guesses
+# ---------------------------------------------------------------------------
+
+needs_dlaebz = pytest.mark.skipif(not hasattr(radial_eig.numpy_openblas(), "scipy_dlaebz_64_"),
+                                  reason="numpy's bundled OpenBLAS exports no dlaebz")
+
+GUESSES = ["exact", "off-by-1e-9", "off-by-1e-3", "junk", "duplicated", "out-of-range", "empty"]
+
+
+def random_channel(rng, n, scale, graded, split):
+    """A random tridiagonal (d, e) of entries ~scale: graded, D T D with D over three decades,
+    and split, with every fifth off-diagonal entry zero, if asked."""
+    d = scale * rng.standard_normal(n)
+    e = scale * rng.uniform(0.01, 1.0) * rng.standard_normal(n - 1)
+    if graded:
+        grade = np.geomspace(1.0, 1e3, n)
+        d, e = d * grade * grade, e * grade[:-1] * grade[1:]
+    if split:
+        e[::5] = 0.0
+    return d, e
+
+
+def guesses_of(kind, want, scale, rng):
+    """Guesses of the given kind for the eigenvalues want of a channel of entries ~scale."""
+    return {"exact": want,
+            "off-by-1e-9": want + 1e-9 * scale * rng.standard_normal(want.size),
+            "off-by-1e-3": want + 1e-3 * scale * rng.standard_normal(want.size),
+            "junk": scale * rng.standard_normal(7),
+            "duplicated": np.repeat(want, 3),
+            "out-of-range": np.array([-1e3, -1e300, 1e300]) * scale,
+            "empty": np.array([])}[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 400), log_scale=st.floats(-3.0, 8.0), graded=st.booleans(),
+       split=st.booleans(), mu=st.sampled_from([0.0, 0.3]), kind=st.sampled_from(GUESSES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_guesses_move_no_bit(n, log_scale, graded, split, mu, kind, seed):
+    rng, scale = np.random.default_rng(seed), 10.0 ** log_scale
+    op = random_channel(rng, n, scale, graded, split)
+    want = negative_eigenvalues(op, mu * scale)
+    with mock.patch.object(radial_eig, "GUIDED_N", 2):  # guide channels of any size
+        got = negative_eigenvalues(op, mu * scale, guesses=guesses_of(kind, want, scale, rng))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def tf_h40_grids(tf_solution):
+    """The TF potential's coarse and fine grids of the refined h = 1/40 sum, with V on each."""
+    V = tf_solution.potential()
+    grid = radial_eig.auto_grid(V, 1.0 / 40.0, 0.0)
+    return [(g, V(g.r)) for g in (grid, grid.refined())]
+
+
+@needs_dlaebz
+@pytest.mark.parametrize("case", ["tf-h40-l0", "tf-h40-l12", "tf-h40-l24", "coulomb-l0",
+                                  "coulomb-l5"])
+def test_fine_channels_guided_by_their_coarse_channels(case, request, monkeypatch):
+    potential, ell = case.rsplit("-l", 1)
+    ell, h, mu = int(ell), 1.0, 1.0 / 400.0
+    if potential == "tf-h40":
+        grids, h, mu = request.getfixturevalue("tf_h40_grids"), 1.0 / 40.0, 0.0
+    else:
+        grid = radial_eig.auto_grid(VC, h, mu)
+        grids = [(g, VC(g.r)) for g in (grid, grid.refined())]
+    (coarse, vc), (fine, vf) = grids
+    guesses = negative_eigenvalues(build_channel(vc, h, ell, coarse), mu)
+    op = build_channel(vf, h, ell, fine)
+    want = negative_eigenvalues(op, mu)
+    assert guesses.size > 2 and want.size > 2
+
+    def no_root(*args):
+        raise AssertionError("bisected from the root")
+
+    monkeypatch.setattr(radial_eig, "_stebz", no_root)
+    assert negative_eigenvalues(op, mu, guesses=guesses).tobytes() == want.tobytes()
+
+
+@needs_dlaebz
+def test_guesses_that_miss_take_the_root_path(monkeypatch, caplog):
+    grid = pool_grid(400.0)
+    coarse, fine = (build_channel(VC(g.r), 1.0, 0, g) for g in (grid, grid.refined()))
+    guesses = negative_eigenvalues(coarse, 0.01)
+    want = negative_eigenvalues(fine, 0.01)
+    solve, roots = radial_eig._stebz, []
+    monkeypatch.setattr(radial_eig, "_stebz", lambda *args: roots.append(args) or solve(*args))
+    with caplog.at_level(logging.DEBUG, logger="scottlab.radial_eig"):
+        assert negative_eigenvalues(fine, 0.01, guesses=guesses).tobytes() == want.tobytes()
+        assert not roots and not caplog.records
+        # each guess 1% deeper than the coarse eigenvalue: no node holds a fine one
+        assert negative_eigenvalues(fine, 0.01, guesses=1.01 * guesses).tobytes() == \
+            want.tobytes()
+    assert len(roots) == 1
+    assert "count mismatch" in caplog.text
+
+
+@needs_dlaebz
+def test_each_fallback_to_the_root_is_logged(monkeypatch, caplog):
+    d, e = np.full(50, -1.0), np.full(49, 1.0)
+    split = e.copy()
+    split[20] = 0.0
+    want, want_split = negative_eigenvalues((d, e)), negative_eigenvalues((d, split))
+    with caplog.at_level(logging.DEBUG, logger="scottlab.radial_eig"):
+        # a channel below GUIDED_N nodes ignores its guesses
+        assert negative_eigenvalues((d, e), guesses=[0.5, 7.0]).tobytes() == want.tobytes()
+        monkeypatch.setattr(radial_eig, "GUIDED_N", 50)
+        assert negative_eigenvalues((d, e), guesses=want).tobytes() == want.tobytes()
+        assert not caplog.records
+        assert negative_eigenvalues((d, e), guesses=[0.5, 7.0]).tobytes() == want.tobytes()
+        assert negative_eigenvalues((d, split), guesses=want_split).tobytes() == \
+            want_split.tobytes()
+        monkeypatch.setattr(radial_eig, "numpy_openblas", lambda: None)
+        assert negative_eigenvalues((d, e), guesses=want).tobytes() == want.tobytes()
+    messages = [r.getMessage() for r in caplog.records]
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+    assert messages[0] == "channel of n = 50, 1 guided nodes, bisected from the root: count mismatch"
+    assert [m.rsplit(": ", 1)[1] for m in messages] == ["count mismatch", "split", "no dlaebz"]
 
 
 def _inf_at_one_node(r):
@@ -443,6 +579,29 @@ def test_one_usable_core_starts_no_pool(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_start)
     got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=pool_grid(400.0), refine=True)
     assert got.workers == 0
+
+
+@multicore
+def test_fine_task_without_its_coarse_channel_gives_the_same_sum(monkeypatch):
+    # coarse channel 0 is late: the other thread solves coarse 1, then fine 0 without guesses
+    grid = pool_grid(400.0)
+    build, solve, seen = radial_eig.build_channel, radial_eig.negative_eigenvalues, []
+
+    def late_coarse_0(v, h, ell, g, f=None):
+        if g.n == grid.n and ell == 0:
+            time.sleep(0.5)
+        return build(v, h, ell, g, f)
+
+    def record(op, mu=0.0, guesses=()):
+        if op[0].size > grid.n:
+            seen.append(len(guesses))
+        return solve(op, mu, guesses)
+
+    monkeypatch.setattr(radial_eig, "build_channel", late_coarse_0)
+    monkeypatch.setattr(radial_eig, "negative_eigenvalues", record)
+    got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid, refine=True)
+    assert seen[0] == 0 and any(seen[1:])
+    assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=True))
 
 
 def test_second_thread_sums_in_process():
