@@ -110,11 +110,12 @@ def _positive(values, name: str):
 def get_tf_solution(cache_dir: str | None) -> tf.TFSolution:
     """The TF solution, solved or rebuilt from cache_dir/tf_profile.npz.
 
-    The cache holds the spline data of a solve and the package version.  A
-    file that cannot be read, lacks a key or carries another version is a
-    miss, and so are data no spline can be built from or whose residual
-    exceeds tf.RESIDUAL_TOL (cached data go through the same constructor as
-    a solve): the profile is solved again and the file rewritten.
+    The cache holds the slope and the Chebyshev coefficients of a solve and
+    the package version.  A file that cannot be read, lacks a key or carries
+    another version is a miss, and so are data tf._assemble rejects or whose
+    residual exceeds tf.RESIDUAL_TOL (cached data go through the same
+    constructor as a solve): the profile is solved again and the file
+    rewritten.
     """
     if not cache_dir:
         return tf.solve_tf_atom()
@@ -122,18 +123,16 @@ def get_tf_solution(cache_dir: str | None) -> tf.TFSolution:
     cache_file = os.path.join(cache_dir, "tf_profile.npz")
     try:
         with np.load(cache_file) as data:
-            cached = (str(data["version"]), float(data["slope0"]), data["x"],
-                      data["w"], data["v"])
+            cached = (str(data["version"]), float(data["slope0"]), data["w"], data["v"])
     except Exception:  # missing, truncated or not an npz archive: a miss
         cached = None
-    if cached is not None and cached[0] == __version__ and math.isfinite(cached[1]):
+    if cached is not None and cached[0] == __version__:
         try:
             return tf._assemble(*cached[1:])
-        except (ValueError, tf.TFConvergenceError):  # no spline, or one that fails the check
+        except (ValueError, tf.TFConvergenceError):  # malformed data, or a failed residual check
             pass
     sol = tf.solve_tf_atom()
-    np.savez(cache_file, version=__version__, slope0=sol.slope0, x=sol.spline_x,
-             w=sol.spline_w, v=sol.spline_v)
+    np.savez(cache_file, version=__version__, slope0=sol.slope0, w=sol.w_coef, v=sol.v_coef)
     return sol
 
 

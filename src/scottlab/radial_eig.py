@@ -26,8 +26,8 @@ A sum runs its channels on one thread per usable core, the calling thread
 included, started for that sum alone and joined before it returns or
 raises.  The ctypes calls to LAPACK release the interpreter lock, so the
 bisections run in parallel.  The threads take (grid, l) tasks from one
-queue in l order, the coarse channel l + 1 before the fine channel l (which
-takes the coarse eigenvalues as guesses if they are there), and skip those
+queue, every coarse channel in l order before the fine ones (each of which
+takes its coarse eigenvalues as guesses if they are there), and skip those
 above the first empty channel found so far on their grid; the channels are
 then read in l order up to the first empty one, as a loop on one thread
 reads them, so a sum is bit for bit the same on any number of threads.
@@ -311,16 +311,15 @@ def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
 
     V and the cutoff are evaluated once on each grid.  The calling thread
     and k - 1 started ones (k usable cores) then solve the channels as the
-    module docstring says, taking the tasks (coarse, 0), (coarse, 1), (fine,
-    0), (coarse, 2), (fine, 1), ...  The first exception raised is raised
+    module docstring says, taking the tasks (coarse, 0), (coarse, 1), ...,
+    then (fine, 0), (fine, 1), ...  The first exception raised is raised
     here, after every thread is joined.
     """
     grids = [(g, np.asarray(V(g.r), dtype=float),
               None if cutoff is None else np.asarray(cutoff(g.r), dtype=float))
              for g in ([grid, grid.refined()] if refine else [grid])]
     numpy_openblas()  # loaded, and its LAPACK declared, before any thread calls it
-    tasks = iter(sorted(((ell, i) for ell in range(LMAX_CAP + 1) for i in range(len(grids))),
-                        key=lambda task: (task[0] + task[1], task[1])))
+    tasks = ((ell, i) for i in range(len(grids)) for ell in range(LMAX_CAP + 1))
     found, first_empty = [{} for _ in grids], [LMAX_CAP + 1] * len(grids)
     errors, lock = [], threading.Lock()
 

@@ -10,7 +10,8 @@ Solution strategy, in three stitched pieces:
 * a power series in u = sqrt(t) on [0, T_SERIES] whose coefficients obey
   a closed recursion, anchored by the slope phi'(0);
 * Chebyshev collocation for (w, w') with w = log phi against s = log t
-  on [T_SERIES, T_GRID_MAX], sampled onto a uniform mesh in s;
+  on [T_SERIES, T_GRID_MAX], evaluated as the Chebyshev series of its
+  interpolant through the collocation values;
 * the asymptotic two-term tail beyond the grid.
 
 One Newton iteration, in numpy alone, solves for the profile and the slope
@@ -24,9 +25,10 @@ self-consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
@@ -45,9 +47,9 @@ T_GRID_MIN, T_GRID_MAX, N_GRID = 1e-6, 1e4, 4000
 # highest power of u = sqrt(t) in the series
 SERIES_ORDER = 40
 
-# Chebyshev collocation order, Newton step cap, uniform samples of the solution, the
-# cells of the collocation-region residual check, and the bound on equation_residual
-CHEB_ORDER, NEWTON_MAX, N_SAMPLES, RESIDUAL_CELLS, RESIDUAL_TOL = 70, 30, 6001, 200, 1e-8
+# Chebyshev collocation order, Newton step cap, the cells of the collocation-region
+# residual check, and the bound on equation_residual
+CHEB_ORDER, NEWTON_MAX, RESIDUAL_CELLS, RESIDUAL_TOL = 70, 30, 200, 1e-8
 
 # b with V(r) = phi(r/b)/r for z = 1 (fixes the universal ODE normalization)
 B_LENGTH = (3.0 * math.pi / 4.0) ** (2.0 / 3.0)
@@ -119,7 +121,7 @@ def _solve_profile():
     p; at t_hi = T_GRID_MAX the Robin condition v = -3 - lambda xi/(1 + xi) of the
     144/t^3 branch takes the tail amplitude 1 + xi = e^w t_hi^3 / 144 from the
     solution.  Sommerfeld's (1 + q)^(-1/lambda), q = (t^3/144)^lambda, with p = -1.6
-    starts it.  Returns p and (s, w, v) on N_SAMPLES uniform points in s.
+    starts it.  Returns p and the Chebyshev coefficients of w and v.
     """
     def series(p):  # (w, v) at T_SERIES from the series with slope p
         c = baker_coefficients(p)
@@ -149,71 +151,40 @@ def _solve_profile():
             break
     else:
         raise TFConvergenceError(f"collocation failed: no convergence in {NEWTON_MAX} Newton steps")
-    fine = np.linspace(a, b, N_SAMPLES)
-    gap = fine[:, None] - s
-    k = lam / np.where(gap == 0.0, 1e-300, gap)  # on a node, its own term swamps the rest
-    k /= k.sum(axis=1, keepdims=True)
-    return float(p), fine, np.sum(k * w, axis=1), np.sum(k * v, axis=1)
+    return float(p), _chebyshev_coefficients(w), _chebyshev_coefficients(v)
 
 
-class _CubicHermite:
-    """Piecewise cubic Hermite interpolant of values y and slopes dydx on nodes x.
+def _chebyshev_coefficients(values):
+    """Chebyshev coefficients of the interpolant through values at the points -cos(pi j/n),
+    j = 0..n: the DCT-I, one real FFT of the even extension."""
+    n = values.size - 1
+    f = values[::-1]  # at cos(pi j/n)
+    c = np.fft.rfft(np.r_[f, f[-2:0:-1]]).real / n
+    c[[0, n]] /= 2.0
+    return c
 
-    Coefficients and evaluation are those of scipy's CubicHermiteSpline
-    (a PPoly), operation for operation, so the values agree bit for bit:
-    the interval is i with x[i] <= s < x[i+1], clipped to the end
-    intervals, and the cubic in u = s - x[i] is summed in ascending powers.
-    """
 
-    def __init__(self, x, y, dydx):
-        x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
-        if x.ndim != 1 or x.size < 2 or y.shape != x.shape or dydx.shape != x.shape:
-            raise ValueError("x, y and dydx must be 1-D arrays of one length >= 2")
-        if not all(np.all(np.isfinite(a)) for a in (x, y, dydx)):
-            raise ValueError("x, y and dydx must contain only finite values")
-        dx = np.diff(x)
-        if np.any(dx <= 0):
-            raise ValueError("x must be strictly increasing")
-        slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        self.x = x
-        self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        # the count of interior nodes <= s is the interval, already clipped
-        i = np.searchsorted(self.x[1:-1], s, side="right")
-        u = s - self.x[i]
-        # PPoly's sum c3 + c2 u + c1 u^2 + c0 u^3 with a running power; one
-        # coefficient row gathered at a time keeps the peak memory low
-        c0, c1, c2, c3 = self.c
-        out = c3[i]
-        out += c2[i] * u
-        z = u * u
-        out += c1[i] * z
-        z *= u
-        out += c0[i] * z
-        return out
+def _chebyshev_eval(coef, s):
+    """The Chebyshev series coef at s = log t, mapped from [log T_SERIES, log T_GRID_MAX]."""
+    a, b = math.log(T_SERIES), math.log(T_GRID_MAX)
+    return chebval((2.0 * s - a - b) / (b - a), coef)
 
 
 @dataclass(frozen=True, kw_only=True)
 class TFProfile:
     """The universal screening profile phi(t) from its three stitched pieces.
 
-    series covers t < T_SERIES; Hermite interpolants of (w, v) = (log phi,
-    its log-t derivative) on the collocation nodes spline_x = log t cover
-    the grid; the Sommerfeld tail with relative amplitude xi_tail at the
-    grid end covers t beyond it.
+    series covers t < T_SERIES; the Chebyshev series w_coef and v_coef of
+    (w, v) = (log phi, its log-t derivative) in s = log t cover the grid;
+    the Sommerfeld tail with relative amplitude xi_tail at the grid end
+    covers t beyond it.
     """
 
     slope0: float
     series: np.ndarray
-    spline_x: np.ndarray
-    spline_w: np.ndarray
-    spline_v: np.ndarray
+    w_coef: np.ndarray
+    v_coef: np.ndarray
     xi_tail: float
-    _w_interp: _CubicHermite = field(repr=False, compare=False)
-    _v_interp: _CubicHermite = field(repr=False, compare=False)
 
     def phi(self, t):
         return self._evaluate(t, 0)
@@ -222,24 +193,23 @@ class TFProfile:
         return self._evaluate(t, 1)
 
     def _evaluate(self, t, deriv: int):
-        """phi (deriv 0) or phi' (deriv 1): series, Hermite interpolant or tail by region."""
+        """phi (deriv 0) or phi' (deriv 1): series, Chebyshev series or tail by region."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         out = np.empty_like(t)
-        t_hi = float(np.exp(self.spline_x[-1]))
         lo = t < T_SERIES
-        hi = t > t_hi
+        hi = t > T_GRID_MAX
         mid = ~(lo | hi)
         if lo.any():
             out[lo] = _series_eval(self.series, t[lo], deriv)
         if mid.any():
             s = np.log(t[mid])
-            w = self._w_interp(s)
-            out[mid] = np.exp(w) if deriv == 0 else self._v_interp(s) * np.exp(w) / t[mid]
+            phi = np.exp(_chebyshev_eval(self.w_coef, s))
+            out[mid] = phi if deriv == 0 else _chebyshev_eval(self.v_coef, s) * phi / t[mid]
         if hi.any():
             th = t[hi]
-            xi = self.xi_tail * (th / t_hi) ** (-SOMMERFELD_LAMBDA)
+            xi = self.xi_tail * (th / T_GRID_MAX) ** (-SOMMERFELD_LAMBDA)
             out[hi] = (144.0 / th ** 3 * (1.0 + xi) if deriv == 0 else
                        144.0 / th ** 4 * (-3.0 * (1.0 + xi) - SOMMERFELD_LAMBDA * xi))
         return float(out[0]) if scalar else out
@@ -292,23 +262,22 @@ def solve_tf_atom() -> TFSolution:
     return _assemble(*_solve_profile())
 
 
-def _assemble(slope0, spline_x, spline_w, spline_v) -> TFSolution:
+def _assemble(slope0, w_coef, v_coef) -> TFSolution:
     """The one constructor of TFSolution, for a fresh solve and a cached one alike.
 
-    Builds the profile from the slope and the sampled solution (log t, w,
-    w'), takes the tail amplitude xi_tail from w at the last node, raises
-    TFConvergenceError when the equation residual exceeds RESIDUAL_TOL,
-    then computes the energies.  The Hermite slopes of w' come from the
-    ODE right side, so cached data rebuild the solve exactly.
+    Builds the profile from the slope and the Chebyshev coefficients of w and
+    w', takes the tail amplitude xi_tail from w at T_GRID_MAX, raises
+    ValueError unless the slope is finite and each array holds CHEB_ORDER + 1
+    finite values, and TFConvergenceError when the equation residual exceeds
+    RESIDUAL_TOL, then computes the energies.
     """
-    vp = _bvp_rhs(spline_x, np.vstack([spline_w, spline_v]))[1]
+    w_coef, v_coef = (np.asarray(c, dtype=float) for c in (w_coef, v_coef))
+    if not (math.isfinite(slope0) and all(c.shape == (CHEB_ORDER + 1,) and np.all(np.isfinite(c))
+                                          for c in (w_coef, v_coef))):
+        raise ValueError(f"need a finite slope and {CHEB_ORDER + 1} finite coefficients of w, v")
     profile = TFProfile(
-        slope0=slope0, series=baker_coefficients(slope0), spline_x=spline_x,
-        spline_w=spline_w, spline_v=spline_v,
-        _w_interp=_CubicHermite(spline_x, spline_w, spline_v),
-        _v_interp=_CubicHermite(spline_x, spline_v, vp),
-        # evaluated after the interpolants have checked the arrays
-        xi_tail=math.exp(spline_w[-1] + 3.0 * spline_x[-1]) / 144.0 - 1.0,
+        slope0=slope0, series=baker_coefficients(slope0), w_coef=w_coef, v_coef=v_coef,
+        xi_tail=math.exp(chebval(1.0, w_coef) + 3.0 * math.log(T_GRID_MAX)) / 144.0 - 1.0,
     )
     residual = equation_residual(profile)
     if residual > RESIDUAL_TOL:
@@ -345,10 +314,11 @@ def equation_residual(profile: TFProfile) -> float:
     lhs = _series_eval(profile.series, ts, 2)
     series_worst = np.max(np.abs(lhs - rhs) / rhs)
     # collocation region: cell-integrated check, all cells at once
-    s_edges = np.linspace(math.log(T_SERIES), profile.spline_x[-1], RESIDUAL_CELLS + 1)
-    dphi_edges = profile._v_interp(s_edges) * np.exp(profile._w_interp(s_edges) - s_edges)
+    w, v = profile.w_coef, profile.v_coef
+    s_edges = np.linspace(math.log(T_SERIES), math.log(T_GRID_MAX), RESIDUAL_CELLS + 1)
+    dphi_edges = _chebyshev_eval(v, s_edges) * np.exp(_chebyshev_eval(w, s_edges) - s_edges)
     s, ws = gauss(s_edges[:-1], s_edges[1:], _GL12)
-    integral = np.sum(ws * np.exp(1.5 * profile._w_interp(s) + 0.5 * s), axis=-1)
+    integral = np.sum(ws * np.exp(1.5 * _chebyshev_eval(w, s) + 0.5 * s), axis=-1)
     cell_worst = np.max(np.abs(np.diff(dphi_edges) - integral) / integral)
     return float(max(series_worst, cell_worst))
 

@@ -1,5 +1,6 @@
 import argparse
 import io
+import math
 import os
 import subprocess
 import sys
@@ -315,8 +316,8 @@ def _npz_bytes(**arrays):
     return buf.getvalue()
 
 
-# spline data that would fail the residual check if they were used
-_BAD_SPLINE = dict(slope0=-1.5, x=[0.0, 1.0], w=[0.0, 0.0], v=[0.0, 0.0])
+# coefficients that would fail the residual check if they were used
+_BAD_SPLINE = dict(slope0=-1.5, w=np.zeros(tf.CHEB_ORDER + 1), v=np.zeros(tf.CHEB_ORDER + 1))
 
 
 @pytest.mark.parametrize("content", [
@@ -330,19 +331,17 @@ def test_tf_cache_unreadable_file_is_a_miss(tmp_path, content):
     (cache / "tf_profile.npz").write_bytes(content)
     assert main(["tf", "--out", str(tmp_path / "p.csv"), "--cache-dir", str(cache)]) == 0
     with np.load(cache / "tf_profile.npz") as data:
-        assert {"version", "slope0", "x", "w", "v"} <= set(data.files)
+        assert set(data.files) == {"version", "slope0", "w", "v"}
         assert str(data["version"]) == __version__
 
 
 def _damage(kind, data):
-    """Copy of the cached arrays with one defect: data no spline can be built from, or
-    (scaled-w) a spline whose residual fails tf.RESIDUAL_TOL."""
+    """Copy of the cached arrays with one defect: data tf._assemble rejects, or
+    (scaled-w) coefficients whose residual fails tf.RESIDUAL_TOL."""
     data = dict(data)
     if kind == "nan-in-w":
         data["w"] = data["w"].copy()
         data["w"][len(data["w"]) // 2] = np.nan
-    elif kind == "reversed-x":
-        data["x"] = data["x"][::-1]
     elif kind == "two-dim-v":
         data["v"] = data["v"][None, :]
     elif kind == "two-dim-w":
@@ -364,7 +363,7 @@ def clean_tf(tmp_path_factory):
     return root, root / "clean"
 
 
-@pytest.mark.parametrize("kind", ["nan-in-w", "reversed-x", "two-dim-v", "two-dim-w",
+@pytest.mark.parametrize("kind", ["nan-in-w", "two-dim-v", "two-dim-w",
                                   "short-w", "inf-slope0", "scaled-w"])
 def test_tf_cache_damaged_data_is_a_miss(tmp_path, clean_tf, kind):
     root, clean = clean_tf
@@ -392,6 +391,25 @@ def test_tf_cache_of_version_0_2_0_is_solved_again(tmp_path, clean_tf, monkeypat
     monkeypatch.setattr(tf, "solve_tf_atom", lambda: solves.append(1) or solve())
     assert main(["tf", "--out", str(tmp_path / "p.csv"), "--cache-dir", str(cache)]) == 0
     assert solves == [1]
+    assert (cache / "tf_profile.npz").read_bytes() == (clean / "tf_profile.npz").read_bytes()
+
+
+def test_tf_cache_of_6001_samples_is_solved_again(tmp_path, clean_tf, monkeypatch):
+    # the cache of 0.3.0 before the profile became a Chebyshev series: the same version,
+    # with x, w and v sampled at 6,001 points in log t; its arrays have the wrong length
+    root, clean = clean_tf
+    s = np.linspace(math.log(tf.T_SERIES), math.log(tf.T_GRID_MAX), 6001)
+    sol = tf.solve_tf_atom()
+    phi, dphi = sol.phi(np.exp(s)), sol.dphi(np.exp(s))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "tf_profile.npz").write_bytes(_npz_bytes(
+        version=__version__, slope0=sol.slope0, x=s, w=np.log(phi), v=np.exp(s) * dphi / phi))
+    solves, solve = [], tf.solve_tf_atom
+    monkeypatch.setattr(tf, "solve_tf_atom", lambda: solves.append(1) or solve())
+    assert main(["tf", "--out", str(tmp_path / "p.csv"), "--cache-dir", str(cache)]) == 0
+    assert solves == [1]
+    assert (tmp_path / "p.csv").read_bytes() == (root / "clean.csv").read_bytes()
     assert (cache / "tf_profile.npz").read_bytes() == (clean / "tf_profile.npz").read_bytes()
 
 

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
 
 from scottlab import tf
 from scottlab.tf import TFConvergenceError, tf_energy_consistency
@@ -124,8 +123,8 @@ def test_collocation_failure_is_diagnosed(monkeypatch):
 
 
 def _solve_bvp_profile():
-    """The profile from scipy's solve_bvp on the same variables and conditions: the oracle
-    of the Chebyshev collocation."""
+    """scipy's solve_bvp on the same variables and conditions, the oracle of the Chebyshev
+    collocation: its slope and its own interpolant of (w, v) in s = log t."""
     from scipy.integrate import solve_bvp
 
     def bc(ya, yb, p):
@@ -144,14 +143,33 @@ def _solve_bvp_profile():
     sol = solve_bvp(lambda s, y, p: tf._bvp_rhs(s, y), bc, mesh, guess, p=[-1.6],
                     tol=1e-10, max_nodes=200000)
     assert sol.status == 0, sol.message
-    return tf._assemble(float(sol.p[0]), sol.x, sol.y[0], sol.y[1])
+    return float(sol.p[0]), sol.sol
 
 
 def test_profile_matches_solve_bvp_oracle(tf_solution):
-    oracle = _solve_bvp_profile()
-    assert abs(oracle.slope0 - BOYD_SLOPE0) < 1e-12
-    np.testing.assert_allclose(tf_solution.profile_table(), oracle.profile_table(),
-                               rtol=1e-12, atol=0.0)
+    slope0, oracle = _solve_bvp_profile()
+    assert abs(slope0 - BOYD_SLOPE0) < 1e-12
+    t = np.geomspace(tf.T_SERIES, tf.T_GRID_MAX, tf.N_GRID)
+    w, v = oracle(np.log(t))
+    np.testing.assert_allclose(tf_solution.phi(t), np.exp(w), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(tf_solution.dphi(t), v * np.exp(w) / t, rtol=1e-12, atol=0.0)
+
+
+def test_series_match_barycentric_interpolant_of_collocation(monkeypatch):
+    # the node values the collocation converged to, as the DCT takes them
+    nodes, dct = [], tf._chebyshev_coefficients
+    monkeypatch.setattr(tf, "_chebyshev_coefficients", lambda y: nodes.append(y) or dct(y))
+    sol = tf.solve_tf_atom()
+    a, b, n = math.log(tf.T_SERIES), math.log(tf.T_GRID_MAX), tf.CHEB_ORDER
+    s = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
+    lam = np.r_[0.5, np.ones(n - 1), 0.5] * (-1.0) ** np.arange(n + 1)
+    fine = np.linspace(a, b, 6001)
+    gap = fine[:, None] - s
+    k = lam / np.where(gap == 0.0, 1e-300, gap)  # on a node, its own term swamps the rest
+    k /= k.sum(axis=1, keepdims=True)
+    for coef, y in zip((sol.w_coef, sol.v_coef), nodes):
+        np.testing.assert_allclose(tf._chebyshev_eval(coef, fine), np.sum(k * y, axis=1),
+                                   rtol=0.0, atol=1e-13)
 
 
 _PROFILE_BITS = """
@@ -159,8 +177,7 @@ import hashlib
 import numpy as np
 from scottlab import tf
 sol = tf.solve_tf_atom()
-print(hashlib.sha256(np.r_[sol.slope0, sol.spline_x, sol.spline_w, sol.spline_v].tobytes())
-      .hexdigest())
+print(hashlib.sha256(np.r_[sol.slope0, sol.w_coef, sol.v_coef].tobytes()).hexdigest())
 """
 
 
@@ -213,43 +230,3 @@ def test_frozen_energy_constants(tf_solution):
     assert tf_solution.D_rho == pytest.approx(a_closed / 7.0, rel=1e-7)
     assert tf_solution.E_atom == pytest.approx(-0.3843726, abs=2e-6)
     assert tf_solution.phase_space_coeff == pytest.approx(-0.2562484, abs=2e-6)
-
-
-# ---------------------------------------------------------------------------
-# Hermite evaluator against scipy's CubicHermiteSpline (oracle)
-# ---------------------------------------------------------------------------
-
-
-def _hermite_points(x):
-    """Random points past both ends, every knot and both ends, and the 2-D
-    (cells, nodes) shape equation_residual evaluates."""
-    rng = np.random.default_rng(12)
-    edges = np.linspace(x[0], x[-1], tf.RESIDUAL_CELLS + 1)
-    return [rng.uniform(x[0] - 1.0, x[-1] + 1.0, 100_000), x, np.array([x[0], x[-1]]),
-            tf.gauss(edges[:-1], edges[1:], tf._GL12)[0]]
-
-
-def test_profile_interpolants_match_scipy_bit_for_bit(tf_solution):
-    x, w, v = tf_solution.spline_x, tf_solution.spline_w, tf_solution.spline_v
-    vp = tf._bvp_rhs(x, np.vstack([w, v]))[1]
-    for ours, oracle in [(tf_solution._w_interp, CubicHermiteSpline(x, w, v)),
-                         (tf_solution._v_interp, CubicHermiteSpline(x, v, vp))]:
-        for s in _hermite_points(x):
-            got = ours(s)
-            assert got.shape == s.shape
-            assert np.array_equal(got, oracle(s))
-
-
-@pytest.mark.parametrize("x, y", [
-    (np.zeros((2, 2)), np.zeros((2, 2))),               # not 1-D
-    (np.array([0.0]), np.array([1.0])),                  # one node
-    (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0])),   # lengths differ
-    (np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0])),
-    (np.array([0.0, np.inf, 2.0]), np.zeros(3)),
-    (np.array([0.0, 2.0, 1.0]), np.zeros(3)),            # not increasing
-    (np.array([0.0, 1.0, 1.0]), np.zeros(3)),            # repeated node
-], ids=["2-d", "one-node", "lengths", "nan-y", "inf-x", "decreasing", "repeated"])
-def test_hermite_rejects_what_scipy_rejects(x, y):
-    for build in (tf._CubicHermite, CubicHermiteSpline):
-        with pytest.raises(ValueError):
-            build(x, y, y)
