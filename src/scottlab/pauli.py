@@ -150,8 +150,10 @@ class FieldAnsatz:
         object.__setattr__(self, "theta", th)
         if len(th) > len(self.scales):
             raise ValueError("more coefficients than modes")
-        if self.support_radius <= 0:
-            raise ValueError("support radius must be positive")
+        if not all(map(math.isfinite, th)):
+            raise ValueError("theta must be finite")
+        if not (math.isfinite(self.support_radius) and self.support_radius > 0):
+            raise ValueError("support radius must be finite and positive")
 
     @property
     def is_zero(self) -> bool:
@@ -529,8 +531,12 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
     operator).  With modes, a sequence of FieldAnsatz (A zero only), the
     record's response is the trace's second-order response to them
     (TraceResponse).  A mesh whose geometry overflows raises
-    FloatingPointError.
+    FloatingPointError; V, phi, the field or a mode field that is not finite
+    on every cell raises ValueError before any factorization.
     """
+    zero = A is None or A.is_zero
+    if modes and not zero:
+        raise ValueError("the response to modes is taken at A = 0")
     if grid is None:
         if domain_radius is None:
             raise ValueError("pauli_trace_neg needs grid or domain_radius")
@@ -542,6 +548,12 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
         K = grid.kinetic(h)
     V2d = np.asarray(V(S), dtype=float)
     phi2d = None if phi is None else np.asarray(phi(S), dtype=float)
+    field = () if zero else A.fields(grid.R, grid.Z)
+    mode_fields = [tuple(x.ravel() for x in M.fields(grid.R, grid.Z)) for M in modes]
+    # splu was seen to crash the interpreter on a NaN operator
+    if not all(np.all(np.isfinite(c)) for c in (V2d, 1.0 if phi2d is None else phi2d,
+                                                 *field, *sum(mode_fields, ()))):
+        raise ValueError("V, phi, the field and the mode fields must be finite on every cell")
 
     def walk(solved, side, reach):
         """{m: eigenvalues} of the nonempty operators m of one walk, out to its certified
@@ -564,7 +576,7 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
 
     # insertion order is that of the block walks, and the sum runs in it
     response = None
-    if A is None or A.is_zero:
+    if zero:
         def sector(m, p):
             H = K[p] + sp.diags(((h * m / grid.R) ** 2 - V2d + mu).ravel())
             return H.tocsc() if phi2d is None else _sandwich(H, phi2d.ravel())
@@ -585,12 +597,9 @@ def pauli_trace_neg(A: Optional[FieldAnsatz], V, h: float = 1.0,
             blocks[m + 0.5], blocks[-m - 0.5] = vals, vals.copy()
         if modes:
             f = (np.ones_like(S) if phi2d is None else phi2d ** 2).ravel()
-            fields = [tuple(x.ravel() for x in M.fields(grid.R, grid.Z)) for M in modes]
-            response = _trace_response(states, sector, fields, f, h, (h / grid.R).ravel())
+            response = _trace_response(states, sector, mode_fields, f, h, (h / grid.R).ravel())
     else:
-        if modes:
-            raise ValueError("the response to modes is taken at A = 0")
-        a2d, Br, Bz = A.fields(grid.R, grid.Z)
+        a2d, Br, Bz = field
         # -a rho on the +j side, a rho on the -j side: once h |j| reaches its
         # largest value the walk is monotone (module docstring)
         a_rho = a2d * grid.R

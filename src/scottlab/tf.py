@@ -19,7 +19,8 @@ phi'(0) together: the slope is an unknown of the boundary-value problem, w and
 w' match the series at T_SERIES, and the far end carries the Robin
 condition of the decaying 144/t^3 branch with the solution's own tail
 amplitude.  The stitch at T_SERIES is C^1, and the tail amplitude is
-self-consistent.
+self-consistent.  The energies are Gauss quadratures in x = sqrt(t) on two
+node sets, with phi evaluated once on each (_energy_integrals).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 
-from .core import gauss, numpy_openblas, one_blas_thread, sqrt_panel_integral
+from .core import gauss, numpy_openblas, one_blas_thread
 from .weyl import MOMENTUM_COEFF
 
 # decay exponent of perturbations around the 144/t^3 branch
@@ -327,14 +328,9 @@ def equation_residual(profile: TFProfile) -> float:
 _X_EDGES = np.concatenate([[0.0], np.geomspace(100.0 * 1e-6, 100.0, 700)])
 
 
-def _integrate_x(f_of_t) -> float:
-    """integral f(t) dt from 0 to 1e4, Gauss-16 on the panels _X_EDGES."""
-    return sqrt_panel_integral(f_of_t, _X_EDGES, _GL16)
-
-
 def _density(phi, t):
-    """TF density at r = B t for z = 1 from the profile phi."""
-    return _RHO_COEFF * (phi(t) / (B_LENGTH * t)) ** 1.5
+    """TF density at r = B t for z = 1 from the profile values phi = phi(t)."""
+    return _RHO_COEFF * (phi / (B_LENGTH * t)) ** 1.5
 
 
 def _volume(t):
@@ -345,47 +341,50 @@ def _volume(t):
 def _energy_integrals(profile: TFProfile):
     """(mass, attraction, kinetic, D, phase-space) for z = 1 from the profile.
 
-    The quadratures stop at t = T_GRID_MAX.  The mass beyond it, about 6e-10,
-    is added in closed form from the Sommerfeld tail to first order in
-    xi_tail; the other tails (attraction and D 2.4e-14, kinetic and phase
-    space about 1e-24) are below the printed precision and left out.
+    phi is evaluated once on the Gauss-16 nodes of the panels _X_EDGES in
+    x = sqrt(t), which carry all five integrals, and once on D's Gauss-12 nodes
+    (below); panel totals are added left to right.  The quadratures stop at
+    t = T_GRID_MAX.  The mass beyond it, about 6e-10, is added in closed form
+    from the Sommerfeld tail to first order in xi_tail; the other tails
+    (attraction and D 2.4e-14, kinetic and phase space about 1e-24) are below
+    the printed precision and left out.
     """
-    phi = profile.phi
+    x, wx = gauss(_X_EDGES[:-1], _X_EDGES[1:], _GL16)
+    t = x ** 2
+    phi = profile.phi(t)
+    rho, vol, r = _density(phi, t), _volume(t), B_LENGTH * t
+
+    def total(f):  # integral f(t) dt, panel totals added left to right
+        return float(np.cumsum(np.sum(wx * 2.0 * x * f, axis=-1))[-1])
+
     mass_tail = (4.0 * math.pi * B_LENGTH ** 3 * _RHO_COEFF * (144.0 / B_LENGTH) ** 1.5
                  / T_GRID_MAX ** 3
                  * (1.0 / 3.0 + 1.5 * profile.xi_tail / (3.0 + SOMMERFELD_LAMBDA)))
-    mass = _integrate_x(lambda t: _volume(t) * _density(phi, t)) + mass_tail
-    attraction = _integrate_x(lambda t: _volume(t) * _density(phi, t) / (B_LENGTH * t))
-    kinetic = _KIN_COEFF * _integrate_x(lambda t: _volume(t) * _density(phi, t) ** (5.0 / 3.0))
-    ps = -_PS_COEFF * _integrate_x(lambda t: _volume(t) * (phi(t) / (B_LENGTH * t)) ** 2.5)
+    mass = total(vol * rho) + mass_tail
+    attraction = total(vol * rho / r)
+    kinetic = _KIN_COEFF * total(vol * rho ** (5.0 / 3.0))
+    ps = -_PS_COEFF * total(vol * (phi / r) ** 2.5)
 
-    # Coulomb self-energy by Newton's theorem, D = 1/2 int dm (m / r + w) with
-    # m the enclosed mass and w = int_r^inf dm / r'.  At each Gauss-16 node the
-    # panels to its left enter through cumulative sums, its own panel through
-    # a Gauss-12 rule from the panel's left edge to the node.
-    def dm(x):
-        t = x ** 2
-        return 2.0 * x * _volume(t) * _density(phi, t)
-
-    def dw(x):
-        t = x ** 2
-        return 2.0 * x * 4.0 * np.pi * B_LENGTH * t * _density(phi, t) * B_LENGTH
+    # Coulomb self-energy by Newton's theorem, D = 1/2 int dm (m / r + w) with m the enclosed
+    # mass and w = int_r^inf dm / r'.  At each Gauss-16 node the panels to its left enter through
+    # cumulative sums, its own panel through Gauss-12 from the panel's left edge to the node.
+    def dm_dw(x, t, rho):  # dm/dx and dw/dx at the nodes x
+        return (2.0 * x * _volume(t) * rho,
+                2.0 * x * 4.0 * np.pi * B_LENGTH * t * rho * B_LENGTH)
 
     def before(panels):
         return np.concatenate([[0.0], np.cumsum(panels)[:-1]])[:, None]
 
-    x, wx = gauss(_X_EDGES[:-1], _X_EDGES[1:], _GL16)
     left = _X_EDGES[:-1, None]
     g = gauss(left, x, _GL12)[0]
-    wg = _GL12[1]
-    panel_m = np.sum(wx * dm(x), axis=1)
-    panel_w = np.sum(wx * dw(x), axis=1)
-    m_loc = before(panel_m) + 0.5 * (x - left) * np.sum(wg * dm(g), axis=-1)
+    tg = g ** 2
+    dm, dw = dm_dw(x, t, rho)
+    dm_g, dw_g = dm_dw(g, tg, _density(profile.phi(tg), tg))
+    panel_m, panel_w = np.sum(wx * dm, axis=1), np.sum(wx * dw, axis=1)
+    m_loc = before(panel_m) + 0.5 * (x - left) * np.sum(_GL12[1] * dm_g, axis=-1)
     w_loc = (float(np.sum(panel_w)) - before(panel_w)
-             - 0.5 * (x - left) * np.sum(wg * dw(g), axis=-1))
-    t = x ** 2
-    r = B_LENGTH * t
-    d_panels = np.sum(wx * 2.0 * x * _volume(t) * _density(phi, t) * (m_loc / r + w_loc), axis=1)
+             - 0.5 * (x - left) * np.sum(_GL12[1] * dw_g, axis=-1))
+    d_panels = np.sum(wx * 2.0 * x * vol * rho * (m_loc / r + w_loc), axis=1)
     return mass, attraction, kinetic, 0.5 * float(np.cumsum(d_panels)[-1]), ps
 
 

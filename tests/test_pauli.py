@@ -504,6 +504,47 @@ def test_overflowing_mesh_raises(R, field):
                         grid=PauliGrid.for_ball(R, n_rho=8, n_z=16))
 
 
+_NON_FINITE = """
+import math
+import numpy as np
+from scottlab.pauli import FieldAnsatz, PauliGrid, field_energy, pauli_trace_neg
+
+VC, grid = lambda r: 1.0 / r, PauliGrid.for_ball(8.0, 16, 32)
+bad = FieldAnsatz(theta=(0.3,), support_radius=1.0)
+object.__setattr__(bad, "theta", (math.nan,))  # past the constructor's check
+cases = {
+    "theta": lambda: FieldAnsatz(theta=(math.nan,), support_radius=1.0),
+    "radius-nan": lambda: FieldAnsatz(theta=(0.3,), support_radius=math.nan),
+    "radius-inf": lambda: FieldAnsatz(theta=(0.3,), support_radius=math.inf),
+    "field": lambda: (field_energy(bad), pauli_trace_neg(bad, VC, grid=grid)),
+    "V": lambda: pauli_trace_neg(None, lambda r: 1.0 / (r - r.flat[5]), grid=grid),
+    "phi": lambda: pauli_trace_neg(None, VC, phi=lambda r: np.full_like(r, math.nan),
+                                   grid=grid),
+    "mode": lambda: pauli_trace_neg(None, VC, grid=grid, modes=(bad,)),
+}
+for name, case in cases.items():
+    try:
+        case()
+        print(name, "returned")
+    except ValueError as exc:
+        print(name, exc)
+"""
+
+
+def test_non_finite_input_raises_before_any_factorization():
+    # a NaN field once crashed the interpreter inside splu, so the cases run
+    # in a child whose crash fails the test instead of ending pytest
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", _NON_FINITE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "theta", "radius-nan", "radius-inf", "field", "V", "phi", "mode"]
+    assert all("must be finite" in line for line in lines), lines
+
+
 # ---------------------------------------------------------------------------
 # the two sides walked by the caller and one forked child
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from scottlab import tf
+from scottlab.core import sqrt_panel_integral
 from scottlab.tf import TFConvergenceError, tf_energy_consistency
 
 # frozen oracle outputs (recomputed below where cheap)
@@ -177,7 +178,9 @@ import hashlib
 import numpy as np
 from scottlab import tf
 sol = tf.solve_tf_atom()
-print(hashlib.sha256(np.r_[sol.slope0, sol.w_coef, sol.v_coef].tobytes()).hexdigest())
+print(hashlib.sha256(np.r_[sol.slope0, sol.w_coef, sol.v_coef, sol.E_atom, sol.D_rho,
+                           sol.kinetic, sol.attraction, sol.mass, sol.phase_space,
+                           sol.residual_sup].tobytes()).hexdigest())
 """
 
 
@@ -215,9 +218,20 @@ def test_energy_consistency_report(tf_solution):
     assert tf_solution.D_rho == pytest.approx(tf_solution.kinetic / 3.0, rel=1e-6)
     # HLS diagnostic: D(rho) <= C ||rho||_{6/5}^2; a finite fitted C, not an
     # assertion about sharpness
-    norm65 = tf._integrate_x(
-        lambda t: tf._volume(t) * tf._density(tf_solution.phi, t) ** 1.2) ** (5.0 / 3.0)
+    norm65 = sqrt_panel_integral(
+        lambda t: tf._volume(t) * tf._density(tf_solution.phi(t), t) ** 1.2,
+        tf._X_EDGES, tf._GL16) ** (5.0 / 3.0)
     assert 0.0 < tf_solution.D_rho / norm65 < 10.0
+
+
+def test_energy_integrals_evaluate_phi_once_per_node(tf_solution, monkeypatch):
+    points, phi = [], tf.TFProfile.phi
+    monkeypatch.setattr(tf.TFProfile, "phi",
+                        lambda self, t: points.append(np.ravel(t)) or phi(self, t))
+    tf._energy_integrals(tf_solution)
+    points = np.concatenate(points)
+    # the Gauss-16 nodes and, on each, the 12 of D's rule from the panel's left edge
+    assert points.size == np.unique(points).size == (tf._X_EDGES.size - 1) * 16 * 13
 
 
 def test_frozen_energy_constants(tf_solution):
