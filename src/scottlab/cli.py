@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import __version__, core, expansion, hydrogen, multiscale, radial_eig, tf
-from .cutoffs import SmoothCutoff
 from .weyl import WeylIntegrand, weyl_coulomb_mu, weyl_integral
 
 EXIT_OK = 0
@@ -236,16 +235,15 @@ def cmd_trace(args):
 
 def cmd_scott(args):
     if args.route == "mu-limit":
-        Ns = sorted({int(v) for v in _positive(_floats(args.N_list), "N")})
+        Ns = _positive(_floats(args.N_list), "N")
+        if not all(v.is_integer() for v in Ns):
+            raise ValidationError(f"--N-list needs integers, got {args.N_list!r}")
+        Ns = sorted({int(v) for v in Ns})
         if len(Ns) < 3 or Ns[0] < 1:
             raise ValidationError("mu-limit needs at least three distinct N values >= 1")
         mus = [1.0 / (4.0 * n * n) for n in Ns]
         est = hydrogen.scott_mu_limit(mus)
-        rows = []
-        for mu in mus:
-            t = hydrogen.trace_neg_coulomb(mu)
-            w = weyl_coulomb_mu(mu, 1.0)
-            rows.append([mu, t, w, t - w])
+        rows = [[mu, t, w, t - w] for mu, t, w in zip(mus, est.meta["traces"], est.meta["weyl"])]
         return (["mu", "trace", "weyl", "difference"], rows,
                 {"estimate_2S": _fmt(est.value), "route": est.route},
                 [f"2S(0) ≈ {est.value:.4f}"])
@@ -255,11 +253,8 @@ def cmd_scott(args):
         if len(set(Rs)) < len(Rs):
             raise ValidationError("cutoff-R needs distinct R values")
         est = radial_eig.scott_cutoff_schedule(Rs, refine=args.refine)
-        rows = []
-        for R, d in zip(est.meta["R_values"], est.meta["d_values"]):
-            phi = SmoothCutoff(R)
-            w = radial_eig.cutoff_weyl_coulomb(phi)
-            rows.append([R, d + w, w, d])
+        rows = [[R, d + w, w, d] for R, d, w in
+                zip(est.meta["R_values"], est.meta["d_values"], est.meta["weyl_values"])]
         extra = {"estimate_2S_at_largest_R": _fmt(est.value), "route": est.route}
         if "extrapolated" in est.meta:
             extra["extrapolated_2S"] = _fmt(est.meta["extrapolated"])

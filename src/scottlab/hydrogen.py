@@ -50,15 +50,18 @@ def scott_mu_limit(mu_schedule) -> ScottEstimate:
 
     The schedule must be positive, strictly decreasing, length >= 3.  The
     remainder is linear in sqrt(mu) at the threshold points, so a linear
-    least-squares fit in sqrt(mu) is the right extrapolation order.
+    least-squares fit in sqrt(mu) is the right extrapolation order.  meta
+    records the per-mu traces and Weyl terms in schedule order.
     """
     mus = np.asarray(list(mu_schedule), dtype=float)
     if mus.size < 3:
         raise ValueError("schedule needs at least 3 points")
     if np.any(mus <= 0) or np.any(np.diff(mus) >= 0):
         raise ValueError("schedule must be positive and strictly decreasing")
-    d = np.array([trace_neg_coulomb(m) - weyl_coulomb_mu(m, 1.0) for m in mus])
+    traces = [trace_neg_coulomb(m) for m in mus.tolist()]
+    weyl = [weyl_coulomb_mu(m, 1.0) for m in mus.tolist()]
+    d = np.array([t - w for t, w in zip(traces, weyl)])
     A = np.vstack([np.ones_like(mus), np.sqrt(mus)]).T
     coef, *_ = np.linalg.lstsq(A, d, rcond=None)
     return ScottEstimate(value=float(coef[0]), route="mu-limit",
-                         meta={"slope_sqrt_mu": float(coef[1])})
+                         meta={"slope_sqrt_mu": float(coef[1]), "traces": traces, "weyl": weyl})

@@ -401,9 +401,8 @@ def localized_trace_neg(V, phi, h: float, refine: bool = False) -> SpectralSum:
     R = getattr(phi, "R", None)
     if R is None:
         raise ValueError("cutoff must carry its support radius as attribute R")
-    r_core = core_radius(h)
-    n = _resolution_nodes(V, h, 0.0, r_core, R, LOCALIZED_RESOLUTION)
-    return _spectral_sum(V, h, 0.0, make_grid(r_core, R, n), phi, refine)
+    grid = auto_grid(V, h, 0.0, r_max=R, resolution=LOCALIZED_RESOLUTION)
+    return _spectral_sum(V, h, 0.0, grid, phi, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +416,10 @@ def cutoff_weyl_coulomb(phi: SmoothCutoff) -> float:
                                        mu=0.0, h=1.0, support=phi.R))
 
 
-def scott_cutoff_value(R: float, refine: bool = True) -> float:
-    """d(R) = Tr[phi_R (-Delta - 1/|x|) phi_R]_- minus the cutoff Weyl term."""
-    phi = SmoothCutoff(R)
-    tr = localized_trace_neg(lambda r: 1.0 / r, phi, h=1.0, refine=refine)
-    return tr.trace - cutoff_weyl_coulomb(phi)
-
-
 def scott_cutoff_schedule(R_list, refine: bool = True) -> ScottEstimate:
     """Evaluate d(R) over a radius schedule; the estimate records the largest R.
 
-    meta carries the per-R values and the R^(-1/2)-eliminated pair
+    meta carries the per-R values, their Weyl terms and the R^(-1/2)-eliminated pair
     extrapolation of the last two radii (the empirical finite-R decay).
     """
     Rs = sorted(float(R) for R in R_list)
@@ -435,8 +427,13 @@ def scott_cutoff_schedule(R_list, refine: bool = True) -> ScottEstimate:
         raise ValueError("need at least one radius")
     if len(set(Rs)) < len(Rs):
         raise ValueError("radii must be distinct")
-    vals = [scott_cutoff_value(R, refine=refine) for R in Rs]
-    meta = {"R_values": Rs, "d_values": vals}
+    vals, weyls = [], []
+    for R in Rs:  # d(R) = Tr[phi_R (-Delta - 1/|x|) phi_R]_- minus the cutoff Weyl term
+        phi = SmoothCutoff(R)
+        trace = localized_trace_neg(lambda r: 1.0 / r, phi, h=1.0, refine=refine).trace
+        weyls.append(cutoff_weyl_coulomb(phi))
+        vals.append(trace - weyls[-1])
+    meta = {"R_values": Rs, "d_values": vals, "weyl_values": weyls}
     if len(Rs) >= 2:
         r1, r2 = Rs[-2], Rs[-1]
         d1, d2 = vals[-2], vals[-1]

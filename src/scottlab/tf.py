@@ -19,8 +19,8 @@ phi'(0) together: the slope is an unknown of the boundary-value problem, w and
 w' match the series at T_SERIES, and the far end carries the Robin
 condition of the decaying 144/t^3 branch with the solution's own tail
 amplitude.  The stitch at T_SERIES is C^1, and the tail amplitude is
-self-consistent.  The energies are Gauss quadratures in x = sqrt(t) on two
-node sets, with phi evaluated once on each (_energy_integrals).
+self-consistent.  The energies are Gauss quadratures in x = sqrt(t) on one
+node set, with phi evaluated once on it (_energy_integrals).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 from numpy.polynomial.polynomial import polyval
 
 from .core import gauss, numpy_openblas, one_blas_thread
@@ -298,6 +298,10 @@ def _assemble(slope0, w_coef, v_coef) -> TFSolution:
 
 _GL12 = leggauss(12)
 _GL16 = leggauss(16)
+# [k, j] = int_-1^(x_k) l_j, l_j the Lagrange basis polynomial of Gauss-16 node j, whose Legendre
+# coefficients are (n + 1/2) w_j P_n(x_j) by the discrete orthogonality of P_n at the nodes
+_GL16_CUM = ((legval(_GL16[0], legint(np.eye(16), lbnd=-1.0)).T * (np.arange(16) + 0.5))
+             @ (legvander(_GL16[0], 15) * _GL16[1][:, None]).T)
 
 
 def equation_residual(profile: TFProfile) -> float:
@@ -341,13 +345,12 @@ def _volume(t):
 def _energy_integrals(profile: TFProfile):
     """(mass, attraction, kinetic, D, phase-space) for z = 1 from the profile.
 
-    phi is evaluated once on the Gauss-16 nodes of the panels _X_EDGES in
-    x = sqrt(t), which carry all five integrals, and once on D's Gauss-12 nodes
-    (below); panel totals are added left to right.  The quadratures stop at
-    t = T_GRID_MAX.  The mass beyond it, about 6e-10, is added in closed form
-    from the Sommerfeld tail to first order in xi_tail; the other tails
-    (attraction and D 2.4e-14, kinetic and phase space about 1e-24) are below
-    the printed precision and left out.
+    phi is evaluated once, on the Gauss-16 nodes of the panels _X_EDGES in
+    x = sqrt(t), which carry all five integrals; panel totals are added left
+    to right.  The quadratures stop at t = T_GRID_MAX.  The mass beyond it,
+    about 6e-10, is added in closed form from the Sommerfeld tail to first
+    order in xi_tail; the other tails (attraction and D 2.4e-14, kinetic and
+    phase space about 1e-24) are below the printed precision and left out.
     """
     x, wx = gauss(_X_EDGES[:-1], _X_EDGES[1:], _GL16)
     t = x ** 2
@@ -366,24 +369,19 @@ def _energy_integrals(profile: TFProfile):
     ps = -_PS_COEFF * total(vol * (phi / r) ** 2.5)
 
     # Coulomb self-energy by Newton's theorem, D = 1/2 int dm (m / r + w) with m the enclosed
-    # mass and w = int_r^inf dm / r'.  At each Gauss-16 node the panels to its left enter through
-    # cumulative sums, its own panel through Gauss-12 from the panel's left edge to the node.
-    def dm_dw(x, t, rho):  # dm/dx and dw/dx at the nodes x
-        return (2.0 * x * _volume(t) * rho,
-                2.0 * x * 4.0 * np.pi * B_LENGTH * t * rho * B_LENGTH)
-
+    # mass and w = int_r^inf dm / r'.  At each node the panels to its left enter through
+    # cumulative sums, its own panel through _GL16_CUM on the panel's degree-15 interpolant of
+    # dm/dx and dw/dx (einsum without optimize calls no BLAS: the bits ignore the thread count).
     def before(panels):
         return np.concatenate([[0.0], np.cumsum(panels)[:-1]])[:, None]
 
-    left = _X_EDGES[:-1, None]
-    g = gauss(left, x, _GL12)[0]
-    tg = g ** 2
-    dm, dw = dm_dw(x, t, rho)
-    dm_g, dw_g = dm_dw(g, tg, _density(profile.phi(tg), tg))
+    dm = 2.0 * x * vol * rho
+    dw = 2.0 * x * 4.0 * np.pi * B_LENGTH * t * rho * B_LENGTH
+    half = 0.5 * np.diff(_X_EDGES)[:, None]
     panel_m, panel_w = np.sum(wx * dm, axis=1), np.sum(wx * dw, axis=1)
-    m_loc = before(panel_m) + 0.5 * (x - left) * np.sum(_GL12[1] * dm_g, axis=-1)
+    m_loc = before(panel_m) + half * np.einsum("pj,kj->pk", dm, _GL16_CUM)
     w_loc = (float(np.sum(panel_w)) - before(panel_w)
-             - 0.5 * (x - left) * np.sum(_GL12[1] * dw_g, axis=-1))
+             - half * np.einsum("pj,kj->pk", dw, _GL16_CUM))
     d_panels = np.sum(wx * 2.0 * x * vol * rho * (m_loc / r + w_loc), axis=1)
     return mass, attraction, kinetic, 0.5 * float(np.cumsum(d_panels)[-1]), ps
 

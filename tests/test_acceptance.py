@@ -88,8 +88,7 @@ def test_criterion_4_radial_oracle():
 
 def test_criterion_5_scott_cutoff_bracket():
     t0 = time.time()
-    d20 = radial_eig.scott_cutoff_value(20.0)
-    d40 = radial_eig.scott_cutoff_value(40.0)
+    d20, d40 = radial_eig.scott_cutoff_schedule([20.0, 40.0]).meta["d_values"]
     elapsed = time.time() - t0
     toward = abs(d40 - 0.25) < abs(d20 - 0.25)
     in_bracket = 0.22 <= d20 <= 0.27 and 0.22 <= d40 <= 0.27

@@ -138,6 +138,7 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["scott", "--route", "ansatz-min", "--mesh", "16 33"],
     ["scott", "--route", "mu-limit", "--N-list", ""],
     ["scott", "--route", "mu-limit", "--N-list", "50 100"],
+    ["scott", "--route", "mu-limit", "--N-list", "50 50.4 100 200"],
     ["partition-check", "--d-min", "0"],
     ["partition-check", "--d-min", "1", "--d-max", "0.5"],
     ["partition-check", "--n-points", "-3"],
@@ -158,6 +159,7 @@ def test_trace_short_potential_file_is_a_validation_error(tmp_path, text):
     ["partition-check", "--seed", "-1"],
     ["scott", "--route", "ansatz-min", "--budget", "0"],
 ], ids=["mesh-one-number", "mesh-zero", "mesh-odd-n-z", "N-list-empty", "N-list-two",
+        "N-list-fraction",
         "d-min-zero", "d-min-above-d-max", "n-points-negative", "R-zero", "h-zero",
         "tf-z-negative", "z-negative", "n-below-8", "n-above-cap", "r-max-negative",
         "r-max-zero", "refine-maybe", "config-not-utf8", "config-potential-file",

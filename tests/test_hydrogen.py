@@ -58,8 +58,11 @@ def test_difference_bracket_below_1_over_400():
 
 
 def test_scott_mu_limit_extrapolation():
-    est = scott_mu_limit([1.0 / (4 * N ** 2) for N in (50, 100, 200, 400)])
+    mus = [1.0 / (4 * N ** 2) for N in (50, 100, 200, 400)]
+    est = scott_mu_limit(mus)
     assert est.route == "mu-limit"
+    assert est.meta["traces"] == [trace_neg_coulomb(m) for m in mus]
+    assert est.meta["weyl"] == [weyl_coulomb_mu(m) for m in mus]
     assert est.value == pytest.approx(0.25, abs=1e-4)
     # the remainder slope is the sqrt(mu)/6 law
     assert est.meta["slope_sqrt_mu"] == pytest.approx(1.0 / 6.0, rel=1e-6)

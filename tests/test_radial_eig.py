@@ -685,12 +685,12 @@ def test_localized_trace_requires_support_radius():
 
 
 def test_cutoff_scott_estimate_moves_toward_quarter():
-    d20 = radial_eig.scott_cutoff_value(20.0, refine=False)
-    d160 = radial_eig.scott_cutoff_value(160.0, refine=False)
+    d20, d160 = radial_eig.scott_cutoff_schedule([20.0, 160.0], refine=False).meta["d_values"]
     assert abs(d160 - 0.25) < abs(d20 - 0.25)
     est = radial_eig.scott_cutoff_schedule([20.0, 40.0], refine=False)
     assert est.R == 40.0
     assert est.meta["d_values"][1] < est.meta["d_values"][0]
+    assert est.meta["weyl_values"] == [cutoff_weyl_coulomb(SmoothCutoff(R)) for R in (20.0, 40.0)]
     assert "extrapolated" in est.meta
 
 
@@ -709,8 +709,8 @@ def test_cutoff_scott_limit_via_extrapolation():
 def test_cutoff_schedule_rejects_repeated_radii(monkeypatch):
     # the two-radius extrapolation divides by sqrt(r2 / r1) - 1, so equal
     # radii are refused before any trace is taken
-    monkeypatch.setattr(radial_eig, "scott_cutoff_value",
-                        lambda R, refine: pytest.fail("a trace was taken"))
+    monkeypatch.setattr(radial_eig, "localized_trace_neg",
+                        lambda *args, **kwargs: pytest.fail("a trace was taken"))
     with pytest.raises(ValueError, match="radii must be distinct"):
         radial_eig.scott_cutoff_schedule([6, 6])
 

@@ -230,8 +230,16 @@ def test_energy_integrals_evaluate_phi_once_per_node(tf_solution, monkeypatch):
                         lambda self, t: points.append(np.ravel(t)) or phi(self, t))
     tf._energy_integrals(tf_solution)
     points = np.concatenate(points)
-    # the Gauss-16 nodes and, on each, the 12 of D's rule from the panel's left edge
-    assert points.size == np.unique(points).size == (tf._X_EDGES.size - 1) * 16 * 13
+    # the Gauss-16 nodes alone: D's partial panel integrals come from their values
+    assert points.size == np.unique(points).size == (tf._X_EDGES.size - 1) * 16
+
+
+def test_gauss16_cumulative_weights_integrate_polynomials():
+    # row k of _GL16_CUM integrates the degree-15 interpolant from -1 to node k
+    x = tf._GL16[0]
+    for k in range(16):
+        exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        np.testing.assert_allclose(tf._GL16_CUM @ x ** k, exact, rtol=0.0, atol=1e-14)
 
 
 def test_frozen_energy_constants(tf_solution):

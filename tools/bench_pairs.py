@@ -140,7 +140,7 @@ def radial_dstebz(tree: Path) -> str:
 
 
 # the ten commands of the cli-session workload (its partition seed fixed at 1),
-# then six that cover the rest of the trace and scott routes
+# then eight that cover the rest of the trace and scott routes
 OUTPUT_COMMANDS = (
     ("tf_miss", ["tf"]),
     ("tf_hit", ["tf"]),
@@ -155,6 +155,8 @@ OUTPUT_COMMANDS = (
     ("weyl_mu", ["weyl", "--mu", "0.0025"]),
     ("trace_n200", ["trace", "--mu", "0.05", "--n", "200"]),
     ("scott_cutoff_default", ["scott", "--route", "cutoff-R"]),
+    ("scott_mu_list", ["scott", "--route", "mu-limit", "--N-list", "3 5 8 13"]),
+    ("scott_cutoff_norefine", ["scott", "--route", "cutoff-R", "--R-list", "8 16", "--no-refine"]),
     ("ansatz_min", ["scott", "--route", "ansatz-min", "--R", "8", "--mesh", "32 64"]),
     # kappa above kappa_c (about 199.7 on this mesh): the ray walk, which runs A != 0 traces
     ("ansatz_min_ray", ["scott", "--route", "ansatz-min", "--kappa", "300", "--R", "8",
