@@ -132,10 +132,9 @@ def fork_join(work, cpus) -> list:
 
 
 @functools.cache
-def _bundled_openblas(package: str, stem: str, optional: tuple, **prototypes):
+def _bundled_openblas(package: str, stem: str, **prototypes):
     """<package>.libs/<stem>-*.so, loaded once without importing package, with the prototypes
-    of openblas_set_num_threads_local and the named symbols; None without the file or a symbol
-    not named in optional (those are declared where the library has them)."""
+    of openblas_set_num_threads_local and the named symbols; None without the file or a symbol."""
     spec = importlib.util.find_spec(package)
     if spec is None or spec.origin is None:
         return None
@@ -143,26 +142,21 @@ def _bundled_openblas(package: str, stem: str, optional: tuple, **prototypes):
     names = sorted(glob.glob(os.path.join(glob.escape(libs), stem + "-*.so")))
     lib = ctypes.CDLL(names[0]) if names else None
     prototypes["openblas_set_num_threads_local"] = ((ctypes.c_int,), ctypes.c_int)
-    if not all(hasattr(lib, symbol) for symbol in prototypes if symbol not in optional):
+    if not all(hasattr(lib, symbol) for symbol in prototypes):
         return None
     for symbol, (argtypes, restype) in prototypes.items():
-        if hasattr(lib, symbol):
-            getattr(lib, symbol).argtypes, getattr(lib, symbol).restype = argtypes, restype
+        getattr(lib, symbol).argtypes, getattr(lib, symbol).restype = argtypes, restype
     return lib
 
 
 _I64, _F64, _P = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
-# RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO, lengths
-_DSTEBZ64 = ((ctypes.c_char_p,) * 2 + (_I64, _F64, _F64, _I64, _I64, _F64, _P, _P, _I64, _I64)
-             + (_P,) * 5 + (_I64,) + (ctypes.c_size_t,) * 2, None)
 # IJOB NITMAX N MMAX MINP NBMIN ABSTOL RELTOL PIVMIN D E E2 NVAL AB C MOUT NAB WORK IWORK INFO
 _DLAEBZ64 = ((_I64,) * 6 + (_F64,) * 3 + (_P,) * 6 + (_I64,) + (_P,) * 3 + (_I64,), None)
-# the finders: numpy's OpenBLAS, mapped by import numpy, with LAPACK dstebz and, where
-# exported, dlaebz (64-bit integers), and scipy's, the file scipy.linalg loads
+# the finders: numpy's OpenBLAS, mapped by import numpy, with LAPACK dlaebz (64-bit
+# integers), and scipy's, the file scipy.linalg loads
 numpy_openblas = functools.partial(_bundled_openblas, "numpy", "libscipy_openblas64_",
-                                   ("scipy_dlaebz_64_",), scipy_dstebz_64_=_DSTEBZ64,
                                    scipy_dlaebz_64_=_DLAEBZ64)
-scipy_openblas = functools.partial(_bundled_openblas, "scipy", "libscipy_openblas", ())
+scipy_openblas = functools.partial(_bundled_openblas, "scipy", "libscipy_openblas")
 
 
 # per library, the holders of one_blas_thread and the count the first of them

@@ -2,8 +2,9 @@
 
 Partial waves reduce the problem to symmetric tridiagonal eigenproblems,
 one per angular momentum channel, solved by LAPACK bisection with Sturm
-counting (dstebz, called through ctypes in numpy's bundled OpenBLAS) so
-that counts below a threshold are certified.  The mesh is sinh-mapped,
+counting so that counts below a threshold are certified (dstebz's set-up
+in numpy and dlaebz by ctypes in numpy's bundled OpenBLAS, with dstebz's
+bits; scipy.linalg.lapack's dstebz without it).  The mesh is sinh-mapped,
 r = r_core sinh(xi): uniform with spacing r_core d(xi) at the Coulomb
 core and log-like in the tail, so u(0) = 0 is exact and the l-dependent
 regular behaviour u ~ r^(l+1) needs no boundary surgery.  It is sinh and
@@ -14,13 +15,14 @@ bisection resolves only to eps times it, while the sinh mesh keeps
 stay tridiagonal (diagonal congruence), and their negative spectrum is
 exactly supported inside supp phi, so the mesh can stop at the cutoff radius.
 
-dstebz bisects a fixed tree: its root is the Gershgorin interval, widened
-by FUDGE and clipped to (vl, vu], and it splits each node holding
-eigenvalues at its midpoint until the node is narrower than its tolerance.
-Computed Sturm counts are monotone, so a node gives the same final
-intervals wherever the bisection started.  A refined sum's large fine
-channels start (dlaebz) at the deepest unconverged nodes with midpoints
-outside a window around each coarse eigenvalue, if the counts add up.
+dstebz bisects a fixed tree per split block: its root is the block's
+Gershgorin interval, widened by FUDGE and clipped to (vl, vu], and it
+splits each node holding eigenvalues at its midpoint until the node is
+narrower than its tolerance.  Computed Sturm counts are monotone, so a
+node gives the same final intervals wherever the bisection started.  A
+refined sum's fine blocks of GUIDED_N nodes or more start at the deepest
+unconverged nodes with midpoints outside a window around each coarse
+eigenvalue if the counts add up, and every other block at its root.
 
 A sum runs its channels on one thread per usable core, the calling thread
 included, started for that sum alone and joined before it returns or
@@ -68,7 +70,7 @@ LOCALIZED_RESOLUTION = 24.0
 # LAPACK's dlamch("P") and dlamch("S"), dstebz's FUDGE and every bisection's ABSTOL (0: its own)
 ULP, SAFEMIN, FUDGE, ABSTOL = np.finfo(float).eps, np.finfo(float).tiny, 2.1, 0.0
 
-# the smallest channel whose bisection guesses speed up (the walk down the tree costs ~1 ms)
+# the smallest block whose bisection guesses speed up (the walk down the tree costs ~1 ms)
 GUIDED_N = 4000
 
 
@@ -167,26 +169,46 @@ def build_channel(v: np.ndarray, h: float, ell: int, grid: RadialGrid,
     return d, e
 
 
-def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float) -> np.ndarray:
-    """The eigenvalues of the tridiagonal (d, e) in (vl, vu], ascending, by LAPACK dstebz as
-    eigvalsh_tridiagonal(d, e, select="v", select_range=(vl, vu)) calls it: through ctypes
-    in numpy_openblas(), with 64-bit integers, or else through scipy.linalg.lapack."""
-    lib = numpy_openblas()
+def _check(routine: str, info: int) -> None:
+    if info != 0:  # LinAlgError is a ValueError
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned INFO = {info}")
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float, guesses=()) -> np.ndarray:
+    """The eigenvalues of the tridiagonal (d, e) in (vl, vu], ascending, as LAPACK dstebz gives
+    them: scipy.linalg.lapack's where numpy_openblas() finds nothing, else dstebz's set-up here
+    and _bisect on each split block, given the guesses if it has GUIDED_N nodes or more."""
+    lib, n = numpy_openblas(), d.size
     if lib is None:
         from scipy.linalg.lapack import dstebz
         m, w, _, _, info = dstebz(d, e if e.size else np.zeros(1), 1, vl, vu, 1, 1, ABSTOL, "E")
-    else:
-        n, i64, f64, ref = d.size, ctypes.c_int64, ctypes.c_double, ctypes.byref
-        m, nsplit, info, w, work = i64(), i64(), i64(), np.empty(n), np.empty(4 * n)
-        iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (1, 1, 3))
-        lib.scipy_dstebz_64_(b"V", b"E", ref(i64(n)), ref(f64(vl)), ref(f64(vu)), ref(i64(1)),
-                             ref(i64(1)), ref(f64(ABSTOL)), d.ctypes.data, e.ctypes.data, ref(m),
-                             ref(nsplit), *(a.ctypes.data for a in (w, iblock, isplit, work,
-                                                                     iwork)), ref(info), 1, 1)
-        m, info = m.value, info.value
-    if info != 0:  # LinAlgError is a ValueError
-        raise np.linalg.LinAlgError(f"LAPACK dstebz returned INFO = {info}")
-    return w[:m]
+        _check("dstebz", info)
+        return w[:m]
+    _check("dstebz", 0 if vl < vu else -5)  # dstebz's check of its argument VU
+    if n == 1:
+        return d[(vl < d) & (d <= vu)]
+    # the split test, PIVMIN, and per block the Gershgorin interval, FUDGE, ATOLI and clipping
+    e2 = e * e
+    split = np.abs(d[1:] * d[:-1]) * ULP ** 2 + SAFEMIN > e2
+    pivmin = max(1.0, float(np.max(e2, where=~split, initial=0.0))) * SAFEMIN
+    ae = np.where(split, 0.0, np.abs(e))
+    left, right = np.append(0.0, ae), np.append(ae, 0.0)
+    first = np.append(0, np.flatnonzero(split) + 1)
+    size = np.diff(first, append=n)
+    gl = np.minimum.reduceat(d - left - right, first)
+    gu = np.maximum.reduceat(d + left + right, first)
+    fudge = FUDGE * np.maximum(np.abs(gl), np.abs(gu)) * ULP * size
+    gl, gu = gl - fudge - FUDGE * pivmin, gu + fudge + FUDGE * pivmin
+    atoli = np.where(ABSTOL > 0.0, ABSTOL, ULP * np.maximum(np.abs(gl), np.abs(gu)))
+    gl, gu = np.maximum(gl, vl), np.minimum(gu, vu)
+    # a 1 x 1 block holds d where vl < d - PIVMIN <= vu
+    ones = d[first[size == 1]]
+    found = [ones[(vl < ones - pivmin) & (ones - pivmin <= vu)]]
+    for b, m, lo, hi, tol in zip(first, size, gl, gu, atoli):
+        if m > 1 and lo < hi:
+            found.append(_bisect(lib, d[b:b + m], e[b:b + m - 1], e2[b:b + m - 1], lo, hi, tol,
+                                 pivmin, guesses if m >= GUIDED_N else ()))
+    return np.sort(np.concatenate(found))
 
 
 def _laebz(lib, ijob: int, nitmax: int, minp: int, d, e, e2, ab, nab, c, atoli, pivmin):
@@ -203,64 +225,50 @@ def _laebz(lib, ijob: int, nitmax: int, minp: int, d, e, e2, ab, nab, c, atoli, 
     return mout.value, info.value
 
 
-def _from_root(n: int, nodes: int, reason: str) -> None:
-    log.debug("channel of n = %d, %d guided nodes, bisected from the root: %s", n, nodes, reason)
-
-
-def _guided(d, e, vl: float, vu: float, guesses):
-    """_stebz(d, e, vl, vu), unsorted, from the tree nodes the guesses locate; None: the root."""
-    lib, n = numpy_openblas(), d.size
-    if not hasattr(lib, "scipy_dlaebz_64_"):
-        return _from_root(n, 0, "no dlaebz")
-    e2 = e * e
-    if np.any(np.abs(d[1:] * d[:-1]) * ULP ** 2 + SAFEMIN > e2):
-        return _from_root(n, 0, "split")
-    # dstebz's set-up of its one block
-    pivmin = max(1.0, float(np.max(e2))) * SAFEMIN
-    left, right = np.append(0.0, np.abs(e)), np.append(np.abs(e), 0.0)
-    gl, gu = float(np.min(d - left - right)), float(np.max(d + left + right))
-    fudge = FUDGE * max(abs(gl), abs(gu)) * ULP * n
-    gl, gu = gl - fudge - FUDGE * pivmin, gu + fudge + FUDGE * pivmin
-    atoli = ABSTOL if ABSTOL > 0.0 else ULP * max(abs(gl), abs(gu))
-    gl, gu, tol = max(gl, vl), min(gu, vu), max(atoli, pivmin)
-    if gl >= gu:
-        return np.empty(0)
+def _bisect(lib, d, e, e2, gl: float, gu: float, atoli: float, pivmin: float, guesses):
+    """The eigenvalues in (gl, gu] of a block of n > 1 nodes by dlaebz (IJOB = 2), from the tree
+    nodes the guesses locate if their counts add up, else from the root counted by IJOB = 1."""
+    n, tol, g = d.size, max(atoli, pivmin), np.unique(guesses)
     itmax = int((math.log(gu - gl + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
-    # per guess, the deepest unconverged node whose midpoint is outside the guess's window
-    g = np.unique(guesses)
-    w = 1e-4 * np.abs(g) + 4.0 * atoli
-    a, b = np.full(g.size, gl), np.full(g.size, gu)
-    depth, live = np.zeros(g.size, dtype=np.int64), np.ones(g.size, dtype=bool)
-    for _ in range(itmax):
-        c = 0.5 * (a + b)
-        up, down = c < g - w, c > g + w
-        na, nb = np.where(up, c, a), np.where(down, c, b)
-        live &= (up | down) & (nb - na >= np.maximum(tol, 2.0 * ULP * np.maximum(-na, nb)))
-        if not live.any():
+    ab, nab, c = np.empty(2 * n), np.empty(2 * n, dtype=np.int64), np.empty(n)
+    # per guess, the deepest unconverged node whose midpoint is outside the window
+    # rel |g| + 4 ATOLI; a narrow window first (deeper nodes), a wide one if its nodes miss
+    for rel in (1e-4, 3e-3) if g.size else ():
+        w = rel * np.abs(g) + 4.0 * atoli
+        a, b = np.full(g.size, gl), np.full(g.size, gu)
+        depth, live = np.zeros(g.size, dtype=np.int64), np.ones(g.size, dtype=bool)
+        for _ in range(itmax):
+            mid = 0.5 * (a + b)
+            up, down = mid < g - w, mid > g + w
+            na, nb = np.where(up, mid, a), np.where(down, mid, b)
+            live &= (up | down) & (nb - na >= np.maximum(tol, 2.0 * ULP * np.maximum(-na, nb)))
+            if not live.any():
+                break
+            a, b, depth = np.where(live, na, a), np.where(live, nb, b), depth + live
+        # tree nodes nest or are disjoint: keep the outermost of each nest
+        order = np.lexsort((-b, a))
+        keep = order[np.append(True, b[order][1:] > np.maximum.accumulate(b[order])[:-1])]
+        a, b, depth = a[keep], b[keep], depth[keep]
+        # a bisection step's count at each distinct node end, the root's too, by one IJOB = 3
+        # step from [p, p] at p (IJOB = 1's differs where a pivot equals PIVMIN exactly)
+        ends = np.unique(np.concatenate(([gl, gu], a, b)))
+        counts = np.zeros(2 * ends.size, dtype=np.int64)
+        _laebz(lib, 3, 1, ends.size, d, e, e2, np.tile(ends, 2), counts, ends, atoli, pivmin)
+        lo, hi = (counts[ends.size + np.searchsorted(ends, x)] for x in (a, b))
+        if np.all(hi >= lo) and np.sum(hi - lo) == counts[-1] - counts[ends.size]:
+            start = hi > lo
+            minp, itmax = int(np.count_nonzero(start)), itmax - int(depth[start].max(initial=0))
+            ab[:minp], ab[n:n + minp] = a[start], b[start]
+            nab[:minp], nab[n:n + minp] = lo[start], hi[start]
             break
-        a, b, depth = np.where(live, na, a), np.where(live, nb, b), depth + live
-    # tree nodes nest or are disjoint: keep the outermost of each nest
-    order = np.lexsort((-b, a))
-    a, b, depth = a[order], b[order], depth[order]
-    keep = np.append(True, b[1:] > np.maximum.accumulate(b)[:-1])
-    a, b, depth = a[keep], b[keep], depth[keep]
-    # one Sturm count per distinct node end, the root's included, by one IJOB = 3 step from
-    # [p, p] at c = p: the count a bisection step takes (dstebz's IJOB = 1 count of the root's
-    # ends differs from it only where a pivot equals PIVMIN exactly)
-    ends = np.unique(np.concatenate(([gl, gu], a, b)))
-    counts = np.zeros(2 * ends.size, dtype=np.int64)
-    _laebz(lib, 3, 1, ends.size, d, e, e2, np.tile(ends, 2), counts, ends, atoli, pivmin)
-    lo, hi = (counts[ends.size + np.searchsorted(ends, x)] for x in (a, b))
-    if np.any(hi < lo) or np.sum(hi - lo) != counts[-1] - counts[ends.size]:
-        return _from_root(n, a.size, "count mismatch")
-    start, minp = hi > lo, int(np.count_nonzero(hi > lo))
-    ab, nab = np.empty(2 * n), np.empty(2 * n, dtype=np.int64)
-    ab[:minp], ab[n:n + minp] = a[start], b[start]
-    nab[:minp], nab[n:n + minp] = lo[start], hi[start]
-    mout, info = _laebz(lib, 2, itmax - int(depth[start].max(initial=0)), minp, d, e, e2, ab,
-                        nab, np.empty(n), atoli, pivmin)
-    if info != 0:
-        return _from_root(n, minp, f"{info} intervals not converged")
+    else:
+        if g.size:
+            log.debug("block of n = %d, %d guided nodes, bisected from the root: count "
+                      "mismatch", n, a.size)
+        minp, ab[0], ab[n] = 1, gl, gu
+        _laebz(lib, 1, 0, 1, d, e, e2, ab, nab, c, atoli, pivmin)
+    mout, info = _laebz(lib, 2, itmax, minp, d, e, e2, ab, nab, c, atoli, pivmin)
+    _check("dlaebz", info)
     return np.repeat(0.5 * (ab[:mout] + ab[n:n + mout]), nab[n:n + mout] - nab[:mout])
 
 
@@ -284,11 +292,8 @@ def negative_eigenvalues(op, mu: float = 0.0, guesses=()) -> np.ndarray:
     vu = -mu - pad
     if lo >= vu:
         return np.array([])
-    guesses = np.asarray(guesses, dtype=float)
-    vals = _guided(d, e, lo, vu, guesses) if guesses.size and d.size >= GUIDED_N else None
-    if vals is None:
-        vals = _stebz(d, e, lo, vu)
-    return np.sort(vals[vals < vu])
+    vals = _stebz(d, e, lo, vu, np.asarray(guesses, dtype=float))
+    return vals[vals < vu]
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,10 @@ class WeylIntegrand:
     support: Optional[float] = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError("h must be positive and finite")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError("mu must be nonnegative and finite")
 
     def w(self, r):
         if self.weight is None:

@@ -102,7 +102,7 @@ def test_forked_side_walks_load_no_process_pool(tmp_path):
         "trace-coulomb", "trace-tf-hit", "cutoff-R", "spectral-fit-hit", "expansion-hit"])
 def test_command_runs_without_scipy(warm_cache, tmp_path, argv):
     # the TF profile is a numpy collocation, and the radial commands call LAPACK
-    # dstebz in numpy's bundled OpenBLAS by ctypes: no scipy module is imported
+    # dlaebz in numpy's bundled OpenBLAS by ctypes: no scipy module is imported
     # and scipy's bundled OpenBLAS (scipy.libs/libscipy_openblas-*.so; numpy's is
     # libscipy_openblas64_-*.so) is not mapped.  {empty} names a fresh cache
     argv = [a.format(empty=tmp_path / "cache") for a in argv]

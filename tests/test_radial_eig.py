@@ -101,7 +101,8 @@ def scipy_negative_eigenvalues(op, mu):
 
 @pytest.fixture(params=["bundled", "fallback"])
 def dstebz_path(request, monkeypatch):
-    """dstebz through numpy's bundled OpenBLAS by ctypes, or through scipy.linalg.lapack."""
+    """Bisection in numpy's bundled OpenBLAS (dstebz's set-up in numpy, dlaebz by ctypes), or
+    dstebz through scipy.linalg.lapack."""
     if request.param == "fallback":
         monkeypatch.setattr(radial_eig, "numpy_openblas", lambda: None)
     elif radial_eig.numpy_openblas() is None:
@@ -135,13 +136,20 @@ def test_negative_eigenvalues_equal_scipy_bit_for_bit(case, dstebz_path, tf_solu
     assert ell > 1 and states > 10
 
 
-def test_lapack_info_is_a_value_error(dstebz_path):
+def test_lapack_info_is_a_value_error(dstebz_path, monkeypatch):
     d, e = np.full(3, 2.0), np.full(2, -1.0)
     got = radial_eig._stebz(d, e, -10.0, 10.0)
     assert got == pytest.approx([2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)], abs=1e-14)
     # VL >= VU is an illegal argument 5 to dstebz, so INFO = -5
     with pytest.raises(ValueError, match="INFO = -5"):
         radial_eig._stebz(d, e, 1.0, -1.0)
+    if dstebz_path == "bundled":
+        # a bisection that reports an interval not converged (dlaebz's INFO = 1)
+        laebz = radial_eig._laebz
+        monkeypatch.setattr(radial_eig, "_laebz", lambda lib, ijob, *args: (
+            (laebz(lib, ijob, *args)[0], 1) if ijob == 2 else laebz(lib, ijob, *args)))
+        with pytest.raises(ValueError, match="dlaebz returned INFO = 1"):
+            radial_eig._stebz(d, e, -10.0, 10.0)
 
 
 @pytest.mark.parametrize("d0, mu", [(-0.5, 0.0), (-0.5, 0.25), (0.5, 0.0), (-1e8, 0.0)])
@@ -160,22 +168,40 @@ def test_one_by_one_channel_equals_scipy(d0, mu, dstebz_path):
 # bisection started from guesses
 # ---------------------------------------------------------------------------
 
-needs_dlaebz = pytest.mark.skipif(not hasattr(radial_eig.numpy_openblas(), "scipy_dlaebz_64_"),
-                                  reason="numpy's bundled OpenBLAS exports no dlaebz")
+needs_dlaebz = pytest.mark.skipif(radial_eig.numpy_openblas() is None,
+                                  reason="numpy's bundled OpenBLAS with dlaebz is not found")
+
+
+@pytest.fixture
+def laebz_calls(monkeypatch):
+    """The (IJOB, N) of every dlaebz call from here on."""
+    laebz, calls = radial_eig._laebz, []
+
+    def spy(lib, ijob, nitmax, minp, d, *args):
+        calls.append((ijob, d.size))
+        return laebz(lib, ijob, nitmax, minp, d, *args)
+
+    monkeypatch.setattr(radial_eig, "_laebz", spy)
+    return calls
+
+
+def roots(calls):
+    """The N of each block that the dlaebz calls bisect from its root, counted by IJOB = 1."""
+    return [n for ijob, n in calls if ijob == 1]
 
 GUESSES = ["exact", "off-by-1e-9", "off-by-1e-3", "junk", "duplicated", "out-of-range", "empty"]
 
 
 def random_channel(rng, n, scale, graded, split):
     """A random tridiagonal (d, e) of entries ~scale: graded, D T D with D over three decades,
-    and split, with every fifth off-diagonal entry zero, if asked."""
+    if asked, and with every split-th off-diagonal entry zero (split = 1: 1 x 1 blocks alone)."""
     d = scale * rng.standard_normal(n)
     e = scale * rng.uniform(0.01, 1.0) * rng.standard_normal(n - 1)
     if graded:
         grade = np.geomspace(1.0, 1e3, n)
         d, e = d * grade * grade, e * grade[:-1] * grade[1:]
     if split:
-        e[::5] = 0.0
+        e[::split] = 0.0
     return d, e
 
 
@@ -192,13 +218,16 @@ def guesses_of(kind, want, scale, rng):
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(2, 400), log_scale=st.floats(-3.0, 8.0), graded=st.booleans(),
-       split=st.booleans(), mu=st.sampled_from([0.0, 0.3]), kind=st.sampled_from(GUESSES),
+       split=st.sampled_from([0, 5, 1]), mu=st.sampled_from([0.0, 0.3]),
+       kind=st.sampled_from(GUESSES),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_guesses_move_no_bit(n, log_scale, graded, split, mu, kind, seed):
+    # from the root or from the guessed nodes, one driver: scipy's dstebz is the oracle
     rng, scale = np.random.default_rng(seed), 10.0 ** log_scale
     op = random_channel(rng, n, scale, graded, split)
-    want = negative_eigenvalues(op, mu * scale)
-    with mock.patch.object(radial_eig, "GUIDED_N", 2):  # guide channels of any size
+    want = scipy_negative_eigenvalues(op, mu * scale)
+    assert negative_eigenvalues(op, mu * scale).tobytes() == want.tobytes()
+    with mock.patch.object(radial_eig, "GUIDED_N", 2):  # guide blocks of any size
         got = negative_eigenvalues(op, mu * scale, guesses=guesses_of(kind, want, scale, rng))
     assert got.tobytes() == want.tobytes()
 
@@ -214,7 +243,7 @@ def tf_h40_grids(tf_solution):
 @needs_dlaebz
 @pytest.mark.parametrize("case", ["tf-h40-l0", "tf-h40-l12", "tf-h40-l24", "coulomb-l0",
                                   "coulomb-l5"])
-def test_fine_channels_guided_by_their_coarse_channels(case, request, monkeypatch):
+def test_fine_channels_guided_by_their_coarse_channels(case, request, laebz_calls):
     potential, ell = case.rsplit("-l", 1)
     ell, h, mu = int(ell), 1.0, 1.0 / 400.0
     if potential == "tf-h40":
@@ -226,54 +255,78 @@ def test_fine_channels_guided_by_their_coarse_channels(case, request, monkeypatc
     guesses = negative_eigenvalues(build_channel(vc, h, ell, coarse), mu)
     op = build_channel(vf, h, ell, fine)
     want = negative_eigenvalues(op, mu)
-    assert guesses.size > 2 and want.size > 2
-
-    def no_root(*args):
-        raise AssertionError("bisected from the root")
-
-    monkeypatch.setattr(radial_eig, "_stebz", no_root)
+    assert guesses.size > 2 and want.size > 2 and roots(laebz_calls) == [coarse.n, fine.n]
     assert negative_eigenvalues(op, mu, guesses=guesses).tobytes() == want.tobytes()
+    assert roots(laebz_calls) == [coarse.n, fine.n]
 
 
 @needs_dlaebz
-def test_guesses_that_miss_take_the_root_path(monkeypatch, caplog):
+def test_guesses_that_miss_take_the_root_path(laebz_calls, caplog):
     grid = pool_grid(400.0)
     coarse, fine = (build_channel(VC(g.r), 1.0, 0, g) for g in (grid, grid.refined()))
     guesses = negative_eigenvalues(coarse, 0.01)
     want = negative_eigenvalues(fine, 0.01)
-    solve, roots = radial_eig._stebz, []
-    monkeypatch.setattr(radial_eig, "_stebz", lambda *args: roots.append(args) or solve(*args))
+    laebz_calls.clear()
     with caplog.at_level(logging.DEBUG, logger="scottlab.radial_eig"):
         assert negative_eigenvalues(fine, 0.01, guesses=guesses).tobytes() == want.tobytes()
-        assert not roots and not caplog.records
+        assert not roots(laebz_calls) and not caplog.records
         # each guess 1% deeper than the coarse eigenvalue: no node holds a fine one
         assert negative_eigenvalues(fine, 0.01, guesses=1.01 * guesses).tobytes() == \
             want.tobytes()
-    assert len(roots) == 1
+    assert roots(laebz_calls) == [fine[0].size]
     assert "count mismatch" in caplog.text
 
 
 @needs_dlaebz
-def test_each_fallback_to_the_root_is_logged(monkeypatch, caplog):
+def test_each_fallback_to_the_root_is_logged(monkeypatch, caplog, laebz_calls):
     d, e = np.full(50, -1.0), np.full(49, 1.0)
     split = e.copy()
     split[20] = 0.0
     want, want_split = negative_eigenvalues((d, e)), negative_eigenvalues((d, split))
+    assert roots(laebz_calls) == [50, 21, 29]
+    laebz_calls.clear()
     with caplog.at_level(logging.DEBUG, logger="scottlab.radial_eig"):
-        # a channel below GUIDED_N nodes ignores its guesses
+        # a block below GUIDED_N nodes ignores its guesses
         assert negative_eigenvalues((d, e), guesses=[0.5, 7.0]).tobytes() == want.tobytes()
-        monkeypatch.setattr(radial_eig, "GUIDED_N", 50)
+        assert laebz_calls == [(1, 50), (2, 50)]
+        monkeypatch.setattr(radial_eig, "GUIDED_N", 21)
         assert negative_eigenvalues((d, e), guesses=want).tobytes() == want.tobytes()
-        assert not caplog.records
-        assert negative_eigenvalues((d, e), guesses=[0.5, 7.0]).tobytes() == want.tobytes()
+        # each block of the split channel starts from the guesses
         assert negative_eigenvalues((d, split), guesses=want_split).tobytes() == \
             want_split.tobytes()
+        assert roots(laebz_calls) == [50] and not caplog.records
+        assert negative_eigenvalues((d, e), guesses=[0.5, 7.0]).tobytes() == want.tobytes()
+        # without numpy's OpenBLAS, scipy's dstebz, which takes no guesses
         monkeypatch.setattr(radial_eig, "numpy_openblas", lambda: None)
         assert negative_eigenvalues((d, e), guesses=want).tobytes() == want.tobytes()
-    messages = [r.getMessage() for r in caplog.records]
-    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
-    assert messages[0] == "channel of n = 50, 1 guided nodes, bisected from the root: count mismatch"
-    assert [m.rsplit(": ", 1)[1] for m in messages] == ["count mismatch", "split", "no dlaebz"]
+    assert roots(laebz_calls) == [50, 50]
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.DEBUG, "block of n = 50, 1 guided nodes, bisected from the root: count mismatch")]
+
+
+@needs_dlaebz
+def test_split_fine_channel_bisected_from_its_guesses(laebz_calls, caplog):
+    # the cutoff's tail splits fine channel 0 of the R = 160 schedule into a block of 4,240
+    # nodes and eight 1 x 1 blocks; the large one starts from the coarse eigenvalues
+    grid, phi = localized_grid(160.0), SmoothCutoff(160.0)
+    coarse, fine = (build_channel(VC(g.r), 1.0, 0, g, phi(g.r)) for g in (grid, grid.refined()))
+    guesses = negative_eigenvalues(coarse)
+    assert fine[0].size == 4248 and guesses.size == 7
+    laebz_calls.clear()
+    with caplog.at_level(logging.DEBUG, logger="scottlab.radial_eig"):
+        got = negative_eigenvalues(fine, guesses=guesses)
+    assert got.tobytes() == scipy_negative_eigenvalues(fine, 0.0).tobytes()
+    assert [n for _, n in laebz_calls] == [4240, 4240] and not roots(laebz_calls)
+    assert not caplog.records
+
+
+def test_spectral_fit_fine_channels_start_from_their_guesses(tf_solution, monkeypatch, caplog):
+    # on one core every coarse channel is solved before the fine ones, so each fine channel of
+    # GUIDED_N nodes or more walks its coarse eigenvalues, and none of them misses
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with caplog.at_level(logging.DEBUG, logger="scottlab.radial_eig"):
+        radial_eig.scott_spectral_fit(tf_solution)
+    assert not caplog.records
 
 
 def _inf_at_one_node(r):

@@ -123,3 +123,11 @@ def test_weyl_integrand_validation():
         WeylIntegrand(V=lambda r: r, h=-1.0)
     with pytest.raises(ValueError):
         WeylIntegrand(V=lambda r: r, mu=-0.5)
+
+
+@pytest.mark.parametrize("field, value", [("h", math.nan), ("h", math.inf), ("mu", math.nan),
+                                          ("mu", math.inf)])
+def test_weyl_integrand_rejects_non_finite_h_and_mu(field, value):
+    # a NaN h passed (nan <= 0 is False) and the integral read nan; h = inf read -0.0
+    with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+        WeylIntegrand(V=lambda r: 1.0 / r, **{"mu": 0.01, field: value})

@@ -16,11 +16,12 @@ gives the metric), the core count, the Python, numpy and
 scipy versions, scipy's OpenBLAS as the harness runs it (its configuration
 string, the OPENBLAS_NUM_THREADS that perfbench/run.py sets and the thread
 count the library reads), each tree's line counts of src/scottlab/*.py
-and tests/*.py, and which dstebz each tree's radial layer calls: the path
-of the bundled OpenBLAS its finder loads, or "scipy.linalg" where the
-finder finds none.  The finder is scottlab.core.numpy_openblas(), or in
-older trees scipy_openblas(), so those report scipy's library; a tree
-that predates both reads "scipy.linalg".
+and tests/*.py, and the LAPACK library each tree's radial layer bisects
+in (the radial_dstebz key): the path of the bundled OpenBLAS its finder
+loads, or "scipy.linalg" where the finder finds none.  The finder is
+scottlab.core.numpy_openblas(), or in older trees scipy_openblas(), so
+those report scipy's library; a tree that predates both reads
+"scipy.linalg".
 
 Before the pairs, each tree runs OUTPUT_COMMANDS twice, each time in order
 from a new empty folder with the same relative --cache-dir and --out paths,
@@ -108,8 +109,8 @@ if lib is not None:
 print(json.dumps(out))
 """
 
-# run with a tree's src/ first on the path: its own finder says where its
-# radial layer calls dstebz
+# run with a tree's src/ first on the path: its own finder names the LAPACK
+# library its radial layer bisects in
 _DSTEBZ_PROBE = """
 import json
 from scottlab import core
@@ -132,7 +133,8 @@ def versions() -> dict:
 
 
 def radial_dstebz(tree: Path) -> str:
-    """The dstebz tree's radial layer calls: a bundled library (its path) or scipy.linalg."""
+    """The LAPACK library the tree's radial layer bisects in: a bundled OpenBLAS (its path) or
+    scipy.linalg."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run([sys.executable, "-c", _DSTEBZ_PROBE], env=env,
                           capture_output=True, text=True, check=True)
