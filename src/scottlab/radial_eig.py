@@ -23,6 +23,10 @@ node gives the same final intervals wherever the bisection started.  A
 refined sum's fine blocks of GUIDED_N nodes or more start at the deepest
 unconverged nodes with midpoints outside a window around each coarse
 eigenvalue if the counts add up, and every other block at its root.
+Every interval dlaebz keeps holds an eigenvalue, so its workspace holds
+MMAX = m intervals, m the block's eigenvalue count from those counts,
+where dstebz gives it the block's size n; with the set-up's few arrays of
+n, a channel solve allocates about five arrays of n in all.
 
 A sum runs its channels on one thread per usable core, the calling thread
 included, started for that sum alone and joined before it returns or
@@ -158,14 +162,20 @@ def auto_grid(V, h: float, mu: float, r_max: Optional[float] = None,
 
 def build_channel(v: np.ndarray, h: float, ell: int, grid: RadialGrid,
                   f: Optional[np.ndarray] = None):
-    """Tridiagonal (d, e) of channel ell of -h^2 Delta - V, v = V(grid.r), sandwiched by f if given."""
-    r = grid.r
+    """Tridiagonal (d, e) of channel ell of -h^2 Delta - V, v = V(grid.r), sandwiched by f if given.
+
+    d = (h^2 kin_diag + h^2 l (l + 1) / r^2 - v) f f is built in one buffer, e in another."""
     h2 = h * h
-    d = h2 * grid.kin_diag + h2 * ell * (ell + 1) / r ** 2 - v
+    d = np.square(grid.r)
+    np.divide(h2 * ell * (ell + 1), d, out=d)
+    d += h2 * grid.kin_diag  # floating-point addition commutes
+    d -= v
     e = h2 * grid.kin_off
     if f is not None:
-        d = d * f * f
-        e = e * f[:-1] * f[1:]
+        d *= f
+        d *= f
+        e *= f[:-1]
+        e *= f[1:]
     return d, e
 
 
@@ -177,7 +187,9 @@ def _check(routine: str, info: int) -> None:
 def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float, guesses=()) -> np.ndarray:
     """The eigenvalues of the tridiagonal (d, e) in (vl, vu], ascending, as LAPACK dstebz gives
     them: scipy.linalg.lapack's where numpy_openblas() finds nothing, else dstebz's set-up here
-    and _bisect on each split block, given the guesses if it has GUIDED_N nodes or more."""
+    and _bisect on each split block, given the guesses if it has GUIDED_N nodes or more.  The
+    set-up's scratch is e^2 and two more arrays of n; each block's dlaebz MMAX is its
+    eigenvalue count, where dstebz's is the block's size."""
     lib, n = numpy_openblas(), d.size
     if lib is None:
         from scipy.linalg.lapack import dstebz
@@ -187,16 +199,28 @@ def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float, guesses=()) -> np
     _check("dstebz", 0 if vl < vu else -5)  # dstebz's check of its argument VU
     if n == 1:
         return d[(vl < d) & (d <= vu)]
-    # the split test, PIVMIN, and per block the Gershgorin interval, FUDGE, ATOLI and clipping
-    e2 = e * e
-    split = np.abs(d[1:] * d[:-1]) * ULP ** 2 + SAFEMIN > e2
+    # the split test |d_i d_i+1| ULP^2 + SAFEMIN > e_i^2 in one buffer, and PIVMIN
+    e2, t = e * e, d[1:] * d[:-1]
+    np.abs(t, out=t)
+    t *= ULP ** 2
+    t += SAFEMIN
+    split = t > e2
     pivmin = max(1.0, float(np.max(e2, where=~split, initial=0.0))) * SAFEMIN
-    ae = np.where(split, 0.0, np.abs(e))
-    left, right = np.append(0.0, ae), np.append(ae, 0.0)
+    # per block the Gershgorin interval, (d_i - |e_i-1|) - |e_i| and (d_i + |e_i-1|) + |e_i|
+    # with split e_i read as 0, from one copy of d; then FUDGE, ATOLI and clipping
+    np.abs(e, out=t)
+    t[split] = 0.0
     first = np.append(0, np.flatnonzero(split) + 1)
-    size = np.diff(first, append=n)
-    gl = np.minimum.reduceat(d - left - right, first)
-    gu = np.maximum.reduceat(d + left + right, first)
+    size = np.append(first[1:], n) - first
+    g = d.copy()
+    g[1:] -= t
+    g[:-1] -= t
+    gl = np.minimum.reduceat(g, first)
+    np.copyto(g, d)
+    g[1:] += t
+    g[:-1] += t
+    gu = np.maximum.reduceat(g, first)
+    del t, g, split
     fudge = FUDGE * np.maximum(np.abs(gl), np.abs(gu)) * ULP * size
     gl, gu = gl - fudge - FUDGE * pivmin, gu + fudge + FUDGE * pivmin
     atoli = np.where(ABSTOL > 0.0, ABSTOL, ULP * np.maximum(np.abs(gl), np.abs(gu)))
@@ -227,10 +251,14 @@ def _laebz(lib, ijob: int, nitmax: int, minp: int, d, e, e2, ab, nab, c, atoli, 
 
 def _bisect(lib, d, e, e2, gl: float, gu: float, atoli: float, pivmin: float, guesses):
     """The eigenvalues in (gl, gu] of a block of n > 1 nodes by dlaebz (IJOB = 2), from the tree
-    nodes the guesses locate if their counts add up, else from the root counted by IJOB = 1."""
-    n, tol, g = d.size, max(atoli, pivmin), np.unique(guesses)
+    nodes the guesses locate if their counts add up, else from the root counted by IJOB = 1.
+
+    MMAX is the block's eigenvalue count m, read from those counts: each interval dlaebz keeps
+    holds at least one eigenvalue, so it never holds more than m (a deeper queue would come
+    back as INFO = MMAX + 1 and raise)."""
+    n, tol = d.size, max(atoli, pivmin)
+    g = np.unique(guesses) if len(guesses) else np.empty(0)
     itmax = int((math.log(gu - gl + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
-    ab, nab, c = np.empty(2 * n), np.empty(2 * n, dtype=np.int64), np.empty(n)
     # per guess, the deepest unconverged node whose midpoint is outside the window
     # rel |g| + 4 ATOLI; a narrow window first (deeper nodes), a wide one if its nodes miss
     for rel in (1e-4, 3e-3) if g.size else ():
@@ -255,21 +283,27 @@ def _bisect(lib, d, e, e2, gl: float, gu: float, atoli: float, pivmin: float, gu
         counts = np.zeros(2 * ends.size, dtype=np.int64)
         _laebz(lib, 3, 1, ends.size, d, e, e2, np.tile(ends, 2), counts, ends, atoli, pivmin)
         lo, hi = (counts[ends.size + np.searchsorted(ends, x)] for x in (a, b))
-        if np.all(hi >= lo) and np.sum(hi - lo) == counts[-1] - counts[ends.size]:
+        m = int(counts[-1] - counts[ends.size])
+        if np.all(hi >= lo) and np.sum(hi - lo) == m:
             start = hi > lo
-            minp, itmax = int(np.count_nonzero(start)), itmax - int(depth[start].max(initial=0))
-            ab[:minp], ab[n:n + minp] = a[start], b[start]
-            nab[:minp], nab[n:n + minp] = lo[start], hi[start]
+            a, b, lo, hi = a[start], b[start], lo[start], hi[start]
+            itmax -= int(depth[start].max(initial=0))
             break
     else:
         if g.size:
             log.debug("block of n = %d, %d guided nodes, bisected from the root: count "
                       "mismatch", n, a.size)
-        minp, ab[0], ab[n] = 1, gl, gu
-        _laebz(lib, 1, 0, 1, d, e, e2, ab, nab, c, atoli, pivmin)
-    mout, info = _laebz(lib, 2, itmax, minp, d, e, e2, ab, nab, c, atoli, pivmin)
+        root, counts = np.array([gl, gu]), np.zeros(2, dtype=np.int64)
+        m = _laebz(lib, 1, 0, 1, d, e, e2, root, counts, np.empty(1), atoli, pivmin)[0]
+        a, b, lo, hi = root[:1], root[1:], counts[:1], counts[1:]
+    if m == 0:
+        return np.empty(0)
+    minp = a.size
+    ab, nab = np.empty(2 * m), np.empty(2 * m, dtype=np.int64)
+    ab[:minp], ab[m:m + minp], nab[:minp], nab[m:m + minp] = a, b, lo, hi
+    mout, info = _laebz(lib, 2, itmax, minp, d, e, e2, ab, nab, np.empty(m), atoli, pivmin)
     _check("dlaebz", info)
-    return np.repeat(0.5 * (ab[:mout] + ab[n:n + mout]), nab[n:n + mout] - nab[:mout])
+    return np.repeat(0.5 * (ab[:mout] + ab[m:m + mout]), nab[m:m + mout] - nab[:mout])
 
 
 def negative_eigenvalues(op, mu: float = 0.0, guesses=()) -> np.ndarray:
@@ -283,12 +317,13 @@ def negative_eigenvalues(op, mu: float = 0.0, guesses=()) -> np.ndarray:
     # bisection resolves eigenvalues to ~eps * ||T||; eigenvalues inside the
     # pad band are numerically indistinguishable from the threshold and their
     # true contribution to a shifted trace is below the pad anyway
-    e_max = float(np.max(np.abs(e))) if e.size else 0.0
-    norm_est = float(np.max(np.abs(d))) + 2.0 * e_max
+    # (max |x| as max(max x, -min x), with no copy of x; NaN stays NaN)
+    e_max = float(np.maximum(e.max(), -e.min())) if e.size else 0.0
+    norm_est = float(np.maximum(d.max(), -d.min())) + 2.0 * e_max
     if not (math.isfinite(norm_est) and math.isfinite(mu)):  # else the threshold is not
         raise ValueError("channel entries, their norm and mu must be finite")
     pad = 128.0 * np.finfo(float).eps * norm_est
-    lo = float(np.min(d)) - 2.0 * e_max - 1.0
+    lo = float(d.min()) - 2.0 * e_max - 1.0
     vu = -mu - pad
     if lo >= vu:
         return np.array([])
@@ -301,31 +336,27 @@ def negative_eigenvalues(op, mu: float = 0.0, guesses=()) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _merge(found):
-    """Channels 0, 1, ... of found up to the first empty one."""
-    channels = {}
-    for ell in range(LMAX_CAP + 1):
-        if found[ell].size == 0:
-            return channels
-        channels[ell] = found[ell]
-    raise ChannelCascadeError(f"channels still nonempty at the l cap {LMAX_CAP}")
-
-
 def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
     """The channel sum on grid, or with refine its two-grid Richardson value.
 
-    V and the cutoff are evaluated once on each grid.  The calling thread
-    and k - 1 started ones (k usable cores) then solve the channels as the
-    module docstring says, taking the tasks (coarse, 0), (coarse, 1), ...,
-    then (fine, 0), (fine, 1), ...  The first exception raised is raised
-    here, after every thread is joined.
+    V and the cutoff are evaluated once on each grid.  Channel LMAX_CAP is
+    solved first on each grid, on the calling thread: emptiness is monotone
+    in l, so if it holds a state the sum cannot end below the cap, and
+    ChannelCascadeError is raised before any other channel is solved.  The
+    calling thread and k - 1 started ones (k usable cores) then solve the
+    channels below the cap as the module docstring says, taking the tasks
+    (coarse, 0), (coarse, 1), ..., then (fine, 0), (fine, 1), ...  The first
+    exception raised is raised here, after every thread is joined.
     """
     grids = [(g, np.asarray(V(g.r), dtype=float),
               None if cutoff is None else np.asarray(cutoff(g.r), dtype=float))
              for g in ([grid, grid.refined()] if refine else [grid])]
     numpy_openblas()  # loaded, and its LAPACK declared, before any thread calls it
-    tasks = ((ell, i) for i in range(len(grids)) for ell in range(LMAX_CAP + 1))
-    found, first_empty = [{} for _ in grids], [LMAX_CAP + 1] * len(grids)
+    for g, v, f in grids:
+        if negative_eigenvalues(build_channel(v, h, LMAX_CAP, g, f), mu=mu).size:
+            raise ChannelCascadeError(f"channels still nonempty at the l cap {LMAX_CAP}")
+    tasks = ((ell, i) for i in range(len(grids)) for ell in range(LMAX_CAP))
+    found, first_empty = [{} for _ in grids], [LMAX_CAP] * len(grids)
     errors, lock = [], threading.Lock()
 
     def take():
@@ -374,8 +405,8 @@ def _spectral_sum(V, h, mu, grid, cutoff, refine) -> SpectralSum:
     if errors:
         raise errors[0]
     total = None
-    for parts in found:
-        channels = _merge(parts)
+    for parts, first in zip(found, first_empty):  # every channel below first is solved
+        channels = {ell: parts[ell] for ell in range(first)}
         total = SpectralSum(channels, {ell: 2 * ell + 1 for ell in channels}, 2.0, mu,
                             coarse_trace=None if total is None else total.trace,
                             workers=k if k > 1 else 0)
@@ -387,7 +418,8 @@ def trace_neg(V, h: float, mu: float = 0.0, grid: Optional[RadialGrid] = None,
     """Sum of 2 (2 l + 1) (e + mu) over all channel eigenvalues e < -mu.
 
     Channels are assembled until the first empty one (emptiness is monotone
-    in l since the centrifugal term grows with l), at most up to LMAX_CAP.  refine=True replaces
+    in l since the centrifugal term grows with l); ChannelCascadeError is raised, before any
+    other channel is solved, where channel LMAX_CAP holds a state.  refine=True replaces
     each channel's contribution by the (4 T_2n - T_n)/3 Richardson value.
     """
     if grid is None:

@@ -92,6 +92,37 @@ def test_radial_dstebz_follows_each_trees_finder(tmp_path, core_source, want):
     assert bench_pairs.radial_dstebz(_tree(tmp_path, core_source)) == want
 
 
+# a radial layer whose warm-up sum fills WARM_UP_MB and whose refined trace TRACE_MB, each
+# freed on return
+_FAKE_RADIAL = """
+import os
+
+def trace_neg(V, h, mu=0.0, refine=False):
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    return len(b"x" * ((TRACE_MB if refine else WARM_UP_MB) << 20))
+"""
+
+
+@pytest.mark.parametrize("warm_up_mb, trace_mb, low, high", [(20, 60, 37.0, 43.0),
+                                                             (60, 40, 0.0, 1.0)],
+                         ids=["above-the-warm-up-peak", "below-the-warm-up-peak"])
+def test_radial_scratch_measures_the_traces_peak_rss_growth(tmp_path, warm_up_mb, trace_mb,
+                                                             low, high):
+    tree = _tree(tmp_path, "")
+    (tree / "src" / "scottlab" / "radial_eig.py").write_text(
+        f"WARM_UP_MB, TRACE_MB = {warm_up_mb}, {trace_mb}\n" + _FAKE_RADIAL)
+    got = bench_pairs.radial_scratch(tree)
+    assert len(got["growth_mb"]) == bench_pairs.RADIAL_SCRATCH_RUNS
+    assert all(low <= g <= high for g in got["growth_mb"]), got
+    assert got["median_mb"] == sorted(got["growth_mb"])[len(got["growth_mb"]) // 2]
+
+
+def test_radial_scratch_runs_on_this_tree():
+    # two threads' channel scratch, a few arrays of 29,424 fine nodes each
+    got = bench_pairs.radial_scratch(ROOT)
+    assert 0.0 <= got["median_mb"] < 8.0, got
+
+
 def _folder(root, name, files):
     folder = root / name
     folder.mkdir()

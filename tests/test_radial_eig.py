@@ -3,6 +3,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -305,6 +306,26 @@ def test_each_fallback_to_the_root_is_logged(monkeypatch, caplog, laebz_calls):
 
 
 @needs_dlaebz
+@pytest.mark.parametrize("ell, guided", [(0, False), (0, True), (5, False)])
+def test_one_channel_allocates_at_most_eight_arrays_of_n(ell, guided):
+    # the build and the solve's set-up work in about five buffers of n, and the
+    # dlaebz workspace is sized by the eigenvalue count, not by n
+    grid = radial_eig.auto_grid(VC, 1.0, 1.0 / 400.0)
+    guesses = negative_eigenvalues(build_channel(VC(grid.r), 1.0, ell, grid)) if guided else ()
+    grid = grid.refined()
+    v = VC(grid.r)
+    assert 29000 < grid.n < 31000
+    tracemalloc.start()
+    try:
+        vals = negative_eigenvalues(build_channel(v, 1.0, ell, grid), guesses=guesses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.size > 10
+    assert peak <= 8 * 8 * grid.n
+
+
+@needs_dlaebz
 def test_split_fine_channel_bisected_from_its_guesses(laebz_calls, caplog):
     # the cutoff's tail splits fine channel 0 of the R = 160 schedule into a block of 4,240
     # nodes and eight 1 x 1 blocks; the large one starts from the coarse eigenvalues
@@ -420,6 +441,25 @@ def test_channel_cascade_cap(monkeypatch):
         trace_neg(VC, 1.0, mu=1.0 / 400.0)
 
 
+def test_cap_channel_holding_a_state_raises_before_any_other_channel(monkeypatch):
+    # emptiness is monotone in l, so channel LMAX_CAP alone decides the cascade
+    # error, on the coarse grid, before any other channel is bisected
+    grid, V = make_grid(0.01, 50.0, 400), lambda r: 1e4 / r
+    cap = build_channel(V(grid.r), 1.0, radial_eig.LMAX_CAP, grid)[0]
+    solve, solved = radial_eig._stebz, []
+
+    def spy(d, *args):
+        solved.append(d.copy())
+        return solve(d, *args)
+
+    monkeypatch.setattr(radial_eig, "_stebz", spy)
+    for refine in (False, True):
+        solved.clear()
+        with pytest.raises(ChannelCascadeError, match="l cap 200"):
+            trace_neg(V, 1.0, mu=0.01, grid=grid, refine=refine)
+        assert len(solved) == 1 and solved[0].tobytes() == cap.tobytes()
+
+
 def test_mapping_variants_agree():
     # same physics on the sinh mesh and the uniform reference mesh
     sinh_grid = make_grid(0.2, 80.0, 3000)
@@ -514,10 +554,10 @@ def test_pooled_trace_equals_serial_loop(refine, paced):
     grid = pool_grid(400.0)
     starts = paced(0.0)
     got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid, refine=refine)
-    # each grid's channels up to its first empty one, and at most one
-    # channel past it per other thread
+    # each grid's cap channel, its channels up to its first empty one, and at
+    # most one channel past it per other thread
     grids = 2 if refine else 1
-    assert len(starts) <= grids * (max(got.eigenvalues) + 2 + max(WORKERS - 1, 0))
+    assert len(starts) <= grids * (1 + max(got.eigenvalues) + 2 + max(WORKERS - 1, 0))
     assert got.workers == WORKERS
     assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=refine))
 
@@ -653,7 +693,8 @@ def test_fine_task_without_its_coarse_channel_gives_the_same_sum(monkeypatch):
     monkeypatch.setattr(radial_eig, "build_channel", late_coarse_0)
     monkeypatch.setattr(radial_eig, "negative_eigenvalues", record)
     got = trace_neg(VC, 1.0, mu=1.0 / 100.0, grid=grid, refine=True)
-    assert seen[0] == 0 and any(seen[1:])
+    # the fine grid's cap channel (no guesses, solved before the threads start), then fine 0
+    assert seen[:2] == [0, 0] and any(seen[2:])
     assert_same_sum(got, serial_sum(VC, 1.0, 1.0 / 100.0, grid, refine=True))
 
 

@@ -21,7 +21,10 @@ in (the radial_dstebz key): the path of the bundled OpenBLAS its finder
 loads, or "scipy.linalg" where the finder finds none.  The finder is
 scottlab.core.numpy_openblas(), or in older trees scipy_openblas(), so
 those report scipy's library; a tree that predates both reads
-"scipy.linalg".
+"scipy.linalg".  The radial_scratch block records, per tree, what one
+refined Coulomb mu = 1/400 trace adds to the peak RSS of a fresh interpreter
+(OPENBLAS_NUM_THREADS=2, after a small warm-up sum), RADIAL_SCRATCH_RUNS
+times, and their median: it ties a change of peak_rss_mb to the radial layer.
 
 Before the pairs, each tree runs OUTPUT_COMMANDS twice, each time in order
 from a new empty folder with the same relative --cache-dir and --out paths,
@@ -139,6 +142,40 @@ def radial_dstebz(tree: Path) -> str:
     done = subprocess.run([sys.executable, "-c", _DSTEBZ_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+# run with a tree's src/ first on the path: the peak RSS, in kB, after a small warm-up sum
+# (imports, the first thread start) and after one refined Coulomb mu = 1/400 trace.  It reads
+# the process's own high-water mark (VmHWM): ru_maxrss also holds the parent's RSS at the fork
+_RADIAL_SCRATCH_PROBE = """
+import json
+from scottlab import radial_eig
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+coulomb = lambda r: 1.0 / r
+radial_eig.trace_neg(coulomb, 1.0, mu=0.1)
+before = peak_kb()
+radial_eig.trace_neg(coulomb, 1.0, mu=1.0 / 400.0, refine=True)
+print(json.dumps([before, peak_kb()]))
+"""
+RADIAL_SCRATCH_RUNS = 3
+
+
+def radial_scratch(tree: Path) -> dict:
+    """Peak RSS growth (MB) of one refined Coulomb mu = 1/400 trace in a fresh interpreter
+    with the tree's package and OPENBLAS_NUM_THREADS=2: each run's and their median (Linux:
+    the probe reads /proc/self/status)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="2")
+    growth = []
+    for _ in range(RADIAL_SCRATCH_RUNS):
+        done = subprocess.run([sys.executable, "-c", _RADIAL_SCRATCH_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        before, after = json.loads(done.stdout)
+        growth.append(round((after - before) / 1024.0, 2))
+    return {"growth_mb": growth, "median_mb": statistics.median(growth)}
 
 
 # the ten commands of the cli-session workload (its partition seed fixed at 1),
@@ -278,6 +315,8 @@ def main(argv=None) -> int:
               "lines": {side: line_counts(getattr(args, side)) for side in ("before", "after")},
               "radial_dstebz": {side: radial_dstebz(getattr(args, side))
                                 for side in ("before", "after")},
+              "radial_scratch": {side: radial_scratch(getattr(args, side))
+                                 for side in ("before", "after")},
               "tier1": {side: tier1(getattr(args, side)) for side in ("before", "after")},
               "outputs": outputs(args.before, args.after),
               "workloads": {w: {"pairs": []} for w in names}}
